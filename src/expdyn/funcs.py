@@ -102,6 +102,9 @@ class ExpPoly:
         self.n_terms = len(terms)
         self.max_abs_b = max(abs(b) for b in bs)
         self.min_abs_b = min(abs(b) for b in bs)
+        # Quantities derived from the (never modified) coefficients, computed
+        # once by their users; see orbits.trap_at_0.
+        self.memo = {}
 
     def exponent_poly(self, j: int) -> Poly:
         """b_j z^d + P_j as a polynomial."""

@@ -113,8 +113,8 @@ def annulus_scan(
     """Classify a seeded quasi-uniform sample of ann(r)."""
     if samples < 1:
         raise ValueError("samples must be positive")
-    if r <= 0:
-        raise ValueError("r must be positive")
+    if not (math.isfinite(r) and r > 0):
+        raise ValueError("r must be positive and finite")
     pts = _annulus_points(r, samples, seed)
     res = classify_batch(f, pts, p)
     fractions = {

@@ -7,10 +7,24 @@ iterated-exp pair (depth, v) with |z| = exp^depth(v), driven by the dominant
 term's growth max_j |b_j| cos(d phi + arg b_j) * |z|^d; at this scale the
 phase is a deterministic proxy (the argument direction of the dominant
 exponent), since the true phase of f is an astronomically large number mod
-2 pi.  Classification is certificate-based: escape is only reported when a
-run of consecutive steps each shows the point outside the level-1
-exceptional set, beyond the escape radius, and growing at the stretched
-exponential rate log|z_{k+1}| >= |z_k|^alpha.
+2 pi.  A start point whose log-domain evaluation overflows doubles starts
+in tower mode at its own magnitude; a NaN or infinite start point is
+Undetermined after 0 steps.  Classification is certificate-based: escape is
+only reported when a run of consecutive steps each shows the point outside
+the level-1 exceptional set, beyond the escape radius, and growing at the
+stretched exponential rate log|z_{k+1}| >= |z_k|^alpha.
+
+Non-escape is reported when an orbit lands exactly on a fixed point inside
+the radius, or when its last TAIL_STEPS points (all of them, for a shorter
+budget) lie inside the radius.  Where f(0) = 0 holds exactly, trap_at_0
+certifies a region R with f(R) inside R and R inside D(0, rho), rho below
+the escape radius: an attracting disk when |f'(0)| < 1, or a parabolic petal
+(Leau-Fatou flower) when f'(0) = 1.  An orbit whose new point lies in R
+stays inside the radius for the rest of its budget, so it stops there as
+NonEscapeObserved, with the `trapped` flag, as soon as that makes the tail
+rule certain to fire.  Its `steps` is the entry step, and the traces of
+classify_orbit and write_orbit_csv end there; tags are those the full
+budget gives.
 """
 
 from __future__ import annotations
@@ -19,12 +33,13 @@ import cmath
 import csv
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
 from .errors import BadBase, ZeroValue
 from .exceptional import in_E_mask
-from .funcs import ExpPoly, _term_exponents, eval_deriv_log, eval_log, eval_log_batch, wrap_phase
+from .funcs import ExpPoly, _pow_int, _term_exponents, eval_log, eval_log_batch, wrap_phase
 from .towers import LIFT, TowerMag, _tower_add_const, _tower_scale, tower_exp, tower_log, tower_pow
 
 __all__ = [
@@ -63,11 +78,11 @@ class ClassifyParams:
     bail_logmod: float = 690.0
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError("alpha must be positive and finite")
         if self.cert_steps < 2:
             raise ValueError("cert_steps must be at least 2")
-        if self.escape_radius <= 0 or self.max_iter < 1:
+        if not (math.isfinite(self.escape_radius) and self.escape_radius > 0) or self.max_iter < 1:
             raise ValueError("invalid escape_radius/max_iter")
 
 
@@ -121,13 +136,15 @@ def _asymptotic_log_max(f: ExpPoly) -> float:
     return f.max_abs_b * (1.0 + 1e-9)
 
 
-def iterate_max_modulus(f: ExpPoly, R: float, n: int):
+def iterate_max_modulus(f: ExpPoly, R: float, n: int, max_depth: int | None = None):
     """The first n iterates of r -> M(r, f) starting at R, as TowerMag.
 
     Uses circle sampling (upper bracket side) while r is small enough that
     the exponents fit in doubles, and the dominant-coefficient asymptotic
     log M(r) <= c r^d beyond; every approximation is taken on the upper
     side, so the iterates are usable as conservative fast-escape gates.
+    With max_depth set, the list stops before the first iterate deeper than
+    max_depth.
     """
     lo, hi = log_max_modulus(f, R)
     if lo <= math.log(R):
@@ -143,6 +160,8 @@ def iterate_max_modulus(f: ExpPoly, R: float, n: int):
             log_r = tower_log(t)
             loglog_m = _tower_add_const(_tower_scale(log_r, float(f.d)), math.log(c_up))
             t = tower_exp(tower_exp(loglog_m))
+        if max_depth is not None and t.depth > max_depth:
+            break
         out.append(t)
     return out
 
@@ -169,6 +188,258 @@ def sixsmith_quantity(f: ExpPoly, z: complex) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Trap regions at the fixed point 0
+#
+# The Taylor coefficients a_k of f at 0 are computed exactly, in rational
+# arithmetic on the stored doubles, up to TRAP_ORDER.  The rest of the series
+# is bounded on |z| <= rho by the coefficientwise majorant
+#
+#     F(rho) = sum_j Qhat_j(rho) exp(|b_j| rho^d + Phat_j(rho)),
+#
+# hats taking absolute values of coefficients, whose Taylor coefficients
+# dominate |a_k|: sum_{k > K} |a_k| rho^k <= F(rho) - sum_{k <= K} F_k rho^k.
+
+TRAP_ORDER = 12
+# Candidate radii, tried in order; the first one that certifies is used.
+_TRAP_RADII = tuple(2.0**-i for i in range(21))
+# Relative outward margin of the floating-point membership test.
+_TRAP_MARGIN = 1e-9
+# 2^-50 bounds the relative error of float(x) followed by a square root.
+_SQRT_REL = Fraction(1, 2**50)
+
+
+class _GaussQ:
+    """Exact complex rational re + i im."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re, im=0):
+        self.re = Fraction(re)
+        self.im = Fraction(im)
+
+    def __add__(self, o):
+        return _GaussQ(self.re + o.re, self.im + o.im)
+
+    def __mul__(self, o):
+        if isinstance(o, _GaussQ):
+            return _GaussQ(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+        return _GaussQ(self.re * o, self.im * o)
+
+    def __bool__(self):
+        return bool(self.re or self.im)
+
+    def abs2(self) -> Fraction:
+        return self.re * self.re + self.im * self.im
+
+
+def _sqrt_bounds(x: Fraction):
+    """Rationals lo <= sqrt(x) <= hi for a rational x >= 0."""
+    if x > 2**1000:
+        return Fraction(2**500), x
+    fx = float(x)
+    if fx < 2.0**-1000:
+        return Fraction(0), Fraction(1, 2**500)
+    s = Fraction(math.sqrt(fx))
+    return s * (1 - _SQRT_REL), s * (1 + _SQRT_REL)
+
+
+def _abs_up(c) -> Fraction:
+    """A rational upper bound for |c| of a stored complex double."""
+    re, im = Fraction(c.real), Fraction(c.imag)
+    if not im or not re:
+        return abs(re) + abs(im)
+    return _sqrt_bounds(re * re + im * im)[1]
+
+
+def _up(x: Fraction) -> float:
+    """The smallest double >= x."""
+    y = float(x)
+    return math.nextafter(y, math.inf) if Fraction(y) < x else y
+
+
+def _series_mul(p, q, K, zero):
+    out = [zero] * (K + 1)
+    for i, a in enumerate(p[: K + 1]):
+        if a:
+            for j, b in enumerate(q[: K + 1 - i]):
+                out[i + j] = out[i + j] + a * b
+    return out
+
+
+def _series_exp(e, K, zero, one):
+    """exp(e) to order K for e[0] = 0, by k y_k = sum_i i e_i y_(k-i)."""
+    y = [one] + [zero] * K
+    for k in range(1, K + 1):
+        acc = zero
+        for i in range(1, k + 1):
+            if e[i]:
+                acc = acc + e[i] * y[k - i] * Fraction(i, k)
+        y[k] = acc
+    return y
+
+
+def _term_series(t, d, K, coef, zero):
+    """Order-K series of the exponent b z^d + P(z) and the prefactor Q."""
+    e = [zero] * (K + 1)
+    for i, c in enumerate(t.P.coeffs[: K + 1]):
+        e[i] = coef(c)
+    if d <= K:
+        e[d] = coef(t.b)
+    return e, [coef(c) for c in t.Q.coeffs]
+
+
+def _exp_up(x: Fraction) -> Fraction:
+    """A rational upper bound for exp(x), 0 <= x <= 64."""
+    n = 2 * math.ceil(x) + 16
+    term = s = Fraction(1)
+    for k in range(1, n + 1):
+        term = term * x / k
+        s += term
+    # sum_{k > n} x^k/k! <= term * x/(n+1) * 1/(1 - x/(n+2))
+    return s + term * x / (n + 1) / (1 - x / (n + 2))
+
+
+def _poly_at(coeffs, r: Fraction) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * r + c
+    return acc
+
+
+def _tail_up(f: ExpPoly, K: int, rho: Fraction, hat) -> Fraction | None:
+    """Upper bound for sum_{k > K} |a_k| rho^k from the majorant F."""
+    total = Fraction(0)
+    for t in f.terms:
+        e, q = _term_series(t, f.d, f.d, _abs_up, Fraction(0))
+        x = _poly_at(e, rho)
+        if x > 64:
+            return None
+        total += _poly_at(q, rho) * _exp_up(x)
+    return total - _poly_at(hat, rho)
+
+
+@dataclass(frozen=True)
+class TrapRegion:
+    """A region R with f(R) inside R and R inside D(0, rho).
+
+    kind "disk": R = D(0, rho).  kind "petal": R = {Re w > A} with
+    w = c / z^m, c = -1/(m a_(m+1)), around a multiplier-1 fixed point 0.
+    """
+
+    kind: str
+    rho: float
+    m: int = 0
+    c: complex = 0j
+    A: float = 0.0
+
+    def contains(self, z):
+        """Float membership with an outward margin: True entries lie in R."""
+        z = np.asarray(z, dtype=complex)
+        if self.kind == "disk":
+            return np.abs(z) < self.rho * (1.0 - _TRAP_MARGIN)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            w = self.c / _pow_int(z, self.m)
+            return w.real - _TRAP_MARGIN * np.abs(w) > self.A
+
+
+def _taylor(f: ExpPoly, K: int, coef, zero, one):
+    """Order-K Taylor series at 0 of sum_j Q_j exp(b_j z^d + P_j), with each
+    stored coefficient c read as coef(c).  Needs every P_j(0) = 0."""
+    total = [zero] * (K + 1)
+    for t in f.terms:
+        e, q = _term_series(t, f.d, K, coef, zero)
+        y = _series_mul(q, _series_exp(e, K, zero, one), K, zero)
+        total = [u + v for u, v in zip(total, y)]
+    return total
+
+
+def _certify_disk(a, hat, f, rho: Fraction) -> bool:
+    """sup_{|z| <= rho} |f| < rho."""
+    tail = _tail_up(f, TRAP_ORDER, rho, hat)
+    if tail is None:
+        return False
+    bound = sum(_sqrt_bounds(ak.abs2())[1] * rho**k for k, ak in enumerate(a) if ak)
+    return bound + tail < rho
+
+
+def _certify_petal(a, hat, f, m: int, rho: Fraction) -> bool:
+    """|W - w - 1| <= 1/2 on 0 < |z| <= rho, for f = z + a z^(m+1) + T(z).
+
+    With u = f(z)/z - 1 and eps = T(z) / (a z^(m+1)),
+    W - w - 1 = w ((1+u)^-m - 1 + m u) + eps, so |W - w - 1| is at most
+    ((1-U)^-m - 1 - m U) / (m |a| r^m) + tau / (|a| r^(m+1)), with
+    tau >= |T| and U = |a| r^m + tau/r >= |u|.  tau(r) is a power series
+    in r with non-negative coefficients from r^(m+2) on, so tau/r^(m+1) and
+    U^2/r^m do not decrease with r, and neither does g(U)/U^2 with U for
+    g(U) = (1-U)^-m - 1 - m U: the bound grows with r, and holding at
+    r = rho covers the whole punctured disk.
+    """
+    tail = _tail_up(f, TRAP_ORDER, rho, hat)
+    if tail is None:
+        return False
+    lead_lo, lead_hi = _sqrt_bounds(a[m + 1].abs2())
+    if not lead_lo:
+        return False
+    tau = tail + sum(
+        _sqrt_bounds(a[k].abs2())[1] * rho**k for k in range(m + 2, TRAP_ORDER + 1) if a[k]
+    )
+    U = lead_hi * rho**m + tau / rho
+    if U >= 1:
+        return False
+    g = (1 - U) ** -m - 1 - m * U
+    return g / (m * lead_lo * rho**m) + tau / (lead_lo * rho ** (m + 1)) <= Fraction(1, 2)
+
+
+def _derive_trap(f: ExpPoly, escape_radius: float) -> TrapRegion | None:
+    if any(t.P.coeff(0) != 0 for t in f.terms):
+        return None
+    a = _taylor(f, TRAP_ORDER, lambda c: _GaussQ(c.real, c.imag), _GaussQ(0), _GaussQ(1))
+    if a[0]:
+        return None
+    hat = _taylor(f, TRAP_ORDER, _abs_up, Fraction(0), Fraction(1))
+    a1 = a[1]
+    if a1.abs2() < 1:
+        for r in _TRAP_RADII:
+            if r < escape_radius and _certify_disk(a, hat, f, Fraction(r)):
+                return TrapRegion("disk", r)
+        return None
+    if a1.re != 1 or a1.im:
+        return None
+    m = next((k - 1 for k in range(2, TRAP_ORDER) if a[k]), None)
+    if m is None:
+        return None
+    lead = a[m + 1]
+    # c = -1/(m a), exactly: -conj(a) / (m |a|^2)
+    den = m * lead.abs2()
+    c = complex(float(-lead.re / den), float(lead.im / den))
+    for r in _TRAP_RADII:
+        rho = Fraction(r)
+        if r < escape_radius and _certify_petal(a, hat, f, m, rho):
+            A = _up(1 / (m * _sqrt_bounds(lead.abs2())[0] * rho**m))
+            return TrapRegion("petal", r, m, c, A)
+    return None
+
+
+def trap_at_0(f: ExpPoly, escape_radius: float) -> TrapRegion | None:
+    """The certified trap region of f at the fixed point 0, or None.
+
+    Defined when f(0) = 0 holds exactly (every P_j(0) = 0 and the Q_j(0) sum
+    to 0).  If |a_1| < 1 it is the disk D(0, rho) with sup |f| < rho there;
+    if a_1 = 1 and a_(m+1) is the next nonzero coefficient, it is the petal
+    set {Re w > A}, w = -1/(m a_(m+1) z^m), A = 1/(m |a_(m+1)| rho^m), with
+    |W - w - 1| <= 1/2 on |z| <= rho for W = w(f(z)): each step then adds at
+    least 1/2 to Re w, so R is invariant, and Re w > A forces |z| < rho.
+    rho is the first radius of a fixed halving sequence below escape_radius
+    that certifies.  The result is stored on f, whose coefficients never
+    change.
+    """
+    memo = f.memo.setdefault("trap_at_0", {})
+    if escape_radius not in memo:
+        memo[escape_radius] = _derive_trap(f, escape_radius)
+    return memo[escape_radius]
+
+
+# ---------------------------------------------------------------------------
 # Classification engine
 
 
@@ -192,9 +463,11 @@ def _tower_ge(d1, v1, d2, v2):
 def classify_batch(f: ExpPoly, points, p: ClassifyParams | None = None, record: bool = False):
     """Classify an array of starting points; returns a dict of result arrays.
 
-    Keys: tag (strings), steps, fast_escape, escape_step, final_depth,
+    Keys: tag (strings), steps, fast_escape, escape_step, trapped (the
+    orbit stopped on entering the trap region of trap_at_0), final_depth,
     final_val (|z| = exp^depth(val) at the last computed step), and, when
     record is set, trace (per-step diagnostics for the single-point case).
+    A NaN or infinite start point is Undetermined after 0 steps.
     """
     if p is None:
         p = ClassifyParams()
@@ -222,9 +495,16 @@ def classify_batch(f: ExpPoly, points, p: ClassifyParams | None = None, record: 
     fast_ok = np.ones(n_pts, bool)
     esc_step = np.full(n_pts, -1, np.int64)
     steps_used = np.zeros(n_pts, np.int64)
+    trapped = np.zeros(n_pts, bool)
+    done[~np.isfinite(pts)] = True
+
+    trap = trap_at_0(f, radius)
+    tail_need = min(TAIL_STEPS, p.max_iter)
 
     try:
-        ladder = iterate_max_modulus(f, radius, p.max_iter + 1)
+        # No live point is deeper than MAX_DEPTH + 1, so deeper rungs would
+        # fail every point they gate.
+        ladder = iterate_max_modulus(f, radius, p.max_iter + 1, max_depth=MAX_DEPTH + 1)
         lad_depth = np.array([t.depth for t in ladder])
         lad_val = np.array([t.value for t in ladder])
     except BadBase:
@@ -237,7 +517,8 @@ def classify_batch(f: ExpPoly, points, p: ClassifyParams | None = None, record: 
         act = np.nonzero(~done)[0]
         if act.size == 0:
             break
-        steps_used[act] = k + 1
+        n_step = k + 1
+        steps_used[act] = n_step
 
         ia = act[mode[act] == 0]
         it = act[mode[act] == 1]
@@ -246,9 +527,34 @@ def classify_batch(f: ExpPoly, points, p: ClassifyParams | None = None, record: 
         new_val = np.empty(act.size)
         cond_all = np.zeros(n_pts, bool)
         stop_now = np.zeros(n_pts, bool)  # undetermined dead ends
+        trap_now = np.zeros(n_pts, bool)
 
         if ia.size:
             Z = z[ia]
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                ws = _term_exponents(f, Z)
+                pv = [t.Q(Z) for t in f.terms]
+                maxs = np.maximum.reduce(
+                    [w.real + np.log(np.abs(q)) for w, q in zip(ws, pv)]
+                )
+            # Where the log-domain terms overflow doubles (in practice only at
+            # a start point) the orbit continues in tower mode at its own
+            # magnitude: depth 1, val = log|z|, phase = arg z.
+            over = np.isnan(maxs) | (maxs == np.inf)
+            if over.any():
+                io = ia[over]
+                mode[io] = 1
+                depth[io] = 1
+                val[io] = np.log(np.abs(z[io]))
+                phase[io] = np.angle(z[io])
+                z[io] = 0.0
+                it = np.concatenate([it, io])
+                keep = ~over
+                ia, Z, maxs = ia[keep], Z[keep], maxs[keep]
+                ws = [w[keep] for w in ws]
+                pv = [q[keep] for q in pv]
+
+        if ia.size:
             absZ = np.abs(Z)
             if use_e1:
                 in_e1 = in_E_mask(f, Z, 1)
@@ -266,13 +572,7 @@ def classify_batch(f: ExpPoly, points, p: ClassifyParams | None = None, record: 
             # doubles: IEEE products and sums commute with negation and
             # conjugation, so sign/mirror symmetries of f survive bitwise.
             # Otherwise reconstruct from the log-domain value.
-            ws = _term_exponents(f, Z)
-            pv = [t.Q(Z) for t in f.terms]
             maxw = np.maximum.reduce([w.real for w in ws])
-            with np.errstate(divide="ignore"):
-                maxs = np.maximum.reduce(
-                    [w.real + np.log(np.abs(q)) for w, q in zip(ws, pv)]
-                )
             safe = (maxw <= 700.0) & (maxs <= 700.0) & ~promote & ~zero
             with np.errstate(over="ignore", invalid="ignore", under="ignore"):
                 direct = np.zeros_like(Z)
@@ -291,6 +591,13 @@ def classify_batch(f: ExpPoly, points, p: ClassifyParams | None = None, record: 
             done[ia[nonesc]] = True
             tag[ia[nonesc]] = 2
             done[ia[stuck]] = True
+            # An orbit entering the trap stays inside the radius for its
+            # remaining max_iter - n_step points.  Stop it only when that
+            # makes the trailing-run rule below certain to fire.
+            if trap is not None:
+                trap_now[ia] = (
+                    ~promote & trap.contains(znew) & (below[ia] + (p.max_iter - n_step) >= tail_need)
+                )
 
             mode[ia] = np.where(promote, 1, 0)
             z[ia] = np.where(promote, 0.0, znew)
@@ -348,12 +655,14 @@ def classify_batch(f: ExpPoly, points, p: ClassifyParams | None = None, record: 
             stop_now[it[(nd > MAX_DEPTH) & ~dead]] = True
 
         # fast-escape gate: |z_n| >= M^(n - cert_steps)(escape_radius)
-        n_step = k + 1
         gate = n_step - p.cert_steps
-        if ladder is not None and 0 < gate <= len(ladder):
-            cd, cv = _canon_arrays(new_depth, new_val)
+        if ladder is not None and gate > 0:
             live = ~done[act]
-            ok = _tower_ge(cd, cv, lad_depth[gate - 1], lad_val[gate - 1])
+            if gate <= len(ladder):
+                cd, cv = _canon_arrays(new_depth, new_val)
+                ok = _tower_ge(cd, cv, lad_depth[gate - 1], lad_val[gate - 1])
+            else:
+                ok = np.zeros(act.size, bool)
             fa = fast_ok[act]
             fa[live] &= ok[live]
             fast_ok[act] = fa
@@ -363,6 +672,10 @@ def classify_batch(f: ExpPoly, points, p: ClassifyParams | None = None, record: 
         tag[cert] = 1
         esc_step[cert] = n_step
         done |= cert
+        newly_trapped = trap_now & ~done
+        tag[newly_trapped] = 2
+        trapped |= newly_trapped
+        done |= newly_trapped
         newly_stopped = stop_now & ~done
         done |= newly_stopped
 
@@ -381,7 +694,7 @@ def classify_batch(f: ExpPoly, points, p: ClassifyParams | None = None, record: 
             )
 
     rest = ~done
-    tag[rest & (below >= min(TAIL_STEPS, p.max_iter))] = 2
+    tag[rest & (below >= tail_need)] = 2
 
     fast = fast_ok & (tag == 1)
     return {
@@ -390,6 +703,7 @@ def classify_batch(f: ExpPoly, points, p: ClassifyParams | None = None, record: 
         "steps": steps_used,
         "fast_escape": fast,
         "escape_step": esc_step,
+        "trapped": trapped,
         "final_mode": mode,
         "final_depth": depth,
         "final_val": val,

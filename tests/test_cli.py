@@ -170,6 +170,25 @@ def test_annulus_scan_seeded(capsys, tmp_path):
     assert rep["frac_escape"] + rep["frac_nonescape"] + rep["frac_undetermined"] == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("r", ["nan", "inf"])
+def test_annulus_scan_rejects_non_finite_r(capsys, r):
+    code, out, err = run(capsys, "annulus-scan", "--fn", "sin_z3", "--r", r, "--samples", "10")
+    assert code == 1 and "error" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("flag", ["--alpha", "--escape-radius"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_classify_flags_reject_non_finite(capsys, tmp_path, flag, value):
+    code, _, err = run(
+        capsys, "render", "--fn", "sin_z3", "--out", str(tmp_path / "x.ppm"), "--px", "4", flag, value
+    )
+    assert code == 1 and "error" in err
+    assert not (tmp_path / "x.ppm").exists()
+    code, _, err = run(capsys, "annulus-scan", "--fn", "sin_z3", "--r", "5", "--samples", "10", flag, value)
+    assert code == 1 and "error" in err
+
+
 def test_grid_bound(capsys, tmp_path):
     out_path = tmp_path / "density.csv"
     code, out, _ = run(

@@ -13,6 +13,7 @@ from expdyn import (
     ExpPolyTerm,
     Poly,
     TowerMag,
+    bundled_function,
     classify_batch,
     classify_orbit,
     iterate_E_alpha,
@@ -21,7 +22,9 @@ from expdyn import (
     sixsmith_quantity,
     tower_compare,
 )
-from expdyn.orbits import MAX_DEPTH, write_orbit_csv
+from expdyn.orbits import MAX_DEPTH, TAIL_STEPS, write_orbit_csv
+
+BUNDLED = ("sin_z", "sin_z2", "sin_z3", "example_h")
 
 
 def test_params_validation():
@@ -31,6 +34,14 @@ def test_params_validation():
         ClassifyParams(cert_steps=1)
     with pytest.raises(ValueError):
         ClassifyParams(max_iter=0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_params_reject_non_finite(bad):
+    with pytest.raises(ValueError):
+        ClassifyParams(alpha=bad)
+    with pytest.raises(ValueError):
+        ClassifyParams(escape_radius=bad)
 
 
 # ---------------------------------------------------------------------------
@@ -56,6 +67,19 @@ def test_iterate_max_modulus_ladder(cosh3):
     assert ladder[1].value >= ladder[0].value ** 3
     for a, b in zip(ladder, ladder[1:]):
         assert tower_compare(b, a) == 1
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_ladder_cut_drops_only_unreachable_rungs(name):
+    # classify_batch stops the ladder before the first rung deeper than
+    # MAX_DEPTH + 1; every rung of the full ladder past that point is deeper
+    # still, so no live point could have passed its gate.
+    f = bundled_function(name)
+    full = iterate_max_modulus(f, 50.0, 513)
+    cut = iterate_max_modulus(f, 50.0, 513, max_depth=MAX_DEPTH + 1)
+    assert 0 < len(cut) < len(full)
+    assert full[: len(cut)] == cut
+    assert all(t.depth > MAX_DEPTH + 1 for t in full[len(cut) :])
 
 
 def test_iterate_max_modulus_bad_base():
@@ -146,16 +170,72 @@ def test_batch_mixture(cosh3, sin3):
     assert res["tag_code"].tolist() == [2, 1, 2]
 
 
-def test_symmetries_bitwise(sin3):
+def test_symmetries_bitwise(sin3, sinz):
+    # sin_z covers the petal trap: trapped steps must be symmetric too.
     rng = np.random.default_rng(5)
     pts = 4.0 * (rng.random(200) - 0.5) + 4.0j * (rng.random(200) - 0.5)
-    base = classify_batch(sin3, pts)
-    neg = classify_batch(sin3, -pts)
-    conj = classify_batch(sin3, np.conj(pts))
-    assert np.array_equal(base["tag"], neg["tag"])
-    assert np.array_equal(base["steps"], neg["steps"])
-    assert np.array_equal(base["tag"], conj["tag"])
-    assert np.array_equal(base["steps"], conj["steps"])
+    for f in (sin3, sinz):
+        base = classify_batch(f, pts)
+        neg = classify_batch(f, -pts)
+        conj = classify_batch(f, np.conj(pts))
+        for key in ("tag", "steps", "trapped"):
+            assert np.array_equal(base[key], neg[key])
+            assert np.array_equal(base[key], conj[key])
+    assert classify_batch(sinz, pts)["trapped"].any()
+
+
+def test_far_start_is_not_read_as_bounded(sin3):
+    # |z|^3 overflows doubles: such a start goes straight to tower mode
+    # instead of reading the overflow as f(z) = 0.  Spokes sit at k pi/3.
+    theta = np.array([0.1, 0.4, 0.9, 1.3, 2.0, 2.9, 3.5, 4.4, 5.0, 6.0])
+    for r in (1e120, 1e200):
+        res = classify_batch(sin3, r * np.exp(1j * theta))
+        assert not np.any(res["tag"] == NON_ESCAPE_OBSERVED)
+        assert np.all(res["tag"] == ESCAPE_CERTIFIED)
+
+
+def test_non_finite_start_is_undetermined(sinz, sin3):
+    pts = [complex(math.nan, 0.0), complex(math.inf, 0.0), complex(0.0, -math.inf), complex(1.0, math.nan), 0.5]
+    for f in (sinz, sin3):
+        res = classify_batch(f, pts)
+        assert list(res["tag"][:4]) == [UNDETERMINED] * 4
+        assert res["steps"][:4].tolist() == [0, 0, 0, 0]
+        assert res["tag"][4] == NON_ESCAPE_OBSERVED
+
+
+def test_trap_exit_only_when_tail_rule_must_fire(sinz):
+    # Reference: iterate sin in plain numpy for the whole budget and apply
+    # the trailing-run rule.  Every trapped orbit must meet it.
+    rng = np.random.default_rng(11)
+    pts = np.concatenate(
+        [40.0 + 20.0 * rng.random(100) + 0.01j * rng.standard_normal(100), rng.random(100) + 0.5j * rng.random(100)]
+    )
+    for max_iter in (8, 12, TAIL_STEPS, TAIL_STEPS + 1, 40):
+        p = ClassifyParams(max_iter=max_iter)
+        res = classify_batch(sinz, pts, p)
+        for z0, trapped, tag, steps in zip(pts, res["trapped"], res["tag"], res["steps"]):
+            if not trapped:
+                continue
+            assert tag == NON_ESCAPE_OBSERVED and steps <= max_iter
+            orbit = [z0]
+            for _ in range(max_iter - 1):
+                orbit.append(np.sin(orbit[-1]))
+            run = 0
+            for z in orbit:
+                run = run + 1 if abs(z) <= p.escape_radius else 0
+            assert run >= min(TAIL_STEPS, max_iter)
+        assert res["trapped"].any()
+
+
+def test_trap_needs_enough_budget(sinz):
+    # sin(50.5) ~ 0.24 lies in the petal at step 1, but with 8 steps only
+    # seven points are inside the radius: the tail rule cannot fire.
+    res = classify_orbit(sinz, 50.5, ClassifyParams(max_iter=8))
+    assert res.tag == UNDETERMINED and res.steps == 8
+    res = classify_orbit(sinz, 50.5)
+    assert res.tag == NON_ESCAPE_OBSERVED
+    assert res.steps < 512
+    assert len(res.diagnostics["cert_trace"]) == res.steps
 
 
 def test_escape_rate_certificate_members(cosh3):

@@ -1,0 +1,163 @@
+"""Trap regions at the fixed point 0, checked against mpmath oracles."""
+
+import numpy as np
+import pytest
+from mpmath import iv, mp
+
+from expdyn import (
+    NON_ESCAPE_OBSERVED,
+    ClassifyParams,
+    ExpPoly,
+    ExpPolyTerm,
+    Poly,
+    bundled_function,
+    classify_batch,
+)
+from expdyn.orbits import TrapRegion, trap_at_0
+
+BUNDLED = ("sin_z", "sin_z2", "sin_z3", "example_h")
+
+
+def test_bundled_trap_shapes():
+    sinz = trap_at_0(bundled_function("sin_z"), 50.0)
+    # sin z = z - z^3/6 + ...: the two-lobed petal {Re(3/z^2) > 3/rho^2}.
+    assert sinz.kind == "petal" and sinz.m == 2
+    assert sinz.c == 3.0
+    assert 3.0 / sinz.rho**2 <= sinz.A <= 3.0 / sinz.rho**2 * (1 + 1e-12)
+    for name in ("sin_z2", "sin_z3", "example_h"):
+        trap = trap_at_0(bundled_function(name), 50.0)
+        assert trap.kind == "disk"
+    for name in BUNDLED:
+        assert trap_at_0(bundled_function(name), 50.0).rho < 50.0
+
+
+def test_trap_radius_stays_below_escape_radius():
+    f = bundled_function("sin_z3")
+    assert trap_at_0(f, 0.3).rho < 0.3
+    assert trap_at_0(f, 2.0**-25) is None
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        # f(0) = 2
+        ExpPoly(3, [ExpPolyTerm(Poly([1]), 1 + 0j), ExpPolyTerm(Poly([1]), -1 + 0j)]),
+        # -sin z: multiplier -1
+        ExpPoly(1, [ExpPolyTerm(Poly([0.5j]), 1j), ExpPolyTerm(Poly([-0.5j]), -1j)]),
+        # 2 sin z: repelling
+        ExpPoly(1, [ExpPolyTerm(Poly([-1j]), 1j), ExpPolyTerm(Poly([1j]), -1j)]),
+        # z exp(z^2 + 1): P(0) != 0, so f(0) = 0 cannot be settled exactly
+        ExpPoly(2, [ExpPolyTerm(Poly([0, 1]), 1 + 0j, Poly([1]))]),
+    ],
+    ids=["f0_nonzero", "multiplier_minus_one", "repelling", "P0_nonzero"],
+)
+def test_no_trap(f):
+    assert trap_at_0(f, 50.0) is None
+
+
+def test_membership_keeps_outward_margin():
+    petal = TrapRegion("petal", 1.0, 2, 3.0 + 0j, 3.0)
+    # Re(3/z^2) = 3/x^2 on the real axis: x = 1 is the boundary.
+    z = np.array([0.5, -0.5, 1.0, 1.0 - 1e-12, 0.0, 0.5j, 0.3 + 0.3j])
+    assert petal.contains(z).tolist() == [True, True, False, False, False, False, False]
+    disk = TrapRegion("disk", 0.5)
+    assert disk.contains(np.array([0.0, 0.49, 0.5, 0.5 * (1 - 1e-12), 0.3 + 0.4j])).tolist() == [
+        True,
+        True,
+        False,
+        False,
+        False,
+    ]
+
+
+# ---------------------------------------------------------------------------
+# Oracle: interval arithmetic on the circle |z| = rho
+
+
+def _iv_eval(f: ExpPoly, z):
+    def poly(p, x):
+        acc = iv.mpc(0)
+        for c in reversed(p.coeffs):
+            acc = acc * x + iv.mpc(c.real, c.imag)
+        return acc
+
+    zd = z**f.d
+    total = iv.mpc(0)
+    for t in f.terms:
+        total += poly(t.Q, z) * iv.exp(iv.mpc(t.b.real, t.b.imag) * zd + poly(t.P, z))
+    return total
+
+
+def _arc(rho, lo, hi):
+    theta = iv.mpf([lo, hi]) * (2 * iv.pi)
+    return iv.mpc(rho * iv.cos(theta), rho * iv.sin(theta))
+
+
+def _sup_abs(x):
+    return abs(x).b
+
+
+def _cover_circle(check, pieces=64, max_depth=8):
+    """Whether check(arc) holds on arcs covering the circle, bisecting failures."""
+    stack = [(mp.mpf(k) / pieces, mp.mpf(k + 1) / pieces, 0) for k in range(pieces)]
+    while stack:
+        lo, hi, depth = stack.pop()
+        if check(lo, hi):
+            continue
+        if depth == max_depth:
+            return False
+        mid = (lo + hi) / 2
+        stack += [(lo, mid, depth + 1), (mid, hi, depth + 1)]
+    return True
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_trap_certified_by_interval_arithmetic(name):
+    f = bundled_function(name)
+    trap = trap_at_0(f, 50.0)
+    rho = trap.rho
+    if trap.kind == "disk":
+        # Maximum modulus: |f| < rho on the circle gives f(D) inside D.
+        assert _cover_circle(lambda lo, hi: _sup_abs(_iv_eval(f, _arc(rho, lo, hi))) < rho)
+        return
+    m = trap.m
+    c = iv.mpc(trap.c.real, trap.c.imag)
+
+    def check(lo, hi):
+        z = _arc(rho, lo, hi)
+        fz = _iv_eval(f, z)
+        # |f(z)/z - 1| < 1 keeps f free of zeros on 0 < |z| <= rho, so
+        # h = W - w - 1 is analytic on the disk and peaks on the circle.
+        if not _sup_abs(fz / z - 1) < 1:
+            return False
+        return _sup_abs(c / fz**m - c / z**m - 1) <= 0.5
+
+    assert _cover_circle(check)
+    # {Re(c/z^m) > A}, tested with the float margin, lies inside D(0, rho).
+    assert abs(trap.c) * (1 - 1e-9) / trap.A <= rho**m
+
+
+# ---------------------------------------------------------------------------
+# Oracle: trapped orbits in 30-digit arithmetic
+
+
+def test_trapped_orbits_stay_inside_in_high_precision():
+    f = bundled_function("sin_z")
+    p = ClassifyParams()
+    trap = trap_at_0(f, p.escape_radius)
+    rng = np.random.default_rng(2024)
+    pts = 8.0 * (rng.random(400) - 0.5) + 8.0j * (rng.random(400) - 0.5)
+    res = classify_batch(f, pts, p)
+    idx = np.nonzero(res["trapped"])[0][:64]
+    assert idx.size == 64
+    with mp.workdps(30):
+        c, A = mp.mpc(trap.c), mp.mpf(trap.A)
+        for i in idx:
+            assert res["tag"][i] == NON_ESCAPE_OBSERVED
+            entry = int(res["steps"][i])
+            z = mp.mpc(complex(pts[i]))
+            for k in range(1, p.max_iter):
+                z = mp.sin(z)
+                if k >= entry:
+                    assert abs(z) < p.escape_radius
+                    assert (c / z**trap.m).real > A
