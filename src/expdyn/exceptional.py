@@ -11,12 +11,11 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import NotApplicable
-from .funcs import ExpPoly
+from .funcs import TWO_PI, ExpPoly
 from .poly import Poly
 
 __all__ = [
@@ -65,15 +64,16 @@ def pair_poly(f: ExpPoly, j: int, k: int) -> PairPoly:
     return PairPoly(j=j, k=k, poly=f.exponent_poly(j) - f.exponent_poly(k))
 
 
-@lru_cache(maxsize=128)
 def _pair_polys(f: ExpPoly):
     # Unordered pairs suffice: p_{k,j} = -p_{j,k} and membership only sees
-    # |Re| and the modulus.  Cached per function object (identity hash).
-    return [
-        pair_poly(f, j, k)
-        for j in range(f.n_terms)
-        for k in range(j + 1, f.n_terms)
-    ]
+    # |Re| and the modulus.  Stored on the function, so they live as long as it.
+    if "pair_polys" not in f.memo:
+        f.memo["pair_polys"] = [
+            pair_poly(f, j, k)
+            for j in range(f.n_terms)
+            for k in range(j + 1, f.n_terms)
+        ]
+    return f.memo["pair_polys"]
 
 
 def in_E_mask(f: ExpPoly, Z, level: int) -> np.ndarray:
@@ -138,126 +138,112 @@ def dist_to_E1_lower(
 
 
 def dist_to_E1_measured(
-    f: ExpPoly, z: complex, step: float, max_radius: float, n_angles: int = 64
+    f: ExpPoly, z, step: float, max_radius: float, n_angles: int = 64
 ) -> float:
     """Empirical distance to the level-1 set by expanding ring search.
 
-    Returns the smallest sampled ring radius containing a level-1 point, 0 if
-    z itself is a member, and max_radius if nothing was found (a one-sided
-    over-estimate, adequate for checking lower bounds).
+    z is one point or an array of points, all of which share each ring
+    radius.  Returns the smallest sampled ring radius around any of them
+    containing a level-1 point, 0 if a point is itself a member, and
+    max_radius if nothing was found (a one-sided over-estimate, adequate for
+    checking lower bounds).
     """
     if step <= 0:
         raise ValueError("step must be positive")
-    z = complex(z)
-    if in_E(f, z, 1):
+    z = np.asarray(z, dtype=complex)
+    if in_E_mask(f, z, 1).any():
         return 0.0
     angles = np.exp(2j * math.pi * np.arange(n_angles) / n_angles)
     r = step
     while r <= max_radius:
-        if in_E_mask(f, z + r * angles, 1).any():
+        if in_E_mask(f, z[..., None] + r * angles, 1).any():
             return r
         r += step
     return max_radius
 
 
-def _pair_margin(poly: Poly, r: float, theta, expo: float):
-    """|Re p| - 2 |p|^(nu/d) at r e^{i theta}; negative inside the level-2 set."""
-    w = poly(r * np.exp(1j * np.asarray(theta, dtype=float)))
+def _margin(w, expo: float):
+    """|Re w| - 2 |w|^(nu/d): negative inside the level-2 set, -inf at w = 0."""
     aw = np.abs(w)
     with np.errstate(divide="ignore"):
         return np.where(aw == 0, -np.inf, np.abs(w.real) - 2.0 * np.exp(expo * np.log(aw)))
 
 
-def _bisect_edge(poly, r, t_out, t_in, expo, iters=50):
-    """Angle of the margin sign change between an outside and an inside angle."""
+def _bisect(g, out, inside, iters=50):
+    """Vectorised bisection of the brackets g(out) >= 0 > g(inside)."""
     for _ in range(iters):
-        mid = 0.5 * (t_out + t_in)
-        if float(_pair_margin(poly, r, mid, expo)) < 0:
-            t_in = mid
-        else:
-            t_out = mid
-    return 0.5 * (t_out + t_in)
+        mid = 0.5 * (out + inside)
+        neg = g(mid) < 0
+        inside = np.where(neg, mid, inside)
+        out = np.where(neg, out, mid)
+    return 0.5 * (out + inside)
 
 
-def _row_intervals(poly, r: float, thetas: np.ndarray, expo: float):
-    """Occupied angular intervals of one pair's level-2 spoke set at radius r.
+def _pair_arcs(poly: Poly, radii: np.ndarray, thetas: np.ndarray, expo: float):
+    """Level-2 arcs (row, lo, hi) of one pair's spokes on the circles |z| = radii.
 
-    Spokes are seeded both from grid cells already inside the set and from
-    sign changes of Re p between adjacent outside cells (which catch spokes
-    far narrower than the grid); each edge is then polished by bisection.
+    Each row is evaluated once on its cell centres and treated as a circle of
+    cell indices modulo n: a maximal run of inside cells, including one that
+    wraps past the last cell, brackets a lo and a hi edge, and a sign change
+    of Re p between adjacent outside cells seeds a spoke narrower than a cell.
+    The brackets of all rows are then bisected together, first the Re p roots
+    of the seeds and then every edge.  Each arc has lo < hi < lo + 2 pi.
     """
-    n = len(thetas)
-    step = 2.0 * math.pi / n
-    hv = _pair_margin(poly, r, thetas, expo)
-    v = poly(r * np.exp(1j * thetas)).real
-    inside = hv < 0
-    if inside.all():
-        return [(0.0, 2.0 * math.pi)]
-    intervals = []
+    step = TWO_PI / len(thetas)
+    directions = np.exp(1j * thetas)
+    full, runs, seeds = [], [np.empty((3, 0), int)], [np.empty((2, 0), int)]
+    for row, r in enumerate(radii):
+        w = poly(r * directions)
+        inside = _margin(w, expo) < 0
+        if inside.all():
+            full.append(row)
+            continue
+        s = np.flatnonzero(inside & ~np.roll(inside, 1))
+        e = np.flatnonzero(inside & ~np.roll(inside, -1))
+        if inside[0] and inside[-1]:
+            e = np.roll(e, -1)  # the run through cell 0 is the one starting last
+        outside, v = ~inside, w.real
+        c = np.flatnonzero(outside & np.roll(outside, -1) & (v * np.roll(v, -1) < 0))
+        runs.append(np.stack([np.full(s.size, row), s, e]))
+        seeds.append(np.stack([np.full(c.size, row), c]))
+    run_rows, s, e = np.concatenate(runs, axis=1)
+    seed_rows, c = np.concatenate(seeds, axis=1)
 
-    def add_interval(t_lo_out, t_anchor, t_hi_out):
-        lo = _bisect_edge(poly, r, t_lo_out, t_anchor, expo)
-        hi = _bisect_edge(poly, r, t_hi_out, t_anchor, expo)
-        intervals.append((lo, hi))
+    def at(rad, t):
+        return poly(rad * np.exp(1j * t))
 
-    i = 0
-    while i < n:
-        if inside[i]:
-            j = i
-            while j + 1 < n and inside[j + 1]:
-                j += 1
-            if i == 0 and inside[n - 1] and not inside.all():
-                # run wraps; handled when the wrapped start is reached
-                pass
-            add_interval(thetas[i] - step, thetas[i], thetas[j] + step)
-            i = j + 1
-        else:
-            k = (i + 1) % n
-            if not inside[k] and v[i] * v[k % n] < 0:
-                t_hi = thetas[i] + step
-                anchor = _bisect_root(poly, r, thetas[i], t_hi)
-                if float(_pair_margin(poly, r, anchor, expo)) < 0:
-                    add_interval(thetas[i], anchor, t_hi)
-            i += 1
-    return intervals
-
-
-def _bisect_root(poly, r, a, b, iters=50):
-    """Zero of Re p between angles a and b (opposite signs assumed)."""
-    fa = float(poly(r * cmath_exp(a)).real)
-    for _ in range(iters):
-        mid = 0.5 * (a + b)
-        fm = float(poly(r * cmath_exp(mid)).real)
-        if (fa < 0) == (fm < 0):
-            a, fa = mid, fm
-        else:
-            b = mid
-    return 0.5 * (a + b)
+    seed_r = radii[seed_rows]
+    a = thetas[c]
+    b = a + step
+    sign = np.sign(at(seed_r, a).real)
+    anchor = _bisect(lambda t: sign * at(seed_r, t).real, a, b)
+    keep = _margin(at(seed_r, anchor), expo) < 0
+    rows = np.concatenate([run_rows, seed_rows[keep]])
+    edge_r = np.tile(radii[rows], 2)
+    out = np.concatenate([thetas[s] - step, a[keep], thetas[e] + step, b[keep]])
+    inn = np.concatenate([thetas[s], anchor[keep], thetas[e], anchor[keep]])
+    lo, hi = np.split(_bisect(lambda t: _margin(at(edge_r, t), expo), out, inn), 2)
+    hi = np.where(hi < lo, hi + TWO_PI, hi)  # a run through cell 0
+    full = np.array(full, dtype=int)
+    return (
+        np.concatenate([rows, full]),
+        np.concatenate([lo, np.zeros(full.size)]),
+        np.concatenate([hi, np.full(full.size, TWO_PI)]),
+    )
 
 
-def cmath_exp(theta: float) -> complex:
-    return complex(math.cos(theta), math.sin(theta))
-
-
-def _union_length(intervals) -> float:
-    if not intervals:
-        return 0.0
-    norm = []
-    for a, b in intervals:
-        if b < a:
-            a, b = b, a
-        norm.append((a, b))
-    norm.sort()
-    total = 0.0
-    cur_a, cur_b = norm[0]
-    for a, b in norm[1:]:
-        if a <= cur_b:
-            cur_b = max(cur_b, b)
-        else:
-            total += cur_b - cur_a
-            cur_a, cur_b = a, b
-    total += cur_b - cur_a
-    return min(total, 2.0 * math.pi)
+def _circle_union_length(lo: np.ndarray, hi: np.ndarray) -> float:
+    """Length of the union of the arcs [lo, hi] on the circle."""
+    start = np.mod(lo, TWO_PI)
+    end = start + (hi - lo)
+    over = end > TWO_PI  # split an arc that crosses 2 pi in two
+    a = np.concatenate([start, np.zeros(np.count_nonzero(over))])
+    b = np.concatenate([np.minimum(end, TWO_PI), end[over] - TWO_PI])
+    order = np.argsort(a, kind="stable")
+    a, b = a[order], b[order]
+    # Sorted by start, each piece adds what reaches past all earlier ones.
+    reach = np.concatenate([[-np.inf], np.maximum.accumulate(b)[:-1]])
+    return float(np.maximum(b - np.maximum(a, reach), 0.0).sum())
 
 
 def e2_measure(
@@ -266,11 +252,12 @@ def e2_measure(
     """Polar-grid estimate of the level-2 set measure on an annulus.
 
     Midpoint rule over nr radial bands, band-major for determinism.  With
-    refine (the default) the occupied angular measure of each band is
-    obtained by locating the spoke edges with bisection, seeded from the
-    ntheta-cell grid; the spokes narrow like r^(nu - d), so at interesting
-    radii they are far thinner than any affordable uniform grid.  With
-    refine=False the plain ntheta-cell indicator midpoint rule is used.
+    refine (the default) the occupied angle of each band is the union, on
+    the circle, of arcs whose edges are bracketed on the ntheta cell centres
+    and then bisected together for all bands; the spokes narrow like
+    r^(nu - d), so at interesting radii they are far thinner than any
+    affordable uniform grid.  With refine=False the plain ntheta-cell
+    indicator midpoint rule is used.
     """
     if not (0 < r_min < r_max):
         raise ValueError("need 0 < r_min < r_max")
@@ -281,18 +268,17 @@ def e2_measure(
     dr = (r_max - r_min) / nr
     dtheta = 2.0 * math.pi / ntheta
     thetas = (np.arange(ntheta) + 0.5) * dtheta
-    directions = np.exp(1j * thetas)
+    radii = r_min + (np.arange(nr) + 0.5) * dr
+    if refine:
+        arcs = [_pair_arcs(pp.poly, radii, thetas, expo) for pp in _pair_polys(f)]
+        rows, lo, hi = (np.concatenate(parts) for parts in zip(*arcs))
+        occ = [_circle_union_length(lo[rows == i], hi[rows == i]) for i in range(nr)]
+    else:
+        directions = np.exp(1j * thetas)
+        occ = [int(in_E_mask(f, r * directions, 2).sum()) * dtheta for r in radii]
     total = 0.0
-    for i in range(nr):
-        r = r_min + (i + 0.5) * dr
-        if refine:
-            intervals = []
-            for pp in _pair_polys(f):
-                intervals.extend(_row_intervals(pp.poly, r, thetas, expo))
-            occ = _union_length(intervals)
-        else:
-            occ = int(in_E_mask(f, r * directions, 2).sum()) * dtheta
-        total += occ * r * dr
+    for o, r in zip(occ, radii):
+        total += o * r * dr
     return total
 
 

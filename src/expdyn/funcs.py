@@ -76,6 +76,9 @@ class ExpPolyTerm:
     P: Poly = field(default_factory=Poly)
 
     def __post_init__(self):
+        coeffs = np.concatenate([self.Q.coeffs, self.P.coeffs, [self.b]])
+        if not np.isfinite(coeffs).all():
+            raise ValueError("term coefficients must be finite")
         if self.Q.is_zero():
             raise ValueError("term prefactor Q must not be identically zero")
         if self.b == 0:
@@ -354,13 +357,21 @@ def _arg_close(a: float, b: float, tol: float) -> bool:
 
 
 def function_from_dict(data: dict) -> ExpPoly:
-    d = data["d"]
-    terms = []
-    for td in data["terms"]:
-        q = Poly(complex(re, im) for re, im in td["Q"])
-        p = Poly(complex(re, im) for re, im in td.get("P", []))
-        b = complex(td["b"][0], td["b"][1])
-        terms.append(ExpPolyTerm(Q=q, b=b, P=p))
+    """Build an ExpPoly from its JSON form; malformed input raises ValueError."""
+    if not isinstance(data, dict):
+        raise ValueError("function definition must be a JSON object")
+    try:
+        d = data["d"]
+        terms = []
+        for td in data["terms"]:
+            q = Poly(complex(re, im) for re, im in td["Q"])
+            p = Poly(complex(re, im) for re, im in td.get("P", []))
+            b = complex(td["b"][0], td["b"][1])
+            terms.append(ExpPolyTerm(Q=q, b=b, P=p))
+    except KeyError as exc:
+        raise ValueError(f"function definition lacks key {exc}") from None
+    except (TypeError, IndexError) as exc:
+        raise ValueError(f"malformed function definition: {exc}") from None
     return ExpPoly(d=d, terms=terms)
 
 

@@ -15,14 +15,13 @@ and explicit enumeration is only offered for small windows.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BadSigma, DomainError
-from .exceptional import in_E_mask
+from .exceptional import dist_to_E1_measured
 from .funcs import ExpPoly, eval_log_batch
 
 __all__ = [
@@ -254,24 +253,6 @@ def good_square_threshold(f: ExpPoly, tile: SquareTile, sigma: float) -> float:
     return 2.0 * sigma / mn ** (f.d - 1)
 
 
-def _dist_to_E1_sampled(f: ExpPoly, pts: np.ndarray, step: float, max_radius: float) -> float:
-    """Smallest sampled ring radius around any of pts meeting the level-1 set.
-
-    Returns 0 if a sample point is itself a member and max_radius if nothing
-    was found (one-sided over-estimate).  All sample points share each ring
-    radius, so the scan is a single vectorized membership test per radius.
-    """
-    if in_E_mask(f, pts, 1).any():
-        return 0.0
-    angles = np.exp(2j * math.pi * np.arange(64) / 64)
-    r = step
-    while r <= max_radius:
-        if in_E_mask(f, pts[:, None] + r * angles[None, :], 1).any():
-            return r
-        r += step
-    return max_radius
-
-
 def is_good_square(f: ExpPoly, tile: SquareTile, sigma: float) -> bool:
     """Whether the sampled distance to the level-1 set exceeds the threshold.
 
@@ -285,7 +266,7 @@ def is_good_square(f: ExpPoly, tile: SquareTile, sigma: float) -> bool:
     pts = np.append(tile.boundary_points(4), complex(tile.center))
     step = tile.side / 8.0
     max_radius = thresh + 2.0 * step
-    return _dist_to_E1_sampled(f, pts, step, max_radius) > thresh
+    return dist_to_E1_measured(f, pts, step, max_radius) > thresh
 
 
 def filter_good_squares(f: ExpPoly, tiles, sigma: float):
@@ -473,8 +454,3 @@ def write_density_csv(path, reports):
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
-
-
-def write_density_json(path, reports):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump([r.to_dict() for r in reports], fh, indent=2)

@@ -50,6 +50,31 @@ def test_missing_function_file_exits_one(capsys, tmp_path):
     assert code == 1
 
 
+_TERM = {"Q": [[1.0, 0.0]], "b": [1.0, 0.0], "P": []}
+
+
+@pytest.mark.parametrize(
+    "definition",
+    [
+        {"d": 3, "terms": [_TERM, {**_TERM, "b": [float("nan"), 0.0]}]},
+        {"d": 3, "terms": [_TERM, {**_TERM, "b": [-1.0, float("inf")]}]},
+        {"d": 3, "terms": [_TERM, {**_TERM, "b": [-1.0, 0.0], "Q": [[float("nan"), 0.0]]}]},
+        {"d": 3, "terms": [_TERM, {**_TERM, "b": [-1.0, 0.0], "P": [[0.0, float("-inf")]]}]},
+        [_TERM],
+        {"terms": [_TERM]},
+        {"d": 3},
+        {"d": 3, "terms": [1]},
+    ],
+    ids=["nan-b", "inf-b", "nan-Q", "inf-P", "top-level-list", "missing-d", "missing-terms", "bad-term"],
+)
+def test_malformed_function_file_exits_one(capsys, tmp_path, definition):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(definition))
+    code, out, err = run(capsys, "check", "--fn", str(path))
+    assert code == 1 and err.startswith("error:")
+    assert out == ""
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -1,8 +1,12 @@
 import cmath
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from expdyn import (
     ExpPoly,
@@ -130,6 +134,49 @@ def test_e2_measure_plain_midpoint_agrees_at_coarse_radii(cosh3):
     refined = e2_measure(cosh3, 10.0, 20.0, 32, 4096)
     plain = e2_measure(cosh3, 10.0, 20.0, 32, 1 << 16, refine=False)
     assert plain == pytest.approx(refined, rel=0.05)
+
+
+def test_e2_measure_spoke_across_theta_zero(sin3, h_example):
+    # sin_z3 has pair polynomial 2i z^3 = 2 (e^{i pi/6} z)^3, so it is
+    # example_h rotated by pi/6 and has a spoke centred on theta = 0.
+    got = e2_measure(sin3, 10.0, 20.0, 64, 4096)
+    assert got == pytest.approx(e2_measure(h_example, 10.0, 20.0, 64, 4096), rel=1e-9)
+
+
+def test_e2_measure_matches_brute_force_count(sin3):
+    # Midpoint rule over 16 radii x 2^20 angles of the plain membership test,
+    # counted in chunks of angles to keep memory small.
+    r_min, r_max, nr, ntheta, chunk = 10.0, 10.16, 16, 1 << 20, 1 << 16
+    dr, dtheta = (r_max - r_min) / nr, 2.0 * math.pi / ntheta
+    total = 0.0
+    for i in range(nr):
+        r = r_min + (i + 0.5) * dr
+        count = 0
+        for k0 in range(0, ntheta, chunk):
+            thetas = (np.arange(k0, k0 + chunk) + 0.5) * dtheta
+            count += int(in_E_mask(sin3, r * np.exp(1j * thetas), 2).sum())
+        total += count * dtheta * r * dr
+    assert e2_measure(sin3, r_min, r_max, nr, 4096) == pytest.approx(total, rel=1e-3)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.floats(min_value=0.0, max_value=2.0 * math.pi))
+@example(math.pi / 6)  # puts a spoke of cosh3 on theta = 0
+def test_e2_measure_rotation_invariant(cosh3, phi):
+    # cosh3(e^{i phi} z) multiplies each frequency b by e^{3 i phi}.
+    turn = cmath.exp(3j * phi)
+    rotated = ExpPoly(3, [ExpPolyTerm(t.Q, t.b * turn) for t in cosh3.terms])
+    got = e2_measure(rotated, 10.0, 20.0, 16, 4096)
+    assert got == pytest.approx(e2_measure(cosh3, 10.0, 20.0, 16, 4096), rel=1e-9)
+
+
+def test_pair_polys_do_not_keep_function_alive():
+    f = ExpPoly(3, [ExpPolyTerm(Poly([1]), 1 + 0j), ExpPolyTerm(Poly([1]), -1 + 0j)])
+    ref = weakref.ref(f)
+    in_E_mask(f, np.array([10.0 + 1j]), 2)
+    del f
+    gc.collect()
+    assert ref() is None
 
 
 def test_write_csv(tmp_path):
