@@ -76,12 +76,30 @@ def _pair_polys(f: ExpPoly):
     return f.memo["pair_polys"]
 
 
+def _far_member(poly: Poly, Z, level: int, params: ExceptionalParams):
+    """Membership at points where p(Z) does not fit in doubles.
+
+    With z = r u, |u| = 1, p(z) = r^d p~(u), where p~ has the coefficients
+    c_i r^(i - d), and the threshold inequality reads
+    log|Re p~| < log level + (nu - d) log r + (nu/d) log|p~|.
+    """
+    r = np.abs(Z)
+    u = Z / r
+    acc = np.full(Z.shape, poly.coeffs[-1])
+    for i in range(params.d - 1, -1, -1):
+        acc = acc * u + poly.coeff(i) * r ** (i - params.d)
+    rhs = math.log(level) + (params.nu - params.d) * np.log(r) + params.nu / params.d * np.log(np.abs(acc))
+    return (acc == 0) | (np.log(np.abs(acc.real)) < rhs)
+
+
 def in_E_mask(f: ExpPoly, Z, level: int) -> np.ndarray:
     """Vectorized membership in the level-1 or level-2 exceptional set.
 
     A zero of a pair polynomial counts as a member (the threshold inequality
     degenerates there; such points sit inside the excluded central disk
-    anyway).
+    anyway).  Where |p(z)| overflows doubles, |z|^d near 1e308 or beyond,
+    the test runs in a scale-free form (_far_member), so an overflow is
+    never read as membership.
     """
     if level not in (1, 2):
         raise ValueError("level must be 1 or 2")
@@ -89,12 +107,16 @@ def in_E_mask(f: ExpPoly, Z, level: int) -> np.ndarray:
     Z = np.asarray(Z, dtype=complex)
     member = np.zeros(Z.shape, dtype=bool)
     expo = params.nu / params.d
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore", under="ignore"):
         for pp in _pair_polys(f):
             w = pp.poly(Z)
             aw = np.abs(w)
             thresh = level * np.exp(expo * np.log(aw))
-            member |= np.where(aw == 0, True, np.abs(w.real) < thresh)
+            hit = np.where(aw == 0, True, np.abs(w.real) < thresh)
+            far = ~np.isfinite(aw)
+            if far.any():
+                hit[far] = _far_member(pp.poly, Z[far], level, params)
+            member |= hit
     return member
 
 

@@ -135,18 +135,22 @@ def _term_exponents(f: ExpPoly, z):
 
 
 def _deriv_prefactors(f: ExpPoly, order: int):
-    """Polynomial prefactors A_j with f^(order) = sum A_j exp(w_j), exact."""
-    prefs = [t.Q for t in f.terms]
-    for _ in range(order):
-        nxt = []
-        for j, a in enumerate(prefs):
-            t = f.terms[j]
-            lead = np.zeros(f.d, dtype=complex)
-            lead[f.d - 1] = f.d * t.b
-            wprime = Poly(lead) + t.P.deriv()
-            nxt.append(a.deriv() + a * wprime)
-        prefs = nxt
-    return prefs
+    """Polynomial prefactors A_j with f^(order) = sum A_j exp(w_j), exact;
+    built once per order and stored on f.memo."""
+    key = ("deriv_prefactors", order)
+    if key not in f.memo:
+        prefs = [t.Q for t in f.terms]
+        for _ in range(order):
+            nxt = []
+            for j, a in enumerate(prefs):
+                t = f.terms[j]
+                lead = np.zeros(f.d, dtype=complex)
+                lead[f.d - 1] = f.d * t.b
+                wprime = Poly(lead) + t.P.deriv()
+                nxt.append(a.deriv() + a * wprime)
+            prefs = nxt
+        f.memo[key] = prefs
+    return f.memo[key]
 
 
 def eval_direct(f: ExpPoly, z: complex) -> complex:
@@ -159,6 +163,52 @@ def eval_direct(f: ExpPoly, z: complex) -> complex:
     return total
 
 
+def _term_consts(f: ExpPoly) -> dict:
+    """Per-term constants of f, computed once and stored on f.memo.
+
+    "q_logs" holds (Q_j, log Q_j, log|Q_j|) for a constant prefactor and None
+    for a non-constant one; "beta" and "abs_b" hold arg b_j and |b_j|.  The
+    logs come from the same ufuncs as a per-point evaluation, so they are
+    bitwise the values it would give.
+    """
+    if "term_consts" not in f.memo:
+        qs = [np.full(1, t.Q.coeffs[0]) if t.Q.degree == 0 else None for t in f.terms]
+        f.memo["term_consts"] = {
+            "q_logs": [None if q is None else (q[0], np.log(q)[0], np.log(np.abs(q))[0]) for q in qs],
+            "beta": np.array([cmath.phase(t.b) for t in f.terms]),
+            "abs_b": np.array([abs(t.b) for t in f.terms]),
+        }
+    return f.memo["term_consts"]
+
+
+def _prefactor_logs(f: ExpPoly, Z):
+    """Per term (Q_j(Z), log Q_j(Z), log|Q_j(Z)|); scalars for a constant Q_j."""
+    out = []
+    for t, cached in zip(f.terms, _term_consts(f)["q_logs"]):
+        if cached is None:
+            q = t.Q(Z)
+            cached = (q, np.log(q), np.log(np.abs(q)))
+        out.append(cached)
+    return out
+
+
+def _log_sum(S):
+    """(logmod, phase, zero_mask) of sum_j exp(S_j) for stacked complex logs S.
+
+    The dominant term is factored out, so the others enter only through
+    exponent differences with non-positive real part.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m = np.argmax(np.where(np.isnan(S.real), -np.inf, S.real), axis=0)
+        Sm = np.take_along_axis(S, m[None, ...], axis=0)[0]
+        corr = np.exp(S - Sm[None, ...]).sum(axis=0)
+        corr_abs = np.abs(corr)
+        logmod = Sm.real + np.log(corr_abs)
+        phase = wrap_phase(Sm.imag + np.angle(corr))
+    zero = ~np.isfinite(Sm.real) | (corr_abs < 1e-15)
+    return logmod, phase, zero
+
+
 def eval_log_batch(f: ExpPoly, Z, order: int = 0):
     """Vectorized log-domain evaluation of f (order 0) or its derivatives.
 
@@ -168,18 +218,14 @@ def eval_log_batch(f: ExpPoly, Z, order: int = 0):
     meaningless.
     """
     Z = np.asarray(Z, dtype=complex)
-    prefs = [t.Q for t in f.terms] if order == 0 else _deriv_prefactors(f, order)
     ws = _term_exponents(f, Z)
     with np.errstate(divide="ignore", invalid="ignore"):
-        S = np.stack([np.log(p(Z)) + w for p, w in zip(prefs, ws)])
-        m = np.argmax(np.where(np.isnan(S.real), -np.inf, S.real), axis=0)
-        Sm = np.take_along_axis(S, m[None, ...], axis=0)[0]
-        corr = np.exp(S - Sm[None, ...]).sum(axis=0)
-        corr_abs = np.abs(corr)
-        logmod = Sm.real + np.log(corr_abs)
-        phase = wrap_phase(Sm.imag + np.angle(corr))
-    zero = ~np.isfinite(Sm.real) | (corr_abs < 1e-15)
-    return logmod, phase, zero
+        if order == 0:
+            logp = [lq for _, lq, _ in _prefactor_logs(f, Z)]
+        else:
+            logp = [np.log(p(Z)) for p in _deriv_prefactors(f, order)]
+        S = np.stack([lp + w for lp, w in zip(logp, ws)])
+    return _log_sum(S)
 
 
 def eval_log(f: ExpPoly, z: complex) -> LogComplex:

@@ -29,7 +29,6 @@ budget gives.
 
 from __future__ import annotations
 
-import cmath
 import csv
 import math
 from dataclasses import dataclass, field
@@ -39,7 +38,17 @@ import numpy as np
 
 from .errors import BadBase, ZeroValue
 from .exceptional import in_E_mask
-from .funcs import ExpPoly, _pow_int, _term_exponents, eval_log, eval_log_batch, wrap_phase
+from .funcs import (
+    ExpPoly,
+    _log_sum,
+    _pow_int,
+    _prefactor_logs,
+    _term_consts,
+    _term_exponents,
+    eval_log,
+    eval_log_batch,
+    wrap_phase,
+)
 from .towers import LIFT, TowerMag, _tower_add_const, _tower_scale, tower_exp, tower_log, tower_pow
 
 __all__ = [
@@ -61,7 +70,8 @@ ESCAPE_CERTIFIED = "EscapeCertified"
 NON_ESCAPE_OBSERVED = "NonEscapeObserved"
 UNDETERMINED = "Undetermined"
 
-_TAG_NAMES = {0: UNDETERMINED, 1: ESCAPE_CERTIFIED, 2: NON_ESCAPE_OBSERVED}
+# Tag strings indexed by tag_code.
+_TAG_TABLE = np.array([UNDETERMINED, ESCAPE_CERTIFIED, NON_ESCAPE_OBSERVED], dtype=object)
 
 # A non-escape verdict requires this many trailing steps inside the radius.
 TAIL_STEPS = 16
@@ -444,9 +454,8 @@ def trap_at_0(f: ExpPoly, escape_radius: float) -> TrapRegion | None:
 
 
 def _canon_arrays(depth, val):
-    """Canonicalize (depth, value) pairs so lexicographic order is the real order."""
-    depth = depth.copy()
-    val = val.copy()
+    """Canonicalize (depth, value) pairs in place, so lexicographic order is
+    the real order; returns them."""
     while True:
         m = (depth > 0) & (val <= LIFT)
         if not m.any():
@@ -460,255 +469,247 @@ def _tower_ge(d1, v1, d2, v2):
     return (d1 > d2) | ((d1 == d2) & (v1 >= v2))
 
 
+def _step_direct(f: ExpPoly, p: ClassifyParams, dcap: float, trap, s, pos, fl, n_step: int):
+    """Advance the direct-mode orbits at positions pos of the state s by one step.
+
+    Writes their new state into s and their cond, fixed and trap flags into
+    fl.  Returns the positions whose log-domain terms overflow doubles (in
+    practice only start points): they are moved to tower mode at their own
+    magnitude, depth 1, val = log|z|, phase = arg z, and take a tower step
+    instead.
+    """
+    if pos.size == 0:
+        return pos
+    Z = s["z"][pos]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        ws = _term_exponents(f, Z)
+        qs = _prefactor_logs(f, Z)
+        maxs = np.maximum.reduce([w.real + lqa for w, (_, _, lqa) in zip(ws, qs)])
+        over = np.isnan(maxs) | (maxs == np.inf)
+        if over.any():
+            io = pos[over]
+            s["mode"][io] = 1
+            s["depth"][io] = 1
+            s["val"][io] = np.log(np.abs(Z[over]))
+            s["phase"][io] = np.angle(Z[over])
+            s["z"][io] = 0.0
+            return np.concatenate([io, _step_direct(f, p, dcap, trap, s, pos[~over], fl, n_step)])
+        lm, ph, zero = _log_sum(np.stack([lq + w for w, (_, lq, _) in zip(ws, qs)]))
+    lm[zero] = -np.inf
+
+    absZ = np.abs(Z)
+    cond = absZ >= p.escape_radius
+    with np.errstate(over="ignore", invalid="ignore"):
+        cond[cond] = lm[cond] >= absZ[cond] ** p.alpha
+    if f.d >= 3 and cond.any():
+        cond[cond] = ~in_E_mask(f, Z[cond], 1)
+    below = np.where(absZ <= p.escape_radius, s["below"][pos] + 1, 0)
+
+    promote = lm > dcap
+    # Step with the exact complex term sum whenever every term fits in
+    # doubles: IEEE products and sums commute with negation and conjugation,
+    # so sign/mirror symmetries of f survive bitwise.  Otherwise reconstruct
+    # from the log-domain value; a promoted point's znew is never read.
+    maxw = np.maximum.reduce([w.real for w in ws])
+    safe = (maxw <= 700.0) & (maxs <= 700.0) & ~promote & ~zero
+    rebuild = ~safe & ~zero & ~promote
+    znew = np.zeros(Z.size, complex)
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        direct = np.zeros(np.count_nonzero(safe), complex)
+        for w, (q, _, _) in zip(ws, qs):
+            direct = direct + (q if np.ndim(q) == 0 else q[safe]) * np.exp(w[safe])
+        znew[safe] = direct
+        znew[rebuild] = np.exp(lm[rebuild]) * np.exp(1j * ph[rebuild])
+
+    fl["cond"][pos] = cond
+    fl["fixed"][pos] = ~promote & (znew == Z)
+    # An orbit entering the trap stays inside the radius for its remaining
+    # max_iter - n_step points.  Flag it only when that makes the
+    # trailing-run rule certain to fire.
+    if trap is not None:
+        enter = ~promote & (below + (p.max_iter - n_step) >= min(TAIL_STEPS, p.max_iter))
+        enter[enter] = trap.contains(znew[enter])
+        fl["trap"][pos] = enter
+    s["mode"][pos] = promote
+    s["z"][pos] = np.where(promote, 0.0, znew)
+    s["depth"][pos] = promote
+    s["val"][pos] = np.where(promote, lm, np.abs(znew))
+    s["phase"][pos] = ph
+    s["below"][pos] = below
+    return pos[:0]
+
+
+def _step_tower(f: ExpPoly, p: ClassifyParams, dcap: float, s, pos, fl):
+    """Advance the tower-mode orbits at positions pos of the state s by one step.
+
+    The magnitude grows like the dominant term, log|z'| = c |z|^d with
+    c = max_j |b_j| cos(d phi + arg b_j); c <= 0 is a dead direction.  Writes
+    the new state into s and the cond and stop flags into fl.
+    """
+    if pos.size == 0:
+        return
+    tc = _term_consts(f)
+    d, alpha = f.d, p.alpha
+    dep, v = s["depth"][pos], s["val"][pos]
+    dphi = d * s["phase"][pos]
+    cj = tc["abs_b"][:, None] * np.cos(dphi[None, :] + tc["beta"][:, None])
+    mj = np.argmax(cj, axis=0)
+    c = np.take_along_axis(cj, mj[None, :], axis=0)[0]
+    dead = c <= 0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        logc = np.log(np.where(dead, 1.0, c))
+        grow = logc + d * v
+        # growth: log|z'| = c |z|^d >= |z|^alpha
+        cond = ((dep != 1) | (grow >= alpha * v)) & ~dead
+        small = (dep >= 2) & (v <= 10.0)
+        if small.any():
+            l_small = np.exp(v[small])
+            cond[small] &= logc[small] + d * l_small >= alpha * l_small
+    logd = math.log(d) if d > 1 else 0.0
+    nd, nv = _canon_arrays(dep + 1, np.where(dep == 1, grow, np.where(dep == 2, v + logd, v)))
+    phase = wrap_phase(dphi + tc["beta"][mj])
+    # Demotion to direct mode when |z| fits the exact evaluator again.
+    with np.errstate(divide="ignore"):
+        lognv = np.log(np.maximum(nv, 1e-300))
+    demote = (nd == 0) & (lognv <= dcap)
+    redepth = (nd == 0) & ~demote
+    nd[redepth] = 1
+    nv[redepth] = lognv[redepth]
+    znew = np.zeros(pos.size, complex)
+    znew[demote] = nv[demote] * np.exp(1j * phase[demote])
+
+    fl["cond"][pos] = cond
+    fl["stop"][pos] = dead | (nd > MAX_DEPTH)
+    s["mode"][pos] = ~demote
+    s["z"][pos] = znew
+    s["depth"][pos] = nd
+    s["val"][pos] = nv
+    s["phase"][pos] = phase
+    s["below"][pos] = 0
+
+
+def _retire(out, idx, s, m, code, n_step: int):
+    """Scatter the results of the state entries m, with tag codes code, into out."""
+    i = idx[m]
+    out["tag_code"][i] = code
+    out["steps"][i] = n_step
+    out["escape_step"][i[code == 1]] = n_step
+    out["fast_escape"][i] = s["fast_ok"][m] & (code == 1)
+    out["final_mode"][i] = s["mode"][m]
+    out["final_depth"][i] = s["depth"][m]
+    out["final_val"][i] = s["val"][m]
+
+
 def classify_batch(f: ExpPoly, points, p: ClassifyParams | None = None, record: bool = False):
     """Classify an array of starting points; returns a dict of result arrays.
 
-    Keys: tag (strings), steps, fast_escape, escape_step, trapped (the
-    orbit stopped on entering the trap region of trap_at_0), final_depth,
-    final_val (|z| = exp^depth(val) at the last computed step), and, when
-    record is set, trace (per-step diagnostics for the single-point case).
-    A NaN or infinite start point is Undetermined after 0 steps.
+    Keys: tag (strings), tag_code (0 Undetermined, 1 EscapeCertified, 2
+    NonEscapeObserved), steps, fast_escape, escape_step, trapped (the orbit
+    stopped on entering the trap region of trap_at_0), final_mode,
+    final_depth, final_val (|z| = exp^depth(val) at the last computed step),
+    and, when record is set, trace (per-step diagnostics for the
+    single-point case).  A NaN or infinite start point is Undetermined after
+    0 steps.
+
+    The loop holds a compact state of the live orbits only: their index in
+    the batch, z, mode (0 direct complex, 1 tower magnitude), depth, val,
+    phase, run (consecutive certified steps), below (consecutive steps inside
+    the radius) and fast_ok.  Each step advances the direct-mode orbits by
+    _step_direct and the tower-mode ones by _step_tower.  An orbit that
+    finishes (certified run, fixed point, trap entry, dead direction or
+    depth beyond MAX_DEPTH) is retired at once: its results are scattered
+    into the output arrays and it leaves the state.  Orbits still live after
+    max_iter steps are retired by the trailing-run rule.
     """
     if p is None:
         p = ClassifyParams()
     pts = np.asarray(points, dtype=complex).ravel()
     n_pts = pts.size
-    d = f.d
-    use_e1 = d >= 3
-    alpha = p.alpha
-    radius = p.escape_radius
-    dcap = min((700.0 - math.log(f.max_abs_b) - 5.0) / d, p.bail_logmod)
-
-    betas = np.array([cmath.phase(t.b) for t in f.terms])
-    babs = np.array([abs(t.b) for t in f.terms])
-    logd = math.log(d) if d > 1 else 0.0
-
-    mode = np.zeros(n_pts, np.int8)  # 0 direct complex, 1 tower magnitude
-    z = pts.copy()
-    depth = np.zeros(n_pts, np.int64)
-    val = np.abs(pts)
-    phase = np.angle(pts)
-    run = np.zeros(n_pts, np.int64)
-    below = np.zeros(n_pts, np.int64)
-    tag = np.zeros(n_pts, np.int8)
-    done = np.zeros(n_pts, bool)
-    fast_ok = np.ones(n_pts, bool)
-    esc_step = np.full(n_pts, -1, np.int64)
-    steps_used = np.zeros(n_pts, np.int64)
-    trapped = np.zeros(n_pts, bool)
-    done[~np.isfinite(pts)] = True
-
-    trap = trap_at_0(f, radius)
-    tail_need = min(TAIL_STEPS, p.max_iter)
-
+    dcap = min((700.0 - math.log(f.max_abs_b) - 5.0) / f.d, p.bail_logmod)
+    trap = trap_at_0(f, p.escape_radius)
     try:
         # No live point is deeper than MAX_DEPTH + 1, so deeper rungs would
         # fail every point they gate.
-        ladder = iterate_max_modulus(f, radius, p.max_iter + 1, max_depth=MAX_DEPTH + 1)
-        lad_depth = np.array([t.depth for t in ladder])
-        lad_val = np.array([t.value for t in ladder])
+        ladder = iterate_max_modulus(f, p.escape_radius, p.max_iter + 1, max_depth=MAX_DEPTH + 1)
     except BadBase:
         ladder = None
-        fast_ok[:] = False
+    lad_depth = np.array([t.depth for t in ladder or []], np.int64)
+    lad_val = np.array([t.value for t in ladder or []])
 
-    trace = [] if record else None
+    out = {
+        "tag_code": np.zeros(n_pts, np.int8),
+        "steps": np.zeros(n_pts, np.int64),
+        "fast_escape": np.zeros(n_pts, bool),
+        "escape_step": np.full(n_pts, -1, np.int64),
+        "trapped": np.zeros(n_pts, bool),
+        "final_mode": np.zeros(n_pts, np.int8),
+        "final_depth": np.zeros(n_pts, np.int64),
+        "final_val": np.abs(pts),
+    }
+    idx = np.flatnonzero(np.isfinite(pts))
+    z = pts[idx]
+    n = idx.size
+    s = {
+        "mode": np.zeros(n, np.int8),
+        "z": z,
+        "depth": np.zeros(n, np.int64),
+        "val": np.abs(z),
+        "phase": np.angle(z),
+        "run": np.zeros(n, np.int64),
+        "below": np.zeros(n, np.int64),
+        "fast_ok": np.full(n, ladder is not None),
+    }
+    if record:
+        trace = []
+        # Full-size copies of the state; a retired orbit keeps its last values.
+        full = {k: np.zeros(n_pts, s[k].dtype) for k in ("mode", "depth", "run")}
+        full.update(z=pts.copy(), val=np.abs(pts), phase=np.angle(pts))
 
-    for k in range(p.max_iter):
-        act = np.nonzero(~done)[0]
-        if act.size == 0:
+    for n_step in range(1, p.max_iter + 1):
+        if idx.size == 0:
             break
-        n_step = k + 1
-        steps_used[act] = n_step
-
-        ia = act[mode[act] == 0]
-        it = act[mode[act] == 1]
-
-        new_depth = np.empty(act.size, np.int64)
-        new_val = np.empty(act.size)
-        cond_all = np.zeros(n_pts, bool)
-        stop_now = np.zeros(n_pts, bool)  # undetermined dead ends
-        trap_now = np.zeros(n_pts, bool)
-
-        if ia.size:
-            Z = z[ia]
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                ws = _term_exponents(f, Z)
-                pv = [t.Q(Z) for t in f.terms]
-                maxs = np.maximum.reduce(
-                    [w.real + np.log(np.abs(q)) for w, q in zip(ws, pv)]
-                )
-            # Where the log-domain terms overflow doubles (in practice only at
-            # a start point) the orbit continues in tower mode at its own
-            # magnitude: depth 1, val = log|z|, phase = arg z.
-            over = np.isnan(maxs) | (maxs == np.inf)
-            if over.any():
-                io = ia[over]
-                mode[io] = 1
-                depth[io] = 1
-                val[io] = np.log(np.abs(z[io]))
-                phase[io] = np.angle(z[io])
-                z[io] = 0.0
-                it = np.concatenate([it, io])
-                keep = ~over
-                ia, Z, maxs = ia[keep], Z[keep], maxs[keep]
-                ws = [w[keep] for w in ws]
-                pv = [q[keep] for q in pv]
-
-        if ia.size:
-            absZ = np.abs(Z)
-            if use_e1:
-                in_e1 = in_E_mask(f, Z, 1)
-            else:
-                in_e1 = np.zeros(ia.size, bool)
-            lm, ph, zero = eval_log_batch(f, Z)
-            lm = np.where(zero, -np.inf, lm)
-            with np.errstate(over="ignore", invalid="ignore"):
-                g_ok = lm >= absZ**alpha
-            cond_all[ia] = (absZ >= radius) & ~in_e1 & g_ok
-            below[ia] = np.where(absZ <= radius, below[ia] + 1, 0)
-
-            promote = lm > dcap
-            # Step with the exact complex term sum whenever every term fits in
-            # doubles: IEEE products and sums commute with negation and
-            # conjugation, so sign/mirror symmetries of f survive bitwise.
-            # Otherwise reconstruct from the log-domain value.
-            maxw = np.maximum.reduce([w.real for w in ws])
-            safe = (maxw <= 700.0) & (maxs <= 700.0) & ~promote & ~zero
-            with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-                direct = np.zeros_like(Z)
-                for w, q in zip(ws, pv):
-                    direct = direct + q * np.exp(np.where(safe, w, 0.0))
-                znew = np.where(
-                    zero,
-                    0.0 + 0.0j,
-                    np.where(
-                        safe, direct, np.exp(np.where(promote, 0.0, lm)) * np.exp(1j * ph)
-                    ),
-                )
-            fixed = ~promote & (znew == Z)
-            nonesc = fixed & (absZ <= radius)
-            stuck = fixed & (absZ > radius)
-            done[ia[nonesc]] = True
-            tag[ia[nonesc]] = 2
-            done[ia[stuck]] = True
-            # An orbit entering the trap stays inside the radius for its
-            # remaining max_iter - n_step points.  Stop it only when that
-            # makes the trailing-run rule below certain to fire.
-            if trap is not None:
-                trap_now[ia] = (
-                    ~promote & trap.contains(znew) & (below[ia] + (p.max_iter - n_step) >= tail_need)
-                )
-
-            mode[ia] = np.where(promote, 1, 0)
-            z[ia] = np.where(promote, 0.0, znew)
-            phase[ia] = ph
-            sel = np.searchsorted(act, ia)
-            new_depth[sel] = np.where(promote, 1, 0)
-            new_val[sel] = np.where(promote, lm, np.abs(znew))
-            depth[ia] = np.where(promote, 1, 0)
-            val[ia] = np.where(promote, lm, np.abs(znew))
-
-        if it.size:
-            dep = depth[it]
-            v = val[it]
-            dphi = d * phase[it]
-            cj = babs[:, None] * np.cos(dphi[None, :] + betas[:, None])
-            mj = np.argmax(cj, axis=0)
-            c = cj[mj, np.arange(it.size)]
-            dead = c <= 0
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                logc = np.where(dead, 0.0, np.log(np.where(dead, 1.0, c)))
-                # growth: log|z'| = c |z|^d >= |z|^alpha
-                g1 = logc + d * v >= alpha * v
-                small = (dep >= 2) & (v <= 10.0)
-                l_small = np.exp(np.where(small, v, 0.0))
-                g2 = np.where(small, logc + d * l_small >= alpha * l_small, True)
-            g_ok = np.where(dep == 1, g1, g2) & ~dead
-            cond_all[it] = g_ok
-            below[it] = 0
-
-            nv = np.where(dep == 1, logc + d * v, np.where(dep == 2, v + logd, v))
-            nd = dep + 1
-            # Reduce back down if the new magnitude is representable again.
-            while True:
-                m = (nd > 0) & (nv <= LIFT)
-                if not m.any():
-                    break
-                nv[m] = np.exp(nv[m])
-                nd[m] -= 1
-            phase[it] = wrap_phase(dphi + betas[mj])
-            # Demotion to direct mode when |z| fits the exact evaluator again.
-            with np.errstate(divide="ignore"):
-                demote = (nd == 0) & (np.log(np.maximum(nv, 1e-300)) <= dcap)
-            redepth = (nd == 0) & ~demote
-            nd = np.where(redepth, 1, nd)
-            nv = np.where(redepth, np.log(np.maximum(nv, 1e-300)), nv)
-            mode[it] = np.where(demote, 0, 1)
-            z[it] = np.where(demote, nv * np.exp(1j * phase[it]), 0.0)
-            depth[it] = np.where(demote, 0, nd)
-            val[it] = nv
-            sel = np.searchsorted(act, it)
-            new_depth[sel] = np.where(demote, 0, nd)
-            new_val[sel] = nv
-
-            stop_now[it[dead]] = True
-            stop_now[it[(nd > MAX_DEPTH) & ~dead]] = True
+        fl = {k: np.zeros(idx.size, bool) for k in ("cond", "fixed", "trap", "stop")}
+        direct = np.flatnonzero(s["mode"] == 0)
+        tower = np.flatnonzero(s["mode"] == 1)
+        over = _step_direct(f, p, dcap, trap, s, direct, fl, n_step)
+        _step_tower(f, p, dcap, s, np.concatenate([tower, over]), fl)
 
         # fast-escape gate: |z_n| >= M^(n - cert_steps)(escape_radius)
         gate = n_step - p.cert_steps
-        if ladder is not None and gate > 0:
-            live = ~done[act]
-            if gate <= len(ladder):
-                cd, cv = _canon_arrays(new_depth, new_val)
+        if gate > 0:
+            gated = np.flatnonzero(s["fast_ok"])
+            ok = False
+            if gate <= len(lad_depth):
+                cd, cv = _canon_arrays(s["depth"][gated], s["val"][gated])
                 ok = _tower_ge(cd, cv, lad_depth[gate - 1], lad_val[gate - 1])
-            else:
-                ok = np.zeros(act.size, bool)
-            fa = fast_ok[act]
-            fa[live] &= ok[live]
-            fast_ok[act] = fa
+            s["fast_ok"][gated] = ok
 
-        run[act] = np.where(cond_all[act] & ~done[act], run[act] + 1, 0)
-        cert = (~done) & (run >= p.cert_steps)
-        tag[cert] = 1
-        esc_step[cert] = n_step
-        done |= cert
-        newly_trapped = trap_now & ~done
-        tag[newly_trapped] = 2
-        trapped |= newly_trapped
-        done |= newly_trapped
-        newly_stopped = stop_now & ~done
-        done |= newly_stopped
-
+        fixed = fl["fixed"]
+        s["run"] = np.where(fl["cond"] & ~fixed, s["run"] + 1, 0)
+        cert = s["run"] >= p.cert_steps
+        trapped = fl["trap"] & ~fixed & ~cert
+        end = fixed | cert | trapped | fl["stop"]
         if record:
-            trace.append(
-                {
-                    "step": n_step,
-                    "mode": mode.copy(),
-                    "z": z.copy(),
-                    "depth": depth.copy(),
-                    "val": val.copy(),
-                    "phase": phase.copy(),
-                    "cond": cond_all.copy(),
-                    "run": run.copy(),
-                }
-            )
+            for k, a in full.items():
+                a[idx] = s[k]
+            cond = np.zeros(n_pts, bool)
+            cond[idx] = fl["cond"]
+            trace.append({"step": n_step, **{k: a.copy() for k, a in full.items()}, "cond": cond})
+        if end.any():
+            # A fixed direct point is non-escaping when it lies inside the
+            # radius, which is when its below count is positive.
+            code = np.where(cert, 1, np.where(trapped | (fixed & (s["below"] > 0)), 2, 0)).astype(np.int8)
+            _retire(out, idx, s, end, code[end], n_step)
+            out["trapped"][idx[trapped]] = True
+            keep = ~end
+            idx = idx[keep]
+            s = {k: a[keep] for k, a in s.items()}
 
-    rest = ~done
-    tag[rest & (below >= tail_need)] = 2
-
-    fast = fast_ok & (tag == 1)
-    return {
-        "tag": np.array([_TAG_NAMES[t] for t in tag], dtype=object),
-        "tag_code": tag,
-        "steps": steps_used,
-        "fast_escape": fast,
-        "escape_step": esc_step,
-        "trapped": trapped,
-        "final_mode": mode,
-        "final_depth": depth,
-        "final_val": val,
-        "trace": trace,
-    }
+    tail = np.where(s["below"] >= min(TAIL_STEPS, p.max_iter), 2, 0).astype(np.int8)
+    _retire(out, idx, s, np.ones(idx.size, bool), tail, p.max_iter)
+    out["tag"] = _TAG_TABLE[out["tag_code"]]
+    out["trace"] = trace if record else None
+    return out
 
 
 def _final_abs_tower(res, i=0) -> TowerMag:

@@ -124,10 +124,11 @@ def _escape_shade(steps: np.ndarray) -> np.ndarray:
     return out
 
 
-def _colorize(tags: np.ndarray, steps: np.ndarray, palette: dict) -> np.ndarray:
+def _colorize(codes: np.ndarray, steps: np.ndarray, palette: dict) -> np.ndarray:
+    """Pixel colors from classify_batch tag codes (1 escape, 2 non-escape, 0 undetermined)."""
     rgb = _escape_shade(steps)
-    non = tags == "NonEscapeObserved"
-    und = tags == "Undetermined"
+    non = codes == 2
+    und = codes == 0
     rgb[non] = palette.get("NonEscapeObserved", DEFAULT_PALETTE["NonEscapeObserved"])
     rgb[und] = palette.get("Undetermined", DEFAULT_PALETTE["Undetermined"])
     esc_color = palette.get("EscapeCertified")
@@ -162,9 +163,9 @@ def render_classification(
         j0, j1 = span
         pts = np.concatenate([v.row_points(j) for j in range(j0, j1)])
         res = classify_batch(f, pts, p)
-        tags = res["tag"].reshape(j1 - j0, v.px_w)
+        codes = res["tag_code"].reshape(j1 - j0, v.px_w)
         steps = res["steps"].reshape(j1 - j0, v.px_w)
-        out[j0:j1] = _colorize(tags, steps, palette)
+        out[j0:j1] = _colorize(codes, steps, palette)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:

@@ -5,7 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from expdyn import (
@@ -22,7 +22,8 @@ from expdyn import (
     pair_poly,
     r0_bound,
 )
-from expdyn.exceptional import ExceptionalParams, write_e2_csv
+from expdyn.exceptional import ExceptionalParams, _far_member, _pair_polys, write_e2_csv
+from expdyn.measure import _annulus_points
 
 
 def test_params_require_d3(sinz):
@@ -168,6 +169,66 @@ def test_e2_measure_rotation_invariant(cosh3, phi):
     rotated = ExpPoly(3, [ExpPolyTerm(t.Q, t.b * turn) for t in cosh3.terms])
     got = e2_measure(rotated, 10.0, 20.0, 16, 4096)
     assert got == pytest.approx(e2_measure(cosh3, 10.0, 20.0, 16, 4096), rel=1e-9)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("r", [1e103, 1e120, 1e200])
+def test_membership_where_pair_polynomial_overflows(sin3, r):
+    # |2i z^3| overflows doubles here.  The spokes are about r^-2.5 rad wide,
+    # far below the spacing of doubles near k pi/3, so only theta = 0 and pi,
+    # where z^3 is exactly real, sit on a spoke in floating point.
+    theta = np.linspace(0.05, 2.0 * math.pi - 0.05, 400)
+    off = r * np.exp(1j * theta[np.abs(np.sin(3.0 * theta)) > 1e-3])
+    on = np.array([r, -r], dtype=complex)
+    for level in (1, 2):
+        assert not in_E_mask(sin3, off, level).any()
+        assert in_E_mask(sin3, on, level).all()
+    # The sample of the far annulus scan: none of it lies in E1 or E2.
+    pts = _annulus_points(1e103, 20000, 0)
+    assert not in_E_mask(sin3, pts, 1).any()
+    assert not in_E_mask(sin3, pts, 2).any()
+
+
+@pytest.mark.parametrize("name", ["sin3", "hemke", "three_term"])
+def test_scale_free_membership_matches_direct_form(name, request):
+    # Where p(z) is finite both forms apply; they agree away from the
+    # boundary of the set.
+    f = request.getfixturevalue(name)
+    params = ExceptionalParams.for_function(f)
+    rng = np.random.default_rng(3)
+    z = 10.0 ** (0.5 + 2.5 * rng.random(20000)) * np.exp(2j * math.pi * rng.random(20000))
+    for pp in _pair_polys(f):
+        w = pp.poly(z)
+        ratio = np.abs(w.real) / np.abs(w) ** (params.nu / params.d)
+        for level in (1, 2):
+            clear = np.abs(ratio / level - 1.0) > 1e-6
+            direct = ratio < level
+            assert direct[clear].any() and not direct[clear].all()
+            np.testing.assert_array_equal(_far_member(pp.poly, z, level, params)[clear], direct[clear])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.floats(min_value=0.0, max_value=2.0 * math.pi),
+    st.floats(min_value=2.0, max_value=100.0),
+    st.integers(min_value=0, max_value=5),
+    st.floats(min_value=-3.0, max_value=3.0),
+    st.sampled_from([1, 2]),
+)
+def test_in_E_mask_rotation_invariant(cosh3, phi, r, k, offset, level):
+    # The rotated function g(z) = cosh3(e^{i phi} z) has frequencies
+    # b e^{3 i phi}, so z lies in E(g) exactly when w = e^{i phi} z lies in
+    # E(cosh3).  w is drawn within a few half-widths of the spoke at
+    # pi/6 + k pi/3 and kept away from the set boundary, where rounding of
+    # the rotation could flip the answer.
+    turn = cmath.exp(3j * phi)
+    rotated = ExpPoly(3, [ExpPolyTerm(t.Q, t.b * turn) for t in cosh3.terms])
+    half = level * 2.0 ** (-5.0 / 6.0) * r**-2.5 / 3.0
+    w = r * cmath.exp(1j * (math.pi / 6 + k * math.pi / 3 + offset * half))
+    p = 2.0 * w**3
+    assume(abs(abs(p.real) / (level * abs(p) ** (1.0 / 6.0)) - 1.0) > 1e-6)
+    z = w * cmath.exp(-1j * phi)
+    assert in_E(rotated, z, level) == in_E(cosh3, w, level)
 
 
 def test_pair_polys_do_not_keep_function_alive():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from mpmath import mp
 
 from expdyn import (
     DegenerateQ,
@@ -129,6 +130,59 @@ def test_second_deriv(cosh3):
     ) / eps**2
     got = complex(eval_deriv_log(cosh3, z, 2))
     assert abs(got - fd) < 1e-4 * abs(fd)
+
+
+def _mp_poly(coeffs, z, k):
+    """k-th derivative at z of the polynomial with ascending coefficients."""
+    total = mp.mpc(0)
+    for i, c in enumerate(coeffs):
+        if i >= k:
+            total += mp.mpc(c) * mp.ff(i, k) * z ** (i - k)
+    return total
+
+
+def _mp_eval(f, z, order):
+    """f, f' or f'' at z in mpmath, each term Q e^w differentiated by hand."""
+    z = mp.mpc(z)
+    total, biggest = mp.mpc(0), mp.mpf(0)
+    for t in f.terms:
+        expo = list(t.P.coeffs) + [0] * (f.d + 1 - len(t.P.coeffs))
+        expo[f.d] += t.b
+        q = [_mp_poly(t.Q.coeffs, z, k) for k in range(3)]
+        w = [_mp_poly(expo, z, k) for k in range(3)]
+        pref = (q[0], q[1] + q[0] * w[1], q[2] + 2 * q[1] * w[1] + q[0] * (w[2] + w[1] ** 2))[order]
+        term = pref * mp.exp(w[0])
+        total += term
+        biggest = max(biggest, abs(term))
+    return total, biggest
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_log_eval_matches_mpmath_far_out(order, sin3, h_example, hemke, three_term):
+    # At |z| = 10-100 the terms reach exp(1e6), far beyond eval_direct.  The
+    # doubles carry w = b z^d + P(z) to a few ulps of |z|^d, which bounds
+    # the error of both logmod and phase.
+    poly_q = ExpPoly(
+        3,
+        [
+            ExpPolyTerm(Poly([1, 0.5j]), 1 + 0.3j, Poly([0, 0.2])),
+            ExpPolyTerm(Poly([-0.25, 0, 1]), -1 + 0.1j),
+        ],
+    )
+    rng = np.random.default_rng(17)
+    zs = 10.0 ** (1.0 + rng.random(40)) * np.exp(2j * math.pi * rng.random(40))
+    mp.dps = 40
+    for f in (sin3, h_example, hemke, three_term, poly_q):
+        for z in zs:
+            z = complex(z)
+            exact, biggest = _mp_eval(f, z, order)
+            if abs(exact) < 1e-6 * biggest:
+                continue  # near a spoke the terms cancel
+            lv = eval_log(f, z) if order == 0 else eval_deriv_log(f, z, order)
+            tol = 1e-14 * abs(z) ** f.d * max(abs(t.b) for t in f.terms) + 1e-12
+            assert abs(lv.logmod - float(mp.log(abs(exact)))) <= tol
+            dphase = (lv.phase - float(mp.arg(exact)) + math.pi) % (2 * math.pi) - math.pi
+            assert abs(dphase) <= tol
 
 
 def test_dominant_index(cosh3):

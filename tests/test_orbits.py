@@ -238,6 +238,63 @@ def test_trap_needs_enough_budget(sinz):
     assert len(res.diagnostics["cert_trace"]) == res.steps
 
 
+_RESULT_KEYS = ("tag", "tag_code", "steps", "escape_step", "fast_escape", "trapped", "final_mode", "final_depth", "final_val")
+
+
+def test_batch_composition_does_not_change_results():
+    # f = 60 e^{z^3} - 60 e^{eps z^3}: f(0) = 0 with a trap disk around it,
+    # f(-60) = -60 exactly (e^{-216000} underflows and e^{eps z^3} rounds to
+    # 1), and a repelling fixed point near x* = 60^{-1/2}.  With cert_steps 7
+    # a run of certified tower steps from outside the radius certifies at
+    # depth 7, while one that starts inside is cut by depth > MAX_DEPTH.
+    f = ExpPoly(3, [ExpPolyTerm(Poly([60.0]), 1 + 0j), ExpPolyTerm(Poly([-60.0]), 1e-300 + 0j)])
+    p = ClassifyParams(cert_steps=7, max_iter=12)
+    x_star = 0.12903011845326154
+    cases = {
+        "certified escape": 60.0,
+        "exact fixed point": 0.0,
+        "stuck fixed point": -60.0,
+        "trap entry": 0.1,
+        "dead direction": (400.0 + 1.0j) ** (1.0 / 3.0),
+        "depth cut": 7.0,
+        "budget with tail": complex(x_star + 1e-9, 1e-3),
+        "budget without tail": complex(x_star + 1e-5, 1e-3),
+        "overflowing start": 1e120 * np.exp(0.1j),
+        "nan": complex(math.nan, 0.0),
+        "inf": complex(0.0, math.inf),
+    }
+    pts = np.array(list(cases.values()), dtype=complex)
+    res = classify_batch(f, pts, p)
+    names = list(cases)
+
+    def got(name, *keys):
+        return tuple(res[key][names.index(name)].item() for key in keys)
+
+    # Each start takes the exit it was chosen for.
+    tag, steps = got("certified escape", "tag_code", "steps")
+    assert tag == 1 and got("certified escape", "escape_step") == (steps,)
+    assert got("exact fixed point", "tag_code", "steps", "trapped") == (2, 1, False)
+    assert got("stuck fixed point", "tag_code", "steps", "final_mode") == (0, 1, 0)
+    assert got("trap entry", "tag_code", "trapped") == (2, True)
+    tag, mode, depth = got("dead direction", "tag_code", "final_mode", "final_depth")
+    assert (tag, mode) == (0, 1) and depth <= MAX_DEPTH
+    assert got("depth cut", "tag_code", "final_depth") == (0, MAX_DEPTH + 1)
+    assert got("budget with tail", "tag_code", "steps", "trapped") == (2, p.max_iter, False)
+    assert got("budget without tail", "tag_code", "steps") == (0, p.max_iter)
+    mode, steps = got("overflowing start", "final_mode", "steps")
+    assert mode == 1 and steps < p.max_iter
+    assert got("nan", "steps") == got("inf", "steps") == (0,)
+
+    alone = [classify_batch(f, [z], p) for z in pts]
+    rng = np.random.default_rng(2)
+    order = rng.permutation(np.tile(np.arange(pts.size), 3))
+    shuffled = classify_batch(f, pts[order], p)
+    for key in _RESULT_KEYS:
+        want = np.concatenate([a[key] for a in alone])
+        np.testing.assert_array_equal(res[key], want, err_msg=key)
+        np.testing.assert_array_equal(shuffled[key], want[order], err_msg=key)
+
+
 def test_escape_rate_certificate_members(cosh3):
     # Certified run means each step satisfied log|z_{k+1}| >= |z_k|^alpha.
     res = classify_orbit(cosh3, 55.0)
