@@ -8,6 +8,7 @@ pair, with nu = d - 5/2.
 
 from __future__ import annotations
 
+import cmath
 import csv
 import math
 from dataclasses import dataclass
@@ -33,6 +34,8 @@ __all__ = [
 ]
 
 DEFAULT_VALIDITY_RADIUS = 50.0
+# Relative rounding allowance of the disc test in dist_to_E1_measured.
+SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -159,6 +162,39 @@ def dist_to_E1_lower(
     return c1_constant(f) * abs(z) ** -1.5
 
 
+def _disc_clear(f: ExpPoly, z: np.ndarray, radius: float) -> bool:
+    """Whether the disc D(c, R) provably holds no level-1 point.
+
+    c is the mean of the points z and R = max|z - c| + radius.  With
+    rho = |c| + R, on D every pair polynomial moves from p(c) by at most
+    m = R sum |p'_i| rho^i, so |Re p| >= |Re p(c)| - m and |p| <= |p(c)| + m
+    there; as nu/d lies in (0, 1), |Re p(c)| - m > (|p(c)| + m)^(nu/d) rules
+    the whole disc out.  SLACK widens m by a multiple of sum |p_i| rho^i and
+    the threshold by a factor, which covers the rounding of Horner's rule, of
+    exp(log) in in_E_mask and of the ring sample points by many orders of
+    magnitude, so in_E_mask reads no sample point of D as a member either.
+    Anything not finite on the way means "not proven".
+    """
+    expo = ExceptionalParams.for_function(f).nu / f.d
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = complex(z.mean())
+        R = float(np.abs(z - c).max()) + radius
+        rho = abs(c) + R
+        for pp in _pair_polys(f):
+            w = complex(pp.poly(c))
+            try:
+                m = R * pp.poly.deriv().coeff_bound(rho) + SLACK * pp.poly.coeff_bound(rho)
+            except OverflowError:  # rho^i beyond doubles
+                return False
+            if not (
+                cmath.isfinite(w)
+                and math.isfinite(m)
+                and abs(w.real) - m > (abs(w) + m) ** expo * (1.0 + SLACK)
+            ):
+                return False
+    return True
+
+
 def dist_to_E1_measured(
     f: ExpPoly, z, step: float, max_radius: float, n_angles: int = 64
 ) -> float:
@@ -169,12 +205,23 @@ def dist_to_E1_measured(
     containing a level-1 point, 0 if a point is itself a member, and
     max_radius if nothing was found (a one-sided over-estimate, adequate for
     checking lower bounds).
+
+    Before sampling any ring, a derivative bound tries to prove the disc
+    around the points that holds every ring free of the level-1 set
+    (_disc_clear); when it does, no ring point can be a member and the
+    result is max_radius without a ring evaluated.  Otherwise the rings are
+    sampled one by one; that loop is the only path that finds hits near
+    spokes.
     """
+    if not (math.isfinite(step) and math.isfinite(max_radius)):
+        raise ValueError("step and max_radius must be finite")
     if step <= 0:
         raise ValueError("step must be positive")
     z = np.asarray(z, dtype=complex)
     if in_E_mask(f, z, 1).any():
         return 0.0
+    if _disc_clear(f, z, max_radius):
+        return max_radius
     angles = np.exp(2j * math.pi * np.arange(n_angles) / n_angles)
     r = step
     while r <= max_radius:

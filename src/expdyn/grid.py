@@ -163,14 +163,19 @@ class Tiling:
     """
 
     def __init__(self, f: ExpPoly, r_lo: float, r_hi: float, sigma: float | None = None):
-        if not (0.0 < r_lo < r_hi):
-            raise ValueError("need 0 < r_lo < r_hi")
+        if not (0.0 < r_lo < r_hi < math.inf):
+            raise ValueError("need 0 < r_lo < r_hi, r_hi finite")
         self.f = f
         self.r_lo = float(r_lo)
         self.r_hi = float(r_hi)
         self.sigma = _check_sigma(f, default_sigma(f) if sigma is None else sigma)
-        root_side = 2.0 ** math.ceil(math.log2(2.0 * r_hi))
-        self.root = SquareTile(0j, root_side, 0)
+        try:
+            root_side = 2.0 ** math.ceil(math.log2(2.0 * r_hi))
+            self.root = SquareTile(0j, root_side, 0)
+            # The root reaches farthest out, so no deeper tile overflows.
+            side_bounds(self.root, f.d, self.sigma)
+        except OverflowError:
+            raise ValueError(f"r_hi={r_hi:.6g} too large: the tile side bound overflows") from None
 
     def _needs_split(self, tile: SquareTile) -> bool:
         _, hi = side_bounds(tile, self.f.d, self.sigma)
@@ -358,6 +363,11 @@ def _log_extrema_fprime(f: ExpPoly, tile: SquareTile):
     return mn, mx, slack
 
 
+def _check_alpha(alpha: float) -> None:
+    if not (0.0 < alpha < math.inf):
+        raise ValueError("alpha must be positive and finite")
+
+
 def square_density_bound(
     f: ExpPoly, S: SquareTile, alpha: float, e2_budget: float = 0.0
 ) -> DensityReport:
@@ -368,8 +378,7 @@ def square_density_bound(
     boundary has measure at most (9 pi / 2) times that length, and the
     uncovered part of f(S) is at most the band plus the e2_budget.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    _check_alpha(alpha)
     mn_log, mx_log, slack = _log_extrema_fprime(f, S)
     if slack < 0:
         mn_adj = mn_log + math.log1p(-math.exp(slack))
@@ -424,16 +433,16 @@ def distortion_constant_C2(n_factors: int | None = None, tol: float = 1e-15) -> 
 
 def nested_measure_bound(S0: SquareTile, alpha: float) -> float:
     """2 C2^2 exp(-min_{z in S0} |z|^alpha / 2) meas(S0)."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    _check_alpha(alpha)
     c2 = distortion_constant_C2()
     return 2.0 * c2 * c2 * math.exp(-0.5 * S0.min_abs_z() ** alpha) * S0.measure
 
 
 def annulus_tail_bound(r: float, alpha: float) -> float:
     """exp(-r^alpha / 2^(2+alpha)) for the annulus {r <= |z| <= 2r}."""
-    if r <= 0 or alpha <= 0:
-        raise ValueError("r and alpha must be positive")
+    if r <= 0:
+        raise ValueError("r must be positive")
+    _check_alpha(alpha)
     return math.exp(-(r**alpha) / 2.0 ** (2.0 + alpha))
 
 

@@ -449,6 +449,23 @@ def trap_at_0(f: ExpPoly, escape_radius: float) -> TrapRegion | None:
     return memo[escape_radius]
 
 
+def _fast_ladder(f: ExpPoly, escape_radius: float, max_iter: int):
+    """The fast-escape gates M^n(escape_radius), or None without a base.
+
+    Stored on f per (escape_radius, max_iter), the BadBase outcome too.
+    """
+    memo = f.memo.setdefault("fast_ladder", {})
+    key = (escape_radius, max_iter)
+    if key not in memo:
+        try:
+            # No live point is deeper than MAX_DEPTH + 1, so deeper rungs
+            # would fail every point they gate.
+            memo[key] = iterate_max_modulus(f, escape_radius, max_iter + 1, max_depth=MAX_DEPTH + 1)
+        except BadBase:
+            memo[key] = None
+    return memo[key]
+
+
 # ---------------------------------------------------------------------------
 # Classification engine
 
@@ -627,12 +644,7 @@ def classify_batch(f: ExpPoly, points, p: ClassifyParams | None = None, record: 
     n_pts = pts.size
     dcap = min((700.0 - math.log(f.max_abs_b) - 5.0) / f.d, p.bail_logmod)
     trap = trap_at_0(f, p.escape_radius)
-    try:
-        # No live point is deeper than MAX_DEPTH + 1, so deeper rungs would
-        # fail every point they gate.
-        ladder = iterate_max_modulus(f, p.escape_radius, p.max_iter + 1, max_depth=MAX_DEPTH + 1)
-    except BadBase:
-        ladder = None
+    ladder = _fast_ladder(f, p.escape_radius, p.max_iter)
     lad_depth = np.array([t.depth for t in ladder or []], np.int64)
     lad_val = np.array([t.value for t in ladder or []])
 

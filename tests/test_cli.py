@@ -237,6 +237,24 @@ def test_grid_bound(capsys, tmp_path):
     assert out_path.read_text().splitlines()[0].startswith("center_re,")
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--r-hi", "inf"),
+        ("--r-hi", "nan"),
+        ("--r-hi", "1e300"),  # the tile side bound overflows
+        ("--alpha", "nan"),
+        ("--alpha", "inf"),
+        ("--alpha", "0"),
+    ],
+)
+def test_grid_bound_rejects_bad_input(capsys, flag, value):
+    args = {"--r-lo": "10", "--r-hi": "20", "--count": "1", flag: value}
+    code, out, err = run(capsys, "grid-bound", "--fn", "sin_z3", *[x for kv in args.items() for x in kv])
+    assert code == 1 and err.startswith("error:")
+    assert out == ""
+
+
 def test_counterexample_json(capsys, tmp_path):
     out_path = tmp_path / "cx.json"
     code, out, _ = run(

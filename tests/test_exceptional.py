@@ -7,22 +7,28 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from expdyn import (
     ExpPoly,
     ExpPolyTerm,
     NotApplicable,
     Poly,
+    Tiling,
     c1_constant,
     dist_to_E1_lower,
     dist_to_E1_measured,
     e2_measure,
+    good_square_near,
     in_E,
     in_E_mask,
+    is_good_square,
     pair_poly,
     r0_bound,
 )
-from expdyn.exceptional import ExceptionalParams, _far_member, _pair_polys, write_e2_csv
+from expdyn import exceptional
+from expdyn.exceptional import ExceptionalParams, _disc_clear, _far_member, _pair_polys, write_e2_csv
+from expdyn.grid import SquareTile, good_square_threshold
 from expdyn.measure import _annulus_points
 
 
@@ -110,6 +116,120 @@ def test_dist_measured(cosh3):
     assert dist_to_E1_measured(cosh3, 60.0, 0.5, 2.0) == 2.0
     with pytest.raises(ValueError):
         dist_to_E1_measured(cosh3, 1.0, 0.0, 1.0)
+    # a non-finite step or radius would return a false "nothing within",
+    # a NaN, or ring forever
+    for step, max_radius in ((math.nan, 1.0), (math.inf, 1.0), (0.5, math.nan), (0.5, math.inf)):
+        with pytest.raises(ValueError):
+            dist_to_E1_measured(cosh3, 60.0, step, max_radius)
+
+
+def _ring_reference(f, z, step, max_radius, n_angles=64):
+    """The plain ring search: every ring sampled until a member is found."""
+    z = np.asarray(z, dtype=complex)
+    if in_E_mask(f, z, 1).any():
+        return 0.0
+    angles = np.exp(2j * math.pi * np.arange(n_angles) / n_angles)
+    r = step
+    while r <= max_radius:
+        if in_E_mask(f, z[..., None] + r * angles, 1).any():
+            return r
+        r += step
+    return max_radius
+
+
+# e^{z^3 + i z} + 2 e^{-z^3 + 0.5 z^2} - i z e^{i z^3 - 0.3 z^2}: three
+# pairs whose spokes P bends away from the rays of the leading terms.
+THREE_TERM_P = ExpPoly(
+    3,
+    [
+        ExpPolyTerm(Poly([1]), 1 + 0j, Poly([0, 1j])),
+        ExpPolyTerm(Poly([2]), -1 + 0j, Poly([0, 0, 0.5])),
+        ExpPolyTerm(Poly([0, -1j]), 1j, Poly([0, 0, -0.3])),
+    ],
+)
+RING_FUNCTIONS = ("sin3", "h_example", "cosh3", "three_term_p")
+
+
+def _ring_function(name, request):
+    return THREE_TERM_P if name == "three_term_p" else request.getfixturevalue(name)
+
+
+def _near_spoke_search(f, r, k, offset, scale, rings, square):
+    """Points, step and max_radius of a ring search near a level-1 spoke edge.
+
+    The spoke is that of the first pair polynomial p through the leading-order
+    ray (pi/2 - arg c_d + k pi)/d, located as a root of Re p on |z| = r.  The
+    centre sits offset spoke half-widths beyond its edge; the search is a
+    good-square probe (16 boundary points and the centre, step side/8) or a
+    single point, at a scale of the spoke's arc width.
+    """
+    p = _pair_polys(f)[0].poly
+    cd = p.coeffs[-1]
+    ray = (math.pi / 2 - cmath.phase(cd) + k * math.pi) / f.d
+    theta = brentq(lambda t: p(r * cmath.exp(1j * t)).real, ray - 0.3, ray + 0.3, xtol=1e-15)
+    size = abs(cd) * r**f.d
+    half = size ** (ExceptionalParams.for_function(f).nu / f.d) / (f.d * size)
+    centre = r * cmath.exp(1j * (theta + (1.0 + offset) * half))
+    side = scale * r * half
+    if square:
+        pts = np.append(SquareTile(centre, side, 0).boundary_points(4), centre)
+    else:
+        pts = np.array([centre])
+    step = side / 8.0
+    return pts, step, rings * step
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(RING_FUNCTIONS),
+    st.floats(min_value=5.0, max_value=60.0),
+    st.integers(min_value=0, max_value=5),
+    st.floats(min_value=-4.0, max_value=4.0),
+    st.floats(min_value=0.05, max_value=20.0),
+    st.floats(min_value=0.5, max_value=40.0),
+    st.booleans(),
+)
+@example("sin3", 15.0, 0, 30.0, 0.5, 30.0, True)  # clear: the disc test answers
+@example("sin3", 15.0, 0, 2.0, 1.0, 30.0, True)  # a ring meets the spoke
+@example("three_term_p", 20.0, 3, 0.0, 1.0, 10.0, False)  # on the edge
+def test_dist_measured_matches_ring_loop(request, name, r, k, offset, scale, rings, square):
+    f = _ring_function(name, request)
+    pts, step, max_radius = _near_spoke_search(f, r, k, offset, scale, rings, square)
+    assert dist_to_E1_measured(f, pts, step, max_radius) == _ring_reference(f, pts, step, max_radius)
+
+
+@pytest.mark.parametrize("name", RING_FUNCTIONS)
+def test_disc_test_is_sound(request, name):
+    # Wherever the disc test clears a disc, no point of a dense sample of it,
+    # interior and boundary circle, is a level-1 member.
+    f = _ring_function(name, request)
+    rng = np.random.default_rng(11)
+    outcomes = set()
+    for _ in range(30):
+        r, k = 5.0 + 55.0 * rng.random(), int(rng.integers(6))
+        offset, scale = -4.0 + 12.0 * rng.random(), 10.0 ** rng.uniform(-1.0, 1.3)
+        pts, _, max_radius = _near_spoke_search(f, r, k, offset, scale, 1.0 + 39.0 * rng.random(), True)
+        clear = _disc_clear(f, pts, max_radius)
+        outcomes.add(clear)
+        if clear:
+            c = pts.mean()
+            R = np.abs(pts - c).max() + max_radius
+            rho = R * np.concatenate([np.sqrt(rng.random(90_000)), np.ones(10_000)])
+            disc = c + rho * np.exp(2j * math.pi * rng.random(100_000))
+            assert not in_E_mask(f, disc, 1).any()
+    assert outcomes == {True, False}
+
+
+def test_good_square_costs_one_membership_call(sin3, monkeypatch):
+    tiling = Tiling(sin3, 10.0, 20.0)
+    tile = good_square_near(tiling, 15.0)
+    rings = int((good_square_threshold(sin3, tile, tiling.sigma) + tile.side / 4) / (tile.side / 8))
+    assert rings > 20  # what the ring loop would sample
+    calls = []
+    member = exceptional.in_E_mask
+    monkeypatch.setattr(exceptional, "in_E_mask", lambda *a: calls.append(a) or member(*a))
+    assert is_good_square(sin3, tile, tiling.sigma)
+    assert len(calls) == 1
 
 
 def test_e2_measure_positive_and_stable(cosh3):
@@ -129,6 +249,23 @@ def test_e2_measure_analytic_scale(cosh3):
     got = e2_measure(cosh3, 10.0, 20.0, 48, 2048)
     expected = 8 * 2 ** (1.0 / 6.0) * (10.0**-0.5 - 20.0**-0.5)
     assert got == pytest.approx(expected, rel=0.01)
+
+
+@pytest.mark.parametrize("r_min, r_max", [(10.0, 20.0), (20.0, 40.0)])
+def test_e2_measure_closed_form(sin3, r_min, r_max):
+    # sin_z3 has the pair polynomial p = 2i z^3, so on |z| = r the level-2
+    # set is |sin 3 theta| < 2^(1/6) r^(-5/2): six arcs of total angle
+    # 4 arcsin(2^(1/6) r^(-5/2)).
+    nr = 64
+    dr = (r_max - r_min) / nr
+    radii = r_min + (np.arange(nr) + 0.5) * dr
+    occupied = 4.0 * np.arcsin(2.0 ** (1.0 / 6.0) * radii**-2.5)
+    midpoint = math.fsum(occupied * radii * dr)
+    got = e2_measure(sin3, r_min, r_max, nr, 4096)
+    assert got == pytest.approx(midpoint, rel=1e-12)
+    # to leading order the integral of 4 * 2^(1/6) r^(-3/2)
+    leading = 8.0 * 2.0 ** (1.0 / 6.0) * (r_min**-0.5 - r_max**-0.5)
+    assert got == pytest.approx(leading, rel=1e-4)
 
 
 def test_e2_measure_plain_midpoint_agrees_at_coarse_radii(cosh3):

@@ -66,6 +66,9 @@ def test_bad_sigma_rejected(cosh3):
         Tiling(cosh3, 10.0, 20.0, sigma=-0.1)
     with pytest.raises(ValueError):
         Tiling(cosh3, 20.0, 10.0)
+    for r_hi in (math.inf, math.nan, 1e300):  # 1e300: the side bound overflows
+        with pytest.raises(ValueError):
+            Tiling(cosh3, 10.0, r_hi)
 
 
 def test_side_bound_magnitudes(cosh3):
@@ -188,8 +191,9 @@ def test_density_report_fields(cosh3):
     assert 0.0 < rep.asymptotic_bound < 1.0
     d = rep.to_dict()
     assert d["side"] == t.side and "density_upper_log" in d
-    with pytest.raises(ValueError):
-        square_density_bound(cosh3, t, -1.0)
+    for alpha in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            square_density_bound(cosh3, t, alpha)
 
 
 def test_density_bound_improves_with_radius(cosh3):
@@ -247,8 +251,9 @@ def test_nested_measure_bound_scaling():
     # monotone decreasing in the distance from the origin
     far = SquareTile(200.0 + 0j, 1e-3, 0)
     assert nested_measure_bound(far, 0.25) < v
-    with pytest.raises(ValueError):
-        nested_measure_bound(t, 0.0)
+    for alpha in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            nested_measure_bound(t, alpha)
 
 
 def test_annulus_tail_examples():
@@ -260,8 +265,9 @@ def test_annulus_tail_examples():
     vals = [annulus_tail_bound(r, 0.25) for r in rs]
     assert all(b < a for a, b in zip(vals, vals[1:]))
     assert sum(vals) < math.inf
-    with pytest.raises(ValueError):
-        annulus_tail_bound(-1.0, 0.25)
+    for r, alpha in ((-1.0, 0.25), (4096.0, 0.0), (4096.0, math.nan), (4096.0, math.inf)):
+        with pytest.raises(ValueError):
+            annulus_tail_bound(r, alpha)
 
 
 def test_band_measure_bound():

@@ -22,6 +22,7 @@ from expdyn import (
     sixsmith_quantity,
     tower_compare,
 )
+from expdyn import orbits
 from expdyn.orbits import MAX_DEPTH, TAIL_STEPS, write_orbit_csv
 
 BUNDLED = ("sin_z", "sin_z2", "sin_z3", "example_h")
@@ -86,6 +87,34 @@ def test_iterate_max_modulus_bad_base():
     small = ExpPoly(1, [ExpPolyTerm(Poly([1e-6]), 1 + 0j)])
     with pytest.raises(BadBase):
         iterate_max_modulus(small, 1.0, 3)
+
+
+def test_fast_ladder_is_built_once_per_function_and_params(monkeypatch):
+    built = []
+    ladder = orbits.iterate_max_modulus
+
+    def counted(*a, **k):
+        built.append(a)
+        return ladder(*a, **k)
+
+    monkeypatch.setattr(orbits, "iterate_max_modulus", counted)
+    f = ExpPoly(3, [ExpPolyTerm(Poly([1]), 1 + 0j), ExpPolyTerm(Poly([1]), -1 + 0j)])
+    pts = np.array([0.3 + 0.2j, 1.2 + 0.1j, 0.9 + 0.5j, 2.0 - 1.0j])
+    p = ClassifyParams(max_iter=40)
+    first = classify_batch(f, pts, p)
+    again = classify_batch(f, pts, p)
+    assert len(built) == 1
+    for key in first:
+        if key != "trace":
+            np.testing.assert_array_equal(first[key], again[key])
+    classify_batch(f, pts, ClassifyParams(max_iter=41))
+    assert len(built) == 2
+    # no ladder without a base (M(1) < 1 here): that outcome is kept too
+    small = ExpPoly(1, [ExpPolyTerm(Poly([1e-6]), 1 + 0j)])
+    low = ClassifyParams(escape_radius=1.0, max_iter=8)
+    for _ in range(2):
+        assert not classify_batch(small, pts, low)["fast_escape"].any()
+    assert len(built) == 3
 
 
 def test_iterate_E_alpha():
