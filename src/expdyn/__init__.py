@@ -57,7 +57,6 @@ from .grid import (
     build_tiling,
     default_sigma,
     distortion_constant_C2,
-    filter_good_squares,
     good_square_near,
     is_good_square,
     koebe_distortion_factor,

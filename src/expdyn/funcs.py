@@ -192,16 +192,53 @@ def _prefactor_logs(f: ExpPoly, Z):
     return out
 
 
-def _log_sum(S):
-    """(logmod, phase, zero_mask) of sum_j exp(S_j) for stacked complex logs S.
+# exp(x + iy) of a finite y is a signed zero for every x below this.
+_EXP_UNDERFLOW = -746.0
 
-    The dominant term is factored out, so the others enter only through
-    exponent differences with non-positive real part.
+
+def _log_sum(rows):
+    """(logmod, phase, zero_mask) of sum_j exp(S_j) for a list of complex log rows.
+
+    The dominant row S_m, the first with the largest real part (a NaN real
+    part counts as -inf), is factored out, so the others enter only through
+    the differences D_j = S_j - S_m, with non-positive real part, in
+    corr = sum_j exp(D_j).  Only the terms that can move corr are
+    exponentiated:
+    - a row equal to a finite S_m (the dominant row, or a tie) has
+      D_j = +-0 and adds exactly 1, up to the sign of a zero;
+    - a row with Re D_j < -746 and a finite Im D_j adds a signed zero
+      (exp underflows), so it is skipped.
+    Every partial sum that holds the dominant 1 absorbs a signed zero, and
+    where S_m is not finite the dominant row's NaN decides the sum, so corr
+    is bitwise the sum over every term, added in the order a sum over a
+    stacked term axis uses.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        m = np.argmax(np.where(np.isnan(S.real), -np.inf, S.real), axis=0)
-        Sm = np.take_along_axis(S, m[None, ...], axis=0)[0]
-        corr = np.exp(S - Sm[None, ...]).sum(axis=0)
+        Sm = np.asarray(rows[0])
+        best = np.where(np.isnan(Sm.real), -np.inf, Sm.real)
+        for row in rows[1:]:
+            Sm = np.where(row.real > best, row, Sm)
+            best = np.fmax(best, row.real)
+        finite = np.isfinite(Sm)
+        terms = []
+        for row in rows:
+            D = row - Sm
+            one = (row == Sm) & finite
+            e = np.array(one, complex)
+            np.exp(D, out=e, where=~(one | ((D.real < _EXP_UNDERFLOW) & np.isfinite(D.imag))))
+            terms.append(e)
+        if Sm.size > 1:
+            corr = terms[0]
+            for e in terms[1:]:
+                corr += e
+        else:
+            # A single column is a contiguous reduction, which numpy
+            # sums pairwise once there are four terms or more.
+            corr = np.add.reduce(terms)
+        del best, finite, terms, D, e, one  # free the term arrays for the phase reduction
+        # A 0-d S_m becomes a numpy scalar, as the stacked formula had it:
+        # scalar and array arithmetic keep different NaNs of two NaN operands.
+        Sm = Sm[()]
         corr_abs = np.abs(corr)
         logmod = Sm.real + np.log(corr_abs)
         phase = wrap_phase(Sm.imag + np.angle(corr))
@@ -224,8 +261,8 @@ def eval_log_batch(f: ExpPoly, Z, order: int = 0):
             logp = [lq for _, lq, _ in _prefactor_logs(f, Z)]
         else:
             logp = [np.log(p(Z)) for p in _deriv_prefactors(f, order)]
-        S = np.stack([lp + w for lp, w in zip(logp, ws)])
-    return _log_sum(S)
+        rows = [lp + w for lp, w in zip(logp, ws)]
+    return _log_sum(rows)
 
 
 def eval_log(f: ExpPoly, z: complex) -> LogComplex:

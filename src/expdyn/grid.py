@@ -30,7 +30,6 @@ __all__ = [
     "Tiling",
     "default_sigma",
     "build_tiling",
-    "filter_good_squares",
     "good_square_near",
     "is_good_square",
     "good_square_threshold",
@@ -159,7 +158,8 @@ class Tiling:
     annulus; a node splits while its side exceeds the location-dependent
     upper bound, so all leaves reached through tile_at satisfy the side
     invariant (the lower bound holds because a split halves the side at most
-    one level past the upper bound).
+    one level past the upper bound).  An r_hi whose leaves are finer than
+    doubles resolve (side/32 below 64 ulp(r_hi)) raises ValueError.
     """
 
     def __init__(self, f: ExpPoly, r_lo: float, r_hi: float, sigma: float | None = None):
@@ -176,6 +176,16 @@ class Tiling:
             side_bounds(self.root, f.d, self.sigma)
         except OverflowError:
             raise ValueError(f"r_hi={r_hi:.6g} too large: the tile side bound overflows") from None
+        # The derivative grid of square_density_bound spaces its points side/32
+        # apart.  Below 64 ulp of |z| it collapses onto a few doubles, and a
+        # descent no longer lands on a tile containing z, so such a tiling
+        # has no meaningful bound to offer.
+        spacing = self.tile_at(complex(self.r_hi)).side / 32.0
+        if spacing < 64.0 * math.ulp(self.r_hi):
+            raise ValueError(
+                f"r_hi={r_hi:.6g} too large: tiles there are finer than doubles resolve "
+                f"(grid spacing {spacing:.3g} < 64 ulp = {64.0 * math.ulp(self.r_hi):.3g})"
+            )
 
     def _needs_split(self, tile: SquareTile) -> bool:
         _, hi = side_bounds(tile, self.f.d, self.sigma)
@@ -272,10 +282,6 @@ def is_good_square(f: ExpPoly, tile: SquareTile, sigma: float) -> bool:
     step = tile.side / 8.0
     max_radius = thresh + 2.0 * step
     return dist_to_E1_measured(f, pts, step, max_radius) > thresh
-
-
-def filter_good_squares(f: ExpPoly, tiles, sigma: float):
-    return [t for t in tiles if is_good_square(f, t, sigma)]
 
 
 def good_square_near(tiling: Tiling, r: float, n_angles: int = 96):

@@ -30,6 +30,7 @@ budget gives.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -501,7 +502,7 @@ def _step_direct(f: ExpPoly, p: ClassifyParams, dcap: float, trap, s, pos, fl, n
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         ws = _term_exponents(f, Z)
         qs = _prefactor_logs(f, Z)
-        maxs = np.maximum.reduce([w.real + lqa for w, (_, _, lqa) in zip(ws, qs)])
+        maxs = functools.reduce(np.maximum, [w.real + lqa for w, (_, _, lqa) in zip(ws, qs)])
         over = np.isnan(maxs) | (maxs == np.inf)
         if over.any():
             io = pos[over]
@@ -511,7 +512,7 @@ def _step_direct(f: ExpPoly, p: ClassifyParams, dcap: float, trap, s, pos, fl, n
             s["phase"][io] = np.angle(Z[over])
             s["z"][io] = 0.0
             return np.concatenate([io, _step_direct(f, p, dcap, trap, s, pos[~over], fl, n_step)])
-        lm, ph, zero = _log_sum(np.stack([lq + w for w, (_, lq, _) in zip(ws, qs)]))
+        lm, ph, zero = _log_sum([lq + w for w, (_, lq, _) in zip(ws, qs)])
     lm[zero] = -np.inf
 
     absZ = np.abs(Z)
@@ -527,7 +528,7 @@ def _step_direct(f: ExpPoly, p: ClassifyParams, dcap: float, trap, s, pos, fl, n
     # doubles: IEEE products and sums commute with negation and conjugation,
     # so sign/mirror symmetries of f survive bitwise.  Otherwise reconstruct
     # from the log-domain value; a promoted point's znew is never read.
-    maxw = np.maximum.reduce([w.real for w in ws])
+    maxw = functools.reduce(np.maximum, [w.real for w in ws])
     safe = (maxw <= 700.0) & (maxs <= 700.0) & ~promote & ~zero
     rebuild = ~safe & ~zero & ~promote
     znew = np.zeros(Z.size, complex)
@@ -556,6 +557,27 @@ def _step_direct(f: ExpPoly, p: ClassifyParams, dcap: float, trap, s, pos, fl, n
     return pos[:0]
 
 
+def _dominant_growth(f: ExpPoly, dphi):
+    """(c, arg b_m) for c = max_j |b_j| cos(dphi + arg b_j), m the first maximising term.
+
+    A running maximum over the terms picks the term argmax would: the first
+    of equal maxima.  |b_j| and arg b_j are finite, so a c_j is NaN exactly
+    where dphi is not finite, for every j at once, and there the first term
+    is kept, as argmax keeps it.
+    """
+    tc = _term_consts(f)
+    c = beta = None
+    for ab, bj in zip(tc["abs_b"], tc["beta"]):
+        cj = ab * np.cos(dphi + bj)
+        if c is None:
+            c, beta = cj, np.full(dphi.shape, bj)
+        else:
+            take = cj > c
+            c = np.where(take, cj, c)
+            beta = np.where(take, bj, beta)
+    return c, beta
+
+
 def _step_tower(f: ExpPoly, p: ClassifyParams, dcap: float, s, pos, fl):
     """Advance the tower-mode orbits at positions pos of the state s by one step.
 
@@ -565,13 +587,10 @@ def _step_tower(f: ExpPoly, p: ClassifyParams, dcap: float, s, pos, fl):
     """
     if pos.size == 0:
         return
-    tc = _term_consts(f)
     d, alpha = f.d, p.alpha
     dep, v = s["depth"][pos], s["val"][pos]
     dphi = d * s["phase"][pos]
-    cj = tc["abs_b"][:, None] * np.cos(dphi[None, :] + tc["beta"][:, None])
-    mj = np.argmax(cj, axis=0)
-    c = np.take_along_axis(cj, mj[None, :], axis=0)[0]
+    c, beta = _dominant_growth(f, dphi)
     dead = c <= 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         logc = np.log(np.where(dead, 1.0, c))
@@ -584,7 +603,7 @@ def _step_tower(f: ExpPoly, p: ClassifyParams, dcap: float, s, pos, fl):
             cond[small] &= logc[small] + d * l_small >= alpha * l_small
     logd = math.log(d) if d > 1 else 0.0
     nd, nv = _canon_arrays(dep + 1, np.where(dep == 1, grow, np.where(dep == 2, v + logd, v)))
-    phase = wrap_phase(dphi + tc["beta"][mj])
+    phase = wrap_phase(dphi + beta)
     # Demotion to direct mode when |z| fits the exact evaluator again.
     with np.errstate(divide="ignore"):
         lognv = np.log(np.maximum(nv, 1e-300))

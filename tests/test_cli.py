@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -252,6 +253,20 @@ def test_grid_bound_rejects_bad_input(capsys, flag, value):
     args = {"--r-lo": "10", "--r-hi": "20", "--count": "1", flag: value}
     code, out, err = run(capsys, "grid-bound", "--fn", "sin_z3", *[x for kv in args.items() for x in kv])
     assert code == 1 and err.startswith("error:")
+    assert out == ""
+
+
+@pytest.mark.parametrize("r_hi", ["1e4", "1e5", "1e100"])
+def test_grid_bound_refuses_tiles_finer_than_doubles(capsys, r_hi):
+    # Far out the 33 x 33 derivative grid of a leaf collapses onto a few
+    # doubles; at 1e100 it used to print a density bound read off overflowed
+    # values, with exit 0.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(
+            capsys, "grid-bound", "--fn", "sin_z3", "--r-lo", "10", "--r-hi", r_hi, "--count", "2"
+        )
+    assert code == 1 and err.startswith("error:") and "finer than doubles" in err
     assert out == ""
 
 

@@ -1,0 +1,195 @@
+"""Golden fingerprints of the orbit engine and the log-domain evaluator.
+
+Each entry is the sha256 of the raw bytes of every result array of
+classify_batch, or of every output of eval_log_batch (orders 0-2), on one
+case of a small fixed corpus: five functions on circles r = 1 ... 1e200,
+special start points, single-point batches with traces, 0-d evaluations and
+a 64-px figure grid.  A refactor of either engine that changes no bit keeps
+every hash.  NaN payloads and signed zeros count.
+
+The hashes hold for one numpy build on x86-64 (numpy 2.4); a numpy whose
+libm rounds differently can move last bits, and then the hashes must be
+recomputed from a tree known to be right.
+"""
+
+import cmath
+import hashlib
+import math
+
+import numpy as np
+import pytest
+
+from expdyn import (
+    ClassifyParams,
+    ExpPoly,
+    ExpPolyTerm,
+    Poly,
+    Viewport,
+    bundled_function,
+    classify_batch,
+    eval_log_batch,
+)
+
+RADII = (1.0, 2.0, 5.0, 10.0, 20.0, 40.0, 1e3, 1e10, 1e50, 1e120, 1e200)
+# Axis angles (ties between terms) and generic ones.
+THETAS = 2.0 * math.pi * np.concatenate([np.arange(48), np.arange(48) + 0.37]) / 48.0
+SPECIALS = np.array(
+    [0j, complex(math.nan, 0), complex(math.inf, 0), complex(math.nan, 1.0), 1e155, -1e155j, 1e-300j]
+)
+PARAMS = {
+    "default": ClassifyParams(),
+    "short": ClassifyParams(alpha=0.5, escape_radius=20.0, max_iter=64, cert_steps=4),
+}
+
+
+def _three_term():
+    """Three frequencies, a non-constant Q and non-zero P."""
+    return ExpPoly(
+        3,
+        [
+            ExpPolyTerm(Poly([1.0, 0.5]), 1 + 0j, Poly([0.0, 0.3j])),
+            ExpPolyTerm(Poly([2j]), cmath.exp(2j * math.pi / 3)),
+            ExpPolyTerm(Poly([-1.0]), cmath.exp(4j * math.pi / 3), Poly([0.1])),
+        ],
+    )
+
+
+FUNCS = {
+    "sin_z3": lambda: bundled_function("sin_z3"),
+    "sin_z2": lambda: bundled_function("sin_z2"),
+    "sin_z": lambda: bundled_function("sin_z"),
+    "example_h": lambda: bundled_function("example_h"),
+    "three_term": _three_term,
+}
+
+
+def _scan_points():
+    circles = (np.array(RADII)[:, None] * np.exp(1j * THETAS)[None, :]).ravel()
+    return np.concatenate([circles, SPECIALS])
+
+
+def _digest(h, name, a):
+    h.update(name.encode())
+    a = np.asarray(a)
+    if a.dtype == object:
+        h.update("\0".join(map(str, a.ravel())).encode())
+    else:
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+
+
+def _classify_hash(f, pts, p, record=False):
+    h = hashlib.sha256()
+    res = classify_batch(f, pts, p, record=record)
+    for k in sorted(res):
+        if k == "trace":
+            for rec in res["trace"] or []:
+                for kk in sorted(rec):
+                    _digest(h, f"trace.{kk}", rec[kk])
+        else:
+            _digest(h, k, res[k])
+    return h.hexdigest()
+
+
+def _eval_hash(f, pts, order, zero_d=False):
+    h = hashlib.sha256()
+    with np.errstate(all="ignore"):
+        if zero_d:
+            outs = [eval_log_batch(f, np.asarray(z), order=order) for z in pts]
+        else:
+            outs = [eval_log_batch(f, pts, order=order)]
+    for out in outs:
+        for name, a in zip(("logmod", "phase", "zero"), out):
+            _digest(h, name, a)
+    return h.hexdigest()
+
+
+def corpus_hashes(name):
+    """{case: sha256} for one function of the corpus."""
+    f = FUNCS[name]()
+    pts = _scan_points()
+    out = {}
+    for pname, p in PARAMS.items():
+        out[f"classify/{pname}"] = _classify_hash(f, pts, p)
+    singles = np.concatenate([pts[::97], SPECIALS[:4]])
+    h = hashlib.sha256()
+    for z in singles:
+        h.update(_classify_hash(f, [z], PARAMS["short"], record=True).encode())
+    out["classify/single"] = h.hexdigest()
+    for order in (0, 1, 2):
+        out[f"eval{order}"] = _eval_hash(f, pts, order)
+        out[f"eval{order}/0d"] = _eval_hash(f, singles, order, zero_d=True)
+    if name in ("sin_z3", "sin_z2"):
+        grid = Viewport.square(0j, 4.0, 64).all_points().ravel()
+        out["render64"] = _classify_hash(f, grid, PARAMS["default"])
+    return out
+
+
+GOLDEN = {
+    "example_h": {
+        "classify/default": "90ceea2b4e5c521328481bd1bef40a6cf0b1d76f2283ebfb17d0513cb5907369",
+        "classify/short": "a99091cfa751833735dbfaef91a5e7bea338c9ea26b94457905551afdacc3d76",
+        "classify/single": "a31a9c4692123b7b91f26ac8211ccdfd12dc6f4d24f226fd3fbe1fc7a796b1bd",
+        "eval0": "5388ecbd6b47206c7d66141fba3b12c2e13e41770aad4c2962b18b35e3553326",
+        "eval0/0d": "1ce8c7f5e519062d073055d64f6286ca37ca9ae1d59b298b1aa8e971a1dfc0ed",
+        "eval1": "596c9e55663fd299a07c752f1962e4e2b7c7da01a83f6f76130b538473b69de5",
+        "eval1/0d": "97ad1b914f8aaece236ed4949f5e764bf5934f0e43a56c2eff5c361d9bb3b00b",
+        "eval2": "3f1d886d34440ed1183a33ece21db525e94815a40d881a0c3913db8445950e9e",
+        "eval2/0d": "6e3327063c0732fc39be4b44fc182d158954f887219522501803b06ff69bf18b",
+    },
+    "sin_z": {
+        "classify/default": "1d5dd393771bfa476a97a9300b64ef01e6c64147dcb7c43f3401b2a84a8019a7",
+        "classify/short": "baf0a23c57ffe3de84da1baa9691d2dcd40d64e0dd8f7391191c6086121685d2",
+        "classify/single": "0fd25b073ff80a9a00b603cf01c49716fff4d8605bcb8d2c59ec50ee77c11c7a",
+        "eval0": "7b63ae374791ffca8da18094ec909fa5b39c34006f048537da1a3292ba4a0aa5",
+        "eval0/0d": "f8b221161e1d0a5aecc3addf4b1838923676f387fbe1e3ad0a6cc1e84671ee32",
+        "eval1": "c8181a72d04ee40a6bf35404f83e121ae8a0d5db11f3277a50e254852a2f3e70",
+        "eval1/0d": "5239c9a9cabea99cc0cc3056c3f7b5d9624fc0aa9616137c3bdf0607a018cdf0",
+        "eval2": "44a4f9d64d5b5cea68b856b9fe41cd8d012250d2462ff1318f276a7ed90b6947",
+        "eval2/0d": "76c048ac954a568ecdd34d7f9ca431ea04bb7bc5627cbaef1948ee7b57336e00",
+    },
+    "sin_z2": {
+        "classify/default": "856e58b2eaae6a8ba6a5e9d16248387837dda21a69aa943b6f3a614de8970642",
+        "classify/short": "07097d6b9afa09e346cc58c90043a6d2f9b27990f4d1f4f52129db66e694a3c4",
+        "classify/single": "146466e1aca7616fe5b231d66c87a249351c9bf4a7bad3a29168692f1257c11b",
+        "eval0": "daaf81fa01635c75d37aac3ecf48f5eb46019f28110b774460c070cacf3e650d",
+        "eval0/0d": "2cba4b0143ed47bfe60dade1e033808bd7813628eb85b71ff3f5236dea23c2f7",
+        "eval1": "2aaa54c629e929ef5b8704a966fbcb6b6213f181308a5238d827f6903946ebb6",
+        "eval1/0d": "06ec09953691b069e64565255a91bc4342645fd06f79391bb9ad9c10f1be0d55",
+        "eval2": "bed19fb3dbfcca238852b699bb4f636a1f168c235224c299363a1c95d8fee2de",
+        "eval2/0d": "78bffb994e9f48d2e948fce7fa15119239de7a86127f85a3ac71137d44a922e9",
+        "render64": "71d202cecad77bcdc2b613e94dd6756347a9628bec80920dc316345fe60c32c7",
+    },
+    "sin_z3": {
+        "classify/default": "3ce913b68bba27916ef4ce895674a58623c87cf54c3996059ceedc83bdfbdc2f",
+        "classify/short": "bdac1adfc3c58d2feb041edeb25dd432396586eb19ae3961e1668dce72c3ded8",
+        "classify/single": "71e675a012964f98c4b55ab8e5cee25081a956beef4b342fb2060f0428d18178",
+        "eval0": "4d86c8b7f07165015fca0edf3b399fea6f0793420d7c249d575609e9ac7001c2",
+        "eval0/0d": "c4c7c53a9f8e74bb07423287ea14e2d7238dc578784c1a9dfab72732d63430c3",
+        "eval1": "afbf80034f882a465d35647fe2e3625c7228593f687af488400c672013bc0f4f",
+        "eval1/0d": "7de877386bf065baa6663d8dd0d1cbcfbb0289d6fc77be2bd79176496e3e5dd4",
+        "eval2": "77c47e7aec6ff9b9477f46c0567a6e068fa51c40f138f691cde64b69bfc7680e",
+        "eval2/0d": "92344da4aea996c4ce88de81f6223f8eff1fc9da5337705cc30a2336d063cc08",
+        "render64": "1c16544f3302578eed7daf379867919e82d8bbe1e2d344ff7b50958e9b4fb358",
+    },
+    "three_term": {
+        "classify/default": "ec3d006771c0257302dabdf144b582bf3374afc20a0e290c24b68290a6264e78",
+        "classify/short": "5a310a6bbdc2f38a73cdfcf8773dfd1c21c9abd221b7fca7d484548e1cabaf0f",
+        "classify/single": "2febab664192befe7f5016c7f9c4204b597a94e4ed56b7182475deba5f5a3237",
+        "eval0": "1c53453b4d7a9585e0c48fc65d47f96248b4e49f166cc700bf3700e589071d13",
+        "eval0/0d": "77818874cd42bfe88df97688b69f04f59cacc18b8076216c85c79b15b198a1ca",
+        "eval1": "4ade9724c28a0aea1fd6144b542a1c207877b406fc456f028d4904b786a7ceb3",
+        "eval1/0d": "51da969f403dafbb8e93f57c6e10d54bf8e0d8034fccd801d892cb9e3dd2ee2c",
+        "eval2": "c60acb1d172166f015c955cd44e20969d99f8474b685ef95d35eedd67f3557bd",
+        "eval2/0d": "0879ce44fbceb68dd44ef83bc0b664a5c6b6008b49fe453f041517945bd29b7a",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(FUNCS))
+def test_engine_fingerprints(name):
+    got = corpus_hashes(name)
+    want = GOLDEN[name]
+    assert sorted(got) == sorted(want)
+    bad = [k for k in want if got[k] != want[k]]
+    assert not bad, f"{name}: outputs changed in {bad}"

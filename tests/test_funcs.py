@@ -26,6 +26,7 @@ from expdyn import (
     function_to_dict,
     load_function,
 )
+from expdyn.funcs import _log_sum, wrap_phase
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +214,72 @@ def test_log_direct_agree_property(z):
     if abs(direct) < 1e-6:
         return
     assert abs(complex(eval_log(f, z)) - direct) <= 1e-9 * abs(direct)
+
+
+def _log_sum_stacked(rows):
+    """The stacked log-sum-exp that _log_sum must reproduce bit for bit:
+    exp of every term difference, the dominant one included."""
+    S = np.stack(rows)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m = np.argmax(np.where(np.isnan(S.real), -np.inf, S.real), axis=0)
+        Sm = np.take_along_axis(S, m[None, ...], axis=0)[0]
+        corr = np.exp(S - Sm[None, ...]).sum(axis=0)
+        corr_abs = np.abs(corr)
+        logmod = Sm.real + np.log(corr_abs)
+        phase = wrap_phase(Sm.imag + np.angle(corr))
+    zero = ~np.isfinite(Sm.real) | (corr_abs < 1e-15)
+    return logmod, phase, zero
+
+
+def _same_bits(a, b):
+    """Equal type, shape and bytes: NaN payloads and signed zeros count."""
+    if type(a) is not type(b) or np.shape(a) != np.shape(b):
+        return False
+    return np.atleast_1d(a).tobytes() == np.atleast_1d(b).tobytes()
+
+
+_SPECIAL_RE = st.sampled_from([math.nan, math.inf, -math.inf])
+# Offsets from a column's base value: ties, and differences on both sides of
+# the exp underflow near -745.13.
+_OFFSETS = st.sampled_from(
+    [0.0, -0.0, -1e-12, -744.0, -745.0, -745.1, -745.2, -745.5, -746.0, -746.5, -800.0, -1e300]
+) | st.floats(-40.0, 0.0) | st.floats(-1000.0, 0.0)
+_IMAG = st.sampled_from([0.0, -0.0, 1.0, math.pi, 1e300, -1e300, math.nan, math.inf, -math.inf]) | st.floats(
+    -1e300, 1e300
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    shape=st.sampled_from([(), (1,), (2,), (5,), (2, 3)]),
+    data=st.data(),
+)
+def test_log_sum_matches_stacked_formula(n, shape, data):
+    size = math.prod(shape)
+    base = data.draw(st.lists(st.floats(-1e3, 1e3) | st.floats(-1e300, 1e300), min_size=size, max_size=size))
+    rows = []
+    for _ in range(n):
+        re = [data.draw(_SPECIAL_RE | _OFFSETS.map(lambda o, b=b: b + o)) for b in base]
+        im = [data.draw(_IMAG) for _ in base]
+        row = np.array([complex(x, y) for x, y in zip(re, im)]).reshape(shape)
+        # A 0-d row is a numpy scalar, as a scalar evaluation produces it.
+        rows.append(row[()])
+    want = _log_sum_stacked(rows)
+    got = _log_sum(rows)
+    for name, a, b in zip(("logmod", "phase", "zero"), want, got):
+        assert _same_bits(a, b), f"{name}: {a!r} != {b!r}"
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (3,)])
+def test_log_sum_adds_in_stacked_order(shape):
+    # Four terms of comparable size: adding them in any other order than a
+    # sum over the stacked term axis moves last bits.
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        rows = [(-3.0 * rng.random(shape) + 1j * rng.normal(size=shape))[()] for _ in range(4)]
+        for a, b in zip(_log_sum_stacked(rows), _log_sum(rows)):
+            assert _same_bits(a, b)
 
 
 # ---------------------------------------------------------------------------

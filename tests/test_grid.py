@@ -1,7 +1,10 @@
+import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from expdyn import (
     BadSigma,
@@ -93,6 +96,30 @@ def test_tile_at_partition_and_invariant(cosh3):
         assert tile_side_ok(t, cosh3.d, tiling.sigma)
     with pytest.raises(ValueError):
         tiling.tile_at(1.0)
+
+
+def test_tiling_refuses_tiles_finer_than_doubles(sin3):
+    # For sin_z3 the grid of the leaf at r_hi is spaced at least
+    # 64 ulp(r_hi) while r_hi < 4096.
+    Tiling(sin3, 10.0, 1e3)
+    Tiling(sin3, 10.0, 4000.0)
+    for r_hi in (1e4, 1e5, 1e100):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finer than doubles"):
+                Tiling(sin3, 10.0, r_hi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    r_hi=st.floats(20.0, 4095.0),
+    u=st.floats(0.0, 1.0),
+    theta=st.floats(0.0, 2.0 * math.pi),
+)
+def test_tile_at_contains_z_up_to_the_limit(sin3, r_hi, u, theta):
+    z = (10.0 + u * (r_hi - 10.0)) * cmath.exp(1j * theta)
+    assume(10.0 <= abs(z) <= r_hi)
+    assert Tiling(sin3, 10.0, r_hi).tile_at(z).contains(z)
 
 
 def test_tile_at_deterministic_and_disjoint(cosh3):

@@ -1,7 +1,9 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from expdyn import (
     ESCAPE_CERTIFIED,
@@ -211,6 +213,35 @@ def test_symmetries_bitwise(sin3, sinz):
             assert np.array_equal(base[key], neg[key])
             assert np.array_equal(base[key], conj[key])
     assert classify_batch(sinz, pts)["trapped"].any()
+
+
+# Frequencies with equal moduli and conjugate or opposite arguments tie in
+# |b_j| cos(dphi + arg b_j) at symmetric dphi.
+_FREQS = [1 + 0j, -1 + 0j, 1j, -1j, cmath.exp(0.5j), cmath.exp(-0.5j), 2 + 1j, 0.3 - 0.7j]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    freqs=st.lists(st.sampled_from(_FREQS), min_size=1, max_size=4, unique=True),
+    dphi=st.lists(
+        st.sampled_from([0.0, -0.0, math.pi, -math.pi, math.pi / 2, 1.0, math.nan, math.inf, -math.inf])
+        | st.floats(-1e6, 1e6),
+        min_size=1,
+        max_size=6,
+    ),
+)
+def test_tower_term_selection_matches_argmax(freqs, dphi):
+    f = ExpPoly(3, [ExpPolyTerm(Poly([1]), b) for b in freqs])
+    dphi = np.array(dphi)
+    beta = np.array([cmath.phase(b) for b in freqs])
+    abs_b = np.array([abs(b) for b in freqs])
+    with np.errstate(invalid="ignore"):
+        cj = abs_b[:, None] * np.cos(dphi[None, :] + beta[:, None])
+        mj = np.argmax(cj, axis=0)
+        want_c = np.take_along_axis(cj, mj[None, :], axis=0)[0]
+        got_c, got_beta = orbits._dominant_growth(f, dphi)
+    assert got_c.tobytes() == want_c.tobytes()
+    assert got_beta.tobytes() == beta[mj].tobytes()
 
 
 def test_far_start_is_not_read_as_bounded(sin3):
