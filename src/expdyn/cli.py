@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ExpDynError
-from .exceptional import c1_constant, e2_measure, in_E_mask, write_e2_csv
+from .exceptional import c1_constant, e2_measure, in_E_mask
 from .funcs import (
     ExpPoly,
     bundled_function,
@@ -29,6 +29,7 @@ from .funcs import (
     load_function,
 )
 from .grid import (
+    DENSITY_COLUMNS,
     Tiling,
     annulus_tail_bound,
     band_measure_bound,
@@ -37,7 +38,6 @@ from .grid import (
     koebe_distortion_factor,
     square_density_bound,
     tile_side_ok,
-    write_density_csv,
 )
 from .measure import (
     CounterexampleParams,
@@ -45,10 +45,10 @@ from .measure import (
     b_measure_closed_form,
     b_measure_quadrature,
     counterexample_check,
-    write_annulus_csv,
 )
 from .orbits import ClassifyParams, classify_batch
 from .raster import Viewport, render_classification, render_exceptional, write_ppm
+from .report import write_csv, write_json
 from .towers import TowerMag, tower_compare
 
 BUNDLED = ("sin_z", "sin_z2", "sin_z3", "example_h")
@@ -105,12 +105,10 @@ def _viewport(args) -> Viewport:
 
 
 def _emit(args, payload: dict):
-    text = json.dumps(payload, indent=2)
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        write_json(args.out, payload)
     else:
-        print(text)
+        print(json.dumps(payload, indent=2))
 
 
 def build_parser() -> _Parser:
@@ -202,17 +200,18 @@ def _cmd_e2measure(args) -> int:
     f = _load_fn(args)
     val = e2_measure(f, args.r_min, args.r_max, args.nr, args.ntheta)
     if args.out:
-        write_e2_csv(args.out, [(args.r_min, args.r_max, args.nr, args.ntheta, val)])
+        row = (args.r_min, args.r_max, args.nr, args.ntheta, val)
+        write_csv(args.out, ("r_lo", "r_hi", "nr", "ntheta", "measure"), [row])
     print(json.dumps({"r_min": args.r_min, "r_max": args.r_max, "measure": val}))
     return 0
 
 
 def _cmd_annulus_scan(args) -> int:
     f = _load_fn(args)
-    rep = annulus_scan(f, args.r, args.samples, _classify_params(args), seed=args.seed)
+    row = annulus_scan(f, args.r, args.samples, _classify_params(args), seed=args.seed).to_dict()
     if args.out:
-        write_annulus_csv(args.out, [rep])
-    print(json.dumps(rep.to_dict(), indent=2))
+        write_csv(args.out, list(row), [list(row.values())])
+    print(json.dumps(row, indent=2))
     return 0
 
 
@@ -226,7 +225,7 @@ def _cmd_grid_bound(args) -> int:
         if tile is not None:
             reports.append(square_density_bound(f, tile, args.alpha))
     if args.out:
-        write_density_csv(args.out, reports)
+        write_csv(args.out, DENSITY_COLUMNS, [list(rep.to_dict().values()) for rep in reports])
     print(
         json.dumps(
             {

@@ -9,7 +9,6 @@ pair, with nu = d - 5/2.
 from __future__ import annotations
 
 import cmath
-import csv
 import math
 from dataclasses import dataclass
 
@@ -30,7 +29,6 @@ __all__ = [
     "c1_constant",
     "dist_to_E1_measured",
     "e2_measure",
-    "write_e2_csv",
 ]
 
 DEFAULT_VALIDITY_RADIUS = 50.0
@@ -349,12 +347,3 @@ def e2_measure(
     for o, r in zip(occ, radii):
         total += o * r * dr
     return total
-
-
-def write_e2_csv(path, rows):
-    """Write (r_lo, r_hi, nr, ntheta, measure) rows as CSV."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["r_lo", "r_hi", "nr", "ntheta", "measure"])
-        for row in rows:
-            writer.writerow(list(row))

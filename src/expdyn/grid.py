@@ -14,9 +14,8 @@ and explicit enumeration is only offered for small windows.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -39,7 +38,6 @@ __all__ = [
     "nested_measure_bound",
     "annulus_tail_bound",
     "band_measure_bound",
-    "write_density_csv",
 ]
 
 SQRT2 = math.sqrt(2.0)
@@ -81,9 +79,7 @@ class SquareTile:
 
     def max_abs_z(self) -> float:
         """Distance from the origin to the farthest corner."""
-        dx = max(abs(self.x0), abs(self.x1))
-        dy = max(abs(self.y0), abs(self.y1))
-        return math.hypot(dx, dy)
+        return _max_abs_z(self.center.real, self.center.imag, self.side)
 
     def contains(self, z: complex) -> bool:
         """Half-open membership matching the quadtree descent convention."""
@@ -91,14 +87,6 @@ class SquareTile:
 
     def contains_closed(self, z: complex) -> bool:
         return self.x0 <= z.real <= self.x1 and self.y0 <= z.imag <= self.y1
-
-    def corners(self):
-        return [
-            complex(self.x0, self.y0),
-            complex(self.x1, self.y0),
-            complex(self.x1, self.y1),
-            complex(self.x0, self.y1),
-        ]
 
     def boundary_points(self, per_side: int = 4) -> np.ndarray:
         """per_side points on each edge (corners included once), CCW order."""
@@ -137,13 +125,23 @@ def _check_sigma(f: ExpPoly, sigma: float) -> float:
     return sigma
 
 
+def _max_abs_z(cx: float, cy: float, side: float) -> float:
+    """Distance from the origin to the farthest corner of the square."""
+    h = side / 2.0
+    return math.hypot(max(abs(cx - h), abs(cx + h)), max(abs(cy - h), abs(cy + h)))
+
+
+def _side_upper(cx: float, cy: float, side: float, d: int, sigma: float) -> float:
+    """Largest admissible side, sigma / (sqrt2 max_S |z|^(d-1)), of a square."""
+    mx = _max_abs_z(cx, cy, side)
+    return sigma / (SQRT2 * mx ** (d - 1)) if mx > 0 else math.inf
+
+
 def side_bounds(tile: SquareTile, d: int, sigma: float):
     """(lower, upper) admissible side lengths for this tile's location."""
     mn = tile.min_abs_z()
-    mx = tile.max_abs_z()
     lo = math.inf if mn == 0.0 else sigma / (4.0 * SQRT2 * mn ** (d - 1))
-    hi = sigma / (SQRT2 * mx ** (d - 1)) if mx > 0 else math.inf
-    return lo, hi
+    return lo, _side_upper(tile.center.real, tile.center.imag, tile.side, d, sigma)
 
 
 def tile_side_ok(tile: SquareTile, d: int, sigma: float) -> bool:
@@ -188,21 +186,27 @@ class Tiling:
             )
 
     def _needs_split(self, tile: SquareTile) -> bool:
-        _, hi = side_bounds(tile, self.f.d, self.sigma)
-        return tile.side > hi
+        return tile.side > _side_upper(tile.center.real, tile.center.imag, tile.side, self.f.d, self.sigma)
 
     def tile_at(self, z: complex) -> SquareTile:
-        """The unique leaf containing z (half-open edges, deterministic)."""
+        """The unique leaf containing z (half-open edges, deterministic).
+
+        The descent runs on the centre and side as floats and builds the
+        leaf's SquareTile only at the end.
+        """
         z = complex(z)
         if not (self.r_lo <= abs(z) <= self.r_hi):
             raise ValueError(f"|z|={abs(z):.6g} outside [{self.r_lo}, {self.r_hi}]")
-        t = self.root
-        while self._needs_split(t):
-            q = t.side / 4.0
-            sx = 1 if z.real >= t.center.real else -1
-            sy = 1 if z.imag >= t.center.imag else -1
-            t = SquareTile(t.center + complex(sx * q, sy * q), t.side / 2.0, t.level + 1)
-        return t
+        d, sigma = self.f.d, self.sigma
+        cx = cy = 0.0
+        side, level = self.root.side, 0
+        while side > _side_upper(cx, cy, side, d, sigma):
+            q = side / 4.0
+            cx += q if z.real >= cx else -q
+            cy += q if z.imag >= cy else -q
+            side /= 2.0
+            level += 1
+        return SquareTile(complex(cx, cy), side, level)
 
     def _overlaps_annulus(self, tile: SquareTile) -> bool:
         return tile.min_abs_z() <= self.r_hi and tile.max_abs_z() >= self.r_lo
@@ -330,23 +334,16 @@ class DensityReport:
         return math.exp(self.density_upper_log) if self.density_upper_log < 709 else math.inf
 
     def to_dict(self):
-        return {
-            "center_re": self.square.center.real,
-            "center_im": self.square.center.imag,
-            "side": self.square.side,
-            "level": self.square.level,
-            "min_abs_z": self.min_abs_z,
-            "max_abs_z": self.max_abs_z,
-            "min_fprime_log": self.min_fprime_log,
-            "max_fprime_log": self.max_fprime_log,
-            "lipschitz_slack_log": self.lipschitz_slack_log,
-            "meas_fS_lower_log": self.meas_fS_lower_log,
-            "boundary_length_upper_log": self.boundary_length_upper_log,
-            "band_measure_upper_log": self.band_measure_upper_log,
-            "e2_contrib": self.e2_contrib,
-            "density_upper_log": self.density_upper_log,
-            "asymptotic_bound": self.asymptotic_bound,
-        }
+        """The report keyed by DENSITY_COLUMNS: the square's geometry, then the other fields."""
+        sq = self.square
+        head = (sq.center.real, sq.center.imag, sq.side, sq.level)
+        return dict(zip(DENSITY_COLUMNS, head + tuple(getattr(self, k) for k in DENSITY_COLUMNS[4:])))
+
+
+# The columns of a density report row, as grid-bound writes them.
+DENSITY_COLUMNS = ("center_re", "center_im", "side", "level") + tuple(
+    f.name for f in fields(DensityReport) if f.name != "square"
+)
 
 
 def _log_extrema_fprime(f: ExpPoly, tile: SquareTile):
@@ -457,15 +454,3 @@ def band_measure_bound(length: float, s: float) -> float:
     if not (0.0 < s < length):
         raise DomainError("need 0 < s < length")
     return 4.5 * math.pi * s * length
-
-
-def write_density_csv(path, reports):
-    rows = [r.to_dict() for r in reports]
-    if not rows:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.write("")
-        return
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-        writer.writeheader()
-        writer.writerows(rows)

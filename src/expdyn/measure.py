@@ -12,8 +12,6 @@ non-escaping set of infinite measure.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 
@@ -44,8 +42,6 @@ __all__ = [
     "b_wedge_increment",
     "counterexample_check",
     "headline_summary",
-    "write_annulus_csv",
-    "write_summary_json",
 ]
 
 _E = math.e
@@ -255,31 +251,3 @@ def headline_summary(
         "samples": samples,
         "seed": seed,
     }
-
-
-def write_annulus_csv(path, reports):
-    """Write AnnulusReport rows as CSV (columns per docs/measure_schema.md)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(
-            fh,
-            fieldnames=[
-                "r",
-                "samples",
-                "frac_escape",
-                "frac_nonescape",
-                "frac_undetermined",
-                "e2_fraction",
-                "estimated_nonescape_measure",
-                "seed",
-            ],
-        )
-        writer.writeheader()
-        for rep in reports:
-            writer.writerow(rep.to_dict())
-
-
-def write_summary_json(path, summary: dict):
-    data = dict(summary)
-    data["rows"] = [rep.to_dict() for rep in summary["rows"]]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2)

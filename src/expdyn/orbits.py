@@ -29,7 +29,6 @@ budget gives.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass, field
@@ -50,7 +49,8 @@ from .funcs import (
     eval_log_batch,
     wrap_phase,
 )
-from .towers import LIFT, TowerMag, _tower_add_const, _tower_scale, tower_exp, tower_log, tower_pow
+from .report import write_csv
+from .towers import TowerMag, _canon_arrays, _tower_add_const, _tower_scale, tower_exp, tower_log, tower_pow
 
 __all__ = [
     "ClassifyParams",
@@ -78,6 +78,9 @@ _TAG_TABLE = np.array([UNDETERMINED, ESCAPE_CERTIFIED, NON_ESCAPE_OBSERVED], dty
 TAIL_STEPS = 16
 # Beyond this iterated-exp depth an uncertified orbit is given up on.
 MAX_DEPTH = 6
+# The columns of write_orbit_csv: re, im of z in direct mode; val, phase with
+# |z| = exp^depth(val) in tower mode.
+ORBIT_COLUMNS = ("step", "re", "im", "val", "phase", "depth", "tag")
 
 
 @dataclass(frozen=True)
@@ -471,18 +474,6 @@ def _fast_ladder(f: ExpPoly, escape_radius: float, max_iter: int):
 # Classification engine
 
 
-def _canon_arrays(depth, val):
-    """Canonicalize (depth, value) pairs in place, so lexicographic order is
-    the real order; returns them."""
-    while True:
-        m = (depth > 0) & (val <= LIFT)
-        if not m.any():
-            break
-        val[m] = np.exp(val[m])
-        depth[m] -= 1
-    return depth, val
-
-
 def _tower_ge(d1, v1, d2, v2):
     return (d1 > d2) | ((d1 == d2) & (v1 >= v2))
 
@@ -743,58 +734,44 @@ def classify_batch(f: ExpPoly, points, p: ClassifyParams | None = None, record: 
     return out
 
 
-def _final_abs_tower(res, i=0) -> TowerMag:
-    if res["final_mode"][i] == 0:
-        return TowerMag(0, float(np.abs(res["final_val"][i])))
-    return TowerMag(int(res["final_depth"][i]), float(res["final_val"][i]))
+def _orbit_walk(f: ExpPoly, z0: complex, p: ClassifyParams):
+    """Classify the single point z0 with a trace; returns (OrbitClass, walk).
+
+    walk has one record (step, z, depth, val, phase, certified) per state
+    from z0 on: z is the point in direct mode and None in tower mode, where
+    |z| = exp^depth(val).
+    """
+    res = classify_batch(f, [z0], p, record=True)
+    oc = OrbitClass(tag=str(res["tag"][0]), steps=int(res["steps"][0]), fast_escape=bool(res["fast_escape"][0]))
+    walk = [(0, z0, 0, None, None, False)]
+    for rec in res["trace"]:
+        z = rec["z"][0] if rec["mode"][0] == 0 else None
+        walk.append((rec["step"], z, rec["depth"][0], rec["val"][0], rec["phase"][0], bool(rec["cond"][0])))
+    return oc, walk
 
 
 def classify_orbit(f: ExpPoly, z0: complex, p: ClassifyParams | None = None) -> OrbitClass:
     """Classify a single orbit, with certificate diagnostics attached."""
-    if p is None:
-        p = ClassifyParams()
-    res = classify_batch(f, [complex(z0)], p, record=True)
-    tag = str(res["tag"][0])
-    diagnostics = {"last_abs": _final_abs_tower(res)}
+    oc, walk = _orbit_walk(f, complex(z0), p or ClassifyParams())
+    mags = [TowerMag(0, abs(z)) if z is not None else TowerMag(int(dep), float(val)) for _, z, dep, val, _, _ in walk]
+    oc.diagnostics["last_abs"] = mags[-1]
     try:
-        diagnostics["last_sixsmith"] = sixsmith_quantity(f, z0)
+        oc.diagnostics["last_sixsmith"] = sixsmith_quantity(f, z0)
     except ZeroValue:
-        diagnostics["last_sixsmith"] = None
-    cert_trace = []
-    prev_abs = TowerMag(0, abs(complex(z0)))
-    for rec in res["trace"]:
-        if rec["mode"][0] == 0:
-            cur = TowerMag(0, float(np.abs(rec["z"][0])))
-        else:
-            dep = int(rec["depth"][0])
-            cur = TowerMag(dep, float(rec["val"][0])) if dep else TowerMag(0, float(rec["val"][0]))
-        cert_trace.append(
-            {"step": rec["step"], "abs_before": prev_abs, "abs_after": cur, "certified": bool(rec["cond"][0])}
-        )
-        prev_abs = cur
-    diagnostics["cert_trace"] = cert_trace
-    return OrbitClass(
-        tag=tag,
-        steps=int(res["steps"][0]),
-        fast_escape=bool(res["fast_escape"][0]),
-        diagnostics=diagnostics,
-    )
+        oc.diagnostics["last_sixsmith"] = None
+    oc.diagnostics["cert_trace"] = [
+        {"step": w[0], "abs_before": before, "abs_after": after, "certified": w[5]}
+        for w, before, after in zip(walk[1:], mags, mags[1:])
+    ]
+    return oc
 
 
 def write_orbit_csv(f: ExpPoly, z0: complex, p: ClassifyParams, path) -> OrbitClass:
-    """Iterate one orbit and export its trace as CSV."""
-    res = classify_batch(f, [complex(z0)], p, record=True)
-    tag = str(res["tag"][0])
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "re", "im", "logmod", "phase", "depth", "tag"])
-        writer.writerow([0, complex(z0).real, complex(z0).imag, "", "", 0, tag])
-        for rec in res["trace"]:
-            if rec["mode"][0] == 0:
-                zz = rec["z"][0]
-                writer.writerow([rec["step"], zz.real, zz.imag, "", "", 0, tag])
-            else:
-                writer.writerow(
-                    [rec["step"], "", "", rec["val"][0], rec["phase"][0], rec["depth"][0], tag]
-                )
-    return OrbitClass(tag=tag, steps=int(res["steps"][0]), fast_escape=bool(res["fast_escape"][0]))
+    """Iterate one orbit and export its trace as CSV, one row per state."""
+    oc, walk = _orbit_walk(f, complex(z0), p)
+    rows = [
+        (step, z.real, z.imag, "", "", dep, oc.tag) if z is not None else (step, "", "", val, phase, dep, oc.tag)
+        for step, z, dep, val, phase, _ in walk
+    ]
+    write_csv(path, ORBIT_COLUMNS, rows)
+    return oc

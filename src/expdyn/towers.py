@@ -13,9 +13,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = ["TowerMag", "tower_compare", "tower_log", "tower_exp", "tower_pow"]
 
 LIFT = 690.0
+
+
+def _canon_arrays(depth, val):
+    """Canonicalize (depth, value) pairs in place, so lexicographic order is
+    the real order; returns them."""
+    while True:
+        m = (depth > 0) & (val <= LIFT)
+        if not m.any():
+            break
+        val[m] = np.exp(val[m])
+        depth[m] -= 1
+    return depth, val
 
 
 @dataclass(frozen=True)
@@ -29,11 +43,9 @@ class TowerMag:
             raise ValueError("depth must be non-negative")
         if not math.isfinite(value):
             raise ValueError("value must be finite")
-        while depth > 0 and value <= LIFT:
-            value = math.exp(value)
-            depth -= 1
-        object.__setattr__(self, "depth", depth)
-        object.__setattr__(self, "value", value)
+        depth, value = _canon_arrays(np.array([depth]), np.array([value]))
+        object.__setattr__(self, "depth", int(depth[0]))
+        object.__setattr__(self, "value", float(value[0]))
 
     def _key(self):
         return (self.depth, self.value)

@@ -183,7 +183,9 @@ def test_e2measure_with_csv(capsys, tmp_path):
     )
     assert code == 0
     assert json.loads(out)["measure"] > 0
-    assert out_path.read_text().startswith("r_lo,")
+    lines = out_path.read_text().splitlines()
+    assert lines[0] == "r_lo,r_hi,nr,ntheta,measure"
+    assert len(lines) == 2
 
 
 def test_annulus_scan_seeded(capsys, tmp_path):
@@ -236,6 +238,19 @@ def test_grid_bound(capsys, tmp_path):
     assert rep["found"] >= 1
     assert all(v < 0 for v in rep["density_upper_log"])
     assert out_path.read_text().splitlines()[0].startswith("center_re,")
+
+
+def test_grid_bound_empty_report_has_header(capsys, tmp_path):
+    out_path = tmp_path / "g.csv"
+    code, out, _ = run(
+        capsys, "grid-bound", "--fn", "sin_z3", "--r-lo", "10", "--r-hi", "20", "--count", "0", "--out", str(out_path)
+    )
+    assert code == 0 and json.loads(out)["found"] == 0
+    assert out_path.read_text().splitlines() == [
+        "center_re,center_im,side,level,min_abs_z,max_abs_z,min_fprime_log,max_fprime_log,"
+        "lipschitz_slack_log,meas_fS_lower_log,boundary_length_upper_log,band_measure_upper_log,"
+        "e2_contrib,density_upper_log,asymptotic_bound"
+    ]
 
 
 @pytest.mark.parametrize(

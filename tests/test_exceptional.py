@@ -27,7 +27,7 @@ from expdyn import (
     r0_bound,
 )
 from expdyn import exceptional
-from expdyn.exceptional import ExceptionalParams, _disc_clear, _far_member, _pair_polys, write_e2_csv
+from expdyn.exceptional import ExceptionalParams, _disc_clear, _far_member, _pair_polys
 from expdyn.grid import SquareTile, good_square_threshold
 from expdyn.measure import _annulus_points
 
@@ -375,14 +375,6 @@ def test_pair_polys_do_not_keep_function_alive():
     del f
     gc.collect()
     assert ref() is None
-
-
-def test_write_csv(tmp_path):
-    path = tmp_path / "e2.csv"
-    write_e2_csv(path, [(10, 20, 32, 4096, 0.85)])
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "r_lo,r_hi,nr,ntheta,measure"
-    assert len(lines) == 2
 
 
 def test_three_pair_function():

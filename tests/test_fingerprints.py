@@ -29,6 +29,8 @@ from expdyn import (
     classify_batch,
     eval_log_batch,
 )
+from expdyn.cli import main
+from expdyn.orbits import write_orbit_csv
 
 RADII = (1.0, 2.0, 5.0, 10.0, 20.0, 40.0, 1e3, 1e10, 1e50, 1e120, 1e200)
 # Axis angles (ties between terms) and generic ones.
@@ -193,3 +195,54 @@ def test_engine_fingerprints(name):
     assert sorted(got) == sorted(want)
     bad = [k for k in want if got[k] != want[k]]
     assert not bad, f"{name}: outputs changed in {bad}"
+
+
+# ---------------------------------------------------------------------------
+# Report files: sha256 of the --out file of each report command, and of the
+# body rows (all but the header) of two orbit traces, one that stays in
+# direct mode and one that reaches tower depth 3.
+
+CLI_FILES = {
+    "e2measure": (
+        ["e2measure", "--fn", "sin_z3", "--r-min", "10", "--r-max", "20", "--nr", "16", "--ntheta", "256"],
+        "5218d1384b1d6ea69d1bdcaa8eecbeb33c3186f22b4bdabfe8a57f7f7fafcb7c",
+    ),
+    "annulus-scan": (
+        ["annulus-scan", "--fn", "sin_z3", "--r", "5", "--samples", "500"],
+        "897b358b11ee85bb6e767cb227f64ff5a25213400a654f26df486a33df91aeef",
+    ),
+    "grid-bound": (
+        ["grid-bound", "--fn", "sin_z3", "--r-lo", "10", "--r-hi", "20", "--count", "3"],
+        "b388beebe2f544b87b0772b1802e60a3190564e0d6b99e24e26d35bb6230bf87",
+    ),
+}
+
+ORBIT_BODIES = {
+    "sin_z3 depth 0": (
+        lambda: bundled_function("sin_z3"),
+        2.0 + 0.1j,
+        "441a4e965a0718d3ac770707b92d3dcf2f08db177d985fab686a7b4a9adaf394",
+    ),
+    "cosh3 depth 3": (
+        lambda: ExpPoly(3, [ExpPolyTerm(Poly([1]), 1 + 0j), ExpPolyTerm(Poly([1]), -1 + 0j)]),
+        3.0 + 0.1j,
+        "d410e5ac7eddd0e023aee371df9e08f0ceda9f720685da1749f0fc65ef4503fa",
+    ),
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(CLI_FILES))
+def test_report_file_fingerprints(cmd, tmp_path, capsys):
+    argv, want = CLI_FILES[cmd]
+    path = tmp_path / "out.csv"
+    assert main([*argv, "--out", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == want
+
+
+@pytest.mark.parametrize("case", sorted(ORBIT_BODIES))
+def test_orbit_csv_body_fingerprints(case, tmp_path):
+    make, z0, want = ORBIT_BODIES[case]
+    path = tmp_path / "orbit.csv"
+    write_orbit_csv(make(), z0, ClassifyParams(), path)
+    body = path.read_bytes().split(b"\r\n", 1)[1]
+    assert hashlib.sha256(body).hexdigest() == want

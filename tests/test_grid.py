@@ -14,6 +14,7 @@ from expdyn import (
     annulus_tail_bound,
     band_measure_bound,
     build_tiling,
+    bundled_function,
     default_sigma,
     distortion_constant_C2,
     good_square_near,
@@ -120,6 +121,36 @@ def test_tile_at_contains_z_up_to_the_limit(sin3, r_hi, u, theta):
     z = (10.0 + u * (r_hi - 10.0)) * cmath.exp(1j * theta)
     assume(10.0 <= abs(z) <= r_hi)
     assert Tiling(sin3, 10.0, r_hi).tile_at(z).contains(z)
+
+
+def _reference_tile_at(tiling, z):
+    """The quadtree descent built from SquareTile objects: the reference for tile_at."""
+    t = tiling.root
+    while t.side > tiling.sigma / (math.sqrt(2.0) * t.max_abs_z() ** (tiling.f.d - 1)):
+        q = t.side / 4.0
+        sx = 1 if z.real >= t.center.real else -1
+        sy = 1 if z.imag >= t.center.imag else -1
+        t = SquareTile(t.center + complex(sx * q, sy * q), t.side / 2.0, t.level + 1)
+    return t
+
+
+_TILINGS = {}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    case=st.sampled_from([("sin_z3", 10.0, 20.0), ("sin_z3", 100.0, 200.0), ("example_h", 10.0, 4000.0)]),
+    u=st.floats(0.0, 1.0),
+    theta=st.floats(-math.pi, math.pi),
+)
+def test_tile_at_matches_reference_descent(case, u, theta):
+    if case not in _TILINGS:
+        name, lo, hi = case
+        _TILINGS[case] = Tiling(bundled_function(name), lo, hi)
+    tiling = _TILINGS[case]
+    z = (tiling.r_lo + u * (tiling.r_hi - tiling.r_lo)) * cmath.exp(1j * theta)
+    assume(tiling.r_lo <= abs(z) <= tiling.r_hi)
+    assert tiling.tile_at(z) == _reference_tile_at(tiling, z)
 
 
 def test_tile_at_deterministic_and_disjoint(cosh3):

@@ -17,7 +17,7 @@ from expdyn import (
     counterexample_check,
     headline_summary,
 )
-from expdyn.measure import _annulus_points, write_annulus_csv, write_summary_json
+from expdyn.measure import _annulus_points
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +146,7 @@ def test_counterexample_deterministic(h_example):
 
 
 # ---------------------------------------------------------------------------
-# Headline summary and serialization
+# Headline summary
 
 
 def test_headline_summary_decreasing(sin3):
@@ -164,21 +164,3 @@ def test_headline_summary_decreasing(sin3):
 def test_headline_summary_empty(sin3):
     s = headline_summary(sin3, [], samples=10)
     assert s["rows"] == [] and s["cumulative_best"] == []
-
-
-def test_csv_and_json_outputs(tmp_path, sin3):
-    rep = annulus_scan(sin3, 5.0, 500, seed=0)
-    csv_path = tmp_path / "ann.csv"
-    write_annulus_csv(csv_path, [rep])
-    lines = csv_path.read_text().strip().splitlines()
-    assert lines[0].split(",")[0] == "r"
-    assert len(lines) == 2
-
-    s = headline_summary(sin3, [5.0], samples=200, seed=0)
-    json_path = tmp_path / "summary.json"
-    write_summary_json(json_path, s)
-    import json
-
-    data = json.loads(json_path.read_text())
-    assert data["radii"] == [5.0]
-    assert data["rows"][0]["samples"] == 200

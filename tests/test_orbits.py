@@ -375,8 +375,16 @@ def test_write_orbit_csv(tmp_path, cosh3):
     res = write_orbit_csv(cosh3, 60.0, ClassifyParams(), path)
     assert res.tag == ESCAPE_CERTIFIED
     lines = path.read_text().strip().splitlines()
-    assert lines[0].startswith("step,")
+    assert lines[0] == "step,re,im,val,phase,depth,tag"
     assert len(lines) >= 3
+
+
+def test_write_orbit_csv_non_finite_start(tmp_path, cosh3):
+    # An orbit that never starts still gets its row 0.
+    path = tmp_path / "orbit.csv"
+    res = write_orbit_csv(cosh3, complex(math.nan, 0.0), ClassifyParams(), path)
+    assert res.tag == UNDETERMINED and res.steps == 0
+    assert path.read_text().splitlines() == ["step,re,im,val,phase,depth,tag", "0,nan,0.0,,,0,Undetermined"]
 
 
 def test_final_abs_tower_scales(cosh3):

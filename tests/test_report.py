@@ -1,0 +1,20 @@
+import json
+
+from expdyn.report import write_csv, write_json
+
+
+def test_write_csv_header_without_rows(tmp_path):
+    path = tmp_path / "r.csv"
+    write_csv(path, ("a", "b"), [])
+    assert path.read_bytes() == b"a,b\r\n"
+    write_csv(path, ("a", "b"), [(1, 2.5), ("", "x")])
+    assert path.read_bytes() == b"a,b\r\n1,2.5\r\n,x\r\n"
+
+
+def test_write_json_indent_and_newline(tmp_path):
+    data = {"radii": [5.0], "rows": [{"samples": 200}]}
+    path = tmp_path / "r.json"
+    write_json(path, data)
+    text = path.read_text()
+    assert text == json.dumps(data, indent=2) + "\n"
+    assert json.loads(text) == data

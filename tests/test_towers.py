@@ -98,3 +98,23 @@ def test_order_total_on_canonical(d1, v1, d2, v2):
     assert c == -tower_compare(b, a)
     if c == 0:
         assert a._key() == b._key()
+
+
+def test_ladder_builds_only_canonical_values(monkeypatch):
+    # The fast-escape ladder never hands TowerMag a form that needs an exp,
+    # so the canonicaliser's exp cannot move a bit of a classification.
+    from expdyn import bundled_function, iterate_max_modulus, towers
+    from expdyn.orbits import MAX_DEPTH
+
+    seen = []
+
+    def spy(depth, val):
+        seen.append(bool(((depth > 0) & (val <= LIFT)).any()))
+        return canon(depth, val)
+
+    canon = towers._canon_arrays
+    monkeypatch.setattr(towers, "_canon_arrays", spy)
+    for name in ("sin_z", "sin_z2", "sin_z3", "example_h"):
+        for radius in (20.0, 50.0):
+            assert iterate_max_modulus(bundled_function(name), radius, 513, max_depth=MAX_DEPTH + 1)
+    assert seen and not any(seen)
