@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ExpDynError
-from .exceptional import c1_constant, e2_measure, in_E_mask
+from .exceptional import E2_COLUMNS, c1_constant, e2_measure, in_E_mask
 from .funcs import (
     ExpPoly,
     bundled_function,
@@ -201,7 +201,7 @@ def _cmd_e2measure(args) -> int:
     val = e2_measure(f, args.r_min, args.r_max, args.nr, args.ntheta)
     if args.out:
         row = (args.r_min, args.r_max, args.nr, args.ntheta, val)
-        write_csv(args.out, ("r_lo", "r_hi", "nr", "ntheta", "measure"), [row])
+        write_csv(args.out, E2_COLUMNS, [row])
     print(json.dumps({"r_min": args.r_min, "r_max": args.r_max, "measure": val}))
     return 0
 

@@ -347,3 +347,7 @@ def e2_measure(
     for o, r in zip(occ, radii):
         total += o * r * dr
     return total
+
+
+# The columns of an e2 report row, as e2measure writes them.
+E2_COLUMNS = ("r_lo", "r_hi", "nr", "ntheta", "measure")

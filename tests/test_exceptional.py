@@ -27,9 +27,10 @@ from expdyn import (
     r0_bound,
 )
 from expdyn import exceptional
-from expdyn.exceptional import ExceptionalParams, _disc_clear, _far_member, _pair_polys
+from expdyn.exceptional import E2_COLUMNS, ExceptionalParams, _disc_clear, _far_member, _pair_polys
 from expdyn.grid import SquareTile, good_square_threshold
 from expdyn.measure import _annulus_points
+from expdyn.report import write_csv
 
 
 def test_params_require_d3(sinz):
@@ -375,6 +376,14 @@ def test_pair_polys_do_not_keep_function_alive():
     del f
     gc.collect()
     assert ref() is None
+
+
+def test_write_csv(tmp_path):
+    path = tmp_path / "e2.csv"
+    write_csv(path, E2_COLUMNS, [(10, 20, 32, 4096, 0.85)])
+    lines = path.read_text().strip().splitlines()
+    assert lines[0] == "r_lo,r_hi,nr,ntheta,measure"
+    assert len(lines) == 2
 
 
 def test_three_pair_function():
