@@ -104,11 +104,15 @@ def _viewport(args) -> Viewport:
     return Viewport.square(complex(args.center_re, args.center_im), args.half, args.px)
 
 
+def _print_json(payload: dict):
+    print(json.dumps(payload, indent=2))
+
+
 def _emit(args, payload: dict):
     if getattr(args, "out", None):
         write_json(args.out, payload)
     else:
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
 
 
 def build_parser() -> _Parser:
@@ -202,7 +206,7 @@ def _cmd_e2measure(args) -> int:
     if args.out:
         row = (args.r_min, args.r_max, args.nr, args.ntheta, val)
         write_csv(args.out, E2_COLUMNS, [row])
-    print(json.dumps({"r_min": args.r_min, "r_max": args.r_max, "measure": val}))
+    _print_json({"r_min": args.r_min, "r_max": args.r_max, "measure": val})
     return 0
 
 
@@ -211,7 +215,7 @@ def _cmd_annulus_scan(args) -> int:
     row = annulus_scan(f, args.r, args.samples, _classify_params(args), seed=args.seed).to_dict()
     if args.out:
         write_csv(args.out, list(row), [list(row.values())])
-    print(json.dumps(row, indent=2))
+    _print_json(row)
     return 0
 
 
@@ -226,16 +230,13 @@ def _cmd_grid_bound(args) -> int:
             reports.append(square_density_bound(f, tile, args.alpha))
     if args.out:
         write_csv(args.out, DENSITY_COLUMNS, [list(rep.to_dict().values()) for rep in reports])
-    print(
-        json.dumps(
-            {
-                "requested": args.count,
-                "found": len(reports),
-                "density_upper_log": [rep.density_upper_log for rep in reports],
-                "asymptotic_bound": [rep.asymptotic_bound for rep in reports],
-            },
-            indent=2,
-        )
+    _print_json(
+        {
+            "requested": args.count,
+            "found": len(reports),
+            "density_upper_log": [rep.density_upper_log for rep in reports],
+            "asymptotic_bound": [rep.asymptotic_bound for rep in reports],
+        }
     )
     return 0
 

@@ -1,4 +1,4 @@
-"""Adaptive square tiling of large annuli and certified density bounds.
+"""Adaptive square tiling of large annuli and image-density bounds.
 
 Squares are sized so that f is injective on each of them: the side s of a
 tile S must satisfy
@@ -306,7 +306,13 @@ def good_square_near(tiling: Tiling, r: float, n_angles: int = 96):
 
 @dataclass(frozen=True)
 class DensityReport:
-    """Certified ingredients of the image-density bound for one square.
+    """Ingredients of the image-density bound for one square.
+
+    Not a certificate, for two reasons.  min/max_fprime_log come from
+    sampling log|f'| on a 33x33 grid of the square, and the Lipschitz slack
+    from sampling max|f''| on an 8x8 grid: a sampled maximum is not a bound.
+    And grid-bound passes e2_budget = 0, so density_upper_log leaves out
+    the part of the image that meets the level-2 exceptional set.
 
     All *_log fields are natural logs; density_upper_log is kept in log form
     because the bound underflows doubles at realistic radii (|f'| is at the
@@ -380,6 +386,9 @@ def square_density_bound(
     boundary length <= 4 side max|f'|, the unit band around the image
     boundary has measure at most (9 pi / 2) times that length, and the
     uncovered part of f(S) is at most the band plus the e2_budget.
+
+    The result is not certified: its |f'| inputs are sampled, not bounded,
+    and grid-bound passes e2_budget = 0 (see DensityReport).
     """
     _check_alpha(alpha)
     mn_log, mx_log, slack = _log_extrema_fprime(f, S)

@@ -8,6 +8,10 @@ An annulus scan classifies a low-discrepancy sample of ann(r) = {r <= |z| <=
 whose radial measure density 2/(r log r) integrates to 2 (log log R -
 log log r0): finite truncations grow without bound, the model of a
 non-escaping set of infinite measure.
+
+SciPy is imported inside the functions that sample or integrate, so that
+importing expdyn, and every command that neither samples nor integrates,
+does not load it.
 """
 
 from __future__ import annotations
@@ -16,8 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
-from scipy.stats import qmc
 
 from .errors import DomainError
 from .exceptional import in_E_mask
@@ -93,6 +95,8 @@ class CounterexampleParams:
 
 def _annulus_points(r: float, samples: int, seed: int) -> np.ndarray:
     """Area-uniform low-discrepancy points of ann(r), deterministic per seed."""
+    from scipy.stats import qmc
+
     u = qmc.Halton(d=2, scramble=True, seed=seed).random(samples)
     rho = r * np.sqrt(1.0 + 3.0 * u[:, 0])
     theta = 2.0 * math.pi * u[:, 1]
@@ -150,6 +154,8 @@ def b_measure_quadrature(r0: float, R: float) -> float:
     """Numerical check of the wedge measure: integral of 2/(r log r)."""
     if r0 <= _E or R <= r0:
         raise DomainError("need e < r0 < R")
+    from scipy import integrate
+
     val, _ = integrate.quad(lambda r: 2.0 / (r * math.log(r)), r0, R, limit=200)
     return val
 
@@ -161,6 +167,8 @@ def b_wedge_increment(r: float) -> float:
 
 def _wedge_points(r0: float, R: float, samples: int, seed: int) -> np.ndarray:
     """Measure-proportional low-discrepancy sample of B with r in [r0, R]."""
+    from scipy.stats import qmc
+
     u = qmc.Halton(d=2, scramble=True, seed=seed).random(samples)
     v0, v1 = math.log(math.log(r0)), math.log(math.log(R))
     r = np.exp(np.exp(v0 + (v1 - v0) * u[:, 0]))

@@ -647,6 +647,15 @@ def classify_batch(f: ExpPoly, points, p: ClassifyParams | None = None, record: 
     depth beyond MAX_DEPTH) is retired at once: its results are scattered
     into the output arrays and it leaves the state.  Orbits still live after
     max_iter steps are retired by the trailing-run rule.
+
+    What EscapeCertified proves: cert_steps consecutive certified steps, of
+    two kinds.  A direct step checks the true z: |z| >= escape_radius, the
+    growth inequality log|f(z)| >= |z|^alpha, and (for d >= 3) that z is
+    outside the level-1 set.  A tower step checks growth only, and on the
+    dominant-term model log|z'| = c |z|^d, with c taken from the carried
+    phase, which is a proxy and not the argument of the true orbit; it runs
+    no level-1 check.  So a verdict whose run ends in tower mode rests on
+    the direct steps before it plus that model.
     """
     if p is None:
         p = ClassifyParams()

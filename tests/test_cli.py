@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -74,6 +79,49 @@ def test_malformed_function_file_exits_one(capsys, tmp_path, definition):
     code, out, err = run(capsys, "check", "--fn", str(path))
     assert code == 1 and err.startswith("error:")
     assert out == ""
+
+
+_SRC = Path(__file__).resolve().parents[1] / "src"
+
+_COLD_START = textwrap.dedent(
+    """
+    import contextlib, io, os, sys
+    import expdyn
+    from expdyn import cli
+
+    def run(*argv):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(list(argv)) == 0, argv
+
+    def scipy_modules():
+        return sorted(k for k in sys.modules if k == "scipy" or k.startswith("scipy."))
+
+    tmp = sys.argv[1]
+    run("check", "--fn", "sin_z3")
+    run("render", "--fn", "sin_z3", "--out", os.path.join(tmp, "r.ppm"), "--px", "16", "--threads", "1")
+    run("exceptional", "--fn", "sin_z3", "--out", os.path.join(tmp, "e.ppm"), "--px", "16")
+    run("e2measure", "--fn", "sin_z3", "--r-min", "10", "--r-max", "20", "--nr", "16", "--ntheta", "256")
+    run("grid-bound", "--fn", "sin_z3", "--r-lo", "10", "--r-hi", "20", "--count", "2")
+    assert not scipy_modules(), scipy_modules()[:5]
+    run("annulus-scan", "--fn", "sin_z3", "--r", "5", "--samples", "100")
+    assert "scipy.stats" in sys.modules
+    """
+)
+
+
+def test_scipy_loaded_only_by_sampling_commands(tmp_path):
+    # Importing SciPy's stats, special and integrate packages takes about a
+    # second; commands that neither sample nor integrate must not pay it.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(_SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_START, str(tmp_path)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_version_flag(capsys):
@@ -161,6 +209,22 @@ def test_exceptional_writes_ppm(capsys, tmp_path):
 
 # ---------------------------------------------------------------------------
 # numeric reports
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["e2measure", "--fn", "sin_z3", "--r-min", "10", "--r-max", "20", "--nr", "16", "--ntheta", "256"],
+        ["annulus-scan", "--fn", "sin_z3", "--r", "5", "--samples", "100"],
+        ["grid-bound", "--fn", "sin_z3", "--r-lo", "10", "--r-hi", "20", "--count", "2"],
+        ["check", "--fn", "sin_z3"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_stdout_json_is_indented_by_two(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 def test_e2measure_with_csv(capsys, tmp_path):
