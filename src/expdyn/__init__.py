@@ -3,7 +3,7 @@
 Functions of the form f(z) = sum_j Q_j(z) exp(b_j z^d + P_j(z)) are
 evaluated in overflow-safe log domain, their orbits classified with
 escape certificates, the sets where no single term dominates measured,
-large annuli tiled into injectivity-scale squares with certified image
+large annuli tiled into injectivity-scale squares with sampled image
 density bounds, and the results rendered and aggregated from the command
 line (`expdyn --help`).
 """

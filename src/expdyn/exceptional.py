@@ -32,8 +32,10 @@ __all__ = [
 ]
 
 DEFAULT_VALIDITY_RADIUS = 50.0
-# Relative rounding allowance of the disc test in dist_to_E1_measured.
+# Relative rounding allowance of the disc test _disc_clear.
 SLACK = 1e-9
+# e2_measure refuses level-2 spokes of half-width below 2^14 ulp(2 pi) rad.
+MIN_HALF_WIDTH = 2.0**14 * math.ulp(TWO_PI)
 
 
 @dataclass(frozen=True)
@@ -93,6 +95,19 @@ def _far_member(poly: Poly, Z, level: int, params: ExceptionalParams):
     return (acc == 0) | (np.log(np.abs(acc.real)) < rhs)
 
 
+def _margin(w: np.ndarray, expo: float, level: int) -> np.ndarray:
+    """|Re w| - level |w|^(nu/d): negative inside the level-l set.
+
+    At w = 0, where the inequality degenerates, it is -1, so the margin is
+    finite exactly where |w| is.  w is an array of at least one dimension.
+    Call it under np.errstate(divide="ignore"): log(0) is taken at w = 0.
+    """
+    aw = np.abs(w)
+    margin = np.abs(w.real) - level * np.exp(expo * np.log(aw))
+    margin[aw == 0] = -1.0
+    return margin
+
+
 def in_E_mask(f: ExpPoly, Z, level: int) -> np.ndarray:
     """Vectorized membership in the level-1 or level-2 exceptional set.
 
@@ -106,19 +121,19 @@ def in_E_mask(f: ExpPoly, Z, level: int) -> np.ndarray:
         raise ValueError("level must be 1 or 2")
     params = ExceptionalParams.for_function(f)
     Z = np.asarray(Z, dtype=complex)
-    member = np.zeros(Z.shape, dtype=bool)
+    flat = Z.reshape(-1)  # a 0-d Z would give numpy scalars, which take no item assignment
+    member = np.zeros(flat.shape, dtype=bool)
     expo = params.nu / params.d
     with np.errstate(divide="ignore", over="ignore", invalid="ignore", under="ignore"):
         for pp in _pair_polys(f):
-            w = pp.poly(Z)
-            aw = np.abs(w)
-            thresh = level * np.exp(expo * np.log(aw))
-            hit = np.where(aw == 0, True, np.abs(w.real) < thresh)
-            far = ~np.isfinite(aw)
+            w = pp.poly(flat)
+            margin = _margin(w, expo, level)
+            hit = margin < 0
+            far = ~np.isfinite(margin)
             if far.any():
-                hit[far] = _far_member(pp.poly, Z[far], level, params)
+                hit[far] = _far_member(pp.poly, flat[far], level, params)
             member |= hit
-    return member
+    return member.reshape(Z.shape)
 
 
 def in_E(f: ExpPoly, z: complex, level: int) -> bool:
@@ -144,11 +159,12 @@ def c1_constant(f: ExpPoly) -> float:
 def dist_to_E1_lower(
     f: ExpPoly, z: complex, validity_radius: float = DEFAULT_VALIDITY_RADIUS
 ) -> float:
-    """Certified lower bound C1 |z|^(-3/2) on the distance to the level-1 set.
+    """Lower bound C1 |z|^(-3/2) on the distance to the level-1 set.
 
-    Valid for z outside the level-2 set with |z| at least validity_radius;
-    the validity radius is a configuration knob certified empirically by the
-    test suite for the shipped d=3 functions.
+    For z outside the level-2 set the bound is proved only beyond a radius
+    r0 that this code does not compute.  validity_radius stands in for r0,
+    and its default of 50 is empirical: the test suite compares the bound
+    with ring-search distances for the shipped d = 3 functions.
     """
     z = complex(z)
     if in_E(f, z, 2):
@@ -160,23 +176,20 @@ def dist_to_E1_lower(
     return c1_constant(f) * abs(z) ** -1.5
 
 
-def _disc_clear(f: ExpPoly, z: np.ndarray, radius: float) -> bool:
+def _disc_clear(f: ExpPoly, c: complex, R: float) -> bool:
     """Whether the disc D(c, R) provably holds no level-1 point.
 
-    c is the mean of the points z and R = max|z - c| + radius.  With
-    rho = |c| + R, on D every pair polynomial moves from p(c) by at most
+    With rho = |c| + R, on D every pair polynomial moves from p(c) by at most
     m = R sum |p'_i| rho^i, so |Re p| >= |Re p(c)| - m and |p| <= |p(c)| + m
     there; as nu/d lies in (0, 1), |Re p(c)| - m > (|p(c)| + m)^(nu/d) rules
     the whole disc out.  SLACK widens m by a multiple of sum |p_i| rho^i and
     the threshold by a factor, which covers the rounding of Horner's rule, of
-    exp(log) in in_E_mask and of the ring sample points by many orders of
-    magnitude, so in_E_mask reads no sample point of D as a member either.
+    exp(log) in in_E_mask and of points sampled in D by many orders of
+    magnitude, so in_E_mask reads no such point as a member either.
     Anything not finite on the way means "not proven".
     """
     expo = ExceptionalParams.for_function(f).nu / f.d
     with np.errstate(over="ignore", invalid="ignore"):
-        c = complex(z.mean())
-        R = float(np.abs(z - c).max()) + radius
         rho = abs(c) + R
         for pp in _pair_polys(f):
             w = complex(pp.poly(c))
@@ -202,14 +215,8 @@ def dist_to_E1_measured(
     radius.  Returns the smallest sampled ring radius around any of them
     containing a level-1 point, 0 if a point is itself a member, and
     max_radius if nothing was found (a one-sided over-estimate, adequate for
-    checking lower bounds).
-
-    Before sampling any ring, a derivative bound tries to prove the disc
-    around the points that holds every ring free of the level-1 set
-    (_disc_clear); when it does, no ring point can be a member and the
-    result is max_radius without a ring evaluated.  Otherwise the rings are
-    sampled one by one; that loop is the only path that finds hits near
-    spokes.
+    checking lower bounds).  It measures and proves nothing: a proof that a
+    disc is clear is _disc_clear.
     """
     if not (math.isfinite(step) and math.isfinite(max_radius)):
         raise ValueError("step and max_radius must be finite")
@@ -218,8 +225,6 @@ def dist_to_E1_measured(
     z = np.asarray(z, dtype=complex)
     if in_E_mask(f, z, 1).any():
         return 0.0
-    if _disc_clear(f, z, max_radius):
-        return max_radius
     angles = np.exp(2j * math.pi * np.arange(n_angles) / n_angles)
     r = step
     while r <= max_radius:
@@ -227,13 +232,6 @@ def dist_to_E1_measured(
             return r
         r += step
     return max_radius
-
-
-def _margin(w, expo: float):
-    """|Re w| - 2 |w|^(nu/d): negative inside the level-2 set, -inf at w = 0."""
-    aw = np.abs(w)
-    with np.errstate(divide="ignore"):
-        return np.where(aw == 0, -np.inf, np.abs(w.real) - 2.0 * np.exp(expo * np.log(aw)))
 
 
 def _bisect(g, out, inside, iters=50):
@@ -261,7 +259,7 @@ def _pair_arcs(poly: Poly, radii: np.ndarray, thetas: np.ndarray, expo: float):
     full, runs, seeds = [], [np.empty((3, 0), int)], [np.empty((2, 0), int)]
     for row, r in enumerate(radii):
         w = poly(r * directions)
-        inside = _margin(w, expo) < 0
+        inside = _margin(w, expo, 2) < 0
         if inside.all():
             full.append(row)
             continue
@@ -284,12 +282,12 @@ def _pair_arcs(poly: Poly, radii: np.ndarray, thetas: np.ndarray, expo: float):
     b = a + step
     sign = np.sign(at(seed_r, a).real)
     anchor = _bisect(lambda t: sign * at(seed_r, t).real, a, b)
-    keep = _margin(at(seed_r, anchor), expo) < 0
+    keep = _margin(at(seed_r, anchor), expo, 2) < 0
     rows = np.concatenate([run_rows, seed_rows[keep]])
     edge_r = np.tile(radii[rows], 2)
     out = np.concatenate([thetas[s] - step, a[keep], thetas[e] + step, b[keep]])
     inn = np.concatenate([thetas[s], anchor[keep], thetas[e], anchor[keep]])
-    lo, hi = np.split(_bisect(lambda t: _margin(at(edge_r, t), expo), out, inn), 2)
+    lo, hi = np.split(_bisect(lambda t: _margin(at(edge_r, t), expo, 2), out, inn), 2)
     hi = np.where(hi < lo, hi + TWO_PI, hi)  # a run through cell 0
     full = np.array(full, dtype=int)
     return (
@@ -313,39 +311,40 @@ def _circle_union_length(lo: np.ndarray, hi: np.ndarray) -> float:
     return float(np.maximum(b - np.maximum(a, reach), 0.0).sum())
 
 
-def e2_measure(
-    f: ExpPoly, r_min: float, r_max: float, nr: int, ntheta: int, refine: bool = True
-) -> float:
+def e2_measure(f: ExpPoly, r_min: float, r_max: float, nr: int, ntheta: int) -> float:
     """Polar-grid estimate of the level-2 set measure on an annulus.
 
-    Midpoint rule over nr radial bands, band-major for determinism.  With
-    refine (the default) the occupied angle of each band is the union, on
-    the circle, of arcs whose edges are bracketed on the ntheta cell centres
-    and then bisected together for all bands; the spokes narrow like
-    r^(nu - d), so at interesting radii they are far thinner than any
-    affordable uniform grid.  With refine=False the plain ntheta-cell
-    indicator midpoint rule is used.
+    Midpoint rule over nr radial bands, band-major for determinism.  The
+    occupied angle of each band is the union, on the circle, of arcs whose
+    edges are bracketed on the ntheta cell centres and then bisected together
+    for all bands; the spokes narrow like r^(nu - d), so at interesting radii
+    they are far thinner than any affordable uniform grid.
+
+    The edges are bisected in absolute angle, so every spoke must span many
+    doubles: ValueError when r_max is not finite, or when the leading-order
+    level-2 half-width 2 (|c_d| r_max^d)^(nu/d - 1) / d of some pair
+    polynomial is below MIN_HALF_WIDTH, about 1.5e-11 rad (for sin_z3, r_max
+    above about 1.4e4).
     """
-    if not (0 < r_min < r_max):
-        raise ValueError("need 0 < r_min < r_max")
+    if not (0 < r_min < r_max < math.inf):
+        raise ValueError("need 0 < r_min < r_max, r_max finite")
     if nr < 16 or ntheta < 16:
         raise ValueError("need nr, ntheta >= 16")
     params = ExceptionalParams.for_function(f)
     expo = params.nu / params.d
+    for pp in _pair_polys(f):
+        log_size = math.log(abs(pp.poly.coeff(f.d))) + f.d * math.log(r_max)
+        if 2.0 / f.d * math.exp((expo - 1.0) * log_size) < MIN_HALF_WIDTH:
+            raise ValueError(f"r_max={r_max:.6g} too large: level-2 spokes narrower than {MIN_HALF_WIDTH:.3g} rad")
     dr = (r_max - r_min) / nr
-    dtheta = 2.0 * math.pi / ntheta
-    thetas = (np.arange(ntheta) + 0.5) * dtheta
+    thetas = (np.arange(ntheta) + 0.5) * (TWO_PI / ntheta)
     radii = r_min + (np.arange(nr) + 0.5) * dr
-    if refine:
+    with np.errstate(divide="ignore"):
         arcs = [_pair_arcs(pp.poly, radii, thetas, expo) for pp in _pair_polys(f)]
-        rows, lo, hi = (np.concatenate(parts) for parts in zip(*arcs))
-        occ = [_circle_union_length(lo[rows == i], hi[rows == i]) for i in range(nr)]
-    else:
-        directions = np.exp(1j * thetas)
-        occ = [int(in_E_mask(f, r * directions, 2).sum()) * dtheta for r in radii]
+    rows, lo, hi = (np.concatenate(parts) for parts in zip(*arcs))
     total = 0.0
-    for o, r in zip(occ, radii):
-        total += o * r * dr
+    for i, r in enumerate(radii):
+        total += _circle_union_length(lo[rows == i], hi[rows == i]) * r * dr
     return total
 
 

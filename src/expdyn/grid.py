@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import BadSigma, DomainError
-from .exceptional import dist_to_E1_measured
+from .exceptional import _disc_clear
 from .funcs import ExpPoly, eval_log_batch
 
 __all__ = [
@@ -273,19 +273,18 @@ def good_square_threshold(f: ExpPoly, tile: SquareTile, sigma: float) -> float:
 
 
 def is_good_square(f: ExpPoly, tile: SquareTile, sigma: float) -> bool:
-    """Whether the sampled distance to the level-1 set exceeds the threshold.
+    """Whether the square provably lies farther than the threshold from the level-1 set.
 
-    Distance is probed from 16 boundary points plus the center with ring step
-    side/8; under-estimating the distance only rejects more squares, which is
-    the conservative direction for the bounds built on good squares.
+    A derivative bound on the pair polynomials (exceptional._disc_clear) must
+    prove the disc around the centre of radius half-diagonal + threshold +
+    side/4 free of level-1 points; a square it cannot prove clear is not
+    good, which is the conservative direction for the bounds built on good
+    squares.
     """
     thresh = good_square_threshold(f, tile, sigma)
     if not math.isfinite(thresh):
         return False
-    pts = np.append(tile.boundary_points(4), complex(tile.center))
-    step = tile.side / 8.0
-    max_radius = thresh + 2.0 * step
-    return dist_to_E1_measured(f, pts, step, max_radius) > thresh
+    return _disc_clear(f, tile.center, tile.side / SQRT2 + thresh + tile.side / 4.0)
 
 
 def good_square_near(tiling: Tiling, r: float, n_angles: int = 96):

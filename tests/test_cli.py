@@ -349,6 +349,20 @@ def test_grid_bound_refuses_tiles_finer_than_doubles(capsys, r_hi):
     assert out == ""
 
 
+@pytest.mark.parametrize("r_min, r_max", [("1e6", "2e6"), ("1e7", "2e7"), ("10", "inf"), ("1e60", "2e60")])
+def test_e2measure_refuses_unresolved_spokes(capsys, r_min, r_max):
+    # Out here the spokes are narrower than the doubles near their angles, so
+    # edges bisected in absolute angle collapse: unrefused, nr 16 reads 81%
+    # low at 1e6, 0.0 from 1e7 on, and NaN for an infinite r_max.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(
+            capsys, "e2measure", "--fn", "sin_z3", "--r-min", r_min, "--r-max", r_max, "--nr", "16"
+        )
+    assert code == 1 and err.startswith("error:")
+    assert out == ""
+
+
 def test_counterexample_json(capsys, tmp_path):
     out_path = tmp_path / "cx.json"
     code, out, _ = run(

@@ -155,21 +155,29 @@ def _ring_function(name, request):
     return THREE_TERM_P if name == "three_term_p" else request.getfixturevalue(name)
 
 
-def _near_spoke_search(f, r, k, offset, scale, rings, square):
-    """Points, step and max_radius of a ring search near a level-1 spoke edge.
+def _spoke(f, r, k):
+    """Angle and leading-order level-1 angular half-width of a spoke on |z| = r.
 
     The spoke is that of the first pair polynomial p through the leading-order
-    ray (pi/2 - arg c_d + k pi)/d, located as a root of Re p on |z| = r.  The
-    centre sits offset spoke half-widths beyond its edge; the search is a
-    good-square probe (16 boundary points and the centre, step side/8) or a
-    single point, at a scale of the spoke's arc width.
+    ray (pi/2 - arg c_d + k pi)/d, located as a root of Re p on |z| = r.
     """
     p = _pair_polys(f)[0].poly
     cd = p.coeffs[-1]
     ray = (math.pi / 2 - cmath.phase(cd) + k * math.pi) / f.d
     theta = brentq(lambda t: p(r * cmath.exp(1j * t)).real, ray - 0.3, ray + 0.3, xtol=1e-15)
     size = abs(cd) * r**f.d
-    half = size ** (ExceptionalParams.for_function(f).nu / f.d) / (f.d * size)
+    return theta, size ** (ExceptionalParams.for_function(f).nu / f.d) / (f.d * size)
+
+
+def _near_spoke_search(f, r, k, offset, scale, rings, square):
+    """Points, step and max_radius of a ring search near a level-1 spoke edge.
+
+    The centre sits offset spoke half-widths beyond the edge of _spoke(f, r,
+    k); the search is a good-square probe (16 boundary points and the
+    centre, step side/8) or a single point, at a scale of the spoke's arc
+    width.
+    """
+    theta, half = _spoke(f, r, k)
     centre = r * cmath.exp(1j * (theta + (1.0 + offset) * half))
     side = scale * r * half
     if square:
@@ -190,7 +198,7 @@ def _near_spoke_search(f, r, k, offset, scale, rings, square):
     st.floats(min_value=0.5, max_value=40.0),
     st.booleans(),
 )
-@example("sin3", 15.0, 0, 30.0, 0.5, 30.0, True)  # clear: the disc test answers
+@example("sin3", 15.0, 0, 30.0, 0.5, 30.0, True)  # clear: no ring meets a spoke
 @example("sin3", 15.0, 0, 2.0, 1.0, 30.0, True)  # a ring meets the spoke
 @example("three_term_p", 20.0, 3, 0.0, 1.0, 10.0, False)  # on the edge
 def test_dist_measured_matches_ring_loop(request, name, r, k, offset, scale, rings, square):
@@ -210,27 +218,63 @@ def test_disc_test_is_sound(request, name):
         r, k = 5.0 + 55.0 * rng.random(), int(rng.integers(6))
         offset, scale = -4.0 + 12.0 * rng.random(), 10.0 ** rng.uniform(-1.0, 1.3)
         pts, _, max_radius = _near_spoke_search(f, r, k, offset, scale, 1.0 + 39.0 * rng.random(), True)
-        clear = _disc_clear(f, pts, max_radius)
+        c = complex(pts.mean())
+        R = float(np.abs(pts - c).max()) + max_radius
+        clear = _disc_clear(f, c, R)
         outcomes.add(clear)
         if clear:
-            c = pts.mean()
-            R = np.abs(pts - c).max() + max_radius
-            rho = R * np.concatenate([np.sqrt(rng.random(90_000)), np.ones(10_000)])
-            disc = c + rho * np.exp(2j * math.pi * rng.random(100_000))
-            assert not in_E_mask(f, disc, 1).any()
+            assert not in_E_mask(f, _disc_sample(rng, c, R), 1).any()
     assert outcomes == {True, False}
 
 
-def test_good_square_costs_one_membership_call(sin3, monkeypatch):
+def _disc_sample(rng, c, R):
+    """10^5 points of D(c, R): 90 000 uniform in the interior, 10 000 on the circle."""
+    rho = R * np.concatenate([np.sqrt(rng.random(90_000)), np.ones(10_000)])
+    return c + rho * np.exp(2j * math.pi * rng.random(100_000))
+
+
+@pytest.mark.parametrize("name", RING_FUNCTIONS)
+def test_good_square_verdict_is_sound(request, name):
+    # Tiles swept outward across the edges of located spokes.  Wherever a tile
+    # is good, the ring search from its 16 boundary points and centre (step
+    # side/8, up to thresh + side/4) finds no level-1 point within thresh, and
+    # neither does a dense sample of D(centre, side/sqrt2 + thresh).
+    f = _ring_function(name, request)
+    tiling = Tiling(f, 5.0, 60.0)
+    rng = np.random.default_rng(7)
+    verdicts = set()
+    for r, k in ((6.0, 0), (20.0, 3), (55.0, 5)):
+        theta, half = _spoke(f, r, k)
+        edge = tiling.tile_at(r * cmath.exp(1j * (theta + half)))
+        side = edge.side
+        reach = good_square_threshold(f, edge, tiling.sigma) + 2.0 * side
+        tiles = {}
+        for s in np.arange(-0.5 * side, reach, side / 8.0):
+            for sign in (1, -1):
+                tile = tiling.tile_at(r * cmath.exp(1j * (theta + sign * (half + s / r))))
+                tiles[tile.center] = tile
+        for tile in tiles.values():
+            thresh = good_square_threshold(f, tile, tiling.sigma)
+            good = is_good_square(f, tile, tiling.sigma)
+            verdicts.add(good)
+            if good:
+                pts = np.append(tile.boundary_points(4), tile.center)
+                assert dist_to_E1_measured(f, pts, tile.side / 8.0, thresh + tile.side / 4.0) > thresh
+                disc = _disc_sample(rng, tile.center, tile.side / math.sqrt(2.0) + thresh)
+                assert not in_E_mask(f, disc, 1).any()
+    assert verdicts == {True, False}
+
+
+def test_good_square_makes_no_membership_call(sin3, monkeypatch):
     tiling = Tiling(sin3, 10.0, 20.0)
     tile = good_square_near(tiling, 15.0)
     rings = int((good_square_threshold(sin3, tile, tiling.sigma) + tile.side / 4) / (tile.side / 8))
-    assert rings > 20  # what the ring loop would sample
+    assert rings > 20  # what a ring search to the same radius would sample
     calls = []
     member = exceptional.in_E_mask
     monkeypatch.setattr(exceptional, "in_E_mask", lambda *a: calls.append(a) or member(*a))
     assert is_good_square(sin3, tile, tiling.sigma)
-    assert len(calls) == 1
+    assert len(calls) == 0
 
 
 def test_e2_measure_positive_and_stable(cosh3):
@@ -269,10 +313,24 @@ def test_e2_measure_closed_form(sin3, r_min, r_max):
     assert got == pytest.approx(leading, rel=1e-4)
 
 
+def _indicator_measure(f, r_min, r_max, nr, ntheta, chunk=1 << 16):
+    """Midpoint rule over nr radii x ntheta angles of the plain level-2
+    membership test, counted in chunks of angles to keep memory small."""
+    dr, dtheta = (r_max - r_min) / nr, 2.0 * math.pi / ntheta
+    total = 0.0
+    for i in range(nr):
+        r = r_min + (i + 0.5) * dr
+        count = 0
+        for k0 in range(0, ntheta, chunk):
+            thetas = (np.arange(k0, min(k0 + chunk, ntheta)) + 0.5) * dtheta
+            count += int(in_E_mask(f, r * np.exp(1j * thetas), 2).sum())
+        total += count * dtheta * r * dr
+    return total
+
+
 def test_e2_measure_plain_midpoint_agrees_at_coarse_radii(cosh3):
-    refined = e2_measure(cosh3, 10.0, 20.0, 32, 4096)
-    plain = e2_measure(cosh3, 10.0, 20.0, 32, 1 << 16, refine=False)
-    assert plain == pytest.approx(refined, rel=0.05)
+    plain = _indicator_measure(cosh3, 10.0, 20.0, 32, 1 << 16)
+    assert plain == pytest.approx(e2_measure(cosh3, 10.0, 20.0, 32, 4096), rel=0.05)
 
 
 def test_e2_measure_spoke_across_theta_zero(sin3, h_example):
@@ -283,19 +341,19 @@ def test_e2_measure_spoke_across_theta_zero(sin3, h_example):
 
 
 def test_e2_measure_matches_brute_force_count(sin3):
-    # Midpoint rule over 16 radii x 2^20 angles of the plain membership test,
-    # counted in chunks of angles to keep memory small.
-    r_min, r_max, nr, ntheta, chunk = 10.0, 10.16, 16, 1 << 20, 1 << 16
-    dr, dtheta = (r_max - r_min) / nr, 2.0 * math.pi / ntheta
-    total = 0.0
-    for i in range(nr):
-        r = r_min + (i + 0.5) * dr
-        count = 0
-        for k0 in range(0, ntheta, chunk):
-            thetas = (np.arange(k0, k0 + chunk) + 0.5) * dtheta
-            count += int(in_E_mask(sin3, r * np.exp(1j * thetas), 2).sum())
-        total += count * dtheta * r * dr
-    assert e2_measure(sin3, r_min, r_max, nr, 4096) == pytest.approx(total, rel=1e-3)
+    total = _indicator_measure(sin3, 10.0, 10.16, 16, 1 << 20)
+    assert e2_measure(sin3, 10.0, 10.16, 16, 4096) == pytest.approx(total, rel=1e-3)
+
+
+def test_e2_measure_closed_form_far_out(sin3):
+    # At r = 1e4 the spokes of sin_z3 still span many doubles and the estimate
+    # matches the closed form; e2measure refuses from about 1.4e4 on
+    # (test_cli.py::test_e2measure_refuses_unresolved_spokes).
+    r_min, r_max, nr = 5e3, 1e4, 16
+    dr = (r_max - r_min) / nr
+    radii = r_min + (np.arange(nr) + 0.5) * dr
+    closed = math.fsum(4.0 * np.arcsin(2.0 ** (1.0 / 6.0) * radii**-2.5) * radii * dr)
+    assert e2_measure(sin3, r_min, r_max, nr, 4096) == pytest.approx(closed, rel=1e-5)
 
 
 @settings(max_examples=25, deadline=None)
@@ -321,6 +379,7 @@ def test_membership_where_pair_polynomial_overflows(sin3, r):
     for level in (1, 2):
         assert not in_E_mask(sin3, off, level).any()
         assert in_E_mask(sin3, on, level).all()
+        assert in_E(sin3, on[0], level) and not in_E(sin3, off[0], level)
     # The sample of the far annulus scan: none of it lies in E1 or E2.
     pts = _annulus_points(1e103, 20000, 0)
     assert not in_E_mask(sin3, pts, 1).any()

@@ -239,6 +239,23 @@ def test_report_file_fingerprints(cmd, tmp_path, capsys):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == want
 
 
+# Good-square decisions at far tiles: grid-bound out to r = 4000, where a
+# tile side is of order 1e-9, as the sha256 of the --out file and of stdout.
+FAR_GRID_BOUND = (
+    ["grid-bound", "--fn", "example_h", "--r-lo", "10", "--r-hi", "4000", "--count", "60"],
+    "413c05d9f6c398712ee5a9c91c7551253e8341bed4803405b2a4ae899a99f3c8",
+    "db699981bd5057f5cf0e82dd57abfe87c7b152bb4dfd73808ca41763bf1fe866",
+)
+
+
+def test_far_grid_bound_fingerprint(tmp_path, capsys):
+    argv, want_file, want_stdout = FAR_GRID_BOUND
+    path = tmp_path / "out.csv"
+    assert main([*argv, "--out", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == want_file
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == want_stdout
+
+
 @pytest.mark.parametrize("case", sorted(ORBIT_BODIES))
 def test_orbit_csv_body_fingerprints(case, tmp_path):
     make, z0, want = ORBIT_BODIES[case]
