@@ -11,35 +11,29 @@ line (`expdyn --help`).
 from .errors import (
     BadBase,
     BadSigma,
-    DegenerateQ,
     DomainError,
     EvalOverflow,
     ExpDynError,
-    NotApplicable,
     ZeroValue,
 )
 from .exceptional import (
     ExceptionalParams,
     PairPoly,
     c1_constant,
-    dist_to_E1_lower,
     dist_to_E1_measured,
     e2_measure,
     in_E,
     in_E_mask,
     pair_poly,
-    r0_bound,
 )
 from .funcs import (
     ExpPoly,
     ExpPolyTerm,
     HypothesisReport,
     LogComplex,
-    approx_error,
     bundled_function,
     check_extra_condition,
     check_hypotheses,
-    dominant_index,
     eval_deriv_log,
     eval_direct,
     eval_log,
@@ -54,13 +48,11 @@ from .grid import (
     Tiling,
     annulus_tail_bound,
     band_measure_bound,
-    build_tiling,
     default_sigma,
     distortion_constant_C2,
     good_square_near,
     is_good_square,
     koebe_distortion_factor,
-    nested_measure_bound,
     square_density_bound,
 )
 from .measure import (
@@ -83,7 +75,6 @@ from .orbits import (
     OrbitClass,
     classify_batch,
     classify_orbit,
-    iterate_E_alpha,
     iterate_max_modulus,
     log_max_modulus,
     sixsmith_quantity,

@@ -3,7 +3,8 @@
 Subcommands wire the library modules to files: `check` prints a hypothesis
 report, `render`/`exceptional` write PPM images, `e2measure`, `annulus-scan`,
 `grid-bound`, and `counterexample` emit numeric reports, and `lemma-verify`
-runs a quick cross-module invariant suite.  Exit codes: 0 success, 1 invalid
+runs the cross-module invariant checks of LEMMA_CHECKS, the same checks as
+acceptance 9 of the test suite.  Exit codes: 0 success, 1 invalid
 configuration, 2 internal error or failed verification.
 """
 
@@ -18,12 +19,14 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import ExpDynError
+from .errors import ExpDynError, ZeroValue
 from .exceptional import E2_COLUMNS, c1_constant, e2_measure, in_E_mask
 from .funcs import (
     ExpPoly,
+    ExpPolyTerm,
     bundled_function,
     check_hypotheses,
+    eval_deriv_log,
     eval_direct,
     eval_log,
     load_function,
@@ -47,6 +50,7 @@ from .measure import (
     counterexample_check,
 )
 from .orbits import ClassifyParams, classify_batch
+from .poly import Poly
 from .raster import Viewport, render_classification, render_exceptional, write_ppm
 from .report import write_csv, write_json
 from .towers import TowerMag, tower_compare
@@ -249,66 +253,112 @@ def _cmd_counterexample(args) -> int:
     return 0 if rep["violations"] == 0 else 2
 
 
+def _cosh3() -> ExpPoly:
+    """e^{z^3} + e^{-z^3}, the two-term d = 3 function of the oracle checks."""
+    return ExpPoly(3, [ExpPolyTerm(Poly([1]), 1 + 0j), ExpPolyTerm(Poly([1]), -1 + 0j)])
+
+
+def _disc_points(rng, n: int) -> np.ndarray:
+    """n points uniform in the disc |z| < 2."""
+    return 2.0 * np.sqrt(rng.random(n)) * np.exp(2j * math.pi * rng.random(n))
+
+
+def _log_matches_direct(rng) -> bool:
+    """At 1000 points of |z| < 2, log-domain evaluation of cosh3 and sin_z3
+    matches direct arithmetic to 1e-9 relative (1e-21 absolute near a zero);
+    it may refuse a point only where |f| < 1e-9."""
+    pts = _disc_points(rng, 1000)
+    for f in (_cosh3(), bundled_function("sin_z3")):
+        for z in pts:
+            direct = eval_direct(f, complex(z))
+            try:
+                value = complex(eval_log(f, complex(z)))
+            except ZeroValue:
+                if abs(direct) >= 1e-9:
+                    return False
+                continue
+            if abs(value - direct) > 1e-9 * max(abs(direct), 1e-12):
+                return False
+    return True
+
+
+def _deriv_matches_difference(rng) -> bool:
+    """At 100 points of |z| < 2, the log-domain f' of cosh3 matches a central
+    difference with h = 1e-6 to 1e-6 relative plus 1e-9, wherever that
+    difference is at least 1e-3."""
+    f, h = _cosh3(), 1e-6
+    for z in _disc_points(rng, 100):
+        z = complex(z)
+        diff = (eval_direct(f, z + h) - eval_direct(f, z - h)) / (2 * h)
+        if abs(diff) >= 1e-3 and abs(complex(eval_deriv_log(f, z, 1)) - diff) > 1e-6 * abs(diff) + 1e-9:
+            return False
+    return True
+
+
+def _tower_order(rng) -> bool:
+    """tower_compare orders 1000 pairs of depth-0 magnitudes in [0, 600) as the doubles do."""
+    a, b = rng.random(1000) * 600, rng.random(1000) * 600
+    return all(tower_compare(TowerMag(0, x), TowerMag(0, y)) == int(x > y) - int(x < y) for x, y in zip(a, b))
+
+
+def _e1_in_e2(rng) -> bool:
+    pts = 10.0 * np.exp(1j * rng.random(64) * 2 * math.pi) * (1 + rng.random(64))
+    f3 = bundled_function("sin_z3")
+    return bool(np.all(~in_E_mask(f3, pts, 1) | in_E_mask(f3, pts, 2)))
+
+
+def _sign_symmetric(rng) -> bool:
+    res = classify_batch(bundled_function("sin_z3"), [3.0 + 0.2j, -3.0 - 0.2j], ClassifyParams())
+    return res["tag"][0] == res["tag"][1]
+
+
+def _tiles_satisfy_side_bounds(rng) -> bool:
+    f3 = bundled_function("sin_z3")
+    tiling = Tiling(f3, 10.0, 20.0)
+    pts = 10.0 * (1 + rng.random(32)) * np.exp(1j * rng.random(32) * 2 * math.pi)
+    return all(tile_side_ok(tiling.tile_at(z), f3.d, tiling.sigma) for z in pts)
+
+
+def _wedge_quadrature(rng) -> bool:
+    closed = b_measure_closed_form(math.e**2, math.e**8)
+    return abs(b_measure_quadrature(math.e**2, math.e**8) - closed) < 1e-6 * closed
+
+
+# The invariants lemma-verify checks, as (name, check): a check draws what it
+# samples from the numpy Generator it is given and returns whether the
+# invariant holds.  The test suite's acceptance 9 runs the same list.
+LEMMA_CHECKS = (
+    ("koebe factor at 1/4 equals 625/81", lambda rng: abs(koebe_distortion_factor(0.25) - 625.0 / 81.0) < 1e-12),
+    ("distortion constant exceeds the rho=1/2 factor", lambda rng: distortion_constant_C2() > 81.0),
+    (
+        "distortion constant stable between 50 and 60 factors",
+        lambda rng: abs(distortion_constant_C2(50) - distortion_constant_C2(60)) < 1e-12 * distortion_constant_C2(),
+    ),
+    ("band bound linear", lambda rng: abs(band_measure_bound(10.0, 1.0) - 45.0 * math.pi) < 1e-12),
+    ("annulus tail below one", lambda rng: annulus_tail_bound(4096.0, 0.25) < 1.0),
+    ("log-domain evaluation matches direct arithmetic", _log_matches_direct),
+    ("log-domain derivative matches a central difference", _deriv_matches_difference),
+    ("tower comparison agrees with direct comparison", _tower_order),
+    (
+        "growth along the real spine",
+        lambda rng: eval_log(bundled_function("sin_z3"), 12.0 + 0.05j).logmod >= abs(12.0 + 0.05j) ** 0.25,
+    ),
+    ("distance constant positive", lambda rng: c1_constant(bundled_function("sin_z3")) > 0),
+    ("level-1 set contained in level-2 set", _e1_in_e2),
+    ("classification is sign-symmetric", _sign_symmetric),
+    ("sampled tiles satisfy the side bounds", _tiles_satisfy_side_bounds),
+    ("wedge quadrature matches the closed form", _wedge_quadrature),
+)
+
+
 def _cmd_lemma_verify(args) -> int:
     rng = np.random.default_rng(args.seed)
-    f3 = bundled_function("sin_z3")
-    checks = []
-
-    def add(name, ok):
-        checks.append((name, bool(ok)))
-
-    add("koebe factor at 1/4 equals 625/81", abs(koebe_distortion_factor(0.25) - 625.0 / 81.0) < 1e-12)
-    add("distortion constant exceeds the rho=1/2 factor", distortion_constant_C2() > 81.0)
-    add(
-        "distortion constant stable between 50 and 60 factors",
-        abs(distortion_constant_C2(50) - distortion_constant_C2(60)) < 1e-12 * distortion_constant_C2(),
-    )
-    add("band bound linear", abs(band_measure_bound(10.0, 1.0) - 45.0 * math.pi) < 1e-12)
-    add("annulus tail below one", annulus_tail_bound(4096.0, 0.25) < 1.0)
-
-    pts = 2.0 * (rng.random(200) - 0.5) + 2j * (rng.random(200) - 0.5)
-    ok = True
-    for z in pts:
-        try:
-            direct = eval_direct(f3, z)
-            lv = eval_log(f3, z)
-        except ExpDynError:
-            continue
-        ok &= abs(complex(lv) - direct) <= 1e-9 * max(abs(direct), 1e-12)
-    add("log-domain evaluation matches direct arithmetic", ok)
-
-    a = rng.random(500) * 600
-    b = rng.random(500) * 600
-    ok = all(
-        tower_compare(TowerMag(0, x), TowerMag(0, y)) == int(x > y) - int(x < y)
-        for x, y in zip(a, b)
-    )
-    add("tower comparison agrees with direct comparison", ok)
-
-    z = 12.0 + 0.05j
-    add("growth along the real spine", eval_log(f3, z).logmod >= abs(z) ** 0.25)
-    add("distance constant positive", c1_constant(f3) > 0)
-
-    pts = 10.0 * np.exp(1j * rng.random(64) * 2 * math.pi) * (1 + rng.random(64))
-    e1 = in_E_mask(f3, pts, 1)
-    e2 = in_E_mask(f3, pts, 2)
-    add("level-1 set contained in level-2 set", bool(np.all(~e1 | e2)))
-
-    res = classify_batch(f3, [3.0 + 0.2j, -3.0 - 0.2j], ClassifyParams())
-    add("classification is sign-symmetric", res["tag"][0] == res["tag"][1])
-
-    tiling = Tiling(f3, 10.0, 20.0)
-    sample = [tiling.tile_at(z) for z in 10.0 * (1 + rng.random(32)) * np.exp(1j * rng.random(32) * 2 * math.pi)]
-    add("sampled tiles satisfy the side bounds", all(tile_side_ok(t, f3.d, tiling.sigma) for t in sample))
-
-    closed = b_measure_closed_form(math.e**2, math.e**8)
-    add("wedge quadrature matches the closed form", abs(b_measure_quadrature(math.e**2, math.e**8) - closed) < 1e-6 * closed)
-
     failures = 0
-    for name, ok in checks:
+    for name, check in LEMMA_CHECKS:
+        ok = bool(check(rng))
         print(f"{'PASS' if ok else 'FAIL'}  {name}")
-        failures += 0 if ok else 1
-    print(f"{len(checks) - failures}/{len(checks)} checks passed")
+        failures += not ok
+    print(f"{len(LEMMA_CHECKS) - failures}/{len(LEMMA_CHECKS)} checks passed")
     return 0 if failures == 0 else 2
 
 

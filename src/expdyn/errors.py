@@ -13,16 +13,8 @@ class ZeroValue(ExpDynError):
     """The function value is (numerically) zero; log representation undefined."""
 
 
-class DegenerateQ(ExpDynError):
-    """The dominant polynomial prefactor is vanishingly small at this point."""
-
-
 class DomainError(ExpDynError):
     """An argument lies outside the mathematical domain of the formula."""
-
-
-class NotApplicable(ExpDynError):
-    """A bound was requested at a point outside its region of validity."""
 
 
 class BadSigma(ExpDynError):

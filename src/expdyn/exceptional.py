@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotApplicable
 from .funcs import TWO_PI, ExpPoly
 from .poly import Poly
 
@@ -24,14 +23,11 @@ __all__ = [
     "pair_poly",
     "in_E",
     "in_E_mask",
-    "r0_bound",
-    "dist_to_E1_lower",
     "c1_constant",
     "dist_to_E1_measured",
     "e2_measure",
 ]
 
-DEFAULT_VALIDITY_RADIUS = 50.0
 # Relative rounding allowance of the disc test _disc_clear.
 SLACK = 1e-9
 # e2_measure refuses level-2 spokes of half-width below 2^14 ulp(2 pi) rad.
@@ -140,11 +136,6 @@ def in_E(f: ExpPoly, z: complex, level: int) -> bool:
     return bool(in_E_mask(f, np.asarray(complex(z)), level))
 
 
-def r0_bound(f: ExpPoly) -> float:
-    """Concrete radius containing all zeros of the pair polynomials."""
-    return 1.0 + max(pp.poly.cauchy_root_bound() for pp in _pair_polys(f))
-
-
 def c1_constant(f: ExpPoly) -> float:
     """min_{l != n} |b_l - b_n|^(nu/d - 1) / (25 d)."""
     params = ExceptionalParams.for_function(f)
@@ -154,26 +145,6 @@ def c1_constant(f: ExpPoly) -> float:
         for k in range(j + 1, f.n_terms)
     ]
     return min(s ** (params.nu / params.d - 1.0) for s in diffs) / (25.0 * f.d)
-
-
-def dist_to_E1_lower(
-    f: ExpPoly, z: complex, validity_radius: float = DEFAULT_VALIDITY_RADIUS
-) -> float:
-    """Lower bound C1 |z|^(-3/2) on the distance to the level-1 set.
-
-    For z outside the level-2 set the bound is proved only beyond a radius
-    r0 that this code does not compute.  validity_radius stands in for r0,
-    and its default of 50 is empirical: the test suite compares the bound
-    with ring-search distances for the shipped d = 3 functions.
-    """
-    z = complex(z)
-    if in_E(f, z, 2):
-        raise NotApplicable("point lies in the level-2 exceptional set")
-    if abs(z) < validity_radius:
-        raise NotApplicable(
-            f"|z|={abs(z):.3g} below configured validity radius {validity_radius}"
-        )
-    return c1_constant(f) * abs(z) ** -1.5
 
 
 def _disc_clear(f: ExpPoly, c: complex, R: float) -> bool:

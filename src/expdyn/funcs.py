@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateQ, EvalOverflow, ZeroValue
+from .errors import EvalOverflow, ZeroValue
 from .poly import Poly
 
 __all__ = [
@@ -28,8 +28,6 @@ __all__ = [
     "eval_log",
     "eval_deriv_log",
     "eval_log_batch",
-    "dominant_index",
-    "approx_error",
     "check_hypotheses",
     "check_extra_condition",
     "load_function",
@@ -53,12 +51,6 @@ class LogComplex:
 
     logmod: float
     phase: float
-
-    @classmethod
-    def from_complex(cls, z: complex) -> "LogComplex":
-        if z == 0:
-            raise ZeroValue("log representation of 0")
-        return cls(math.log(abs(z)), float(wrap_phase(cmath.phase(z))))
 
     def to_complex(self) -> complex:
         return cmath.rect(math.exp(self.logmod), self.phase)
@@ -281,28 +273,6 @@ def eval_deriv_log(f: ExpPoly, z: complex, order: int) -> LogComplex:
     if bool(zero):
         raise ZeroValue(f"derivative of order {order} vanishes at {z}")
     return LogComplex(float(logmod), float(phase))
-
-
-def dominant_index(f: ExpPoly, z: complex) -> int:
-    """Index maximizing Re(b_j z^d + P_j(z)); ties go to the smallest index."""
-    re = [w.real for w in _term_exponents(f, complex(z))]
-    return int(np.argmax(re))
-
-
-def approx_error(f: ExpPoly, z: complex) -> float:
-    """|sum_{j != m} (Q_j/Q_m)(z) exp(w_j - w_m)|, finite at any scale."""
-    z = complex(z)
-    m = dominant_index(f, z)
-    qm = f.terms[m].Q(z)
-    if abs(qm) < 1e-300:
-        raise DegenerateQ(f"|Q_m(z)| = {abs(qm):.3g} at z={z}")
-    ws = _term_exponents(f, z)
-    total = 0j
-    for j, (t, w) in enumerate(zip(f.terms, ws)):
-        if j == m:
-            continue
-        total += (t.Q(z) / qm) * cmath.exp(w - ws[m])
-    return abs(total)
 
 
 # ---------------------------------------------------------------------------

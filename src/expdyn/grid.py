@@ -8,8 +8,8 @@ tile S must satisfy
 for a fixed sigma in (0, 1/(4 d max_j |b_j|)).  At radius r the admissible
 side is of order sigma r^-(d-1), so an annulus at r ~ 10 already needs on the
 order of 1e11 tiles; the tiling is therefore realized lazily as a
-deterministic quadtree.  tile_at(z) descends to the unique leaf containing z,
-and explicit enumeration is only offered for small windows.
+deterministic quadtree, and tile_at(z) descends to the unique leaf
+containing z.
 """
 
 from __future__ import annotations
@@ -28,14 +28,12 @@ __all__ = [
     "DensityReport",
     "Tiling",
     "default_sigma",
-    "build_tiling",
     "good_square_near",
     "is_good_square",
     "good_square_threshold",
     "square_density_bound",
     "koebe_distortion_factor",
     "distortion_constant_C2",
-    "nested_measure_bound",
     "annulus_tail_bound",
     "band_measure_bound",
 ]
@@ -67,10 +65,6 @@ class SquareTile:
     def y1(self) -> float:
         return self.center.imag + self.side / 2.0
 
-    @property
-    def measure(self) -> float:
-        return self.side * self.side
-
     def min_abs_z(self) -> float:
         """Distance from the origin to the square (0 if it contains 0)."""
         dx = max(self.x0, -self.x1, 0.0)
@@ -85,32 +79,11 @@ class SquareTile:
         """Half-open membership matching the quadtree descent convention."""
         return self.x0 <= z.real < self.x1 and self.y0 <= z.imag < self.y1
 
-    def contains_closed(self, z: complex) -> bool:
-        return self.x0 <= z.real <= self.x1 and self.y0 <= z.imag <= self.y1
-
-    def boundary_points(self, per_side: int = 4) -> np.ndarray:
-        """per_side points on each edge (corners included once), CCW order."""
-        t = np.arange(per_side) / per_side
-        bottom = self.x0 + t * self.side + 1j * self.y0
-        right = self.x1 + 1j * (self.y0 + t * self.side)
-        top = self.x1 - t * self.side + 1j * self.y1
-        left = self.x0 + 1j * (self.y1 - t * self.side)
-        return np.concatenate([bottom, right, top, left])
-
     def grid(self, n: int) -> np.ndarray:
         """(n+1) x (n+1) closed sample grid over the square."""
         xs = np.linspace(self.x0, self.x1, n + 1)
         ys = np.linspace(self.y0, self.y1, n + 1)
         return xs[None, :] + 1j * ys[:, None]
-
-    def children(self):
-        q = self.side / 4.0
-        h = self.side / 2.0
-        return [
-            SquareTile(self.center + complex(sx * q, sy * q), h, self.level + 1)
-            for sy in (-1, 1)
-            for sx in (-1, 1)
-        ]
 
 
 def default_sigma(f: ExpPoly) -> float:
@@ -185,9 +158,6 @@ class Tiling:
                 f"(grid spacing {spacing:.3g} < 64 ulp = {64.0 * math.ulp(self.r_hi):.3g})"
             )
 
-    def _needs_split(self, tile: SquareTile) -> bool:
-        return tile.side > _side_upper(tile.center.real, tile.center.imag, tile.side, self.f.d, self.sigma)
-
     def tile_at(self, z: complex) -> SquareTile:
         """The unique leaf containing z (half-open edges, deterministic).
 
@@ -207,57 +177,6 @@ class Tiling:
             side /= 2.0
             level += 1
         return SquareTile(complex(cx, cy), side, level)
-
-    def _overlaps_annulus(self, tile: SquareTile) -> bool:
-        return tile.min_abs_z() <= self.r_hi and tile.max_abs_z() >= self.r_lo
-
-    def tiles_in_window(self, window: SquareTile, limit: int = 200_000):
-        """All leaves meeting both the annulus and the window (closed overlap)."""
-        out = []
-        stack = [self.root]
-        while stack:
-            t = stack.pop()
-            if not self._overlaps_annulus(t):
-                continue
-            if (
-                t.x1 < window.x0
-                or t.x0 > window.x1
-                or t.y1 < window.y0
-                or t.y0 > window.y1
-            ):
-                continue
-            if self._needs_split(t):
-                stack.extend(t.children())
-            else:
-                out.append(t)
-                if len(out) > limit:
-                    raise ValueError(
-                        f"tile budget {limit} exceeded; shrink the window"
-                    )
-        out.sort(key=lambda s: (s.level, s.center.real, s.center.imag))
-        return out
-
-
-def build_tiling(
-    f: ExpPoly,
-    r_lo: float,
-    r_hi: float,
-    sigma: float | None = None,
-    window: SquareTile | None = None,
-    limit: int = 200_000,
-):
-    """Enumerate annulus tiles, optionally restricted to a window square.
-
-    Without a window the full annulus is enumerated, which is only feasible
-    for coarse configurations; the limit guards against runaway counts (a
-    d = 3 annulus at r ~ 10 has on the order of 1e11 tiles; use Tiling.tile_at
-    for point queries there).
-    """
-    tiling = Tiling(f, r_lo, r_hi, sigma)
-    if window is None:
-        half = tiling.root.side / 2.0
-        window = SquareTile(0j, 2.0 * half, 0)
-    return tiling.tiles_in_window(window, limit=limit)
 
 
 # ---------------------------------------------------------------------------
@@ -332,11 +251,6 @@ class DensityReport:
     e2_contrib: float
     density_upper_log: float
     asymptotic_bound: float
-
-    @property
-    def density_upper(self) -> float:
-        """The bound as a double; may underflow to 0.0, use the log field."""
-        return math.exp(self.density_upper_log) if self.density_upper_log < 709 else math.inf
 
     def to_dict(self):
         """The report keyed by DENSITY_COLUMNS: the square's geometry, then the other fields."""
@@ -440,13 +354,6 @@ def distortion_constant_C2(n_factors: int | None = None, tol: float = 1e-15) -> 
             break
         j += 1
     return prod**4
-
-
-def nested_measure_bound(S0: SquareTile, alpha: float) -> float:
-    """2 C2^2 exp(-min_{z in S0} |z|^alpha / 2) meas(S0)."""
-    _check_alpha(alpha)
-    c2 = distortion_constant_C2()
-    return 2.0 * c2 * c2 * math.exp(-0.5 * S0.min_abs_z() ** alpha) * S0.measure
 
 
 def annulus_tail_bound(r: float, alpha: float) -> float:

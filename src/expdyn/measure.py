@@ -180,7 +180,6 @@ def counterexample_check(
     p: CounterexampleParams,
     R: float,
     f: ExpPoly | None = None,
-    classify_params: ClassifyParams | None = None,
     seed: int = 0,
 ) -> dict:
     """Verify the wedge is mapped deep into the attracting disk and stays put.
@@ -199,7 +198,7 @@ def counterexample_check(
     lm = np.where(zero, -np.inf, lm)
     margin = lm + r / 4.0
     violations = int(np.count_nonzero(margin > 0.0))
-    res = classify_batch(f, pts, classify_params)
+    res = classify_batch(f, pts)
     nonescape = float(np.count_nonzero(res["tag"] == NON_ESCAPE_OBSERVED)) / p.samples
     closed = b_measure_closed_form(p.r0, R)
     quad = b_measure_quadrature(p.r0, R)

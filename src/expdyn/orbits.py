@@ -50,7 +50,7 @@ from .funcs import (
     wrap_phase,
 )
 from .report import write_csv
-from .towers import TowerMag, _canon_arrays, _tower_add_const, _tower_scale, tower_exp, tower_log, tower_pow
+from .towers import TowerMag, _canon_arrays, _tower_add_const, _tower_scale, tower_exp, tower_log
 
 __all__ = [
     "ClassifyParams",
@@ -60,7 +60,6 @@ __all__ = [
     "UNDETERMINED",
     "log_max_modulus",
     "iterate_max_modulus",
-    "iterate_E_alpha",
     "sixsmith_quantity",
     "classify_batch",
     "classify_orbit",
@@ -178,16 +177,6 @@ def iterate_max_modulus(f: ExpPoly, R: float, n: int, max_depth: int | None = No
             break
         out.append(t)
     return out
-
-
-def iterate_E_alpha(x: float, alpha: float, k: int) -> TowerMag:
-    """k-fold iterate of x -> exp(x^alpha) in tower form."""
-    if x <= 0 or alpha <= 0:
-        raise ValueError("x and alpha must be positive")
-    t = TowerMag(0, float(x))
-    for _ in range(k):
-        t = tower_exp(tower_pow(t, alpha))
-    return t
 
 
 def sixsmith_quantity(f: ExpPoly, z: complex) -> float:

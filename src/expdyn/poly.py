@@ -78,13 +78,6 @@ class Poly:
         """sum |c_i| r^i, a crude upper bound for |p(z)| on |z| <= r."""
         return float(sum(abs(c) * r**i for i, c in enumerate(self.coeffs)))
 
-    def cauchy_root_bound(self) -> float:
-        """All roots lie in |z| <= 1 + max|c_i/c_deg| (zero/constant: 0)."""
-        if self.degree < 1:
-            return 0.0
-        lead = abs(self.coeffs[-1])
-        return 1.0 + float(max(abs(c) for c in self.coeffs[:-1]) / lead)
-
     def __eq__(self, other):
         return isinstance(other, Poly) and np.array_equal(self.coeffs, other.coeffs)
 

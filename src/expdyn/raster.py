@@ -8,7 +8,6 @@ pre-indexed rows of the output array.
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -99,12 +98,6 @@ class ImageBuffer:
     def data(self) -> bytes:
         return self.pixels.tobytes()
 
-    def get_pixel(self, x: int, y: int):
-        return tuple(int(c) for c in self.pixels[y, x])
-
-    def set_pixel(self, x: int, y: int, rgb):
-        self.pixels[y, x] = rgb
-
     def __eq__(self, other):
         return (
             isinstance(other, ImageBuffer)
@@ -124,16 +117,11 @@ def _escape_shade(steps: np.ndarray) -> np.ndarray:
     return out
 
 
-def _colorize(codes: np.ndarray, steps: np.ndarray, palette: dict) -> np.ndarray:
+def _colorize(codes: np.ndarray, steps: np.ndarray) -> np.ndarray:
     """Pixel colors from classify_batch tag codes (1 escape, 2 non-escape, 0 undetermined)."""
     rgb = _escape_shade(steps)
-    non = codes == 2
-    und = codes == 0
-    rgb[non] = palette.get("NonEscapeObserved", DEFAULT_PALETTE["NonEscapeObserved"])
-    rgb[und] = palette.get("Undetermined", DEFAULT_PALETTE["Undetermined"])
-    esc_color = palette.get("EscapeCertified")
-    if esc_color is not None:
-        rgb[~non & ~und] = esc_color
+    rgb[codes == 2] = DEFAULT_PALETTE["NonEscapeObserved"]
+    rgb[codes == 0] = DEFAULT_PALETTE["Undetermined"]
     return rgb
 
 
@@ -141,7 +129,6 @@ def render_classification(
     f: ExpPoly,
     v: Viewport,
     p: ClassifyParams | None = None,
-    palette: dict | None = None,
     threads: int = 1,
     rows_per_chunk: int = 32,
 ) -> ImageBuffer:
@@ -152,8 +139,6 @@ def render_classification(
     """
     if p is None:
         p = ClassifyParams()
-    if palette is None:
-        palette = DEFAULT_PALETTE
     out = np.zeros((v.px_h, v.px_w, 3), dtype=np.uint8)
     chunks = [
         (j0, min(j0 + rows_per_chunk, v.px_h)) for j0 in range(0, v.px_h, rows_per_chunk)
@@ -165,7 +150,7 @@ def render_classification(
         res = classify_batch(f, pts, p)
         codes = res["tag_code"].reshape(j1 - j0, v.px_w)
         steps = res["steps"].reshape(j1 - j0, v.px_w)
-        out[j0:j1] = _colorize(codes, steps, palette)
+        out[j0:j1] = _colorize(codes, steps)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:

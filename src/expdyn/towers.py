@@ -62,12 +62,6 @@ class TowerMag:
     def __ge__(self, other):
         return self._key() >= other._key()
 
-    def to_float(self) -> float:
-        """The represented magnitude as a double; inf if unrepresentable."""
-        if self.depth == 0:
-            return self.value
-        return math.inf
-
     @classmethod
     def from_logmod(cls, logmod: float) -> "TowerMag":
         """Magnitude with natural log equal to logmod."""

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -8,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from expdyn.cli import build_parser, main
+from expdyn.cli import LEMMA_CHECKS, build_parser, main
 
 
 def run(capsys, *argv):
@@ -383,9 +385,20 @@ def test_counterexample_json(capsys, tmp_path):
     assert rep["nonescape_fraction"] >= 0.99
 
 
-def test_lemma_verify_passes(capsys):
-    code, out, _ = run(capsys, "lemma-verify")
+@pytest.fixture(scope="module")
+def lemma_verify_run():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["lemma-verify"])
+    return code, out.getvalue().splitlines()
+
+
+@pytest.mark.parametrize("name", [name for name, _ in LEMMA_CHECKS])
+def test_lemma_verify_passes(lemma_verify_run, name):
+    assert f"PASS  {name}" in lemma_verify_run[1]
+
+
+def test_lemma_verify_exits_zero(lemma_verify_run):
+    code, lines = lemma_verify_run
     assert code == 0
-    assert "FAIL" not in out
-    lines = [ln for ln in out.splitlines() if ln.startswith("PASS")]
-    assert len(lines) >= 10
+    assert lines[-1] == f"{len(LEMMA_CHECKS)}/{len(LEMMA_CHECKS)} checks passed"

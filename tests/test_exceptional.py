@@ -7,16 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize_scalar
 
 from expdyn import (
     ExpPoly,
     ExpPolyTerm,
-    NotApplicable,
     Poly,
     Tiling,
     c1_constant,
-    dist_to_E1_lower,
     dist_to_E1_measured,
     e2_measure,
     good_square_near,
@@ -24,11 +22,10 @@ from expdyn import (
     in_E_mask,
     is_good_square,
     pair_poly,
-    r0_bound,
 )
 from expdyn import exceptional
 from expdyn.exceptional import E2_COLUMNS, ExceptionalParams, _disc_clear, _far_member, _pair_polys
-from expdyn.grid import SquareTile, good_square_threshold
+from expdyn.grid import good_square_threshold
 from expdyn.measure import _annulus_points
 from expdyn.report import write_csv
 
@@ -84,23 +81,8 @@ def test_spoke_width_scaling(cosh3):
         assert not in_E(cosh3, r * cmath.exp(1j * (base + 3.0 * w)), 1)
 
 
-def test_r0_bound(cosh3):
-    # Pair polynomial 2 z^3: Cauchy bound 1, plus the unit safety margin.
-    assert r0_bound(cosh3) == pytest.approx(2.0)
-
-
 def test_c1_constant(cosh3):
     assert c1_constant(cosh3) == pytest.approx(2.0 ** (-5.0 / 6.0) / 75.0)
-
-
-def test_dist_lower_applicability(cosh3):
-    z = 15.0 * cmath.exp(1j * math.pi / 6)
-    with pytest.raises(NotApplicable):
-        dist_to_E1_lower(cosh3, z)  # inside E_2
-    with pytest.raises(NotApplicable):
-        dist_to_E1_lower(cosh3, 10.0)  # below the validity radius
-    got = dist_to_E1_lower(cosh3, 60.0)
-    assert got == pytest.approx(c1_constant(cosh3) * 60.0**-1.5)
 
 
 def test_dist_measured(cosh3):
@@ -122,20 +104,6 @@ def test_dist_measured(cosh3):
     for step, max_radius in ((math.nan, 1.0), (math.inf, 1.0), (0.5, math.nan), (0.5, math.inf)):
         with pytest.raises(ValueError):
             dist_to_E1_measured(cosh3, 60.0, step, max_radius)
-
-
-def _ring_reference(f, z, step, max_radius, n_angles=64):
-    """The plain ring search: every ring sampled until a member is found."""
-    z = np.asarray(z, dtype=complex)
-    if in_E_mask(f, z, 1).any():
-        return 0.0
-    angles = np.exp(2j * math.pi * np.arange(n_angles) / n_angles)
-    r = step
-    while r <= max_radius:
-        if in_E_mask(f, z[..., None] + r * angles, 1).any():
-            return r
-        r += step
-    return max_radius
 
 
 # e^{z^3 + i z} + 2 e^{-z^3 + 0.5 z^2} - i z e^{i z^3 - 0.3 z^2}: three
@@ -169,6 +137,16 @@ def _spoke(f, r, k):
     return theta, size ** (ExceptionalParams.for_function(f).nu / f.d) / (f.d * size)
 
 
+def _square_probe(centre, side):
+    """The 16 points of a square's edges, four per edge from each corner
+    counter-clockwise, and its centre: the probe set of a good square."""
+    h = side / 2.0
+    t = np.arange(4) / 4.0 * side
+    x0, x1, y0, y1 = centre.real - h, centre.real + h, centre.imag - h, centre.imag + h
+    edges = [x0 + t + 1j * y0, x1 + 1j * (y0 + t), x1 - t + 1j * y1, x0 + 1j * (y1 - t)]
+    return np.append(np.concatenate(edges), centre)
+
+
 def _near_spoke_search(f, r, k, offset, scale, rings, square):
     """Points, step and max_radius of a ring search near a level-1 spoke edge.
 
@@ -181,30 +159,82 @@ def _near_spoke_search(f, r, k, offset, scale, rings, square):
     centre = r * cmath.exp(1j * (theta + (1.0 + offset) * half))
     side = scale * r * half
     if square:
-        pts = np.append(SquareTile(centre, side, 0).boundary_points(4), centre)
+        pts = _square_probe(centre, side)
     else:
         pts = np.array([centre])
     step = side / 8.0
     return pts, step, rings * step
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.sampled_from(RING_FUNCTIONS),
-    st.floats(min_value=5.0, max_value=60.0),
-    st.integers(min_value=0, max_value=5),
-    st.floats(min_value=-4.0, max_value=4.0),
-    st.floats(min_value=0.05, max_value=20.0),
-    st.floats(min_value=0.5, max_value=40.0),
-    st.booleans(),
-)
-@example("sin3", 15.0, 0, 30.0, 0.5, 30.0, True)  # clear: no ring meets a spoke
-@example("sin3", 15.0, 0, 2.0, 1.0, 30.0, True)  # a ring meets the spoke
-@example("three_term_p", 20.0, 3, 0.0, 1.0, 10.0, False)  # on the edge
-def test_dist_measured_matches_ring_loop(request, name, r, k, offset, scale, rings, square):
-    f = _ring_function(name, request)
-    pts, step, max_radius = _near_spoke_search(f, r, k, offset, scale, rings, square)
-    assert dist_to_E1_measured(f, pts, step, max_radius) == _ring_reference(f, pts, step, max_radius)
+# sin_z3 has the one pair polynomial 2i z^3, so its level-1 set is the polar
+# set |sin 3 theta| < C_SIN3 r^(-5/2).
+C_SIN3 = 2.0 ** (-5.0 / 6.0)
+
+
+def _sin3_member(w):
+    return np.abs(np.sin(3.0 * np.angle(w))) < C_SIN3 * np.abs(w) ** -2.5
+
+
+def _sin3_distance(z):
+    """Distance from z to the level-1 set of sin_z3, from the polar closed form.
+
+    The set is the disc |z| <= C_SIN3^(2/5) and six spokes whose edges are
+    the curves theta = k pi/3 +- arcsin(C_SIN3 rho^(-5/2)) / 3; outside it the
+    distance is the least distance to an edge curve of the three spokes
+    nearest in angle, each minimised over rho, or to the disc.
+    """
+    if _sin3_member(z):
+        return 0.0
+    r, r_disc = abs(z), C_SIN3**0.4
+    nearest = round(3.0 * cmath.phase(z) / math.pi)
+    best = r - r_disc
+    for k in (nearest - 1, nearest, nearest + 1):
+        for sign in (1.0, -1.0):
+
+            def gap(rho):
+                edge = k * math.pi / 3.0 + sign * math.asin(min(1.0, C_SIN3 * rho**-2.5)) / 3.0
+                return abs(z - rho * cmath.exp(1j * edge))
+
+            res = minimize_scalar(gap, bounds=(r_disc, 2.0 * r), method="bounded", options={"xatol": 1e-13 * r})
+            best = min(best, res.fun)
+    return best
+
+
+def _ring_resolves(z0, radius, n_angles=64, dense=32):
+    """Whether the circle |w - z0| = radius runs inside the level-1 set of
+    sin_z3 (closed form) along an arc of at least two spacings of an
+    n_angles-point ring, so that the ring has a point well inside the arc."""
+    ring = z0 + radius * np.exp(2j * math.pi * np.arange(n_angles * dense) / (n_angles * dense))
+    inside = _sin3_member(ring)
+    if inside.all():
+        return True
+    # Longest circular run of members, read off the cells between non-members.
+    cuts = np.flatnonzero(~inside)
+    runs = np.diff(np.append(cuts, cuts[0] + inside.size)) - 1
+    return int(runs.max()) >= 2 * dense
+
+
+def test_dist_measured_brackets_closed_form_distance(sin3):
+    # Ring search near the spokes of sin_z3 against the distance d* from the
+    # closed form: the search never reports less than min(d*, max_radius),
+    # and where the first ring beyond d* crosses the spoke along an arc the
+    # 64 ring points must hit, it reports at most d* + step.
+    rng = np.random.default_rng(5)
+    resolved = 0
+    for _ in range(80):
+        r, k = 5.0 + 50.0 * rng.random(), int(rng.integers(6))
+        offset, scale = 10.0 ** rng.uniform(-1.0, 1.7), 10.0 ** rng.uniform(-1.3, 2.0)
+        pts, step, max_radius = _near_spoke_search(sin3, r, k, offset, scale, 0.5 + 39.5 * rng.random(), rng.random() < 0.5)
+        measured = dist_to_E1_measured(sin3, pts, step, max_radius)
+        dists = [_sin3_distance(complex(z)) for z in pts]
+        d_star = min(dists)
+        tol = 1e-12 * r
+        assert min(d_star, max_radius) <= measured + tol
+        first_ring = max(1, math.ceil(d_star / step)) * step
+        if first_ring <= max_radius and _ring_resolves(complex(pts[int(np.argmin(dists))]), first_ring):
+            resolved += d_star > 0
+            assert measured <= d_star + step + tol
+    assert resolved >= 20
 
 
 @pytest.mark.parametrize("name", RING_FUNCTIONS)
@@ -258,7 +288,7 @@ def test_good_square_verdict_is_sound(request, name):
             good = is_good_square(f, tile, tiling.sigma)
             verdicts.add(good)
             if good:
-                pts = np.append(tile.boundary_points(4), tile.center)
+                pts = _square_probe(tile.center, tile.side)
                 assert dist_to_E1_measured(f, pts, tile.side / 8.0, thresh + tile.side / 4.0) > thresh
                 disc = _disc_sample(rng, tile.center, tile.side / math.sqrt(2.0) + thresh)
                 assert not in_E_mask(f, disc, 1).any()

@@ -8,16 +8,13 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 from expdyn import (
-    DegenerateQ,
     EvalOverflow,
     ExpPoly,
     ExpPolyTerm,
     Poly,
     ZeroValue,
-    approx_error,
     check_extra_condition,
     check_hypotheses,
-    dominant_index,
     eval_deriv_log,
     eval_direct,
     eval_log,
@@ -184,24 +181,6 @@ def test_log_eval_matches_mpmath_far_out(order, sin3, h_example, hemke, three_te
             assert abs(lv.logmod - float(mp.log(abs(exact)))) <= tol
             dphase = (lv.phase - float(mp.arg(exact)) + math.pi) % (2 * math.pi) - math.pi
             assert abs(dphase) <= tol
-
-
-def test_dominant_index(cosh3):
-    assert dominant_index(cosh3, 2.0) == 0
-    assert dominant_index(cosh3, 2.0 * cmath.exp(1j * math.pi / 3)) == 1
-
-
-def test_approx_error_small_off_spoke(cosh3):
-    # On the positive real axis the subdominant term is exp(-2 r^3) small.
-    assert approx_error(cosh3, 2.0) == pytest.approx(math.exp(-16), rel=1e-9)
-    # On a spoke direction both terms tie and the error is order 1.
-    assert approx_error(cosh3, 2.0 * cmath.exp(1j * math.pi / 6)) == pytest.approx(1.0, abs=1e-9)
-
-
-def test_approx_error_degenerate_q():
-    f = ExpPoly(3, [ExpPolyTerm(Poly([0, 1]), 1 + 0j), ExpPolyTerm(Poly([1]), -1 + 0j)])
-    with pytest.raises(DegenerateQ):
-        approx_error(f, 0.0)
 
 
 @settings(max_examples=30, deadline=None)

@@ -13,14 +13,12 @@ from expdyn import (
     Tiling,
     annulus_tail_bound,
     band_measure_bound,
-    build_tiling,
     bundled_function,
     default_sigma,
     distortion_constant_C2,
     good_square_near,
     is_good_square,
     koebe_distortion_factor,
-    nested_measure_bound,
     square_density_bound,
 )
 from expdyn.grid import side_bounds, tile_side_ok
@@ -33,18 +31,11 @@ from expdyn.grid import side_bounds, tile_side_ok
 def test_square_tile_geometry():
     t = SquareTile(3 + 4j, 2.0, 5)
     assert (t.x0, t.x1, t.y0, t.y1) == (2.0, 4.0, 3.0, 5.0)
-    assert t.measure == 4.0
     assert t.min_abs_z() == pytest.approx(math.hypot(2.0, 3.0))
     assert t.max_abs_z() == pytest.approx(math.hypot(4.0, 5.0))
     assert t.contains(3 + 4j)
     assert t.contains(2 + 3j) and not t.contains(4 + 5j)  # half-open
-    assert t.contains_closed(4 + 5j)
-    assert len(t.boundary_points(4)) == 16
     assert t.grid(8).shape == (9, 9)
-    kids = t.children()
-    assert len(kids) == 4
-    assert all(k.side == 1.0 and k.level == 6 for k in kids)
-    assert sum(k.measure for k in kids) == pytest.approx(t.measure)
 
 
 def test_origin_tile_distances():
@@ -171,36 +162,6 @@ def test_tile_at_deterministic_and_disjoint(cosh3):
         seen[key] = t
 
 
-def test_window_enumeration_partitions(cosh3):
-    tiling = Tiling(cosh3, 10.0, 20.0)
-    window = SquareTile(12.0 + 0j, 0.002, 0)
-    tiles = tiling.tiles_in_window(window)
-    assert tiles
-    # every window point lands in exactly one enumerated tile
-    rng = np.random.default_rng(3)
-    pts = window.center + 0.001 * (
-        2.0 * (rng.random(200) - 0.5) + 2j * (rng.random(200) - 0.5)
-    )
-    for z in pts:
-        owners = [t for t in tiles if t.contains(complex(z))]
-        assert len(owners) == 1
-        assert owners[0] == tiling.tile_at(complex(z))
-    for t in tiles:
-        assert tile_side_ok(t, cosh3.d, tiling.sigma)
-
-
-def test_window_budget_guard(cosh3):
-    tiling = Tiling(cosh3, 10.0, 20.0)
-    with pytest.raises(ValueError):
-        tiling.tiles_in_window(SquareTile(0j, 64.0, 0), limit=100)
-
-
-def test_build_tiling_wrapper(cosh3):
-    window = SquareTile(15.0 + 0j, 0.001, 0)
-    tiles = build_tiling(cosh3, 10.0, 20.0, window=window)
-    assert tiles and all(t.side > 0 for t in tiles)
-
-
 # ---------------------------------------------------------------------------
 # Good squares
 
@@ -298,20 +259,6 @@ def test_distortion_constant():
     assert full == pytest.approx(distortion_constant_C2(60))
     assert abs(distortion_constant_C2(50) - distortion_constant_C2(60)) < 1e-10
     assert 4645.0 < full < 4647.0
-
-
-def test_nested_measure_bound_scaling():
-    t = SquareTile(100.0 + 0j, 1e-3, 0)
-    v = nested_measure_bound(t, 0.25)
-    c2 = distortion_constant_C2()
-    expected = 2.0 * c2 * c2 * math.exp(-0.5 * t.min_abs_z() ** 0.25) * t.measure
-    assert v == pytest.approx(expected)
-    # monotone decreasing in the distance from the origin
-    far = SquareTile(200.0 + 0j, 1e-3, 0)
-    assert nested_measure_bound(far, 0.25) < v
-    for alpha in (0.0, math.nan, math.inf):
-        with pytest.raises(ValueError):
-            nested_measure_bound(t, alpha)
 
 
 def test_annulus_tail_examples():

@@ -18,7 +18,6 @@ from expdyn import (
     bundled_function,
     classify_batch,
     classify_orbit,
-    iterate_E_alpha,
     iterate_max_modulus,
     log_max_modulus,
     sixsmith_quantity,
@@ -117,18 +116,6 @@ def test_fast_ladder_is_built_once_per_function_and_params(monkeypatch):
     for _ in range(2):
         assert not classify_batch(small, pts, low)["fast_escape"].any()
     assert len(built) == 3
-
-
-def test_iterate_E_alpha():
-    t = iterate_E_alpha(1.0, 1.0, 2)
-    assert t.depth == 0
-    assert t.value == pytest.approx(math.exp(math.e))
-    # exp(x^(1/4)) > x only above the crossover near 5500: growth needs a
-    # large enough base
-    deep = iterate_E_alpha(10000.0, 0.25, 8)
-    assert tower_compare(deep, iterate_E_alpha(10000.0, 0.25, 7)) == 1
-    with pytest.raises(ValueError):
-        iterate_E_alpha(-1.0, 0.25, 2)
 
 
 def test_sixsmith(cosh3):

@@ -63,13 +63,6 @@ def test_coeff_bound_dominates():
         assert abs(p(r * np.exp(1j * theta))) <= p.coeff_bound(r) + 1e-12
 
 
-def test_cauchy_root_bound():
-    p = Poly([-6, 11, -6, 1])  # roots 1, 2, 3
-    bound = p.cauchy_root_bound()
-    assert bound >= 3
-    assert Poly([5]).cauchy_root_bound() == 0.0
-
-
 def test_coeffs_read_only():
     p = Poly([1, 2])
     with pytest.raises(ValueError):

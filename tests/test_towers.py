@@ -31,11 +31,6 @@ def test_validation():
         TowerMag(0, math.inf)
 
 
-def test_to_float():
-    assert TowerMag(0, 3.5).to_float() == 3.5
-    assert TowerMag(3, 1000.0).to_float() == math.inf
-
-
 def test_from_logmod():
     assert TowerMag.from_logmod(2.0).value == pytest.approx(math.exp(2.0))
     t = TowerMag.from_logmod(5000.0)
