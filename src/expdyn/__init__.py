@@ -17,14 +17,10 @@ from .errors import (
     ZeroValue,
 )
 from .exceptional import (
-    ExceptionalParams,
-    PairPoly,
     c1_constant,
     dist_to_E1_measured,
     e2_measure,
-    in_E,
     in_E_mask,
-    pair_poly,
 )
 from .funcs import (
     ExpPoly,
@@ -77,7 +73,6 @@ from .orbits import (
     classify_orbit,
     iterate_max_modulus,
     log_max_modulus,
-    sixsmith_quantity,
 )
 from .poly import Poly
 from .raster import (
@@ -88,6 +83,6 @@ from .raster import (
     render_exceptional,
     write_ppm,
 )
-from .towers import TowerMag, tower_compare, tower_exp, tower_log, tower_pow
+from .towers import TowerMag, tower_compare, tower_exp, tower_log
 
 __version__ = "0.1.0"

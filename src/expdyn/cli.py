@@ -248,7 +248,7 @@ def _cmd_grid_bound(args) -> int:
 def _cmd_counterexample(args) -> int:
     params = CounterexampleParams(r0=args.r0, eps=args.eps, samples=args.samples)
     f = _load_fn(args)
-    rep = counterexample_check(params, args.R, f=f, seed=args.seed)
+    rep = counterexample_check(params, args.R, f, seed=args.seed)
     _emit(args, rep)
     return 0 if rep["violations"] == 0 else 2
 

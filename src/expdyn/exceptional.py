@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,10 +17,6 @@ from .funcs import TWO_PI, ExpPoly
 from .poly import Poly
 
 __all__ = [
-    "PairPoly",
-    "ExceptionalParams",
-    "pair_poly",
-    "in_E",
     "in_E_mask",
     "c1_constant",
     "dist_to_E1_measured",
@@ -32,62 +27,46 @@ __all__ = [
 SLACK = 1e-9
 # e2_measure refuses level-2 spokes of half-width below 2^14 ulp(2 pi) rad.
 MIN_HALF_WIDTH = 2.0**14 * math.ulp(TWO_PI)
+# Points on each ring of dist_to_E1_measured.
+RING_POINTS = 64
+# Halvings of each bracket in _bisect.
+BISECT_ITERS = 50
 
 
-@dataclass(frozen=True)
-class PairPoly:
-    """Exponent-difference polynomial between terms j and k."""
-
-    j: int
-    k: int
-    poly: Poly
-
-
-@dataclass(frozen=True)
-class ExceptionalParams:
-    """Threshold data for the level-1 and level-2 exceptional sets."""
-
-    nu: float
-    d: int
-
-    @classmethod
-    def for_function(cls, f: ExpPoly) -> "ExceptionalParams":
-        if f.d < 3:
-            raise ValueError("exceptional sets require d >= 3 (nu > 0)")
-        return cls(nu=f.d - 2.5, d=f.d)
-
-
-def pair_poly(f: ExpPoly, j: int, k: int) -> PairPoly:
-    if j == k:
-        raise ValueError("pair indices must differ")
-    return PairPoly(j=j, k=k, poly=f.exponent_poly(j) - f.exponent_poly(k))
+def _expo(f: ExpPoly) -> float:
+    """The threshold exponent nu/d, nu = d - 5/2; ValueError for d < 3."""
+    if f.d < 3:
+        raise ValueError("exceptional sets require d >= 3 (nu > 0)")
+    return (f.d - 2.5) / f.d
 
 
 def _pair_polys(f: ExpPoly):
-    # Unordered pairs suffice: p_{k,j} = -p_{j,k} and membership only sees
-    # |Re| and the modulus.  Stored on the function, so they live as long as it.
+    # p_{j,k} for j < k.  Unordered pairs suffice: p_{k,j} = -p_{j,k} and
+    # membership only sees |Re| and the modulus.  Stored on the function, so
+    # they live as long as it.
     if "pair_polys" not in f.memo:
         f.memo["pair_polys"] = [
-            pair_poly(f, j, k)
+            f.exponent_poly(j) - f.exponent_poly(k)
             for j in range(f.n_terms)
             for k in range(j + 1, f.n_terms)
         ]
     return f.memo["pair_polys"]
 
 
-def _far_member(poly: Poly, Z, level: int, params: ExceptionalParams):
+def _far_member(poly: Poly, Z, level: int, expo: float):
     """Membership at points where p(Z) does not fit in doubles.
 
     With z = r u, |u| = 1, p(z) = r^d p~(u), where p~ has the coefficients
     c_i r^(i - d), and the threshold inequality reads
-    log|Re p~| < log level + (nu - d) log r + (nu/d) log|p~|.
+    log|Re p~| < log level + (nu - d) log r + (nu/d) log|p~|, nu - d = -5/2.
     """
+    d = poly.degree
     r = np.abs(Z)
     u = Z / r
     acc = np.full(Z.shape, poly.coeffs[-1])
-    for i in range(params.d - 1, -1, -1):
-        acc = acc * u + poly.coeff(i) * r ** (i - params.d)
-    rhs = math.log(level) + (params.nu - params.d) * np.log(r) + params.nu / params.d * np.log(np.abs(acc))
+    for i in range(d - 1, -1, -1):
+        acc = acc * u + poly.coeff(i) * r ** (i - d)
+    rhs = math.log(level) - 2.5 * np.log(r) + expo * np.log(np.abs(acc))
     return (acc == 0) | (np.log(np.abs(acc.real)) < rhs)
 
 
@@ -115,36 +94,30 @@ def in_E_mask(f: ExpPoly, Z, level: int) -> np.ndarray:
     """
     if level not in (1, 2):
         raise ValueError("level must be 1 or 2")
-    params = ExceptionalParams.for_function(f)
+    expo = _expo(f)
     Z = np.asarray(Z, dtype=complex)
     flat = Z.reshape(-1)  # a 0-d Z would give numpy scalars, which take no item assignment
     member = np.zeros(flat.shape, dtype=bool)
-    expo = params.nu / params.d
     with np.errstate(divide="ignore", over="ignore", invalid="ignore", under="ignore"):
-        for pp in _pair_polys(f):
-            w = pp.poly(flat)
-            margin = _margin(w, expo, level)
+        for poly in _pair_polys(f):
+            margin = _margin(poly(flat), expo, level)
             hit = margin < 0
             far = ~np.isfinite(margin)
             if far.any():
-                hit[far] = _far_member(pp.poly, flat[far], level, params)
+                hit[far] = _far_member(poly, flat[far], level, expo)
             member |= hit
     return member.reshape(Z.shape)
 
 
-def in_E(f: ExpPoly, z: complex, level: int) -> bool:
-    return bool(in_E_mask(f, np.asarray(complex(z)), level))
-
-
 def c1_constant(f: ExpPoly) -> float:
     """min_{l != n} |b_l - b_n|^(nu/d - 1) / (25 d)."""
-    params = ExceptionalParams.for_function(f)
+    expo = _expo(f)
     diffs = [
         abs(f.terms[j].b - f.terms[k].b)
         for j in range(f.n_terms)
         for k in range(j + 1, f.n_terms)
     ]
-    return min(s ** (params.nu / params.d - 1.0) for s in diffs) / (25.0 * f.d)
+    return min(s ** (expo - 1.0) for s in diffs) / (25.0 * f.d)
 
 
 def _disc_clear(f: ExpPoly, c: complex, R: float) -> bool:
@@ -159,13 +132,13 @@ def _disc_clear(f: ExpPoly, c: complex, R: float) -> bool:
     magnitude, so in_E_mask reads no such point as a member either.
     Anything not finite on the way means "not proven".
     """
-    expo = ExceptionalParams.for_function(f).nu / f.d
+    expo = _expo(f)
     with np.errstate(over="ignore", invalid="ignore"):
         rho = abs(c) + R
-        for pp in _pair_polys(f):
-            w = complex(pp.poly(c))
+        for poly in _pair_polys(f):
+            w = complex(poly(c))
             try:
-                m = R * pp.poly.deriv().coeff_bound(rho) + SLACK * pp.poly.coeff_bound(rho)
+                m = R * poly.deriv().coeff_bound(rho) + SLACK * poly.coeff_bound(rho)
             except OverflowError:  # rho^i beyond doubles
                 return False
             if not (
@@ -177,16 +150,14 @@ def _disc_clear(f: ExpPoly, c: complex, R: float) -> bool:
     return True
 
 
-def dist_to_E1_measured(
-    f: ExpPoly, z, step: float, max_radius: float, n_angles: int = 64
-) -> float:
+def dist_to_E1_measured(f: ExpPoly, z, step: float, max_radius: float) -> float:
     """Empirical distance to the level-1 set by expanding ring search.
 
     z is one point or an array of points, all of which share each ring
-    radius.  Returns the smallest sampled ring radius around any of them
-    containing a level-1 point, 0 if a point is itself a member, and
-    max_radius if nothing was found (a one-sided over-estimate, adequate for
-    checking lower bounds).  It measures and proves nothing: a proof that a
+    radius; each ring has RING_POINTS points.  Returns the smallest sampled
+    ring radius around any of them containing a level-1 point, 0 if a point
+    is itself a member, and max_radius if nothing was found (a one-sided
+    over-estimate, adequate for checking lower bounds).  It measures and proves nothing: a proof that a
     disc is clear is _disc_clear.
     """
     if not (math.isfinite(step) and math.isfinite(max_radius)):
@@ -196,7 +167,7 @@ def dist_to_E1_measured(
     z = np.asarray(z, dtype=complex)
     if in_E_mask(f, z, 1).any():
         return 0.0
-    angles = np.exp(2j * math.pi * np.arange(n_angles) / n_angles)
+    angles = np.exp(2j * math.pi * np.arange(RING_POINTS) / RING_POINTS)
     r = step
     while r <= max_radius:
         if in_E_mask(f, z[..., None] + r * angles, 1).any():
@@ -205,9 +176,9 @@ def dist_to_E1_measured(
     return max_radius
 
 
-def _bisect(g, out, inside, iters=50):
+def _bisect(g, out, inside):
     """Vectorised bisection of the brackets g(out) >= 0 > g(inside)."""
-    for _ in range(iters):
+    for _ in range(BISECT_ITERS):
         mid = 0.5 * (out + inside)
         neg = g(mid) < 0
         inside = np.where(neg, mid, inside)
@@ -301,17 +272,16 @@ def e2_measure(f: ExpPoly, r_min: float, r_max: float, nr: int, ntheta: int) -> 
         raise ValueError("need 0 < r_min < r_max, r_max finite")
     if nr < 16 or ntheta < 16:
         raise ValueError("need nr, ntheta >= 16")
-    params = ExceptionalParams.for_function(f)
-    expo = params.nu / params.d
-    for pp in _pair_polys(f):
-        log_size = math.log(abs(pp.poly.coeff(f.d))) + f.d * math.log(r_max)
+    expo = _expo(f)
+    for poly in _pair_polys(f):
+        log_size = math.log(abs(poly.coeff(f.d))) + f.d * math.log(r_max)
         if 2.0 / f.d * math.exp((expo - 1.0) * log_size) < MIN_HALF_WIDTH:
             raise ValueError(f"r_max={r_max:.6g} too large: level-2 spokes narrower than {MIN_HALF_WIDTH:.3g} rad")
     dr = (r_max - r_min) / nr
     thetas = (np.arange(ntheta) + 0.5) * (TWO_PI / ntheta)
     radii = r_min + (np.arange(nr) + 0.5) * dr
     with np.errstate(divide="ignore"):
-        arcs = [_pair_arcs(pp.poly, radii, thetas, expo) for pp in _pair_polys(f)]
+        arcs = [_pair_arcs(poly, radii, thetas, expo) for poly in _pair_polys(f)]
     rows, lo, hi = (np.concatenate(parts) for parts in zip(*arcs))
     total = 0.0
     for i, r in enumerate(radii):

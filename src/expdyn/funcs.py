@@ -37,6 +37,10 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+# check_hypotheses treats argument gaps within this of pi as exactly pi.
+ANGLE_TOL = 1e-9
+# Relative tolerance of the cross products in check_extra_condition.
+SPLIT_TOL = 1e-12
 
 
 def wrap_phase(p):
@@ -96,7 +100,6 @@ class ExpPoly:
         self.terms = terms
         self.n_terms = len(terms)
         self.max_abs_b = max(abs(b) for b in bs)
-        self.min_abs_b = min(abs(b) for b in bs)
         # Quantities derived from the (never modified) coefficients, computed
         # once by their users; see orbits.trap_at_0.
         self.memo = {}
@@ -279,21 +282,20 @@ def eval_deriv_log(f: ExpPoly, z: complex, order: int) -> LogComplex:
 # Hypothesis checking
 
 
-def check_extra_condition(
-    Pk: Poly, bk: complex, Pl: Poly, bl: complex, d: int, tol: float = 1e-12
-) -> bool:
+def check_extra_condition(Pk: Poly, bk: complex, Pl: Poly, bl: complex, d: int) -> bool:
     """Whether P_k, P_l split as b g + (degree <= d-3 remainder) with shared g.
 
     Only the coefficients of z^(d-2) and z^(d-1) are constrained: anything of
     degree <= d-3 is absorbable into the remainder, and the top coefficients
     of g are determined by P_k/b_k, which must agree with P_l/b_l.  That is
-    equivalent to the cross products P_k[i] b_l == P_l[i] b_k.
+    equivalent to the cross products P_k[i] b_l == P_l[i] b_k, to SPLIT_TOL
+    relative.
     """
     for i in (d - 2, d - 1):
         x = Pk.coeff(i) * bl
         y = Pl.coeff(i) * bk
         scale = max(abs(x), abs(y))
-        if scale > 0 and abs(x - y) > tol * scale:
+        if scale > 0 and abs(x - y) > SPLIT_TOL * scale:
             return False
     return True
 
@@ -322,12 +324,12 @@ class HypothesisReport:
         }
 
 
-def check_hypotheses(f: ExpPoly, angle_tol: float = 1e-9) -> HypothesisReport:
+def check_hypotheses(f: ExpPoly) -> HypothesisReport:
     """Classify f against the strict and weak frequency-gap conditions.
 
     Arguments of the b_j are taken in [0, 2pi) and sorted; consecutive gaps
     must not exceed pi and the total spread must reach pi.  A gap within
-    angle_tol of pi is treated as exactly pi, and each such pair must admit
+    ANGLE_TOL of pi is treated as exactly pi, and each such pair must admit
     the coefficient splitting tested by check_extra_condition (existentially
     over all terms sharing the two arguments involved).
     """
@@ -348,7 +350,7 @@ def check_hypotheses(f: ExpPoly, angle_tol: float = 1e-9) -> HypothesisReport:
     gaps = np.diff(beta)
     spread = beta[-1] - beta[0]
 
-    weak_ok = bool(np.all(gaps <= math.pi + angle_tol) and spread >= math.pi - angle_tol)
+    weak_ok = bool(np.all(gaps <= math.pi + ANGLE_TOL) and spread >= math.pi - ANGLE_TOL)
     if not weak_ok:
         return HypothesisReport(
             d_ok=True,
@@ -362,9 +364,9 @@ def check_hypotheses(f: ExpPoly, angle_tol: float = 1e-9) -> HypothesisReport:
 
     pi_pairs = []
     for i, g in enumerate(gaps):
-        if abs(g - math.pi) <= angle_tol:
+        if abs(g - math.pi) <= ANGLE_TOL:
             pi_pairs.append((int(order[i]), int(order[i + 1])))
-    if abs(spread - math.pi) <= angle_tol:
+    if abs(spread - math.pi) <= ANGLE_TOL:
         pair = (int(order[0]), int(order[-1]))
         if pair not in pi_pairs:
             pi_pairs.append(pair)
@@ -372,8 +374,8 @@ def check_hypotheses(f: ExpPoly, angle_tol: float = 1e-9) -> HypothesisReport:
     extra_ok = []
     for j, k in pi_pairs:
         # Existential over all terms sharing the two arguments of the pair.
-        side_a = [i for i in range(f.n_terms) if _arg_close(args[i], args[j], angle_tol)]
-        side_b = [i for i in range(f.n_terms) if _arg_close(args[i], args[k], angle_tol)]
+        side_a = [i for i in range(f.n_terms) if _arg_close(args[i], args[j])]
+        side_b = [i for i in range(f.n_terms) if _arg_close(args[i], args[k])]
         found = any(
             check_extra_condition(
                 f.terms[a].P, f.terms[a].b, f.terms[b].P, f.terms[b].b, f.d
@@ -383,7 +385,7 @@ def check_hypotheses(f: ExpPoly, angle_tol: float = 1e-9) -> HypothesisReport:
         )
         extra_ok.append(found)
 
-    strict = not pi_pairs and spread > math.pi + angle_tol
+    strict = not pi_pairs and spread > math.pi + ANGLE_TOL
     if strict:
         verdict, reason = "Theorem1.1", ""
     elif all(extra_ok):
@@ -401,8 +403,8 @@ def check_hypotheses(f: ExpPoly, angle_tol: float = 1e-9) -> HypothesisReport:
     )
 
 
-def _arg_close(a: float, b: float, tol: float) -> bool:
-    return abs(wrap_phase(a - b)) <= tol
+def _arg_close(a: float, b: float) -> bool:
+    return abs(wrap_phase(a - b)) <= ANGLE_TOL
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,10 @@ __all__ = [
 ]
 
 SQRT2 = math.sqrt(2.0)
+# Points of the circle that good_square_near walks.
+NEAR_ANGLES = 96
+# distortion_constant_C2 stops at the first factor within this of 1.
+C2_TOL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -206,10 +210,10 @@ def is_good_square(f: ExpPoly, tile: SquareTile, sigma: float) -> bool:
     return _disc_clear(f, tile.center, tile.side / SQRT2 + thresh + tile.side / 4.0)
 
 
-def good_square_near(tiling: Tiling, r: float, n_angles: int = 96):
-    """First good square met walking the circle |z| = r; None if all fail."""
-    for i in range(n_angles):
-        z = r * complex(math.cos(2 * math.pi * i / n_angles), math.sin(2 * math.pi * i / n_angles))
+def good_square_near(tiling: Tiling, r: float):
+    """First good square met walking NEAR_ANGLES points of |z| = r; None if all fail."""
+    for i in range(NEAR_ANGLES):
+        z = r * complex(math.cos(2 * math.pi * i / NEAR_ANGLES), math.sin(2 * math.pi * i / NEAR_ANGLES))
         if not (tiling.r_lo <= abs(z) <= tiling.r_hi):
             continue
         tile = tiling.tile_at(z)
@@ -339,8 +343,9 @@ def koebe_distortion_factor(rho: float) -> float:
     return ((1.0 + rho) / (1.0 - rho)) ** 4
 
 
-def distortion_constant_C2(n_factors: int | None = None, tol: float = 1e-15) -> float:
-    """(prod_{j>=1} (1 + 2^-j) / (1 - 2^-j))^4, truncated at increment < tol."""
+def distortion_constant_C2(n_factors: int | None = None) -> float:
+    """(prod_{j>=1} (1 + 2^-j) / (1 - 2^-j))^4, truncated after n_factors
+    factors, or by default at the first factor within C2_TOL of 1."""
     prod = 1.0
     j = 1
     while True:
@@ -350,7 +355,7 @@ def distortion_constant_C2(n_factors: int | None = None, tol: float = 1e-15) -> 
         if n_factors is not None:
             if j >= n_factors:
                 break
-        elif factor - 1.0 < tol:
+        elif factor - 1.0 < C2_TOL:
             break
         j += 1
     return prod**4

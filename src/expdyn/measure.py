@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError
 from .exceptional import in_E_mask
-from .funcs import ExpPoly, bundled_function, eval_log_batch
+from .funcs import ExpPoly, eval_log_batch
 from .grid import annulus_tail_bound
 from .orbits import (
     ESCAPE_CERTIFIED,
@@ -87,10 +87,10 @@ class CounterexampleParams:
     samples: int = 2000
 
     def __post_init__(self):
-        if self.r0 <= _E:
-            raise DomainError("r0 must exceed e so log log r0 is defined")
-        if self.eps <= 0 or self.samples < 1:
-            raise ValueError("eps must be positive and samples >= 1")
+        if not (_E < self.r0 < math.inf):
+            raise DomainError("r0 must be finite and exceed e so log log r0 is defined")
+        if not (0 < self.eps < math.inf) or self.samples < 1:
+            raise ValueError("eps must be positive and finite, and samples >= 1")
 
 
 def _annulus_points(r: float, samples: int, seed: int) -> np.ndarray:
@@ -176,22 +176,15 @@ def _wedge_points(r0: float, R: float, samples: int, seed: int) -> np.ndarray:
     return r * np.exp(1j * theta)
 
 
-def counterexample_check(
-    p: CounterexampleParams,
-    R: float,
-    f: ExpPoly | None = None,
-    seed: int = 0,
-) -> dict:
+def counterexample_check(p: CounterexampleParams, R: float, f: ExpPoly, seed: int = 0) -> dict:
     """Verify the wedge is mapped deep into the attracting disk and stays put.
 
     Samples B with radii in [p.r0, R], asserts log|f| <= -r/4 at every
     sample, classifies each sample's orbit, and cross-checks the wedge
     measure quadrature against the closed form.
     """
-    if R <= p.r0:
-        raise DomainError("need R > r0")
-    if f is None:
-        f = bundled_function("example_h")
+    if not (p.r0 < R < math.inf):
+        raise DomainError("need R > r0, R finite")
     pts = _wedge_points(p.r0, R, p.samples, seed)
     r = np.abs(pts)
     lm, _, zero = eval_log_batch(f, pts)

@@ -36,7 +36,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BadBase, ZeroValue
+from .errors import BadBase
 from .exceptional import in_E_mask
 from .funcs import (
     ExpPoly,
@@ -45,7 +45,6 @@ from .funcs import (
     _prefactor_logs,
     _term_consts,
     _term_exponents,
-    eval_log,
     eval_log_batch,
     wrap_phase,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "UNDETERMINED",
     "log_max_modulus",
     "iterate_max_modulus",
-    "sixsmith_quantity",
     "classify_batch",
     "classify_orbit",
     "write_orbit_csv",
@@ -77,6 +75,11 @@ _TAG_TABLE = np.array([UNDETERMINED, ESCAPE_CERTIFIED, NON_ESCAPE_OBSERVED], dty
 TAIL_STEPS = 16
 # Beyond this iterated-exp depth an uncertified orbit is given up on.
 MAX_DEPTH = 6
+# A direct-mode orbit whose log|f| exceeds this (or the smaller cap at which
+# the next exponent b z^d leaves doubles) moves to tower mode.
+BAIL_LOGMOD = 690.0
+# Circle samples of log_max_modulus.
+CIRCLE_SAMPLES = 256
 # The columns of write_orbit_csv: re, im of z in direct mode; val, phase with
 # |z| = exp^depth(val) in tower mode.
 ORBIT_COLUMNS = ("step", "re", "im", "val", "phase", "depth", "tag")
@@ -88,7 +91,6 @@ class ClassifyParams:
     escape_radius: float = 50.0
     max_iter: int = 512
     cert_steps: int = 3
-    bail_logmod: float = 690.0
 
     def __post_init__(self):
         if not (math.isfinite(self.alpha) and self.alpha > 0):
@@ -127,20 +129,21 @@ def _log_deriv_bound(f: ExpPoly, r: float) -> float:
     return 2.0 * bound + 1.0
 
 
-def log_max_modulus(f: ExpPoly, r: float, ntheta: int = 256):
+def log_max_modulus(f: ExpPoly, r: float):
     """Bracket [lo, hi] for log max_{|z|=r} |f(z)| by circle sampling.
 
-    lo is the sampled maximum of log|f|; hi adds a Lipschitz slack for the
-    half gap between samples using the crude gradient bound above.
+    lo is the maximum of log|f| over CIRCLE_SAMPLES points; hi adds a
+    Lipschitz slack for the half gap between samples using the crude
+    gradient bound above.
     """
     if r <= 0:
         raise ValueError("r must be positive")
-    thetas = 2.0 * math.pi * np.arange(ntheta) / ntheta
+    thetas = 2.0 * math.pi * np.arange(CIRCLE_SAMPLES) / CIRCLE_SAMPLES
     Z = r * np.exp(1j * thetas)
     lm, _, zero = eval_log_batch(f, Z)
     lm = np.where(zero, -np.inf, lm)
     lo = float(lm.max())
-    slack = r * _log_deriv_bound(f, r) * (math.pi / ntheta)
+    slack = r * _log_deriv_bound(f, r) * (math.pi / CIRCLE_SAMPLES)
     return lo, lo + slack
 
 
@@ -177,17 +180,6 @@ def iterate_max_modulus(f: ExpPoly, R: float, n: int, max_depth: int | None = No
             break
         out.append(t)
     return out
-
-
-def sixsmith_quantity(f: ExpPoly, z: complex) -> float:
-    """|z f'(z)/f(z)|, evaluated from log-domain values."""
-    z = complex(z)
-    v = eval_log(f, z)
-    d1 = eval_log_batch(f, np.asarray(z), order=1)
-    if bool(d1[2]):
-        return 0.0
-    e = float(d1[0]) - v.logmod + math.log(abs(z))
-    return math.inf if e > 709.0 else math.exp(e)
 
 
 # ---------------------------------------------------------------------------
@@ -650,7 +642,7 @@ def classify_batch(f: ExpPoly, points, p: ClassifyParams | None = None, record: 
         p = ClassifyParams()
     pts = np.asarray(points, dtype=complex).ravel()
     n_pts = pts.size
-    dcap = min((700.0 - math.log(f.max_abs_b) - 5.0) / f.d, p.bail_logmod)
+    dcap = min((700.0 - math.log(f.max_abs_b) - 5.0) / f.d, BAIL_LOGMOD)
     trap = trap_at_0(f, p.escape_radius)
     ladder = _fast_ladder(f, p.escape_radius, p.max_iter)
     lad_depth = np.array([t.depth for t in ladder or []], np.int64)
@@ -753,10 +745,6 @@ def classify_orbit(f: ExpPoly, z0: complex, p: ClassifyParams | None = None) -> 
     oc, walk = _orbit_walk(f, complex(z0), p or ClassifyParams())
     mags = [TowerMag(0, abs(z)) if z is not None else TowerMag(int(dep), float(val)) for _, z, dep, val, _, _ in walk]
     oc.diagnostics["last_abs"] = mags[-1]
-    try:
-        oc.diagnostics["last_sixsmith"] = sixsmith_quantity(f, z0)
-    except ZeroValue:
-        oc.diagnostics["last_sixsmith"] = None
     oc.diagnostics["cert_trace"] = [
         {"step": w[0], "abs_before": before, "abs_after": after, "certified": w[5]}
         for w, before, after in zip(walk[1:], mags, mags[1:])

@@ -8,6 +8,7 @@ pre-indexed rows of the output array.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -52,11 +53,20 @@ class Viewport:
     def __post_init__(self):
         if self.px_w < 1 or self.px_h < 1:
             raise ValueError("pixel dimensions must be >= 1")
+        # Finite extents keep every pixel spacing and pixel centre finite.
+        extents = (
+            2.0 * self.half_width,
+            2.0 * self.half_height,
+            abs(self.center.real) + self.half_width,
+            abs(self.center.imag) + self.half_height,
+        )
+        if not all(map(math.isfinite, extents)):
+            raise ValueError("viewport center, half extents and edges must be finite")
         if self.half_width <= 0 or self.half_height <= 0:
             raise ValueError("half extents must be positive")
-        a = self.half_width * self.px_h
-        b = self.half_height * self.px_w
-        if abs(a - b) > 1e-9 * max(a, b):
+        sx = self.half_width / self.px_w
+        sy = self.half_height / self.px_h
+        if abs(sx - sy) > 1e-9 * max(sx, sy):
             raise ValueError("world aspect ratio must equal pixel aspect ratio")
 
     @classmethod
@@ -81,30 +91,29 @@ class Viewport:
 
 
 class ImageBuffer:
-    """8-bit RGB raster, row-major with the top row first."""
+    """8-bit RGB raster of shape (px_h, px_w, 3), row-major with the top row first."""
 
-    def __init__(self, px_w: int, px_h: int, pixels: np.ndarray | None = None):
-        if px_w < 1 or px_h < 1:
-            raise ValueError("pixel dimensions must be >= 1")
-        self.px_w = px_w
-        self.px_h = px_h
-        if pixels is None:
-            pixels = np.zeros((px_h, px_w, 3), dtype=np.uint8)
-        if pixels.shape != (px_h, px_w, 3) or pixels.dtype != np.uint8:
+    def __init__(self, pixels: np.ndarray):
+        if pixels.ndim != 3 or pixels.shape[2] != 3 or pixels.dtype != np.uint8:
             raise ValueError("pixels must be uint8 with shape (px_h, px_w, 3)")
+        if pixels.shape[0] < 1 or pixels.shape[1] < 1:
+            raise ValueError("pixel dimensions must be >= 1")
         self.pixels = pixels
+
+    @property
+    def px_w(self) -> int:
+        return self.pixels.shape[1]
+
+    @property
+    def px_h(self) -> int:
+        return self.pixels.shape[0]
 
     @property
     def data(self) -> bytes:
         return self.pixels.tobytes()
 
     def __eq__(self, other):
-        return (
-            isinstance(other, ImageBuffer)
-            and self.px_w == other.px_w
-            and self.px_h == other.px_h
-            and np.array_equal(self.pixels, other.pixels)
-        )
+        return isinstance(other, ImageBuffer) and np.array_equal(self.pixels, other.pixels)
 
 
 def _escape_shade(steps: np.ndarray) -> np.ndarray:
@@ -158,7 +167,7 @@ def render_classification(
     else:
         for span in chunks:
             work(span)
-    return ImageBuffer(v.px_w, v.px_h, out)
+    return ImageBuffer(out)
 
 
 def render_exceptional(f: ExpPoly, v: Viewport) -> ImageBuffer:
@@ -169,7 +178,7 @@ def render_exceptional(f: ExpPoly, v: Viewport) -> ImageBuffer:
     out = np.full((v.px_h, v.px_w, 3), COLOR_BG, dtype=np.uint8)
     out[e2] = COLOR_E2
     out[e1] = COLOR_E1
-    return ImageBuffer(v.px_w, v.px_h, out)
+    return ImageBuffer(out)
 
 
 def write_ppm(img: ImageBuffer, path) -> None:
@@ -204,4 +213,4 @@ def read_ppm(path) -> ImageBuffer:
     if len(body) != 3 * w * h:
         raise ValueError("truncated pixel payload")
     pixels = np.frombuffer(body, dtype=np.uint8).reshape(h, w, 3).copy()
-    return ImageBuffer(w, h, pixels)
+    return ImageBuffer(pixels)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["TowerMag", "tower_compare", "tower_log", "tower_exp", "tower_pow"]
+__all__ = ["TowerMag", "tower_compare", "tower_log", "tower_exp"]
 
 LIFT = 690.0
 
@@ -32,7 +32,7 @@ def _canon_arrays(depth, val):
     return depth, val
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class TowerMag:
     depth: int
     value: float
@@ -47,21 +47,6 @@ class TowerMag:
         object.__setattr__(self, "depth", int(depth[0]))
         object.__setattr__(self, "value", float(value[0]))
 
-    def _key(self):
-        return (self.depth, self.value)
-
-    def __lt__(self, other):
-        return self._key() < other._key()
-
-    def __le__(self, other):
-        return self._key() <= other._key()
-
-    def __gt__(self, other):
-        return self._key() > other._key()
-
-    def __ge__(self, other):
-        return self._key() >= other._key()
-
     @classmethod
     def from_logmod(cls, logmod: float) -> "TowerMag":
         """Magnitude with natural log equal to logmod."""
@@ -72,8 +57,7 @@ class TowerMag:
 
 def tower_compare(a: TowerMag, b: TowerMag) -> int:
     """-1, 0, or 1 according to the represented real magnitudes."""
-    ka, kb = a._key(), b._key()
-    return (ka > kb) - (ka < kb)
+    return (a > b) - (a < b)
 
 
 def tower_log(t: TowerMag) -> TowerMag:
@@ -111,10 +95,3 @@ def _tower_scale(t: TowerMag, a: float) -> TowerMag:
     if t.depth == 0:
         return TowerMag(0, a * t.value)
     return tower_exp(_tower_add_const(tower_log(t), math.log(a)))
-
-
-def tower_pow(t: TowerMag, a: float) -> TowerMag:
-    """The represented magnitude raised to the positive power a."""
-    if t.depth == 0 and t.value == 0:
-        return TowerMag(0, 0.0)
-    return tower_exp(_tower_scale(tower_log(t), a))

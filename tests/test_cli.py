@@ -385,6 +385,42 @@ def test_counterexample_json(capsys, tmp_path):
     assert rep["nonescape_fraction"] >= 0.99
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--R", "nan"), ("--R", "inf"), ("--r0", "nan"), ("--r0", "inf"), ("--eps", "nan"), ("--eps", "inf")],
+)
+def test_counterexample_rejects_non_finite_input(capsys, tmp_path, flag, value):
+    # --R nan and --r0 nan used to print NaN fields, --R inf leaked
+    # RuntimeWarnings and an IntegrationWarning, both with exit 0.
+    args = {"--r0": "100", "--R": "1000", "--samples": "20", flag: value}
+    out_path = tmp_path / "cx.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(
+            capsys, "counterexample", *[x for kv in args.items() for x in kv], "--out", str(out_path)
+        )
+    assert code == 1 and err.startswith("error:")
+    assert out == "" and not out_path.exists()
+
+
+@pytest.mark.parametrize("cmd", ["render", "exceptional"])
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--half", "nan"), ("--half", "inf"), ("--half", "1e308"), ("--center-re", "nan"), ("--center-im", "inf")],
+)
+def test_viewport_rejects_non_finite_input(capsys, tmp_path, cmd, flag, value):
+    # A non-finite viewport, or one whose pixel spacing 2 half / px
+    # overflows, used to give an image with exit 0: for exceptional
+    # --center-im inf or --half 1e308 an all-white one, claiming no
+    # exceptional points.
+    out_path = tmp_path / "x.ppm"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, cmd, "--fn", "sin_z3", "--px", "4", flag, value, "--out", str(out_path))
+    assert code == 1 and err.startswith("error:")
+    assert out == "" and not out_path.exists()
+
+
 @pytest.fixture(scope="module")
 def lemma_verify_run():
     out = io.StringIO()

@@ -18,13 +18,11 @@ from expdyn import (
     dist_to_E1_measured,
     e2_measure,
     good_square_near,
-    in_E,
     in_E_mask,
     is_good_square,
-    pair_poly,
 )
 from expdyn import exceptional
-from expdyn.exceptional import E2_COLUMNS, ExceptionalParams, _disc_clear, _far_member, _pair_polys
+from expdyn.exceptional import E2_COLUMNS, _disc_clear, _expo, _far_member, _pair_polys
 from expdyn.grid import good_square_threshold
 from expdyn.measure import _annulus_points
 from expdyn.report import write_csv
@@ -32,31 +30,29 @@ from expdyn.report import write_csv
 
 def test_params_require_d3(sinz):
     with pytest.raises(ValueError):
-        ExceptionalParams.for_function(sinz)
+        _expo(sinz)
     with pytest.raises(ValueError):
-        in_E(sinz, 1.0, 1)
+        in_E_mask(sinz, 1.0, 1)
 
 
 def test_pair_poly(cosh3):
-    pp = pair_poly(cosh3, 0, 1)
-    assert pp.poly.coeff(3) == 2.0
-    with pytest.raises(ValueError):
-        pair_poly(cosh3, 1, 1)
+    (p,) = _pair_polys(cosh3)
+    assert p.coeff(3) == 2.0
 
 
 def test_level_validation(cosh3):
     with pytest.raises(ValueError):
-        in_E(cosh3, 2.0, 3)
+        in_E_mask(cosh3, 2.0, 3)
 
 
 def test_spoke_membership(cosh3):
     # Re(2 z^3) vanishes on arg z = pi/6 + k pi/3: those rays are deep in E_1.
     for k in range(6):
         z = 10.0 * cmath.exp(1j * (math.pi / 6 + k * math.pi / 3))
-        assert in_E(cosh3, z, 1)
+        assert in_E_mask(cosh3, z, 1)
     # On the real axis Re(2 z^3) = 2 r^3 dwarfs the |p|^(nu/d) threshold.
-    assert not in_E(cosh3, 10.0, 1)
-    assert not in_E(cosh3, 10.0, 2)
+    assert not in_E_mask(cosh3, 10.0, 1)
+    assert not in_E_mask(cosh3, 10.0, 2)
 
 
 def test_nesting_e1_in_e2(cosh3):
@@ -68,7 +64,7 @@ def test_nesting_e1_in_e2(cosh3):
 
 
 def test_zero_of_pair_poly_is_member(cosh3):
-    assert in_E(cosh3, 0.0, 1)
+    assert in_E_mask(cosh3, 0.0, 1)
 
 
 def test_spoke_width_scaling(cosh3):
@@ -77,8 +73,8 @@ def test_spoke_width_scaling(cosh3):
     for r in (10.0, 20.0):
         w = (2 * r**3) ** (1.0 / 6.0) / (6 * r**3)  # threshold / |grad Re p|
         base = math.pi / 6
-        assert in_E(cosh3, r * cmath.exp(1j * (base + 0.3 * w)), 1)
-        assert not in_E(cosh3, r * cmath.exp(1j * (base + 3.0 * w)), 1)
+        assert in_E_mask(cosh3, r * cmath.exp(1j * (base + 0.3 * w)), 1)
+        assert not in_E_mask(cosh3, r * cmath.exp(1j * (base + 3.0 * w)), 1)
 
 
 def test_c1_constant(cosh3):
@@ -129,12 +125,12 @@ def _spoke(f, r, k):
     The spoke is that of the first pair polynomial p through the leading-order
     ray (pi/2 - arg c_d + k pi)/d, located as a root of Re p on |z| = r.
     """
-    p = _pair_polys(f)[0].poly
+    p = _pair_polys(f)[0]
     cd = p.coeffs[-1]
     ray = (math.pi / 2 - cmath.phase(cd) + k * math.pi) / f.d
     theta = brentq(lambda t: p(r * cmath.exp(1j * t)).real, ray - 0.3, ray + 0.3, xtol=1e-15)
     size = abs(cd) * r**f.d
-    return theta, size ** (ExceptionalParams.for_function(f).nu / f.d) / (f.d * size)
+    return theta, size ** _expo(f) / (f.d * size)
 
 
 def _square_probe(centre, side):
@@ -200,11 +196,12 @@ def _sin3_distance(z):
     return best
 
 
-def _ring_resolves(z0, radius, n_angles=64, dense=32):
+def _ring_resolves(z0, radius, dense=32):
     """Whether the circle |w - z0| = radius runs inside the level-1 set of
-    sin_z3 (closed form) along an arc of at least two spacings of an
-    n_angles-point ring, so that the ring has a point well inside the arc."""
-    ring = z0 + radius * np.exp(2j * math.pi * np.arange(n_angles * dense) / (n_angles * dense))
+    sin_z3 (closed form) along an arc of at least two spacings of a ring of
+    dist_to_E1_measured, so that the ring has a point well inside the arc."""
+    n = exceptional.RING_POINTS * dense
+    ring = z0 + radius * np.exp(2j * math.pi * np.arange(n) / n)
     inside = _sin3_member(ring)
     if inside.all():
         return True
@@ -409,7 +406,7 @@ def test_membership_where_pair_polynomial_overflows(sin3, r):
     for level in (1, 2):
         assert not in_E_mask(sin3, off, level).any()
         assert in_E_mask(sin3, on, level).all()
-        assert in_E(sin3, on[0], level) and not in_E(sin3, off[0], level)
+        assert in_E_mask(sin3, on[0], level) and not in_E_mask(sin3, off[0], level)
     # The sample of the far annulus scan: none of it lies in E1 or E2.
     pts = _annulus_points(1e103, 20000, 0)
     assert not in_E_mask(sin3, pts, 1).any()
@@ -421,17 +418,17 @@ def test_scale_free_membership_matches_direct_form(name, request):
     # Where p(z) is finite both forms apply; they agree away from the
     # boundary of the set.
     f = request.getfixturevalue(name)
-    params = ExceptionalParams.for_function(f)
+    expo = _expo(f)
     rng = np.random.default_rng(3)
     z = 10.0 ** (0.5 + 2.5 * rng.random(20000)) * np.exp(2j * math.pi * rng.random(20000))
-    for pp in _pair_polys(f):
-        w = pp.poly(z)
-        ratio = np.abs(w.real) / np.abs(w) ** (params.nu / params.d)
+    for p in _pair_polys(f):
+        w = p(z)
+        ratio = np.abs(w.real) / np.abs(w) ** expo
         for level in (1, 2):
             clear = np.abs(ratio / level - 1.0) > 1e-6
             direct = ratio < level
             assert direct[clear].any() and not direct[clear].all()
-            np.testing.assert_array_equal(_far_member(pp.poly, z, level, params)[clear], direct[clear])
+            np.testing.assert_array_equal(_far_member(p, z, level, expo)[clear], direct[clear])
 
 
 @settings(max_examples=40, deadline=None)
@@ -455,7 +452,7 @@ def test_in_E_mask_rotation_invariant(cosh3, phi, r, k, offset, level):
     p = 2.0 * w**3
     assume(abs(abs(p.real) / (level * abs(p) ** (1.0 / 6.0)) - 1.0) > 1e-6)
     z = w * cmath.exp(-1j * phi)
-    assert in_E(rotated, z, level) == in_E(cosh3, w, level)
+    assert in_E_mask(rotated, z, level) == in_E_mask(cosh3, w, level)
 
 
 def test_pair_polys_do_not_keep_function_alive():

@@ -20,7 +20,6 @@ from expdyn import (
     classify_orbit,
     iterate_max_modulus,
     log_max_modulus,
-    sixsmith_quantity,
     tower_compare,
 )
 from expdyn import orbits
@@ -116,11 +115,6 @@ def test_fast_ladder_is_built_once_per_function_and_params(monkeypatch):
     for _ in range(2):
         assert not classify_batch(small, pts, low)["fast_escape"].any()
     assert len(built) == 3
-
-
-def test_sixsmith(cosh3):
-    # z f'/f = 3 z^3 tanh(z^3) at z = 2: 24 tanh(8).
-    assert sixsmith_quantity(cosh3, 2.0) == pytest.approx(24 * math.tanh(8.0), rel=1e-6)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,8 @@ def test_viewport_validation():
     with pytest.raises(ValueError):
         Viewport(0j, 1.0, 2.0, 100, 100)  # aspect mismatch
     with pytest.raises(ValueError):
+        Viewport(0j, 1e306, 1e300, 800, 800)  # half extent times pixels overflows
+    with pytest.raises(ValueError):
         Viewport(0j, 1.0, 1.0, 0, 100)
     with pytest.raises(ValueError):
         Viewport(0j, -1.0, -1.0, 100, 100)
@@ -44,17 +46,19 @@ def test_viewport_points():
 
 
 def test_image_buffer_basics():
-    img = ImageBuffer(3, 2)
-    assert img.pixels.shape == (2, 3, 3) and not img.pixels.any()
+    img = ImageBuffer(np.zeros((2, 3, 3), dtype=np.uint8))
+    assert (img.px_w, img.px_h) == (3, 2)
     assert len(img.data) == 3 * 2 * 3
     with pytest.raises(ValueError):
-        ImageBuffer(0, 1)
+        ImageBuffer(np.zeros((1, 0, 3), dtype=np.uint8))
     with pytest.raises(ValueError):
-        ImageBuffer(2, 2, np.zeros((2, 2, 3), dtype=np.float64))
+        ImageBuffer(np.zeros((2, 2, 4), dtype=np.uint8))
+    with pytest.raises(ValueError):
+        ImageBuffer(np.zeros((2, 2, 3), dtype=np.float64))
 
 
 def test_ppm_single_white_pixel(tmp_path):
-    img = ImageBuffer(1, 1, np.full((1, 1, 3), 255, dtype=np.uint8))
+    img = ImageBuffer(np.full((1, 1, 3), 255, dtype=np.uint8))
     path = tmp_path / "one.ppm"
     write_ppm(img, path)
     raw = path.read_bytes()
@@ -65,7 +69,7 @@ def test_ppm_single_white_pixel(tmp_path):
 def test_ppm_roundtrip(tmp_path):
     rng = np.random.default_rng(0)
     pixels = rng.integers(0, 256, size=(5, 7, 3), dtype=np.uint8)
-    img = ImageBuffer(7, 5, pixels)
+    img = ImageBuffer(pixels)
     path = tmp_path / "rt.ppm"
     write_ppm(img, path)
     back = read_ppm(path)
