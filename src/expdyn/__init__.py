@@ -68,9 +68,7 @@ from .orbits import (
     NON_ESCAPE_OBSERVED,
     UNDETERMINED,
     ClassifyParams,
-    OrbitClass,
     classify_batch,
-    classify_orbit,
     iterate_max_modulus,
     log_max_modulus,
 )

@@ -34,6 +34,7 @@ from .funcs import (
 from .grid import (
     DENSITY_COLUMNS,
     Tiling,
+    _check_alpha,
     annulus_tail_bound,
     band_measure_bound,
     distortion_constant_C2,
@@ -224,6 +225,7 @@ def _cmd_annulus_scan(args) -> int:
 
 
 def _cmd_grid_bound(args) -> int:
+    _check_alpha(args.alpha)
     f = _load_fn(args)
     tiling = Tiling(f, args.r_lo, args.r_hi, args.sigma)
     radii = np.geomspace(args.r_lo * 1.02, args.r_hi * 0.98, args.count)

@@ -239,7 +239,7 @@ class DensityReport:
     All *_log fields are natural logs; density_upper_log is kept in log form
     because the bound underflows doubles at realistic radii (|f'| is at the
     exp(|z|^d) scale).  asymptotic_bound is the asymptotic target
-    exp(-min|z|^alpha / 2), recorded for comparison and never substituted
+    exp(-min|z|^alpha / 2), reported for comparison and never substituted
     for the computed chain.
     """
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .exceptional import in_E_mask
+from .exceptional import MIN_HALF_WIDTH, in_E_mask
 from .funcs import ExpPoly, eval_log_batch
 from .grid import annulus_tail_bound
 from .orbits import (
@@ -110,11 +110,15 @@ def annulus_scan(
     p: ClassifyParams | None = None,
     seed: int = 0,
 ) -> AnnulusReport:
-    """Classify a seeded quasi-uniform sample of ann(r)."""
+    """Classify a seeded quasi-uniform sample of ann(r).
+
+    Refuses r whose annulus area overflows doubles (r above about 4.4e153),
+    where the measure estimate would read 0 * inf = NaN.
+    """
     if samples < 1:
         raise ValueError("samples must be positive")
-    if not (math.isfinite(r) and r > 0):
-        raise ValueError("r must be positive and finite")
+    if not (r > 0 and math.isfinite(annulus_area(r))):
+        raise ValueError(f"r must be positive with a finite annulus area, got {r:.6g}")
     pts = _annulus_points(r, samples, seed)
     res = classify_batch(f, pts, p)
     fractions = {
@@ -181,10 +185,14 @@ def counterexample_check(p: CounterexampleParams, R: float, f: ExpPoly, seed: in
 
     Samples B with radii in [p.r0, R], asserts log|f| <= -r/4 at every
     sample, classifies each sample's orbit, and cross-checks the wedge
-    measure quadrature against the closed form.
+    measure quadrature against the closed form.  Refuses R where the wedge
+    is narrower than MIN_HALF_WIDTH (R above about 7.8e4): there the samples
+    fall outside it, since pi/2 is rounded to a double.
     """
     if not (p.r0 < R < math.inf):
         raise DomainError("need R > r0, R finite")
+    if b_wedge_halfwidth(R) < MIN_HALF_WIDTH:
+        raise DomainError(f"R={R:.6g} too large: wedge narrower than {MIN_HALF_WIDTH:.3g} rad")
     pts = _wedge_points(p.r0, R, p.samples, seed)
     r = np.abs(pts)
     lm, _, zero = eval_log_batch(f, pts)

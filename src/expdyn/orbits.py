@@ -22,16 +22,17 @@ the escape radius: an attracting disk when |f'(0)| < 1, or a parabolic petal
 (Leau-Fatou flower) when f'(0) = 1.  An orbit whose new point lies in R
 stays inside the radius for the rest of its budget, so it stops there as
 NonEscapeObserved, with the `trapped` flag, as soon as that makes the tail
-rule certain to fire.  Its `steps` is the entry step, and the traces of
-classify_orbit and write_orbit_csv end there; tags are those the full
-budget gives.
+rule certain to fire.  Its `steps` is the entry step; tags are those the
+full budget gives.
+
+classify_batch is the only classifier: a single orbit is a batch of one.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -48,20 +49,16 @@ from .funcs import (
     eval_log_batch,
     wrap_phase,
 )
-from .report import write_csv
 from .towers import TowerMag, _canon_arrays, _tower_add_const, _tower_scale, tower_exp, tower_log
 
 __all__ = [
     "ClassifyParams",
-    "OrbitClass",
     "ESCAPE_CERTIFIED",
     "NON_ESCAPE_OBSERVED",
     "UNDETERMINED",
     "log_max_modulus",
     "iterate_max_modulus",
     "classify_batch",
-    "classify_orbit",
-    "write_orbit_csv",
 ]
 
 ESCAPE_CERTIFIED = "EscapeCertified"
@@ -80,9 +77,6 @@ MAX_DEPTH = 6
 BAIL_LOGMOD = 690.0
 # Circle samples of log_max_modulus.
 CIRCLE_SAMPLES = 256
-# The columns of write_orbit_csv: re, im of z in direct mode; val, phase with
-# |z| = exp^depth(val) in tower mode.
-ORBIT_COLUMNS = ("step", "re", "im", "val", "phase", "depth", "tag")
 
 
 @dataclass(frozen=True)
@@ -99,14 +93,6 @@ class ClassifyParams:
             raise ValueError("cert_steps must be at least 2")
         if not (math.isfinite(self.escape_radius) and self.escape_radius > 0) or self.max_iter < 1:
             raise ValueError("invalid escape_radius/max_iter")
-
-
-@dataclass
-class OrbitClass:
-    tag: str
-    steps: int
-    fast_escape: bool
-    diagnostics: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -601,23 +587,22 @@ def _retire(out, idx, s, m, code, n_step: int):
     i = idx[m]
     out["tag_code"][i] = code
     out["steps"][i] = n_step
-    out["escape_step"][i[code == 1]] = n_step
     out["fast_escape"][i] = s["fast_ok"][m] & (code == 1)
     out["final_mode"][i] = s["mode"][m]
     out["final_depth"][i] = s["depth"][m]
     out["final_val"][i] = s["val"][m]
 
 
-def classify_batch(f: ExpPoly, points, p: ClassifyParams | None = None, record: bool = False):
+def classify_batch(f: ExpPoly, points, p: ClassifyParams | None = None):
     """Classify an array of starting points; returns a dict of result arrays.
 
     Keys: tag (strings), tag_code (0 Undetermined, 1 EscapeCertified, 2
-    NonEscapeObserved), steps, fast_escape, escape_step, trapped (the orbit
-    stopped on entering the trap region of trap_at_0), final_mode,
-    final_depth, final_val (|z| = exp^depth(val) at the last computed step),
-    and, when record is set, trace (per-step diagnostics for the
-    single-point case).  A NaN or infinite start point is Undetermined after
-    0 steps.
+    NonEscapeObserved), steps (the step at which the orbit finished; for an
+    EscapeCertified one, the step that completed its certified run),
+    fast_escape, trapped (the orbit stopped on entering the trap region of
+    trap_at_0), final_mode, final_depth, final_val (|z| = exp^depth(val) at
+    the last computed step).  A NaN or infinite start point is Undetermined
+    after 0 steps.
 
     The loop holds a compact state of the live orbits only: their index in
     the batch, z, mode (0 direct complex, 1 tower magnitude), depth, val,
@@ -652,7 +637,6 @@ def classify_batch(f: ExpPoly, points, p: ClassifyParams | None = None, record: 
         "tag_code": np.zeros(n_pts, np.int8),
         "steps": np.zeros(n_pts, np.int64),
         "fast_escape": np.zeros(n_pts, bool),
-        "escape_step": np.full(n_pts, -1, np.int64),
         "trapped": np.zeros(n_pts, bool),
         "final_mode": np.zeros(n_pts, np.int8),
         "final_depth": np.zeros(n_pts, np.int64),
@@ -671,11 +655,6 @@ def classify_batch(f: ExpPoly, points, p: ClassifyParams | None = None, record: 
         "below": np.zeros(n, np.int64),
         "fast_ok": np.full(n, ladder is not None),
     }
-    if record:
-        trace = []
-        # Full-size copies of the state; a retired orbit keeps its last values.
-        full = {k: np.zeros(n_pts, s[k].dtype) for k in ("mode", "depth", "run")}
-        full.update(z=pts.copy(), val=np.abs(pts), phase=np.angle(pts))
 
     for n_step in range(1, p.max_iter + 1):
         if idx.size == 0:
@@ -701,12 +680,6 @@ def classify_batch(f: ExpPoly, points, p: ClassifyParams | None = None, record: 
         cert = s["run"] >= p.cert_steps
         trapped = fl["trap"] & ~fixed & ~cert
         end = fixed | cert | trapped | fl["stop"]
-        if record:
-            for k, a in full.items():
-                a[idx] = s[k]
-            cond = np.zeros(n_pts, bool)
-            cond[idx] = fl["cond"]
-            trace.append({"step": n_step, **{k: a.copy() for k, a in full.items()}, "cond": cond})
         if end.any():
             # A fixed direct point is non-escaping when it lies inside the
             # radius, which is when its below count is positive.
@@ -720,44 +693,5 @@ def classify_batch(f: ExpPoly, points, p: ClassifyParams | None = None, record: 
     tail = np.where(s["below"] >= min(TAIL_STEPS, p.max_iter), 2, 0).astype(np.int8)
     _retire(out, idx, s, np.ones(idx.size, bool), tail, p.max_iter)
     out["tag"] = _TAG_TABLE[out["tag_code"]]
-    out["trace"] = trace if record else None
     return out
 
-
-def _orbit_walk(f: ExpPoly, z0: complex, p: ClassifyParams):
-    """Classify the single point z0 with a trace; returns (OrbitClass, walk).
-
-    walk has one record (step, z, depth, val, phase, certified) per state
-    from z0 on: z is the point in direct mode and None in tower mode, where
-    |z| = exp^depth(val).
-    """
-    res = classify_batch(f, [z0], p, record=True)
-    oc = OrbitClass(tag=str(res["tag"][0]), steps=int(res["steps"][0]), fast_escape=bool(res["fast_escape"][0]))
-    walk = [(0, z0, 0, None, None, False)]
-    for rec in res["trace"]:
-        z = rec["z"][0] if rec["mode"][0] == 0 else None
-        walk.append((rec["step"], z, rec["depth"][0], rec["val"][0], rec["phase"][0], bool(rec["cond"][0])))
-    return oc, walk
-
-
-def classify_orbit(f: ExpPoly, z0: complex, p: ClassifyParams | None = None) -> OrbitClass:
-    """Classify a single orbit, with certificate diagnostics attached."""
-    oc, walk = _orbit_walk(f, complex(z0), p or ClassifyParams())
-    mags = [TowerMag(0, abs(z)) if z is not None else TowerMag(int(dep), float(val)) for _, z, dep, val, _, _ in walk]
-    oc.diagnostics["last_abs"] = mags[-1]
-    oc.diagnostics["cert_trace"] = [
-        {"step": w[0], "abs_before": before, "abs_after": after, "certified": w[5]}
-        for w, before, after in zip(walk[1:], mags, mags[1:])
-    ]
-    return oc
-
-
-def write_orbit_csv(f: ExpPoly, z0: complex, p: ClassifyParams, path) -> OrbitClass:
-    """Iterate one orbit and export its trace as CSV, one row per state."""
-    oc, walk = _orbit_walk(f, complex(z0), p)
-    rows = [
-        (step, z.real, z.imag, "", "", dep, oc.tag) if z is not None else (step, "", "", val, phase, dep, oc.tag)
-        for step, z, dep, val, phase, _ in walk
-    ]
-    write_csv(path, ORBIT_COLUMNS, rows)
-    return oc

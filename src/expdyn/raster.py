@@ -146,6 +146,8 @@ def render_classification(
     Results are independent of threads and rows_per_chunk: classification is
     per-point and each chunk owns a disjoint block of output rows.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     if p is None:
         p = ClassifyParams()
     out = np.zeros((v.px_h, v.px_w, 3), dtype=np.uint8)

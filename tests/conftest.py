@@ -3,7 +3,42 @@ import math
 
 import pytest
 
-from expdyn import ExpPoly, ExpPolyTerm, Poly, bundled_function
+from expdyn import ExpPoly, ExpPolyTerm, Poly, bundled_function, classify_batch
+from expdyn import orbits
+
+# The result arrays of classify_batch.
+RESULT_KEYS = ("tag", "tag_code", "steps", "fast_escape", "trapped", "final_mode", "final_depth", "final_val")
+# The engine state of an orbit after each step: z in direct mode (0 in tower
+# mode), mode (0 direct, 1 tower), depth and val with |z| = exp^depth(val),
+# and the carried phase.
+STEP_KEYS = ("z", "mode", "depth", "val", "phase")
+
+
+@pytest.fixture
+def orbit_walk(monkeypatch):
+    """walk(f, z0, p=None) -> (result, states): classify_batch on [z0].
+
+    result maps each of RESULT_KEYS to the orbit's value, and states
+    holds one dict per step taken, with the STEP_KEYS of the state after the
+    step and cond, whether the step was certified.  A spy on
+    orbits._step_tower takes them: the tower step runs once per step, after
+    the direct one, so on its return both have written the new state.
+    """
+    states = []
+    step_tower = orbits._step_tower
+
+    def spy(f, p, dcap, s, pos, fl):
+        step_tower(f, p, dcap, s, pos, fl)
+        states.append({**{k: s[k][0] for k in STEP_KEYS}, "cond": fl["cond"][0]})
+
+    monkeypatch.setattr(orbits, "_step_tower", spy)
+
+    def walk(f, z0, p=None):
+        states.clear()
+        res = classify_batch(f, [z0], p)
+        return {k: res[k][0] for k in RESULT_KEYS}, list(states)
+
+    return walk
 
 
 @pytest.fixture(scope="session")

@@ -264,10 +264,14 @@ def test_annulus_scan_seeded(capsys, tmp_path):
     assert rep["frac_escape"] + rep["frac_nonescape"] + rep["frac_undetermined"] == pytest.approx(1.0)
 
 
-@pytest.mark.parametrize("r", ["nan", "inf"])
+@pytest.mark.parametrize("r", ["nan", "inf", "1e300"])
 def test_annulus_scan_rejects_non_finite_r(capsys, r):
-    code, out, err = run(capsys, "annulus-scan", "--fn", "sin_z3", "--r", r, "--samples", "10")
-    assert code == 1 and "error" in err
+    # At 1e300 the annulus area overflows: the estimated measure used to read
+    # 0 * inf = NaN, with exit 0.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "annulus-scan", "--fn", "sin_z3", "--r", r, "--samples", "10")
+    assert code == 1 and err.startswith("error:")
     assert out == ""
 
 
@@ -387,11 +391,23 @@ def test_counterexample_json(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "flag, value",
-    [("--R", "nan"), ("--R", "inf"), ("--r0", "nan"), ("--r0", "inf"), ("--eps", "nan"), ("--eps", "inf")],
+    [
+        ("--R", "nan"),
+        ("--R", "inf"),
+        ("--R", "1e12"),
+        ("--R", "1e300"),
+        ("--r0", "nan"),
+        ("--r0", "inf"),
+        ("--eps", "nan"),
+        ("--eps", "inf"),
+    ],
 )
 def test_counterexample_rejects_non_finite_input(capsys, tmp_path, flag, value):
     # --R nan and --r0 nan used to print NaN fields, --R inf leaked
-    # RuntimeWarnings and an IntegrationWarning, both with exit 0.
+    # RuntimeWarnings and an IntegrationWarning, both with exit 0.  From
+    # R ~ 7.8e4 on the wedge is narrower than the doubles near pi/2 resolve:
+    # at 1e12 samples fell outside it and read as violations (exit 2), and
+    # at 1e300 the evaluations overflowed.
     args = {"--r0": "100", "--R": "1000", "--samples": "20", flag: value}
     out_path = tmp_path / "cx.json"
     with warnings.catch_warnings():
@@ -399,6 +415,23 @@ def test_counterexample_rejects_non_finite_input(capsys, tmp_path, flag, value):
         code, out, err = run(
             capsys, "counterexample", *[x for kv in args.items() for x in kv], "--out", str(out_path)
         )
+    assert code == 1 and err.startswith("error:")
+    assert out == "" and not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["grid-bound", "--fn", "sin_z3", "--r-lo", "10", "--r-hi", "20", "--count", "0", "--alpha", "nan"],
+        ["render", "--fn", "sin_z3", "--px", "4", "--threads", "-3"],
+    ],
+    ids=["grid-bound-alpha-nan", "render-threads-negative"],
+)
+def test_input_checked_before_any_work(capsys, tmp_path, argv):
+    # Both used to exit 0: grid-bound read alpha only for a good square it
+    # found, and render ran a thread count below 1 on one thread.
+    out_path = tmp_path / "out"
+    code, out, err = run(capsys, *argv, "--out", str(out_path))
     assert code == 1 and err.startswith("error:")
     assert out == "" and not out_path.exists()
 

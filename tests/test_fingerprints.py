@@ -3,8 +3,8 @@
 Each entry is the sha256 of the raw bytes of every result array of
 classify_batch, or of every output of eval_log_batch (orders 0-2), on one
 case of a small fixed corpus: five functions on circles r = 1 ... 1e200,
-special start points, single-point batches with traces, 0-d evaluations and
-a 64-px figure grid.  A refactor of either engine that changes no bit keeps
+special start points, single-point batches with the engine state after
+each step, 0-d evaluations and a 64-px figure grid.  A refactor of either engine that changes no bit keeps
 every hash.  NaN payloads and signed zeros count.
 
 The hashes hold for one numpy build on x86-64 (numpy 2.4); a numpy whose
@@ -18,6 +18,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import RESULT_KEYS, STEP_KEYS
 
 from expdyn import (
     ClassifyParams,
@@ -30,7 +31,6 @@ from expdyn import (
     eval_log_batch,
 )
 from expdyn.cli import main
-from expdyn.orbits import write_orbit_csv
 
 RADII = (1.0, 2.0, 5.0, 10.0, 20.0, 40.0, 1e3, 1e10, 1e50, 1e120, 1e200)
 # Axis angles (ties between terms) and generic ones.
@@ -80,16 +80,23 @@ def _digest(h, name, a):
         h.update(np.ascontiguousarray(a).tobytes())
 
 
-def _classify_hash(f, pts, p, record=False):
+def _classify_hash(f, pts, p):
     h = hashlib.sha256()
-    res = classify_batch(f, pts, p, record=record)
-    for k in sorted(res):
-        if k == "trace":
-            for rec in res["trace"] or []:
-                for kk in sorted(rec):
-                    _digest(h, f"trace.{kk}", rec[kk])
-        else:
-            _digest(h, k, res[k])
+    res = classify_batch(f, pts, p)
+    for k in RESULT_KEYS:
+        _digest(h, k, res[k])
+    return h.hexdigest()
+
+
+def _walk_hash(walk, f, z0, p):
+    """sha256 of the results of one orbit and of its engine state after each step."""
+    h = hashlib.sha256()
+    res, states = walk(f, z0, p)
+    for k in RESULT_KEYS:
+        _digest(h, k, res[k])
+    for n_step, state in enumerate(states, 1):
+        for k in (*STEP_KEYS, "cond"):
+            _digest(h, f"{n_step}.{k}", state[k])
     return h.hexdigest()
 
 
@@ -106,8 +113,8 @@ def _eval_hash(f, pts, order, zero_d=False):
     return h.hexdigest()
 
 
-def corpus_hashes(name):
-    """{case: sha256} for one function of the corpus."""
+def corpus_hashes(name, walk):
+    """{case: sha256} for one function of the corpus; walk is the orbit_walk fixture."""
     f = FUNCS[name]()
     pts = _scan_points()
     out = {}
@@ -116,7 +123,7 @@ def corpus_hashes(name):
     singles = np.concatenate([pts[::97], SPECIALS[:4]])
     h = hashlib.sha256()
     for z in singles:
-        h.update(_classify_hash(f, [z], PARAMS["short"], record=True).encode())
+        h.update(_walk_hash(walk, f, z, PARAMS["short"]).encode())
     out["classify/single"] = h.hexdigest()
     for order in (0, 1, 2):
         out[f"eval{order}"] = _eval_hash(f, pts, order)
@@ -129,9 +136,9 @@ def corpus_hashes(name):
 
 GOLDEN = {
     "example_h": {
-        "classify/default": "90ceea2b4e5c521328481bd1bef40a6cf0b1d76f2283ebfb17d0513cb5907369",
-        "classify/short": "a99091cfa751833735dbfaef91a5e7bea338c9ea26b94457905551afdacc3d76",
-        "classify/single": "a31a9c4692123b7b91f26ac8211ccdfd12dc6f4d24f226fd3fbe1fc7a796b1bd",
+        "classify/default": "0dbabaa84dd8e1a5d87132703641a274cd7c8bc1a31291ee2f72970c70649bcc",
+        "classify/short": "d63bce21f13442cc442b35e98ad53244c74d9e3ff6f7642ae89a471777807a4f",
+        "classify/single": "cb01252439d0bbccd86709024e4f307f7f04eb1a7417ecd9374ffcd022a89f7e",
         "eval0": "5388ecbd6b47206c7d66141fba3b12c2e13e41770aad4c2962b18b35e3553326",
         "eval0/0d": "1ce8c7f5e519062d073055d64f6286ca37ca9ae1d59b298b1aa8e971a1dfc0ed",
         "eval1": "596c9e55663fd299a07c752f1962e4e2b7c7da01a83f6f76130b538473b69de5",
@@ -140,9 +147,9 @@ GOLDEN = {
         "eval2/0d": "6e3327063c0732fc39be4b44fc182d158954f887219522501803b06ff69bf18b",
     },
     "sin_z": {
-        "classify/default": "1d5dd393771bfa476a97a9300b64ef01e6c64147dcb7c43f3401b2a84a8019a7",
-        "classify/short": "baf0a23c57ffe3de84da1baa9691d2dcd40d64e0dd8f7391191c6086121685d2",
-        "classify/single": "0fd25b073ff80a9a00b603cf01c49716fff4d8605bcb8d2c59ec50ee77c11c7a",
+        "classify/default": "dcb3aede485936762180bb8838f08056db958f97a2e567215b010de28c6aac26",
+        "classify/short": "a555069f35c7a3912ab3be6800a2fc0fb622607cc45c4fbc6f1fce2c9a7ce55d",
+        "classify/single": "117cbe281fe9dc9a0923286692bbf67173ca581bff737e5bfe9b091596436771",
         "eval0": "7b63ae374791ffca8da18094ec909fa5b39c34006f048537da1a3292ba4a0aa5",
         "eval0/0d": "f8b221161e1d0a5aecc3addf4b1838923676f387fbe1e3ad0a6cc1e84671ee32",
         "eval1": "c8181a72d04ee40a6bf35404f83e121ae8a0d5db11f3277a50e254852a2f3e70",
@@ -151,33 +158,33 @@ GOLDEN = {
         "eval2/0d": "76c048ac954a568ecdd34d7f9ca431ea04bb7bc5627cbaef1948ee7b57336e00",
     },
     "sin_z2": {
-        "classify/default": "856e58b2eaae6a8ba6a5e9d16248387837dda21a69aa943b6f3a614de8970642",
-        "classify/short": "07097d6b9afa09e346cc58c90043a6d2f9b27990f4d1f4f52129db66e694a3c4",
-        "classify/single": "146466e1aca7616fe5b231d66c87a249351c9bf4a7bad3a29168692f1257c11b",
+        "classify/default": "81df1194b5db90c376218519b0bd1104bc5443d9ae4eb19165c8b807311435ea",
+        "classify/short": "e64067eec47004770714eca7ef116871dae933481bcb23529dffdeb13673ce5c",
+        "classify/single": "84efc594b22cbc285b7468e6228333c93c4cc6b190ac39e9ec0c8074538114f2",
         "eval0": "daaf81fa01635c75d37aac3ecf48f5eb46019f28110b774460c070cacf3e650d",
         "eval0/0d": "2cba4b0143ed47bfe60dade1e033808bd7813628eb85b71ff3f5236dea23c2f7",
         "eval1": "2aaa54c629e929ef5b8704a966fbcb6b6213f181308a5238d827f6903946ebb6",
         "eval1/0d": "06ec09953691b069e64565255a91bc4342645fd06f79391bb9ad9c10f1be0d55",
         "eval2": "bed19fb3dbfcca238852b699bb4f636a1f168c235224c299363a1c95d8fee2de",
         "eval2/0d": "78bffb994e9f48d2e948fce7fa15119239de7a86127f85a3ac71137d44a922e9",
-        "render64": "71d202cecad77bcdc2b613e94dd6756347a9628bec80920dc316345fe60c32c7",
+        "render64": "cb9cb4e5014940a70f10a9b8b4f803f961b95b318f8b64db8b3412be844dd2a2",
     },
     "sin_z3": {
-        "classify/default": "3ce913b68bba27916ef4ce895674a58623c87cf54c3996059ceedc83bdfbdc2f",
-        "classify/short": "bdac1adfc3c58d2feb041edeb25dd432396586eb19ae3961e1668dce72c3ded8",
-        "classify/single": "71e675a012964f98c4b55ab8e5cee25081a956beef4b342fb2060f0428d18178",
+        "classify/default": "555977706da76d6102512866e4f883162371c15ecb44fcd4e1b456d0b4a55b08",
+        "classify/short": "b26bf59810e7f6b1258dbcb25166e765a5ff88a45643b93c99849090658d987f",
+        "classify/single": "c14dddbb79ed36e36d2d8e9926902ca8a6ae5b3b971eaecc0c2fb904804df211",
         "eval0": "4d86c8b7f07165015fca0edf3b399fea6f0793420d7c249d575609e9ac7001c2",
         "eval0/0d": "c4c7c53a9f8e74bb07423287ea14e2d7238dc578784c1a9dfab72732d63430c3",
         "eval1": "afbf80034f882a465d35647fe2e3625c7228593f687af488400c672013bc0f4f",
         "eval1/0d": "7de877386bf065baa6663d8dd0d1cbcfbb0289d6fc77be2bd79176496e3e5dd4",
         "eval2": "77c47e7aec6ff9b9477f46c0567a6e068fa51c40f138f691cde64b69bfc7680e",
         "eval2/0d": "92344da4aea996c4ce88de81f6223f8eff1fc9da5337705cc30a2336d063cc08",
-        "render64": "1c16544f3302578eed7daf379867919e82d8bbe1e2d344ff7b50958e9b4fb358",
+        "render64": "be874ec652d34b6656245923b20ddbdccbe39f7476c9f51aa3a51af33e292f31",
     },
     "three_term": {
-        "classify/default": "ec3d006771c0257302dabdf144b582bf3374afc20a0e290c24b68290a6264e78",
-        "classify/short": "5a310a6bbdc2f38a73cdfcf8773dfd1c21c9abd221b7fca7d484548e1cabaf0f",
-        "classify/single": "2febab664192befe7f5016c7f9c4204b597a94e4ed56b7182475deba5f5a3237",
+        "classify/default": "18f1ff3c99233910d3c11a30678940a6ab8aa2df4d3c10ec94af064f83a9c94f",
+        "classify/short": "d14884e2b73e78affa5ef8ac3fddbe45780e3b76bf81a03519d9f7441d4c3d52",
+        "classify/single": "042eb44a53306e397f64371625f3972cfcb9c401b7b5ca38da96147890353aa5",
         "eval0": "1c53453b4d7a9585e0c48fc65d47f96248b4e49f166cc700bf3700e589071d13",
         "eval0/0d": "77818874cd42bfe88df97688b69f04f59cacc18b8076216c85c79b15b198a1ca",
         "eval1": "4ade9724c28a0aea1fd6144b542a1c207877b406fc456f028d4904b786a7ceb3",
@@ -189,8 +196,8 @@ GOLDEN = {
 
 
 @pytest.mark.parametrize("name", sorted(FUNCS))
-def test_engine_fingerprints(name):
-    got = corpus_hashes(name)
+def test_engine_fingerprints(name, orbit_walk):
+    got = corpus_hashes(name, orbit_walk)
     want = GOLDEN[name]
     assert sorted(got) == sorted(want)
     bad = [k for k in want if got[k] != want[k]]
@@ -198,9 +205,7 @@ def test_engine_fingerprints(name):
 
 
 # ---------------------------------------------------------------------------
-# Report files: sha256 of the --out file of each report command, and of the
-# body rows (all but the header) of two orbit traces, one that stays in
-# direct mode and one that reaches tower depth 3.
+# Report files: sha256 of the --out file of each report command.
 
 CLI_FILES = {
     "e2measure": (
@@ -214,19 +219,6 @@ CLI_FILES = {
     "grid-bound": (
         ["grid-bound", "--fn", "sin_z3", "--r-lo", "10", "--r-hi", "20", "--count", "3"],
         "b388beebe2f544b87b0772b1802e60a3190564e0d6b99e24e26d35bb6230bf87",
-    ),
-}
-
-ORBIT_BODIES = {
-    "sin_z3 depth 0": (
-        lambda: bundled_function("sin_z3"),
-        2.0 + 0.1j,
-        "441a4e965a0718d3ac770707b92d3dcf2f08db177d985fab686a7b4a9adaf394",
-    ),
-    "cosh3 depth 3": (
-        lambda: ExpPoly(3, [ExpPolyTerm(Poly([1]), 1 + 0j), ExpPolyTerm(Poly([1]), -1 + 0j)]),
-        3.0 + 0.1j,
-        "d410e5ac7eddd0e023aee371df9e08f0ceda9f720685da1749f0fc65ef4503fa",
     ),
 }
 
@@ -256,10 +248,23 @@ def test_far_grid_bound_fingerprint(tmp_path, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == want_stdout
 
 
-@pytest.mark.parametrize("case", sorted(ORBIT_BODIES))
-def test_orbit_csv_body_fingerprints(case, tmp_path):
-    make, z0, want = ORBIT_BODIES[case]
-    path = tmp_path / "orbit.csv"
-    write_orbit_csv(make(), z0, ClassifyParams(), path)
-    body = path.read_bytes().split(b"\r\n", 1)[1]
-    assert hashlib.sha256(body).hexdigest() == want
+# Two single orbits, as _walk_hash of their engine states: one that stays in
+# direct mode and one that reaches tower depth 3.
+ORBIT_WALKS = {
+    "sin_z3 depth 0": (
+        lambda: bundled_function("sin_z3"),
+        2.0 + 0.1j,
+        "87d75eb4dd610bbe4726e7c487a6127904808382f2251797d44bbc870302f279",
+    ),
+    "cosh3 depth 3": (
+        lambda: ExpPoly(3, [ExpPolyTerm(Poly([1]), 1 + 0j), ExpPolyTerm(Poly([1]), -1 + 0j)]),
+        3.0 + 0.1j,
+        "38637b0ff135bbae9c604360c6b4ec0711398b51222ea5ab6fc43030684d40d0",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORBIT_WALKS))
+def test_orbit_walk_fingerprints(case, orbit_walk):
+    make, z0, want = ORBIT_WALKS[case]
+    assert _walk_hash(orbit_walk, make(), z0, ClassifyParams()) == want

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import RESULT_KEYS
 from hypothesis import given, settings, strategies as st
 
 from expdyn import (
@@ -17,13 +18,12 @@ from expdyn import (
     TowerMag,
     bundled_function,
     classify_batch,
-    classify_orbit,
     iterate_max_modulus,
     log_max_modulus,
     tower_compare,
 )
 from expdyn import orbits
-from expdyn.orbits import MAX_DEPTH, TAIL_STEPS, write_orbit_csv
+from expdyn.orbits import MAX_DEPTH, TAIL_STEPS
 
 BUNDLED = ("sin_z", "sin_z2", "sin_z3", "example_h")
 
@@ -105,8 +105,7 @@ def test_fast_ladder_is_built_once_per_function_and_params(monkeypatch):
     again = classify_batch(f, pts, p)
     assert len(built) == 1
     for key in first:
-        if key != "trace":
-            np.testing.assert_array_equal(first[key], again[key])
+        np.testing.assert_array_equal(first[key], again[key])
     classify_batch(f, pts, ClassifyParams(max_iter=41))
     assert len(built) == 2
     # no ladder without a base (M(1) < 1 here): that outcome is kept too
@@ -121,39 +120,43 @@ def test_fast_ladder_is_built_once_per_function_and_params(monkeypatch):
 # Classification
 
 
-def test_obvious_escape(cosh3):
-    res = classify_orbit(cosh3, 60.0)
-    assert res.tag == ESCAPE_CERTIFIED
-    assert res.fast_escape
-    assert res.steps <= 10
-    trace = res.diagnostics["cert_trace"]
-    assert all(rec["certified"] for rec in trace[-3:])
-    assert trace[-1]["abs_after"] > trace[0]["abs_before"]
+def _abs(state):
+    """|z| of an engine state: in direct mode val is |z| and depth is 0."""
+    return TowerMag(int(state["depth"]), float(state["val"]))
+
+
+def test_obvious_escape(cosh3, orbit_walk):
+    res, states = orbit_walk(cosh3, 60.0)
+    assert res["tag"] == ESCAPE_CERTIFIED
+    assert res["fast_escape"]
+    assert res["steps"] <= 10
+    assert all(st["cond"] for st in states[-3:])
+    assert _abs(states[-1]) > TowerMag(0, 60.0)
 
 
 def test_superattracting_basin(sin3):
     # sin(z^3) ~ z^3 near 0: orbits from the small disk collapse onto 0.
-    res = classify_orbit(sin3, 0.4)
-    assert res.tag == NON_ESCAPE_OBSERVED
+    res = classify_batch(sin3, [0.4])
+    assert res["tag"][0] == NON_ESCAPE_OBSERVED
 
 
 def test_exact_fixed_point(sin3):
-    res = classify_orbit(sin3, 0.0)
-    assert res.tag == NON_ESCAPE_OBSERVED
-    assert res.steps == 1
+    res = classify_batch(sin3, [0.0])
+    assert res["tag"][0] == NON_ESCAPE_OBSERVED
+    assert res["steps"][0] == 1
 
 
 def test_parabolic_real_orbit(sinz):
     # Real sine orbits decay to 0 like 1/sqrt(n): never beyond the radius.
-    res = classify_orbit(sinz, 0.5)
-    assert res.tag == NON_ESCAPE_OBSERVED
+    res = classify_batch(sinz, [0.5])
+    assert res["tag"][0] == NON_ESCAPE_OBSERVED
 
 
 def test_wedge_point_non_escape(h_example):
     r = 200.0
     z = r * np.exp(1j * (math.pi / 2 + 1.0 / (r * r * math.log(r))))
-    res = classify_orbit(h_example, complex(z))
-    assert res.tag == NON_ESCAPE_OBSERVED
+    res = classify_batch(h_example, [z])
+    assert res["tag"][0] == NON_ESCAPE_OBSERVED
 
 
 def test_undetermined_dead_direction():
@@ -162,15 +165,15 @@ def test_undetermined_dead_direction():
     # dominant-growth certificate cannot make progress.
     f = ExpPoly(3, [ExpPolyTerm(Poly([1]), 1 + 0j)])
     z = (400.0 + 1.0j) ** (1.0 / 3.0)
-    res = classify_orbit(f, complex(z))
-    assert res.tag == UNDETERMINED
+    res = classify_batch(f, [z])
+    assert res["tag"][0] == UNDETERMINED
 
 
 def test_depth_cap_gives_undetermined(cosh3):
     p = ClassifyParams(cert_steps=50, max_iter=30)
-    res = classify_orbit(cosh3, 60.0, p)
-    assert res.tag == UNDETERMINED
-    assert res.diagnostics["last_abs"].depth <= MAX_DEPTH + 1
+    res = classify_batch(cosh3, [60.0], p)
+    assert res["tag"][0] == UNDETERMINED
+    assert res["final_depth"][0] <= MAX_DEPTH + 1
 
 
 def test_batch_mixture(cosh3, sin3):
@@ -178,7 +181,7 @@ def test_batch_mixture(cosh3, sin3):
     # off-axis start
     res = classify_batch(sin3, [0.1, 60.0 * np.exp(0.5j), 0.0])
     assert list(res["tag"]) == [NON_ESCAPE_OBSERVED, ESCAPE_CERTIFIED, NON_ESCAPE_OBSERVED]
-    assert res["escape_step"][1] > 0
+    assert res["steps"][1] > 0
     assert res["tag_code"].tolist() == [2, 1, 2]
 
 
@@ -235,13 +238,16 @@ def test_far_start_is_not_read_as_bounded(sin3):
         assert np.all(res["tag"] == ESCAPE_CERTIFIED)
 
 
-def test_non_finite_start_is_undetermined(sinz, sin3):
+def test_non_finite_start_is_undetermined(sinz, sin3, cosh3, orbit_walk):
     pts = [complex(math.nan, 0.0), complex(math.inf, 0.0), complex(0.0, -math.inf), complex(1.0, math.nan), 0.5]
     for f in (sinz, sin3):
         res = classify_batch(f, pts)
         assert list(res["tag"][:4]) == [UNDETERMINED] * 4
         assert res["steps"][:4].tolist() == [0, 0, 0, 0]
         assert res["tag"][4] == NON_ESCAPE_OBSERVED
+    # An orbit that never starts takes no step.
+    res, states = orbit_walk(cosh3, complex(math.nan, 0.0))
+    assert (res["tag"], res["steps"], states) == (UNDETERMINED, 0, [])
 
 
 def test_trap_exit_only_when_tail_rule_must_fire(sinz):
@@ -268,18 +274,15 @@ def test_trap_exit_only_when_tail_rule_must_fire(sinz):
         assert res["trapped"].any()
 
 
-def test_trap_needs_enough_budget(sinz):
+def test_trap_needs_enough_budget(sinz, orbit_walk):
     # sin(50.5) ~ 0.24 lies in the petal at step 1, but with 8 steps only
     # seven points are inside the radius: the tail rule cannot fire.
-    res = classify_orbit(sinz, 50.5, ClassifyParams(max_iter=8))
-    assert res.tag == UNDETERMINED and res.steps == 8
-    res = classify_orbit(sinz, 50.5)
-    assert res.tag == NON_ESCAPE_OBSERVED
-    assert res.steps < 512
-    assert len(res.diagnostics["cert_trace"]) == res.steps
-
-
-_RESULT_KEYS = ("tag", "tag_code", "steps", "escape_step", "fast_escape", "trapped", "final_mode", "final_depth", "final_val")
+    res, states = orbit_walk(sinz, 50.5, ClassifyParams(max_iter=8))
+    assert res["tag"] == UNDETERMINED and res["steps"] == 8 == len(states)
+    res, states = orbit_walk(sinz, 50.5)
+    assert res["tag"] == NON_ESCAPE_OBSERVED
+    assert res["steps"] < 512
+    assert len(states) == res["steps"]
 
 
 def test_batch_composition_does_not_change_results():
@@ -312,8 +315,7 @@ def test_batch_composition_does_not_change_results():
         return tuple(res[key][names.index(name)].item() for key in keys)
 
     # Each start takes the exit it was chosen for.
-    tag, steps = got("certified escape", "tag_code", "steps")
-    assert tag == 1 and got("certified escape", "escape_step") == (steps,)
+    assert got("certified escape", "tag_code", "final_depth") == (1, p.cert_steps)
     assert got("exact fixed point", "tag_code", "steps", "trapped") == (2, 1, False)
     assert got("stuck fixed point", "tag_code", "steps", "final_mode") == (0, 1, 0)
     assert got("trap entry", "tag_code", "trapped") == (2, True)
@@ -330,46 +332,27 @@ def test_batch_composition_does_not_change_results():
     rng = np.random.default_rng(2)
     order = rng.permutation(np.tile(np.arange(pts.size), 3))
     shuffled = classify_batch(f, pts[order], p)
-    for key in _RESULT_KEYS:
+    for key in RESULT_KEYS:
         want = np.concatenate([a[key] for a in alone])
         np.testing.assert_array_equal(res[key], want, err_msg=key)
         np.testing.assert_array_equal(shuffled[key], want[order], err_msg=key)
 
 
-def test_escape_rate_certificate_members(cosh3):
+def test_escape_rate_certificate_members(cosh3, orbit_walk):
     # Certified run means each step satisfied log|z_{k+1}| >= |z_k|^alpha.
-    res = classify_orbit(cosh3, 55.0)
-    assert res.tag == ESCAPE_CERTIFIED
-    trace = res.diagnostics["cert_trace"]
-    certified = [rec for rec in trace if rec["certified"]]
-    assert len(certified) >= 3
+    res, states = orbit_walk(cosh3, 55.0)
+    assert res["tag"] == ESCAPE_CERTIFIED
+    assert sum(bool(st["cond"]) for st in states) >= 3
 
 
 def test_ladder_gate_excludes_slow_orbit(sin3):
     # A non-escaping orbit never carries the fast-escape flag.
-    res = classify_orbit(sin3, 0.3)
-    assert not res.fast_escape
+    res = classify_batch(sin3, [0.3])
+    assert not res["fast_escape"][0]
 
 
-def test_write_orbit_csv(tmp_path, cosh3):
-    path = tmp_path / "orbit.csv"
-    res = write_orbit_csv(cosh3, 60.0, ClassifyParams(), path)
-    assert res.tag == ESCAPE_CERTIFIED
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "step,re,im,val,phase,depth,tag"
-    assert len(lines) >= 3
-
-
-def test_write_orbit_csv_non_finite_start(tmp_path, cosh3):
-    # An orbit that never starts still gets its row 0.
-    path = tmp_path / "orbit.csv"
-    res = write_orbit_csv(cosh3, complex(math.nan, 0.0), ClassifyParams(), path)
-    assert res.tag == UNDETERMINED and res.steps == 0
-    assert path.read_text().splitlines() == ["step,re,im,val,phase,depth,tag", "0,nan,0.0,,,0,Undetermined"]
-
-
-def test_final_abs_tower_scales(cosh3):
-    res = classify_orbit(cosh3, 60.0)
-    last = res.diagnostics["last_abs"]
-    assert isinstance(last, TowerMag)
-    assert last > TowerMag(0, 60.0)
+def test_final_abs_tower_scales(cosh3, orbit_walk):
+    res, states = orbit_walk(cosh3, 60.0)
+    assert res["final_mode"] == 1
+    assert (res["final_depth"], res["final_val"]) == (states[-1]["depth"], states[-1]["val"])
+    assert _abs(states[-1]) > TowerMag(0, 60.0)
