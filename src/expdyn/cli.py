@@ -120,6 +120,13 @@ def _emit(args, payload: dict):
         _print_json(payload)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on; os.cpu_count() where affinity is unknown."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def build_parser() -> _Parser:
     p = _Parser(prog="expdyn", description=__doc__.splitlines()[0])
     p.add_argument("--version", action="version", version=__version__)
@@ -134,7 +141,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--out", required=True, help="output PPM path")
     _add_viewport(sp)
     _add_classify(sp)
-    sp.add_argument("--threads", type=int, default=os.cpu_count() or 1, help="worker threads (result-independent)")
+    sp.add_argument("--threads", type=int, default=_usable_cpus(), help="worker threads (result-independent)")
 
     sp = sub.add_parser("exceptional", help="render the level-1/level-2 exceptional sets")
     _add_fn(sp)

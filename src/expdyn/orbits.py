@@ -25,7 +25,14 @@ NonEscapeObserved, with the `trapped` flag, as soon as that makes the tail
 rule certain to fire.  Its `steps` is the entry step; tags are those the
 full budget gives.
 
-classify_batch is the only classifier: a single orbit is a batch of one.
+One engine, _classify_pool, steps a pool of live orbits of any ages.  Each
+orbit counts its own steps (its age), and the trap rule, the fast-escape
+gate, the max_iter budget and the reported steps read that count, so the
+pool can admit new start points as orbits finish without changing any
+result.  An orbit that reaches max_iter steps is retired at that step by
+the trailing-run rule.  classify_batch runs its whole batch as one pool, and
+is the only classifier: a single orbit is a batch of one.  The renderer runs
+one bounded pool per worker thread.
 """
 
 from __future__ import annotations
@@ -445,7 +452,7 @@ def _tower_ge(d1, v1, d2, v2):
     return (d1 > d2) | ((d1 == d2) & (v1 >= v2))
 
 
-def _step_direct(f: ExpPoly, p: ClassifyParams, dcap: float, trap, s, pos, fl, n_step: int):
+def _step_direct(f: ExpPoly, p: ClassifyParams, dcap: float, trap, s, pos, fl):
     """Advance the direct-mode orbits at positions pos of the state s by one step.
 
     Writes their new state into s and their cond, fixed and trap flags into
@@ -457,55 +464,57 @@ def _step_direct(f: ExpPoly, p: ClassifyParams, dcap: float, trap, s, pos, fl, n
     if pos.size == 0:
         return pos
     Z = s["z"][pos]
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
         ws = _term_exponents(f, Z)
         qs = _prefactor_logs(f, Z)
         maxs = functools.reduce(np.maximum, [w.real + lqa for w, (_, _, lqa) in zip(ws, qs)])
-        over = np.isnan(maxs) | (maxs == np.inf)
-        if over.any():
+        over = ~(maxs < np.inf)  # NaN or +inf
+        if np.count_nonzero(over):
             io = pos[over]
             s["mode"][io] = 1
             s["depth"][io] = 1
             s["val"][io] = np.log(np.abs(Z[over]))
             s["phase"][io] = np.angle(Z[over])
             s["z"][io] = 0.0
-            return np.concatenate([io, _step_direct(f, p, dcap, trap, s, pos[~over], fl, n_step)])
+            return np.concatenate([io, _step_direct(f, p, dcap, trap, s, pos[~over], fl)])
         lm, ph, zero = _log_sum([lq + w for w, (_, lq, _) in zip(ws, qs)])
-    lm[zero] = -np.inf
+        lm[zero] = -np.inf
 
-    absZ = np.abs(Z)
-    cond = absZ >= p.escape_radius
-    with np.errstate(over="ignore", invalid="ignore"):
+        absZ = np.abs(Z)
+        cond = absZ >= p.escape_radius
         cond[cond] = lm[cond] >= absZ[cond] ** p.alpha
-    if f.d >= 3 and cond.any():
-        cond[cond] = ~in_E_mask(f, Z[cond], 1)
-    below = np.where(absZ <= p.escape_radius, s["below"][pos] + 1, 0)
+        below = np.where(absZ <= p.escape_radius, s["below"][pos] + 1, 0)
 
-    promote = lm > dcap
-    # Step with the exact complex term sum whenever every term fits in
-    # doubles: IEEE products and sums commute with negation and conjugation,
-    # so sign/mirror symmetries of f survive bitwise.  Otherwise reconstruct
-    # from the log-domain value; a promoted point's znew is never read.
-    maxw = functools.reduce(np.maximum, [w.real for w in ws])
-    safe = (maxw <= 700.0) & (maxs <= 700.0) & ~promote & ~zero
-    rebuild = ~safe & ~zero & ~promote
-    znew = np.zeros(Z.size, complex)
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        promote = lm > dcap
+        # Step with the exact complex term sum whenever every term fits in
+        # doubles: IEEE products and sums commute with negation and
+        # conjugation, so sign/mirror symmetries of f survive bitwise.
+        # Otherwise reconstruct from the log-domain value; a promoted
+        # point's znew is never read.
+        live = ~promote & ~zero
+        maxw = functools.reduce(np.maximum, [w.real for w in ws])
+        safe = (maxw <= 700.0) & (maxs <= 700.0) & live
+        rebuild = live & ~safe
+        znew = np.zeros(Z.size, complex)
         direct = np.zeros(np.count_nonzero(safe), complex)
         for w, (q, _, _) in zip(ws, qs):
             direct = direct + (q if np.ndim(q) == 0 else q[safe]) * np.exp(w[safe])
         znew[safe] = direct
-        znew[rebuild] = np.exp(lm[rebuild]) * np.exp(1j * ph[rebuild])
+        if np.count_nonzero(rebuild):
+            znew[rebuild] = np.exp(lm[rebuild]) * np.exp(1j * ph[rebuild])
+    if f.d >= 3 and np.count_nonzero(cond):
+        cond[cond] = ~in_E_mask(f, Z[cond], 1)
 
     fl["cond"][pos] = cond
     fl["fixed"][pos] = ~promote & (znew == Z)
     # An orbit entering the trap stays inside the radius for its remaining
-    # max_iter - n_step points.  Flag it only when that makes the
-    # trailing-run rule certain to fire.
+    # max_iter - age points.  Flag it only when that makes the trailing-run
+    # rule certain to fire.
     if trap is not None:
-        enter = ~promote & (below + (p.max_iter - n_step) >= min(TAIL_STEPS, p.max_iter))
-        enter[enter] = trap.contains(znew[enter])
-        fl["trap"][pos] = enter
+        enter = ~promote & (below + (p.max_iter - s["age"][pos]) >= min(TAIL_STEPS, p.max_iter))
+        if np.count_nonzero(enter):
+            enter[enter] = trap.contains(znew[enter])
+            fl["trap"][pos] = enter
     s["mode"][pos] = promote
     s["z"][pos] = np.where(promote, 0.0, znew)
     s["depth"][pos] = promote
@@ -556,7 +565,7 @@ def _step_tower(f: ExpPoly, p: ClassifyParams, dcap: float, s, pos, fl):
         # growth: log|z'| = c |z|^d >= |z|^alpha
         cond = ((dep != 1) | (grow >= alpha * v)) & ~dead
         small = (dep >= 2) & (v <= 10.0)
-        if small.any():
+        if np.count_nonzero(small):
             l_small = np.exp(v[small])
             cond[small] &= logc[small] + d * l_small >= alpha * l_small
     logd = math.log(d) if d > 1 else 0.0
@@ -582,15 +591,140 @@ def _step_tower(f: ExpPoly, p: ClassifyParams, dcap: float, s, pos, fl):
     s["below"][pos] = 0
 
 
-def _retire(out, idx, s, m, code, n_step: int):
-    """Scatter the results of the state entries m, with tag codes code, into out."""
-    i = idx[m]
-    out["tag_code"][i] = code
-    out["steps"][i] = n_step
-    out["fast_escape"][i] = s["fast_ok"][m] & (code == 1)
-    out["final_mode"][i] = s["mode"][m]
-    out["final_depth"][i] = s["depth"][m]
-    out["final_val"][i] = s["val"][m]
+_NO_POS = np.zeros(0, np.int64)
+
+
+def _start_state(idx, z, fast: bool):
+    """Engine state of orbits starting at z, with batch indices idx."""
+    n = idx.size
+    return {
+        "idx": idx,
+        "age": np.zeros(n, np.int64),
+        "mode": np.zeros(n, np.int8),
+        "z": z,
+        "depth": np.zeros(n, np.int64),
+        "val": np.abs(z),
+        "phase": np.angle(z),
+        "run": np.zeros(n, np.int64),
+        "below": np.zeros(n, np.int64),
+        "fast_ok": np.full(n, fast),
+    }
+
+
+def _results(s, m, code, trapped):
+    """Result columns of the state entries m, with tag codes code."""
+    return {
+        "tag_code": code,
+        "steps": s["age"][m],
+        "fast_escape": s["fast_ok"][m] & (code == 1),
+        "trapped": trapped[m],
+        "final_mode": s["mode"][m],
+        "final_depth": s["depth"][m],
+        "final_val": s["val"][m],
+    }
+
+
+def _finite_starts(blocks, sink):
+    """The (index, points) blocks without their NaN and infinite start points.
+
+    Those are reported to sink at once, as Undetermined after 0 steps.
+    """
+    for idx, z in blocks:
+        idx, z = np.asarray(idx, np.int64), np.asarray(z, complex)
+        bad = ~np.isfinite(z)
+        if np.count_nonzero(bad):
+            b = _start_state(idx[bad], z[bad], False)
+            no = np.zeros(b["idx"].size, bool)
+            sink(b["idx"], _results(b, ~no, no.astype(np.int8), no))
+            idx, z = idx[~bad], z[~bad]
+        yield idx, z
+
+
+def _classify_pool(f: ExpPoly, p: ClassifyParams, blocks, capacity: int, sink):
+    """Classify the start points of blocks through a pool of at most capacity live orbits.
+
+    blocks yields (index, points) pairs of equal-size arrays and is read
+    only as the pool refills: whenever fewer than capacity/2 orbits are
+    live, start points are admitted until capacity is reached (a block may
+    be split across refills).  Each orbit is reported once, when it
+    finishes, by sink(index, columns), where columns are the result arrays
+    of classify_batch other than tag, for a batch of finished orbits.
+    Orbits are stepped together whatever their age, and every rule that
+    reads the step number reads the orbit's own age, so an orbit's results
+    do not depend on when it was admitted or on which orbits share its pool.
+    """
+    dcap = min((700.0 - math.log(f.max_abs_b) - 5.0) / f.d, BAIL_LOGMOD)
+    trap = trap_at_0(f, p.escape_radius)
+    ladder = _fast_ladder(f, p.escape_radius, p.max_iter)
+    lad_depth = np.array([t.depth for t in ladder or []], np.int64)
+    lad_val = np.array([t.value for t in ladder or []])
+    tail_len = min(TAIL_STEPS, p.max_iter)
+
+    starts = _finite_starts(blocks, sink)
+    pend_i, pend_z = _NO_POS, np.zeros(0, complex)
+    s = _start_state(pend_i, pend_z, False)
+    while True:
+        n = s["idx"].size
+        if 2 * n < capacity:
+            new_i, new_z = [], []
+            room = capacity - n
+            while room > 0:
+                if pend_z.size == 0:
+                    block = next(starts, None)
+                    if block is None:
+                        break
+                    pend_i, pend_z = block
+                    continue
+                new_i.append(pend_i[:room])
+                new_z.append(pend_z[:room])
+                pend_i, pend_z = pend_i[room:], pend_z[room:]
+                room -= new_i[-1].size
+            if new_i:
+                new = _start_state(np.concatenate(new_i), np.concatenate(new_z), ladder is not None)
+                for k in s:  # one column at a time, to bound the peak memory
+                    s[k] = np.concatenate([s[k], new.pop(k)])
+                n = s["idx"].size
+        if n == 0:
+            return
+
+        s["age"] += 1
+        fl = dict(zip(("cond", "fixed", "trap", "stop"), np.zeros((4, n), bool)))
+        n_tower = np.count_nonzero(s["mode"])
+        if n_tower == 0:
+            direct, tower = np.arange(n), _NO_POS
+        elif n_tower == n:
+            direct, tower = _NO_POS, np.arange(n)
+        else:
+            direct, tower = np.flatnonzero(s["mode"] == 0), np.flatnonzero(s["mode"])
+        over = _step_direct(f, p, dcap, trap, s, direct, fl)
+        _step_tower(f, p, dcap, s, np.concatenate([tower, over]) if over.size else tower, fl)
+
+        # fast-escape gate: |z_age| >= M^(age - cert_steps)(escape_radius)
+        if np.count_nonzero(s["fast_ok"]):
+            gated = np.flatnonzero(s["fast_ok"] & (s["age"] > p.cert_steps))
+            rung = s["age"][gated] - (p.cert_steps + 1)
+            ok = rung < lad_depth.size
+            sel, rung = gated[ok], rung[ok]
+            cd, cv = _canon_arrays(s["depth"][sel], s["val"][sel])
+            ok[ok] = _tower_ge(cd, cv, lad_depth[rung], lad_val[rung])
+            s["fast_ok"][gated] = ok
+
+        fixed = fl["fixed"]
+        s["run"] = np.where(fl["cond"] & ~fixed, s["run"] + 1, 0)
+        cert = s["run"] >= p.cert_steps
+        trapped = fl["trap"] & ~fixed & ~cert
+        end = fixed | cert | trapped | fl["stop"]
+        # An orbit that reaches max_iter steps without finishing is judged by
+        # the trailing-run rule.
+        done = end | (s["age"] >= p.max_iter)
+        if np.count_nonzero(done):
+            # A fixed direct point is non-escaping when it lies inside the
+            # radius, which is when its below count is positive.
+            nonesc = trapped | (fixed & (s["below"] > 0)) | (~end & (s["below"] >= tail_len))
+            code = np.where(cert, 1, np.where(nonesc, 2, 0)).astype(np.int8)
+            sink(s["idx"][done], _results(s, done, code[done], trapped))
+            keep = ~done
+            s = {k: a[keep] for k, a in s.items()}
 
 
 def classify_batch(f: ExpPoly, points, p: ClassifyParams | None = None):
@@ -604,15 +738,16 @@ def classify_batch(f: ExpPoly, points, p: ClassifyParams | None = None):
     the last computed step).  A NaN or infinite start point is Undetermined
     after 0 steps.
 
-    The loop holds a compact state of the live orbits only: their index in
-    the batch, z, mode (0 direct complex, 1 tower magnitude), depth, val,
-    phase, run (consecutive certified steps), below (consecutive steps inside
-    the radius) and fast_ok.  Each step advances the direct-mode orbits by
-    _step_direct and the tower-mode ones by _step_tower.  An orbit that
-    finishes (certified run, fixed point, trap entry, dead direction or
-    depth beyond MAX_DEPTH) is retired at once: its results are scattered
-    into the output arrays and it leaves the state.  Orbits still live after
-    max_iter steps are retired by the trailing-run rule.
+    The engine holds a compact state of the live orbits only: their index in
+    the batch, age (steps taken), z, mode (0 direct complex, 1 tower
+    magnitude), depth, val, phase, run (consecutive certified steps), below
+    (consecutive steps inside the radius) and fast_ok.  Each step advances
+    the direct-mode orbits by _step_direct and the tower-mode ones by
+    _step_tower.  An orbit that finishes (certified run, fixed point, trap
+    entry, dead direction, depth beyond MAX_DEPTH, or max_iter steps taken,
+    judged by the trailing-run rule) is retired at once: its results are
+    scattered into the output arrays and it leaves the state.  The whole
+    batch is one pool (see _classify_pool).
 
     What EscapeCertified proves: cert_steps consecutive certified steps, of
     two kinds.  A direct step checks the true z: |z| >= escape_radius, the
@@ -626,72 +761,20 @@ def classify_batch(f: ExpPoly, points, p: ClassifyParams | None = None):
     if p is None:
         p = ClassifyParams()
     pts = np.asarray(points, dtype=complex).ravel()
-    n_pts = pts.size
-    dcap = min((700.0 - math.log(f.max_abs_b) - 5.0) / f.d, BAIL_LOGMOD)
-    trap = trap_at_0(f, p.escape_radius)
-    ladder = _fast_ladder(f, p.escape_radius, p.max_iter)
-    lad_depth = np.array([t.depth for t in ladder or []], np.int64)
-    lad_val = np.array([t.value for t in ladder or []])
-
     out = {
-        "tag_code": np.zeros(n_pts, np.int8),
-        "steps": np.zeros(n_pts, np.int64),
-        "fast_escape": np.zeros(n_pts, bool),
-        "trapped": np.zeros(n_pts, bool),
-        "final_mode": np.zeros(n_pts, np.int8),
-        "final_depth": np.zeros(n_pts, np.int64),
-        "final_val": np.abs(pts),
-    }
-    idx = np.flatnonzero(np.isfinite(pts))
-    z = pts[idx]
-    n = idx.size
-    s = {
-        "mode": np.zeros(n, np.int8),
-        "z": z,
-        "depth": np.zeros(n, np.int64),
-        "val": np.abs(z),
-        "phase": np.angle(z),
-        "run": np.zeros(n, np.int64),
-        "below": np.zeros(n, np.int64),
-        "fast_ok": np.full(n, ladder is not None),
+        "tag_code": np.zeros(pts.size, np.int8),
+        "steps": np.zeros(pts.size, np.int64),
+        "fast_escape": np.zeros(pts.size, bool),
+        "trapped": np.zeros(pts.size, bool),
+        "final_mode": np.zeros(pts.size, np.int8),
+        "final_depth": np.zeros(pts.size, np.int64),
+        "final_val": np.zeros(pts.size),
     }
 
-    for n_step in range(1, p.max_iter + 1):
-        if idx.size == 0:
-            break
-        fl = {k: np.zeros(idx.size, bool) for k in ("cond", "fixed", "trap", "stop")}
-        direct = np.flatnonzero(s["mode"] == 0)
-        tower = np.flatnonzero(s["mode"] == 1)
-        over = _step_direct(f, p, dcap, trap, s, direct, fl, n_step)
-        _step_tower(f, p, dcap, s, np.concatenate([tower, over]), fl)
+    def sink(i, cols):
+        for k, a in cols.items():
+            out[k][i] = a
 
-        # fast-escape gate: |z_n| >= M^(n - cert_steps)(escape_radius)
-        gate = n_step - p.cert_steps
-        if gate > 0:
-            gated = np.flatnonzero(s["fast_ok"])
-            ok = False
-            if gate <= len(lad_depth):
-                cd, cv = _canon_arrays(s["depth"][gated], s["val"][gated])
-                ok = _tower_ge(cd, cv, lad_depth[gate - 1], lad_val[gate - 1])
-            s["fast_ok"][gated] = ok
-
-        fixed = fl["fixed"]
-        s["run"] = np.where(fl["cond"] & ~fixed, s["run"] + 1, 0)
-        cert = s["run"] >= p.cert_steps
-        trapped = fl["trap"] & ~fixed & ~cert
-        end = fixed | cert | trapped | fl["stop"]
-        if end.any():
-            # A fixed direct point is non-escaping when it lies inside the
-            # radius, which is when its below count is positive.
-            code = np.where(cert, 1, np.where(trapped | (fixed & (s["below"] > 0)), 2, 0)).astype(np.int8)
-            _retire(out, idx, s, end, code[end], n_step)
-            out["trapped"][idx[trapped]] = True
-            keep = ~end
-            idx = idx[keep]
-            s = {k: a[keep] for k, a in s.items()}
-
-    tail = np.where(s["below"] >= min(TAIL_STEPS, p.max_iter), 2, 0).astype(np.int8)
-    _retire(out, idx, s, np.ones(idx.size, bool), tail, p.max_iter)
+    _classify_pool(f, p, [(np.arange(pts.size), pts)], max(pts.size, 1), sink)
     out["tag"] = _TAG_TABLE[out["tag_code"]]
     return out
-

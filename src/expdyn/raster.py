@@ -2,13 +2,14 @@
 
 Pixels are sampled at their centers only, so the classification invariants
 (sign and mirror symmetries) hold pixel-exactly.  Rendering is deterministic
-and independent of the worker count: every chunk writes to disjoint
-pre-indexed rows of the output array.
+and independent of the worker count: every pixel is written once, by the
+orbit pool that classified it.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .exceptional import in_E_mask
 from .funcs import ExpPoly
-from .orbits import ClassifyParams, classify_batch
+from .orbits import ClassifyParams, _classify_pool
 
 __all__ = [
     "Viewport",
@@ -127,7 +128,7 @@ def _escape_shade(steps: np.ndarray) -> np.ndarray:
 
 
 def _colorize(codes: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    """Pixel colors from classify_batch tag codes (1 escape, 2 non-escape, 0 undetermined)."""
+    """Pixel colors from tag codes (1 escape, 2 non-escape, 0 undetermined)."""
     rgb = _escape_shade(steps)
     rgb[codes == 2] = DEFAULT_PALETTE["NonEscapeObserved"]
     rgb[codes == 0] = DEFAULT_PALETTE["Undetermined"]
@@ -143,32 +144,46 @@ def render_classification(
 ) -> ImageBuffer:
     """Classify every pixel-center orbit and map classes to colors.
 
-    Results are independent of threads and rows_per_chunk: classification is
-    per-point and each chunk owns a disjoint block of output rows.
+    Each worker thread runs one pool of rows_per_chunk rows of live orbits
+    (see orbits._classify_pool).  The pool takes the next unclaimed rows as
+    its orbits finish, and each finished orbit's pixel is coloured at once,
+    so an image pays its longest orbit once, not once per block of rows.
+    No more threads start than there are blocks of rows_per_chunk rows.
+    Results are independent of threads and rows_per_chunk: classification
+    is per-point and each pixel is written once, by the pool that ran it.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
+    if rows_per_chunk < 1:
+        raise ValueError(f"rows_per_chunk must be at least 1, got {rows_per_chunk}")
     if p is None:
         p = ClassifyParams()
     out = np.zeros((v.px_h, v.px_w, 3), dtype=np.uint8)
-    chunks = [
-        (j0, min(j0 + rows_per_chunk, v.px_h)) for j0 in range(0, v.px_h, rows_per_chunk)
-    ]
+    flat = out.reshape(-1, 3)
+    rows = iter(range(v.px_h))
+    claim = threading.Lock()
 
-    def work(span):
-        j0, j1 = span
-        pts = np.concatenate([v.row_points(j) for j in range(j0, j1)])
-        res = classify_batch(f, pts, p)
-        codes = res["tag_code"].reshape(j1 - j0, v.px_w)
-        steps = res["steps"].reshape(j1 - j0, v.px_w)
-        out[j0:j1] = _colorize(codes, steps)
+    def blocks():
+        while True:
+            with claim:
+                j = next(rows, None)
+            if j is None:
+                return
+            yield np.arange(j * v.px_w, (j + 1) * v.px_w), v.row_points(j)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            list(ex.map(work, chunks))
+    def sink(i, cols):
+        flat[i] = _colorize(cols["tag_code"], cols["steps"])
+
+    def work():
+        _classify_pool(f, p, blocks(), rows_per_chunk * v.px_w, sink)
+
+    workers = min(threads, -(-v.px_h // rows_per_chunk))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as ex:
+            for fut in [ex.submit(work) for _ in range(workers)]:
+                fut.result()
     else:
-        for span in chunks:
-            work(span)
+        work()
     return ImageBuffer(out)
 
 

@@ -41,6 +41,21 @@ def orbit_walk(monkeypatch):
     return walk
 
 
+@pytest.fixture
+def step_sizes(monkeypatch):
+    """The number of live orbits at each engine step, in order, taken by a
+    spy on orbits._step_tower, which runs once per step."""
+    sizes = []
+    step_tower = orbits._step_tower
+
+    def spy(f, p, dcap, s, pos, fl):
+        sizes.append(s["z"].size)
+        step_tower(f, p, dcap, s, pos, fl)
+
+    monkeypatch.setattr(orbits, "_step_tower", spy)
+    return sizes
+
+
 @pytest.fixture(scope="session")
 def cosh3():
     """e^{z^3} + e^{-z^3}: the workhorse two-term d=3 function."""

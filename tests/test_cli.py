@@ -191,6 +191,14 @@ def test_render_deterministic(capsys, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_render_threads_default_to_usable_cpus():
+    args = build_parser().parse_args(["render", "--fn", "sin_z3", "--out", "x.ppm"])
+    if hasattr(os, "sched_getaffinity"):
+        assert args.threads == len(os.sched_getaffinity(0))
+    else:
+        assert args.threads == (os.cpu_count() or 1)
+
+
 def test_exceptional_writes_ppm(capsys, tmp_path):
     out_path = tmp_path / "exc.ppm"
     code, _, _ = run(

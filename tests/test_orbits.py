@@ -285,17 +285,21 @@ def test_trap_needs_enough_budget(sinz, orbit_walk):
     assert len(states) == res["steps"]
 
 
-def test_batch_composition_does_not_change_results():
-    # f = 60 e^{z^3} - 60 e^{eps z^3}: f(0) = 0 with a trap disk around it,
-    # f(-60) = -60 exactly (e^{-216000} underflows and e^{eps z^3} rounds to
-    # 1), and a repelling fixed point near x* = 60^{-1/2}.  With cert_steps 7
-    # a run of certified tower steps from outside the radius certifies at
-    # depth 7, while one that starts inside is cut by depth > MAX_DEPTH.
+def _exit_cases():
+    """(f, p, cases): one start point per exit of the engine, by name.
+
+    f = 60 e^{z^3} - 60 e^{eps z^3}: f(0) = 0 with a trap disk around it,
+    f(-60) = -60 exactly (e^{-216000} underflows and e^{eps z^3} rounds to
+    1), and a repelling fixed point near x* = 60^{-1/2}.  With cert_steps 7
+    a run of certified tower steps from outside the radius certifies at
+    depth 7, while one that starts inside is cut by depth > MAX_DEPTH.
+    """
     f = ExpPoly(3, [ExpPolyTerm(Poly([60.0]), 1 + 0j), ExpPolyTerm(Poly([-60.0]), 1e-300 + 0j)])
     p = ClassifyParams(cert_steps=7, max_iter=12)
     x_star = 0.12903011845326154
     cases = {
         "certified escape": 60.0,
+        "gated escape": 0.25,
         "exact fixed point": 0.0,
         "stuck fixed point": -60.0,
         "trap entry": 0.1,
@@ -307,6 +311,11 @@ def test_batch_composition_does_not_change_results():
         "nan": complex(math.nan, 0.0),
         "inf": complex(0.0, math.inf),
     }
+    return f, p, cases
+
+
+def test_batch_composition_does_not_change_results():
+    f, p, cases = _exit_cases()
     pts = np.array(list(cases.values()), dtype=complex)
     res = classify_batch(f, pts, p)
     names = list(cases)
@@ -316,6 +325,10 @@ def test_batch_composition_does_not_change_results():
 
     # Each start takes the exit it was chosen for.
     assert got("certified escape", "tag_code", "final_depth") == (1, p.cert_steps)
+    # Certified after more than cert_steps steps, so the fast-escape gate
+    # judged it (and kept it) on the way.
+    tag, steps, fast = got("gated escape", "tag_code", "steps", "fast_escape")
+    assert tag == 1 and steps > p.cert_steps + 1 and fast
     assert got("exact fixed point", "tag_code", "steps", "trapped") == (2, 1, False)
     assert got("stuck fixed point", "tag_code", "steps", "final_mode") == (0, 1, 0)
     assert got("trap entry", "tag_code", "trapped") == (2, True)
@@ -336,6 +349,38 @@ def test_batch_composition_does_not_change_results():
         want = np.concatenate([a[key] for a in alone])
         np.testing.assert_array_equal(res[key], want, err_msg=key)
         np.testing.assert_array_equal(shuffled[key], want[order], err_msg=key)
+
+
+@pytest.mark.parametrize("capacity", [2, 3])
+def test_pool_refill_does_not_change_results(capacity, step_sizes):
+    # The exit cases fed in staggered blocks through a small pool: orbits of
+    # different ages share steps, and the fast escape and the budget orbits
+    # enter at a late refill, so the trap rule, the fast-escape gate and the
+    # budget rule each must read the orbit's own age.
+    f, p, cases = _exit_cases()
+    late = ("gated escape", "budget with tail", "budget without tail")
+    order = [name for name in cases if name not in late] + list(late)
+    pts = np.array([cases[name] for name in order], dtype=complex)
+    want = classify_batch(f, pts, p)
+    step_sizes.clear()
+    got = {key: np.zeros(pts.size, want[key].dtype) for key in RESULT_KEYS if key != "tag"}
+    reported = np.zeros(pts.size, np.int64)
+
+    def sink(i, cols):
+        assert cols.keys() == got.keys()
+        np.add.at(reported, i, 1)
+        for key, a in cols.items():
+            got[key][i] = a
+
+    edges = [0, 1, 3, 6, pts.size]
+    blocks = [(np.arange(a, b), pts[a:b]) for a, b in zip(edges, edges[1:])]
+    orbits._classify_pool(f, p, blocks, capacity, sink)
+    assert (reported == 1).all()
+    for key, a in got.items():
+        np.testing.assert_array_equal(a, want[key], err_msg=key)
+    assert max(step_sizes) <= capacity
+    # The last orbits entered after the first step and ran their whole budget.
+    assert len(step_sizes) > p.max_iter
 
 
 def test_escape_rate_certificate_members(cosh3, orbit_walk):

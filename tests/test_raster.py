@@ -121,6 +121,64 @@ def test_render_thread_and_chunk_invariance(sin3_module, small_sin3_render):
     assert rechunked == small_sin3_render
 
 
+def test_render_pays_the_budget_once(step_sizes):
+    # The 96-px sin_z figure has full-budget orbits in the middle block of
+    # rows.  One pool for the image pays that 512-step tail once, where one
+    # batch per 32-row block took 98 + 512 + 98 = 708 steps.
+    from expdyn import bundled_function
+
+    p = ClassifyParams()
+    rows_per_chunk = 32
+    v = Viewport.square(0j, 4.0, 96)
+    render_classification(bundled_function("sin_z"), v, p, threads=1, rows_per_chunk=rows_per_chunk)
+    assert len(step_sizes) <= p.max_iter + 32
+    assert max(step_sizes) <= rows_per_chunk * v.px_w
+
+
+def test_render_starts_no_more_threads_than_row_blocks(sin3_module, small_sin3_render, monkeypatch):
+    from expdyn import raster
+
+    started = []
+    executor = raster.ThreadPoolExecutor
+
+    def recording(max_workers):
+        started.append(max_workers)
+        return executor(max_workers=max_workers)
+
+    monkeypatch.setattr(raster, "ThreadPoolExecutor", recording)
+    v = Viewport.square(0j, 2.0, 64)
+    img = render_classification(sin3_module, v, ClassifyParams(), threads=8, rows_per_chunk=32)
+    assert img == small_sin3_render
+    assert started == [2]
+    with pytest.raises(ValueError):
+        render_classification(sin3_module, v, rows_per_chunk=0)
+
+
+def test_render_threads_claim_each_row_once(sin3_module, small_sin3_render):
+    # More workers than cores, one-row pools and a short switch interval:
+    # a row claimed twice or never would show in the claims or the pixels.
+    import sys
+    import threading
+
+    claims = []
+
+    class CountingViewport(Viewport):
+        def row_points(self, j):
+            claims.append((j, threading.get_ident()))
+            return super().row_points(j)
+
+    v = CountingViewport(0j, 2.0, 2.0, 64, 64)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        img = render_classification(sin3_module, v, ClassifyParams(), threads=4, rows_per_chunk=1)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(j for j, _ in claims) == list(range(64))
+    assert len({t for _, t in claims}) > 1
+    assert img == small_sin3_render
+
+
 def test_render_has_all_classes_colored(small_sin3_render):
     px = small_sin3_render.pixels
     black = np.all(px == DEFAULT_PALETTE["NonEscapeObserved"], axis=-1)
