@@ -10,9 +10,11 @@ exponent), since the true phase of f is an astronomically large number mod
 2 pi.  A start point whose log-domain evaluation overflows doubles starts
 in tower mode at its own magnitude; a NaN or infinite start point is
 Undetermined after 0 steps.  Classification is certificate-based: escape is
-only reported when a run of consecutive steps each shows the point outside
-the level-1 exceptional set, beyond the escape radius, and growing at the
-stretched exponential rate log|z_{k+1}| >= |z_k|^alpha.
+only reported after a run of consecutive certified steps.  A direct step is
+certified when the point lies beyond the escape radius, outside the level-1
+exceptional set, and grows at the stretched exponential rate
+log|z_{k+1}| >= |z_k|^alpha; a tower step checks the radius and the growth
+of the dominant-term model, and no level-1 membership.
 
 Non-escape is reported when an orbit lands exactly on a fixed point inside
 the radius, or when its last TAIL_STEPS points (all of them, for a shorter
@@ -26,13 +28,13 @@ rule certain to fire.  Its `steps` is the entry step; tags are those the
 full budget gives.
 
 One engine, _classify_pool, steps a pool of live orbits of any ages.  Each
-orbit counts its own steps (its age), and the trap rule, the fast-escape
-gate, the max_iter budget and the reported steps read that count, so the
-pool can admit new start points as orbits finish without changing any
-result.  An orbit that reaches max_iter steps is retired at that step by
-the trailing-run rule.  classify_batch runs its whole batch as one pool, and
-is the only classifier: a single orbit is a batch of one.  The renderer runs
-one bounded pool per worker thread.
+orbit counts its own steps (its age), and the trap rule, the max_iter
+budget and the reported steps read that count, so the pool can admit new
+start points as orbits finish without changing any result.  An orbit that
+reaches max_iter steps is retired at that step by the trailing-run rule.
+classify_batch runs its whole batch as one pool, and is the only
+classifier: a single orbit is a batch of one.  The renderer runs one
+bounded pool per worker thread.
 """
 
 from __future__ import annotations
@@ -98,8 +100,11 @@ class ClassifyParams:
             raise ValueError("alpha must be positive and finite")
         if self.cert_steps < 2:
             raise ValueError("cert_steps must be at least 2")
-        if not (math.isfinite(self.escape_radius) and self.escape_radius > 0) or self.max_iter < 1:
-            raise ValueError("invalid escape_radius/max_iter")
+        if not (math.isfinite(self.escape_radius) and self.escape_radius > 0):
+            raise ValueError("escape_radius must be positive and finite")
+        # Orbit ages are int64.
+        if not 1 <= self.max_iter <= np.iinfo(np.int64).max:
+            raise ValueError("max_iter must be between 1 and 2**63 - 1")
 
 
 # ---------------------------------------------------------------------------
@@ -145,15 +150,14 @@ def _asymptotic_log_max(f: ExpPoly) -> float:
     return f.max_abs_b * (1.0 + 1e-9)
 
 
-def iterate_max_modulus(f: ExpPoly, R: float, n: int, max_depth: int | None = None):
+def iterate_max_modulus(f: ExpPoly, R: float, n: int):
     """The first n iterates of r -> M(r, f) starting at R, as TowerMag.
 
-    Uses circle sampling (upper bracket side) while r is small enough that
-    the exponents fit in doubles, and the dominant-coefficient asymptotic
+    These are the M^n(R) of the fast escaping set A(f).  Uses circle
+    sampling (upper bracket side) while r is small enough that the
+    exponents fit in doubles, and the dominant-coefficient asymptotic
     log M(r) <= c r^d beyond; every approximation is taken on the upper
-    side, so the iterates are usable as conservative fast-escape gates.
-    With max_depth set, the list stops before the first iterate deeper than
-    max_depth.
+    side, so each iterate bounds M^n(R) from above.
     """
     lo, hi = log_max_modulus(f, R)
     if lo <= math.log(R):
@@ -169,8 +173,6 @@ def iterate_max_modulus(f: ExpPoly, R: float, n: int, max_depth: int | None = No
             log_r = tower_log(t)
             loglog_m = _tower_add_const(_tower_scale(log_r, float(f.d)), math.log(c_up))
             t = tower_exp(tower_exp(loglog_m))
-        if max_depth is not None and t.depth > max_depth:
-            break
         out.append(t)
     return out
 
@@ -427,29 +429,8 @@ def trap_at_0(f: ExpPoly, escape_radius: float) -> TrapRegion | None:
     return memo[escape_radius]
 
 
-def _fast_ladder(f: ExpPoly, escape_radius: float, max_iter: int):
-    """The fast-escape gates M^n(escape_radius), or None without a base.
-
-    Stored on f per (escape_radius, max_iter), the BadBase outcome too.
-    """
-    memo = f.memo.setdefault("fast_ladder", {})
-    key = (escape_radius, max_iter)
-    if key not in memo:
-        try:
-            # No live point is deeper than MAX_DEPTH + 1, so deeper rungs
-            # would fail every point they gate.
-            memo[key] = iterate_max_modulus(f, escape_radius, max_iter + 1, max_depth=MAX_DEPTH + 1)
-        except BadBase:
-            memo[key] = None
-    return memo[key]
-
-
 # ---------------------------------------------------------------------------
 # Classification engine
-
-
-def _tower_ge(d1, v1, d2, v2):
-    return (d1 > d2) | ((d1 == d2) & (v1 >= v2))
 
 
 def _step_direct(f: ExpPoly, p: ClassifyParams, dcap: float, trap, s, pos, fl):
@@ -549,8 +530,10 @@ def _step_tower(f: ExpPoly, p: ClassifyParams, dcap: float, s, pos, fl):
     """Advance the tower-mode orbits at positions pos of the state s by one step.
 
     The magnitude grows like the dominant term, log|z'| = c |z|^d with
-    c = max_j |b_j| cos(d phi + arg b_j); c <= 0 is a dead direction.  Writes
-    the new state into s and the cond and stop flags into fl.
+    c = max_j |b_j| cos(d phi + arg b_j); c <= 0 is a dead direction.  A step
+    is certified (cond) when |z| >= escape_radius and the model grows at
+    the stretched exponential rate.  Writes the new state into s and the
+    cond and stop flags into fl.
     """
     if pos.size == 0:
         return
@@ -562,8 +545,9 @@ def _step_tower(f: ExpPoly, p: ClassifyParams, dcap: float, s, pos, fl):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         logc = np.log(np.where(dead, 1.0, c))
         grow = logc + d * v
-        # growth: log|z'| = c |z|^d >= |z|^alpha
-        cond = ((dep != 1) | (grow >= alpha * v)) & ~dead
+        # At depth 1, |z| = e^v >= escape_radius and log|z'| = c |z|^d >= |z|^alpha.
+        # Deeper states are canonical, v > LIFT, so beyond any double radius.
+        cond = ((dep != 1) | ((v >= math.log(p.escape_radius)) & (grow >= alpha * v))) & ~dead
         small = (dep >= 2) & (v <= 10.0)
         if np.count_nonzero(small):
             l_small = np.exp(v[small])
@@ -594,7 +578,7 @@ def _step_tower(f: ExpPoly, p: ClassifyParams, dcap: float, s, pos, fl):
 _NO_POS = np.zeros(0, np.int64)
 
 
-def _start_state(idx, z, fast: bool):
+def _start_state(idx, z):
     """Engine state of orbits starting at z, with batch indices idx."""
     n = idx.size
     return {
@@ -607,7 +591,6 @@ def _start_state(idx, z, fast: bool):
         "phase": np.angle(z),
         "run": np.zeros(n, np.int64),
         "below": np.zeros(n, np.int64),
-        "fast_ok": np.full(n, fast),
     }
 
 
@@ -616,7 +599,6 @@ def _results(s, m, code, trapped):
     return {
         "tag_code": code,
         "steps": s["age"][m],
-        "fast_escape": s["fast_ok"][m] & (code == 1),
         "trapped": trapped[m],
         "final_mode": s["mode"][m],
         "final_depth": s["depth"][m],
@@ -633,7 +615,7 @@ def _finite_starts(blocks, sink):
         idx, z = np.asarray(idx, np.int64), np.asarray(z, complex)
         bad = ~np.isfinite(z)
         if np.count_nonzero(bad):
-            b = _start_state(idx[bad], z[bad], False)
+            b = _start_state(idx[bad], z[bad])
             no = np.zeros(b["idx"].size, bool)
             sink(b["idx"], _results(b, ~no, no.astype(np.int8), no))
             idx, z = idx[~bad], z[~bad]
@@ -655,14 +637,11 @@ def _classify_pool(f: ExpPoly, p: ClassifyParams, blocks, capacity: int, sink):
     """
     dcap = min((700.0 - math.log(f.max_abs_b) - 5.0) / f.d, BAIL_LOGMOD)
     trap = trap_at_0(f, p.escape_radius)
-    ladder = _fast_ladder(f, p.escape_radius, p.max_iter)
-    lad_depth = np.array([t.depth for t in ladder or []], np.int64)
-    lad_val = np.array([t.value for t in ladder or []])
     tail_len = min(TAIL_STEPS, p.max_iter)
 
     starts = _finite_starts(blocks, sink)
     pend_i, pend_z = _NO_POS, np.zeros(0, complex)
-    s = _start_state(pend_i, pend_z, False)
+    s = _start_state(pend_i, pend_z)
     while True:
         n = s["idx"].size
         if 2 * n < capacity:
@@ -680,7 +659,7 @@ def _classify_pool(f: ExpPoly, p: ClassifyParams, blocks, capacity: int, sink):
                 pend_i, pend_z = pend_i[room:], pend_z[room:]
                 room -= new_i[-1].size
             if new_i:
-                new = _start_state(np.concatenate(new_i), np.concatenate(new_z), ladder is not None)
+                new = _start_state(np.concatenate(new_i), np.concatenate(new_z))
                 for k in s:  # one column at a time, to bound the peak memory
                     s[k] = np.concatenate([s[k], new.pop(k)])
                 n = s["idx"].size
@@ -698,16 +677,6 @@ def _classify_pool(f: ExpPoly, p: ClassifyParams, blocks, capacity: int, sink):
             direct, tower = np.flatnonzero(s["mode"] == 0), np.flatnonzero(s["mode"])
         over = _step_direct(f, p, dcap, trap, s, direct, fl)
         _step_tower(f, p, dcap, s, np.concatenate([tower, over]) if over.size else tower, fl)
-
-        # fast-escape gate: |z_age| >= M^(age - cert_steps)(escape_radius)
-        if np.count_nonzero(s["fast_ok"]):
-            gated = np.flatnonzero(s["fast_ok"] & (s["age"] > p.cert_steps))
-            rung = s["age"][gated] - (p.cert_steps + 1)
-            ok = rung < lad_depth.size
-            sel, rung = gated[ok], rung[ok]
-            cd, cv = _canon_arrays(s["depth"][sel], s["val"][sel])
-            ok[ok] = _tower_ge(cd, cv, lad_depth[rung], lad_val[rung])
-            s["fast_ok"][gated] = ok
 
         fixed = fl["fixed"]
         s["run"] = np.where(fl["cond"] & ~fixed, s["run"] + 1, 0)
@@ -733,16 +702,16 @@ def classify_batch(f: ExpPoly, points, p: ClassifyParams | None = None):
     Keys: tag (strings), tag_code (0 Undetermined, 1 EscapeCertified, 2
     NonEscapeObserved), steps (the step at which the orbit finished; for an
     EscapeCertified one, the step that completed its certified run),
-    fast_escape, trapped (the orbit stopped on entering the trap region of
-    trap_at_0), final_mode, final_depth, final_val (|z| = exp^depth(val) at
-    the last computed step).  A NaN or infinite start point is Undetermined
-    after 0 steps.
+    trapped (the orbit stopped on entering the trap region of trap_at_0),
+    final_mode, final_depth, final_val (|z| = exp^depth(val) at the last
+    computed step).  A NaN or infinite start point is Undetermined after 0
+    steps.
 
     The engine holds a compact state of the live orbits only: their index in
     the batch, age (steps taken), z, mode (0 direct complex, 1 tower
-    magnitude), depth, val, phase, run (consecutive certified steps), below
-    (consecutive steps inside the radius) and fast_ok.  Each step advances
-    the direct-mode orbits by _step_direct and the tower-mode ones by
+    magnitude), depth, val, phase, run (consecutive certified steps) and
+    below (consecutive steps inside the radius).  Each step advances the
+    direct-mode orbits by _step_direct and the tower-mode ones by
     _step_tower.  An orbit that finishes (certified run, fixed point, trap
     entry, dead direction, depth beyond MAX_DEPTH, or max_iter steps taken,
     judged by the trailing-run rule) is retired at once: its results are
@@ -752,11 +721,11 @@ def classify_batch(f: ExpPoly, points, p: ClassifyParams | None = None):
     What EscapeCertified proves: cert_steps consecutive certified steps, of
     two kinds.  A direct step checks the true z: |z| >= escape_radius, the
     growth inequality log|f(z)| >= |z|^alpha, and (for d >= 3) that z is
-    outside the level-1 set.  A tower step checks growth only, and on the
-    dominant-term model log|z'| = c |z|^d, with c taken from the carried
-    phase, which is a proxy and not the argument of the true orbit; it runs
-    no level-1 check.  So a verdict whose run ends in tower mode rests on
-    the direct steps before it plus that model.
+    outside the level-1 set.  A tower step checks |z| >= escape_radius and
+    growth, the latter on the dominant-term model log|z'| = c |z|^d, with c
+    taken from the carried phase, which is a proxy and not the argument of
+    the true orbit; it runs no level-1 check.  So a verdict whose run ends
+    in tower mode rests on the direct steps before it plus that model.
     """
     if p is None:
         p = ClassifyParams()
@@ -764,7 +733,6 @@ def classify_batch(f: ExpPoly, points, p: ClassifyParams | None = None):
     out = {
         "tag_code": np.zeros(pts.size, np.int8),
         "steps": np.zeros(pts.size, np.int64),
-        "fast_escape": np.zeros(pts.size, bool),
         "trapped": np.zeros(pts.size, bool),
         "final_mode": np.zeros(pts.size, np.int8),
         "final_depth": np.zeros(pts.size, np.int64),

@@ -76,19 +76,20 @@ class Viewport:
 
     def row_points(self, j: int) -> np.ndarray:
         """Pixel-center points of row j (row 0 is the top of the image)."""
-        sx = 2.0 * self.half_width / self.px_w
-        sy = 2.0 * self.half_height / self.px_h
-        x = self.center.real - self.half_width + (np.arange(self.px_w) + 0.5) * sx
-        y = self.center.imag + self.half_height - (j + 0.5) * sy
-        return x + 1j * y
+        return self._points(j)
 
     def all_points(self) -> np.ndarray:
         """(px_h, px_w) array of pixel centers, top row first."""
+        return self._points(np.arange(self.px_h))
+
+    def _points(self, rows) -> np.ndarray:
+        """Pixel centers of row number rows, or of each row number in the
+        array rows: an array of shape rows.shape + (px_w,)."""
         sx = 2.0 * self.half_width / self.px_w
         sy = 2.0 * self.half_height / self.px_h
         x = self.center.real - self.half_width + (np.arange(self.px_w) + 0.5) * sx
-        y = self.center.imag + self.half_height - (np.arange(self.px_h) + 0.5) * sy
-        return x[None, :] + 1j * y[:, None]
+        y = self.center.imag + self.half_height - (np.asarray(rows)[..., None] + 0.5) * sy
+        return x + 1j * y
 
 
 class ImageBuffer:

@@ -295,6 +295,22 @@ def test_classify_flags_reject_non_finite(capsys, tmp_path, flag, value):
     assert code == 1 and "error" in err
 
 
+@pytest.mark.parametrize("radius", ["1e120", "1e300"])
+@pytest.mark.parametrize(
+    "argv",
+    [["render", "--px", "8"], ["annulus-scan", "--r", "10", "--samples", "50"]],
+    ids=["render", "annulus-scan"],
+)
+def test_classify_accepts_large_escape_radius(capsys, tmp_path, argv, radius):
+    # From 1e103 on, building the unused fast-escape ladder leaked overflow
+    # warnings, and from 1e155 on it raised OverflowError (exit 2).
+    out_path = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(capsys, *argv, "--fn", "sin_z3", "--escape-radius", radius, "--out", str(out_path))
+    assert (code, err) == (0, "") and out_path.exists()
+
+
 def test_grid_bound(capsys, tmp_path):
     out_path = tmp_path / "density.csv"
     code, out, _ = run(
@@ -432,12 +448,14 @@ def test_counterexample_rejects_non_finite_input(capsys, tmp_path, flag, value):
     [
         ["grid-bound", "--fn", "sin_z3", "--r-lo", "10", "--r-hi", "20", "--count", "0", "--alpha", "nan"],
         ["render", "--fn", "sin_z3", "--px", "4", "--threads", "-3"],
+        ["render", "--fn", "sin_z3", "--px", "4", "--max-iter", str(10**20)],
     ],
-    ids=["grid-bound-alpha-nan", "render-threads-negative"],
+    ids=["grid-bound-alpha-nan", "render-threads-negative", "render-max-iter-over-int64"],
 )
 def test_input_checked_before_any_work(capsys, tmp_path, argv):
-    # Both used to exit 0: grid-bound read alpha only for a good square it
-    # found, and render ran a thread count below 1 on one thread.
+    # The first two used to exit 0: grid-bound read alpha only for a good
+    # square it found, and render ran a thread count below 1 on one thread.
+    # A max_iter beyond int64 used to fail in the engine (exit 2).
     out_path = tmp_path / "out"
     code, out, err = run(capsys, *argv, "--out", str(out_path))
     assert code == 1 and err.startswith("error:")

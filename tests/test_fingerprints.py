@@ -136,9 +136,9 @@ def corpus_hashes(name, walk):
 
 GOLDEN = {
     "example_h": {
-        "classify/default": "0dbabaa84dd8e1a5d87132703641a274cd7c8bc1a31291ee2f72970c70649bcc",
-        "classify/short": "d63bce21f13442cc442b35e98ad53244c74d9e3ff6f7642ae89a471777807a4f",
-        "classify/single": "cb01252439d0bbccd86709024e4f307f7f04eb1a7417ecd9374ffcd022a89f7e",
+        "classify/default": "827390bf8c03791c637c1ef1bedb69f3ff8a7b05f54ffec4984efcf9e7e64128",
+        "classify/short": "780d27e24c9809fbfff5624aafbaacf6205d2143a5fb09146201d49fd773c651",
+        "classify/single": "e74cf2ee21f40044b5487f016191145cbd2391fa63e469bc08944216261d2a9f",
         "eval0": "5388ecbd6b47206c7d66141fba3b12c2e13e41770aad4c2962b18b35e3553326",
         "eval0/0d": "1ce8c7f5e519062d073055d64f6286ca37ca9ae1d59b298b1aa8e971a1dfc0ed",
         "eval1": "596c9e55663fd299a07c752f1962e4e2b7c7da01a83f6f76130b538473b69de5",
@@ -147,9 +147,9 @@ GOLDEN = {
         "eval2/0d": "6e3327063c0732fc39be4b44fc182d158954f887219522501803b06ff69bf18b",
     },
     "sin_z": {
-        "classify/default": "dcb3aede485936762180bb8838f08056db958f97a2e567215b010de28c6aac26",
-        "classify/short": "a555069f35c7a3912ab3be6800a2fc0fb622607cc45c4fbc6f1fce2c9a7ce55d",
-        "classify/single": "117cbe281fe9dc9a0923286692bbf67173ca581bff737e5bfe9b091596436771",
+        "classify/default": "f30ce1c44e20590a1237e1680587c10599bdf3571e6087e50ebf8521c838cde0",
+        "classify/short": "75b4b646fec5516e05184af86e6a7034753bc291dcadff0e36e5662d376378af",
+        "classify/single": "4abc9b3c331a7ae8f08c9c0061a8e3b288eae528a0431f18cb5d18a4a1ca436c",
         "eval0": "7b63ae374791ffca8da18094ec909fa5b39c34006f048537da1a3292ba4a0aa5",
         "eval0/0d": "f8b221161e1d0a5aecc3addf4b1838923676f387fbe1e3ad0a6cc1e84671ee32",
         "eval1": "c8181a72d04ee40a6bf35404f83e121ae8a0d5db11f3277a50e254852a2f3e70",
@@ -158,33 +158,33 @@ GOLDEN = {
         "eval2/0d": "76c048ac954a568ecdd34d7f9ca431ea04bb7bc5627cbaef1948ee7b57336e00",
     },
     "sin_z2": {
-        "classify/default": "81df1194b5db90c376218519b0bd1104bc5443d9ae4eb19165c8b807311435ea",
-        "classify/short": "e64067eec47004770714eca7ef116871dae933481bcb23529dffdeb13673ce5c",
-        "classify/single": "84efc594b22cbc285b7468e6228333c93c4cc6b190ac39e9ec0c8074538114f2",
+        "classify/default": "3addd5c04d9243144dc845d1472dfa09b1f733630cb2223cb76b9e06b677c98e",
+        "classify/short": "8d12f0cdb937c29636f9a830fccacdd05735eaedc7fa40030ca87cd2d0d3d4ec",
+        "classify/single": "babe07ae6e9ff0e06646eb55a93f8a00e18dcf76b7233b5a9a42399f39e73c81",
         "eval0": "daaf81fa01635c75d37aac3ecf48f5eb46019f28110b774460c070cacf3e650d",
         "eval0/0d": "2cba4b0143ed47bfe60dade1e033808bd7813628eb85b71ff3f5236dea23c2f7",
         "eval1": "2aaa54c629e929ef5b8704a966fbcb6b6213f181308a5238d827f6903946ebb6",
         "eval1/0d": "06ec09953691b069e64565255a91bc4342645fd06f79391bb9ad9c10f1be0d55",
         "eval2": "bed19fb3dbfcca238852b699bb4f636a1f168c235224c299363a1c95d8fee2de",
         "eval2/0d": "78bffb994e9f48d2e948fce7fa15119239de7a86127f85a3ac71137d44a922e9",
-        "render64": "cb9cb4e5014940a70f10a9b8b4f803f961b95b318f8b64db8b3412be844dd2a2",
+        "render64": "c86eb0ea1dd25a265b88b53795f3b21eef6d756bc8ecba53de6beb3cae875327",
     },
     "sin_z3": {
-        "classify/default": "555977706da76d6102512866e4f883162371c15ecb44fcd4e1b456d0b4a55b08",
-        "classify/short": "b26bf59810e7f6b1258dbcb25166e765a5ff88a45643b93c99849090658d987f",
-        "classify/single": "c14dddbb79ed36e36d2d8e9926902ca8a6ae5b3b971eaecc0c2fb904804df211",
+        "classify/default": "022c5b092bb20b9c47b3c147ebaab9192297743c02ab025acbb564470a559cef",
+        "classify/short": "2e1112a0aabda4c3a0c208e8351042021d7676ea8830cb66b2c528f75059a918",
+        "classify/single": "8603bad58997c597cdf9698a38eb8abbd5b9852078f1fc08bd80518c16c7eb07",
         "eval0": "4d86c8b7f07165015fca0edf3b399fea6f0793420d7c249d575609e9ac7001c2",
         "eval0/0d": "c4c7c53a9f8e74bb07423287ea14e2d7238dc578784c1a9dfab72732d63430c3",
         "eval1": "afbf80034f882a465d35647fe2e3625c7228593f687af488400c672013bc0f4f",
         "eval1/0d": "7de877386bf065baa6663d8dd0d1cbcfbb0289d6fc77be2bd79176496e3e5dd4",
         "eval2": "77c47e7aec6ff9b9477f46c0567a6e068fa51c40f138f691cde64b69bfc7680e",
         "eval2/0d": "92344da4aea996c4ce88de81f6223f8eff1fc9da5337705cc30a2336d063cc08",
-        "render64": "be874ec652d34b6656245923b20ddbdccbe39f7476c9f51aa3a51af33e292f31",
+        "render64": "021979df37ac236185c4bfa253af03bcaf8f6941424dd8e72e8ae2fd60d71f5d",
     },
     "three_term": {
-        "classify/default": "18f1ff3c99233910d3c11a30678940a6ab8aa2df4d3c10ec94af064f83a9c94f",
-        "classify/short": "d14884e2b73e78affa5ef8ac3fddbe45780e3b76bf81a03519d9f7441d4c3d52",
-        "classify/single": "042eb44a53306e397f64371625f3972cfcb9c401b7b5ca38da96147890353aa5",
+        "classify/default": "9403a49b642f5ad12c49ac813c5b6e06f76c52c7d48b96179185f33415dfebb0",
+        "classify/short": "5cb2c97aa1fe1897206010733cd9528ef8f090991ce50bdb4f221faa37baf9fa",
+        "classify/single": "6c84474e2b1cc47f9872ae4355d91017088e865b776a8e1e889006e206e2b189",
         "eval0": "1c53453b4d7a9585e0c48fc65d47f96248b4e49f166cc700bf3700e589071d13",
         "eval0/0d": "77818874cd42bfe88df97688b69f04f59cacc18b8076216c85c79b15b198a1ca",
         "eval1": "4ade9724c28a0aea1fd6144b542a1c207877b406fc456f028d4904b786a7ceb3",
@@ -254,12 +254,12 @@ ORBIT_WALKS = {
     "sin_z3 depth 0": (
         lambda: bundled_function("sin_z3"),
         2.0 + 0.1j,
-        "87d75eb4dd610bbe4726e7c487a6127904808382f2251797d44bbc870302f279",
+        "359fe1025bea363b73fe030145662dbf4ff5e6a25fd7ee27e6c97d3531b3536d",
     ),
     "cosh3 depth 3": (
         lambda: ExpPoly(3, [ExpPolyTerm(Poly([1]), 1 + 0j), ExpPolyTerm(Poly([1]), -1 + 0j)]),
         3.0 + 0.1j,
-        "38637b0ff135bbae9c604360c6b4ec0711398b51222ea5ab6fc43030684d40d0",
+        "182b237e804ce42930d93e4161fba08c83a942954184777c02152201eef79fef",
     ),
 }
 

@@ -16,16 +16,14 @@ from expdyn import (
     ExpPolyTerm,
     Poly,
     TowerMag,
-    bundled_function,
     classify_batch,
     iterate_max_modulus,
     log_max_modulus,
     tower_compare,
 )
 from expdyn import orbits
+from expdyn.measure import _annulus_points
 from expdyn.orbits import MAX_DEPTH, TAIL_STEPS
-
-BUNDLED = ("sin_z", "sin_z2", "sin_z3", "example_h")
 
 
 def test_params_validation():
@@ -35,6 +33,9 @@ def test_params_validation():
         ClassifyParams(cert_steps=1)
     with pytest.raises(ValueError):
         ClassifyParams(max_iter=0)
+    with pytest.raises(ValueError):
+        ClassifyParams(max_iter=2**63)
+    assert ClassifyParams(max_iter=2**63 - 1).max_iter == 2**63 - 1
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -70,50 +71,10 @@ def test_iterate_max_modulus_ladder(cosh3):
         assert tower_compare(b, a) == 1
 
 
-@pytest.mark.parametrize("name", BUNDLED)
-def test_ladder_cut_drops_only_unreachable_rungs(name):
-    # classify_batch stops the ladder before the first rung deeper than
-    # MAX_DEPTH + 1; every rung of the full ladder past that point is deeper
-    # still, so no live point could have passed its gate.
-    f = bundled_function(name)
-    full = iterate_max_modulus(f, 50.0, 513)
-    cut = iterate_max_modulus(f, 50.0, 513, max_depth=MAX_DEPTH + 1)
-    assert 0 < len(cut) < len(full)
-    assert full[: len(cut)] == cut
-    assert all(t.depth > MAX_DEPTH + 1 for t in full[len(cut) :])
-
-
 def test_iterate_max_modulus_bad_base():
     small = ExpPoly(1, [ExpPolyTerm(Poly([1e-6]), 1 + 0j)])
     with pytest.raises(BadBase):
         iterate_max_modulus(small, 1.0, 3)
-
-
-def test_fast_ladder_is_built_once_per_function_and_params(monkeypatch):
-    built = []
-    ladder = orbits.iterate_max_modulus
-
-    def counted(*a, **k):
-        built.append(a)
-        return ladder(*a, **k)
-
-    monkeypatch.setattr(orbits, "iterate_max_modulus", counted)
-    f = ExpPoly(3, [ExpPolyTerm(Poly([1]), 1 + 0j), ExpPolyTerm(Poly([1]), -1 + 0j)])
-    pts = np.array([0.3 + 0.2j, 1.2 + 0.1j, 0.9 + 0.5j, 2.0 - 1.0j])
-    p = ClassifyParams(max_iter=40)
-    first = classify_batch(f, pts, p)
-    again = classify_batch(f, pts, p)
-    assert len(built) == 1
-    for key in first:
-        np.testing.assert_array_equal(first[key], again[key])
-    classify_batch(f, pts, ClassifyParams(max_iter=41))
-    assert len(built) == 2
-    # no ladder without a base (M(1) < 1 here): that outcome is kept too
-    small = ExpPoly(1, [ExpPolyTerm(Poly([1e-6]), 1 + 0j)])
-    low = ClassifyParams(escape_radius=1.0, max_iter=8)
-    for _ in range(2):
-        assert not classify_batch(small, pts, low)["fast_escape"].any()
-    assert len(built) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +89,6 @@ def _abs(state):
 def test_obvious_escape(cosh3, orbit_walk):
     res, states = orbit_walk(cosh3, 60.0)
     assert res["tag"] == ESCAPE_CERTIFIED
-    assert res["fast_escape"]
     assert res["steps"] <= 10
     assert all(st["cond"] for st in states[-3:])
     assert _abs(states[-1]) > TowerMag(0, 60.0)
@@ -299,7 +259,7 @@ def _exit_cases():
     x_star = 0.12903011845326154
     cases = {
         "certified escape": 60.0,
-        "gated escape": 0.25,
+        "late escape": 0.25,
         "exact fixed point": 0.0,
         "stuck fixed point": -60.0,
         "trap entry": 0.1,
@@ -325,10 +285,9 @@ def test_batch_composition_does_not_change_results():
 
     # Each start takes the exit it was chosen for.
     assert got("certified escape", "tag_code", "final_depth") == (1, p.cert_steps)
-    # Certified after more than cert_steps steps, so the fast-escape gate
-    # judged it (and kept it) on the way.
-    tag, steps, fast = got("gated escape", "tag_code", "steps", "fast_escape")
-    assert tag == 1 and steps > p.cert_steps + 1 and fast
+    # Certified after a run that starts past the first step.
+    tag, steps = got("late escape", "tag_code", "steps")
+    assert tag == 1 and steps > p.cert_steps + 1
     assert got("exact fixed point", "tag_code", "steps", "trapped") == (2, 1, False)
     assert got("stuck fixed point", "tag_code", "steps", "final_mode") == (0, 1, 0)
     assert got("trap entry", "tag_code", "trapped") == (2, True)
@@ -354,11 +313,11 @@ def test_batch_composition_does_not_change_results():
 @pytest.mark.parametrize("capacity", [2, 3])
 def test_pool_refill_does_not_change_results(capacity, step_sizes):
     # The exit cases fed in staggered blocks through a small pool: orbits of
-    # different ages share steps, and the fast escape and the budget orbits
-    # enter at a late refill, so the trap rule, the fast-escape gate and the
+    # different ages share steps, and the late escape and the budget orbits
+    # enter at a late refill, so the trap rule, the reported steps and the
     # budget rule each must read the orbit's own age.
     f, p, cases = _exit_cases()
-    late = ("gated escape", "budget with tail", "budget without tail")
+    late = ("late escape", "budget with tail", "budget without tail")
     order = [name for name in cases if name not in late] + list(late)
     pts = np.array([cases[name] for name in order], dtype=complex)
     want = classify_batch(f, pts, p)
@@ -390,10 +349,39 @@ def test_escape_rate_certificate_members(cosh3, orbit_walk):
     assert sum(bool(st["cond"]) for st in states) >= 3
 
 
-def test_ladder_gate_excludes_slow_orbit(sin3):
-    # A non-escaping orbit never carries the fast-escape flag.
-    res = classify_batch(sin3, [0.3])
-    assert not res["fast_escape"][0]
+@pytest.mark.parametrize("radius", [1e120, 1e200])
+def test_tower_steps_check_the_escape_radius(sin3, radius, monkeypatch):
+    # A depth-1 tower state has |z| = e^val, and val can lie below
+    # log(radius) for a radius this large: such a step must not count toward
+    # an escape certificate.  Deeper states are canonical, val > LIFT, so
+    # beyond every double radius.
+    seen = []
+    step_tower = orbits._step_tower
+
+    def spy(f, p, dcap, s, pos, fl):
+        dep, val = s["depth"][pos], s["val"][pos]
+        step_tower(f, p, dcap, s, pos, fl)
+        seen.append((dep, val, fl["cond"][pos]))
+
+    monkeypatch.setattr(orbits, "_step_tower", spy)
+    # The start points of annulus-scan --r 10 --samples 300.
+    res = classify_batch(sin3, _annulus_points(10.0, 300, 0), ClassifyParams(escape_radius=radius))
+    assert np.count_nonzero(res["tag_code"] == 1) > 0
+    dep, val, cond = map(np.concatenate, zip(*seen))
+    inside = (dep == 1) & (val < math.log(radius))
+    assert np.count_nonzero(inside) > 0
+    assert not np.count_nonzero(cond & inside)
+
+
+def test_ladder_gate_excludes_slow_orbit(sin3, orbit_walk):
+    # |f(z)| <= M(|z|) and M increases, so |f^n(z)| <= M^n(|z|) on every
+    # orbit, and iterate_max_modulus bounds M^n from above.  The orbit of
+    # 2 + 0.1i, which falls into the basin of 0, stays below that ladder.
+    z0 = 2.0 + 0.1j
+    res, states = orbit_walk(sin3, z0)
+    assert res["tag"] == NON_ESCAPE_OBSERVED and len(states) > 1
+    ladder = iterate_max_modulus(sin3, abs(z0), len(states))
+    assert all(_abs(st) <= rung for st, rung in zip(states, ladder))
 
 
 def test_final_abs_tower_scales(cosh3, orbit_walk):

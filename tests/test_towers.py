@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from expdyn import TowerMag, tower_compare, tower_exp, tower_log
-from expdyn.towers import LIFT, _tower_add_const, _tower_scale
+from expdyn.towers import _tower_add_const, _tower_scale
 
 
 def test_canonicalization():
@@ -80,23 +80,3 @@ def test_order_total_on_canonical(d1, v1, d2, v2):
     assert c == -tower_compare(b, a)
     if c == 0:
         assert (a.depth, a.value) == (b.depth, b.value)
-
-
-def test_ladder_builds_only_canonical_values(monkeypatch):
-    # The fast-escape ladder never hands TowerMag a form that needs an exp,
-    # so the canonicaliser's exp cannot move a bit of a classification.
-    from expdyn import bundled_function, iterate_max_modulus, towers
-    from expdyn.orbits import MAX_DEPTH
-
-    seen = []
-
-    def spy(depth, val):
-        seen.append(bool(((depth > 0) & (val <= LIFT)).any()))
-        return canon(depth, val)
-
-    canon = towers._canon_arrays
-    monkeypatch.setattr(towers, "_canon_arrays", spy)
-    for name in ("sin_z", "sin_z2", "sin_z3", "example_h"):
-        for radius in (20.0, 50.0):
-            assert iterate_max_modulus(bundled_function(name), radius, 513, max_depth=MAX_DEPTH + 1)
-    assert seen and not any(seen)
