@@ -28,6 +28,7 @@ __all__ = [
     "eval_log",
     "eval_deriv_log",
     "eval_log_batch",
+    "mirror_group",
     "check_hypotheses",
     "check_extra_condition",
     "load_function",
@@ -276,6 +277,55 @@ def eval_deriv_log(f: ExpPoly, z: complex, order: int) -> LogComplex:
     if bool(zero):
         raise ZeroValue(f"derivative of order {order} vanishes at {z}")
     return LogComplex(float(logmod), float(phase))
+
+
+# ---------------------------------------------------------------------------
+# Exact sign and conjugation symmetries
+
+
+def _mirror_sign(f: ExpPoly, s: int, conj: bool):
+    """eps in {1, -1} with f(g(z)) = eps f(z), or eps conj(f(z)) when conj,
+    for g(z) = s z, or s conj(z) when conj; None if there is none.
+
+    Substituting g into a term and conjugating when conj gives the term of
+    the stored coefficients with odd powers negated (s = -1) and/or
+    conjugated, both exact in doubles.  g qualifies when those terms equal
+    f's own, matched by their distinct b, up to one global sign eps.
+    """
+
+    def image(c):
+        """The ascending coefficients c of the image polynomial."""
+        return (np.conj(c) if conj else c) * s ** np.arange(len(c))
+
+    own = {t.b: t for t in f.terms}
+    eps = {1, -1}
+    for t in f.terms:
+        u = own.get(complex(t.b.conjugate() if conj else t.b) * s**f.d)
+        if u is None or not np.array_equal(image(t.P.coeffs), u.P.coeffs):
+            return None
+        eps &= {e for e in (1, -1) if np.array_equal(e * image(t.Q.coeffs), u.Q.coeffs)}
+    return eps.pop() if eps else None
+
+
+def mirror_group(f: ExpPoly) -> frozenset:
+    """The maps among z, -z, conj z and -conj z that f respects exactly.
+
+    A map is (s, conj): z -> s z, or s conj(z) when conj.  Each qualifying
+    g has an image map h with f(g(z)) = h(f(z)): h is (eps, conj) for the
+    sign eps of _mirror_sign.  A g whose h is not in the set is dropped, so
+    the set is closed under iteration: the orbit of g(z) is the image of the
+    orbit of z under maps of the set, step by step, and has its verdict.
+    Quarter turns such as z -> -i conj(z) are never returned.
+    """
+    image = {(1, False): (1, False)}
+    for s, conj in ((-1, False), (1, True), (-1, True)):
+        eps = _mirror_sign(f, s, conj)
+        if eps is not None:
+            image[(s, conj)] = (eps, conj)
+    group = set(image)
+    while any(image[g] not in group for g in group):
+        group = {g for g in group if image[g] in group}
+    return frozenset(group)
 
 
 # ---------------------------------------------------------------------------

@@ -548,10 +548,6 @@ def _step_tower(f: ExpPoly, p: ClassifyParams, dcap: float, s, pos, fl):
         # At depth 1, |z| = e^v >= escape_radius and log|z'| = c |z|^d >= |z|^alpha.
         # Deeper states are canonical, v > LIFT, so beyond any double radius.
         cond = ((dep != 1) | ((v >= math.log(p.escape_radius)) & (grow >= alpha * v))) & ~dead
-        small = (dep >= 2) & (v <= 10.0)
-        if np.count_nonzero(small):
-            l_small = np.exp(v[small])
-            cond[small] &= logc[small] + d * l_small >= alpha * l_small
     logd = math.log(d) if d > 1 else 0.0
     nd, nv = _canon_arrays(dep + 1, np.where(dep == 1, grow, np.where(dep == 2, v + logd, v)))
     phase = wrap_phase(dphi + beta)

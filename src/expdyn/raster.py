@@ -1,9 +1,16 @@
 """Rasterization of orbit classifications and exceptional sets to PPM images.
 
-Pixels are sampled at their centers only, so the classification invariants
-(sign and mirror symmetries) hold pixel-exactly.  Rendering is deterministic
-and independent of the worker count: every pixel is written once, by the
-orbit pool that classified it.
+Pixels are sampled at their centers.  The centers are not exactly
+antisymmetric in doubles (a center and its mirror can miss exact negatives
+by an ulp), so an image need not be mirror symmetric.  Where f respects
+z -> -z, conj z or -conj z exactly (funcs.mirror_group) and a pixel's
+mirrored center is exactly that map's image of its center, the
+classification render copies the pixel from its partner instead of
+classifying it.  The two orbits are mirror images with the same verdict,
+and the engine's arithmetic commutes with negation and conjugation, so the
+bytes equal a render that classifies every pixel (tests/test_raster.py
+compares the two).  Rendering is deterministic and independent of the
+worker count.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptional import in_E_mask
-from .funcs import ExpPoly
+from .funcs import ExpPoly, mirror_group
 from .orbits import ClassifyParams, _classify_pool
 
 __all__ = [
@@ -74,22 +81,24 @@ class Viewport:
     def square(cls, center: complex, half: float, px: int) -> "Viewport":
         return cls(center=center, half_width=half, half_height=half, px_w=px, px_h=px)
 
-    def row_points(self, j: int) -> np.ndarray:
-        """Pixel-center points of row j (row 0 is the top of the image)."""
-        return self._points(j)
-
-    def all_points(self) -> np.ndarray:
-        """(px_h, px_w) array of pixel centers, top row first."""
-        return self._points(np.arange(self.px_h))
-
-    def _points(self, rows) -> np.ndarray:
-        """Pixel centers of row number rows, or of each row number in the
-        array rows: an array of shape rows.shape + (px_w,)."""
+    def axes(self):
+        """(x, y): the real parts of the pixel centers of each column, left
+        first, and their imaginary parts in each row, top row first."""
         sx = 2.0 * self.half_width / self.px_w
         sy = 2.0 * self.half_height / self.px_h
         x = self.center.real - self.half_width + (np.arange(self.px_w) + 0.5) * sx
-        y = self.center.imag + self.half_height - (np.asarray(rows)[..., None] + 0.5) * sy
-        return x + 1j * y
+        y = self.center.imag + self.half_height - (np.arange(self.px_h) + 0.5) * sy
+        return x, y
+
+    def row_points(self, j: int) -> np.ndarray:
+        """Pixel-center points of row j (row 0 is the top of the image)."""
+        x, y = self.axes()
+        return x + 1j * y[j]
+
+    def all_points(self) -> np.ndarray:
+        """(px_h, px_w) array of pixel centers, top row first."""
+        x, y = self.axes()
+        return x + 1j * y[:, None]
 
 
 class ImageBuffer:
@@ -136,6 +145,46 @@ def _colorize(codes: np.ndarray, steps: np.ndarray) -> np.ndarray:
     return rgb
 
 
+def _quotient(f: ExpPoly, v: Viewport):
+    """The pixels left to classify once the exact mirror pixels of f's
+    symmetries are set aside, and the copies that fill those in.
+
+    Column i pairs with column px_w-1-i, and row j with row px_h-1-j, only
+    where their pixel-center coordinates are exact negatives in doubles, so
+    a paired pixel's center is exactly g of its partner's, for the maps g
+    of funcs.mirror_group that the pairing realises: -conj z mirrors
+    columns, conj z mirrors rows, and -z, used alone only when f has neither
+    of the others, mirrors both.  Returns (todo, copies): todo lists
+    (row, columns) of the pixels to classify, top row first, and each copy
+    (rows, cols, src_rows, src_cols), applied in order, sets the pixels
+    rows x cols from src_rows x src_cols.
+    """
+    group = mirror_group(f)
+    x, y = v.axes()
+    every_row, every_col = np.arange(v.px_h), np.arange(v.px_w)
+    paired_cols = x == -x[::-1]
+    # The bottom rows and right columns with an exact mirror.
+    is_low = (y == -y[::-1]) & (2 * every_row > v.px_h - 1)
+    low = np.flatnonzero(is_low)
+    right = np.flatnonzero(paired_cols & (2 * every_col > v.px_w - 1))
+    # cols: the columns to classify in each row; low_cols: in the rows low.
+    cols = every_col
+    copies = []
+    if (-1, True) in group:  # the right columns, from the left ones
+        copies.append((every_row, right, every_row, v.px_w - 1 - right))
+        cols = np.setdiff1d(every_col, right)
+    low_cols = cols
+    if (1, True) in group:  # then the bottom rows, from the top ones
+        copies.append((low, every_col, v.px_h - 1 - low, every_col))
+        low_cols = every_col[:0]
+    elif (-1, False) in group:  # the paired columns of the bottom rows
+        pairs = np.flatnonzero(paired_cols)
+        copies.append((low, pairs, v.px_h - 1 - low, v.px_w - 1 - pairs))
+        low_cols = np.setdiff1d(every_col, pairs)
+    todo = [(j, low_cols if is_low[j] else cols) for j in range(v.px_h)]
+    return [(j, c) for j, c in todo if c.size], copies
+
+
 def render_classification(
     f: ExpPoly,
     v: Viewport,
@@ -143,15 +192,20 @@ def render_classification(
     threads: int = 1,
     rows_per_chunk: int = 32,
 ) -> ImageBuffer:
-    """Classify every pixel-center orbit and map classes to colors.
+    """Classify the pixel-center orbits and map classes to colors.
+
+    Only the pixels of _quotient are classified; each exact mirror pixel
+    is copied from its partner once the pools finish (see the module
+    docstring for why the copy is the pixel a classification would write).
 
     Each worker thread runs one pool of rows_per_chunk rows of live orbits
     (see orbits._classify_pool).  The pool takes the next unclaimed rows as
     its orbits finish, and each finished orbit's pixel is coloured at once,
     so an image pays its longest orbit once, not once per block of rows.
-    No more threads start than there are blocks of rows_per_chunk rows.
-    Results are independent of threads and rows_per_chunk: classification
-    is per-point and each pixel is written once, by the pool that ran it.
+    No more threads start than there are blocks of rows_per_chunk rows to
+    classify.  Results are independent of threads and rows_per_chunk:
+    classification is per-point, and each pixel ends as the pool that ran
+    it wrote it or as a copy of a pixel that a pool ran.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
@@ -161,16 +215,17 @@ def render_classification(
         p = ClassifyParams()
     out = np.zeros((v.px_h, v.px_w, 3), dtype=np.uint8)
     flat = out.reshape(-1, 3)
-    rows = iter(range(v.px_h))
+    todo, copies = _quotient(f, v)
+    rows = iter(todo)
     claim = threading.Lock()
 
     def blocks():
         while True:
             with claim:
-                j = next(rows, None)
+                j, cols = next(rows, (None, None))
             if j is None:
                 return
-            yield np.arange(j * v.px_w, (j + 1) * v.px_w), v.row_points(j)
+            yield j * v.px_w + cols, v.row_points(j)[cols]
 
     def sink(i, cols):
         flat[i] = _colorize(cols["tag_code"], cols["steps"])
@@ -178,13 +233,15 @@ def render_classification(
     def work():
         _classify_pool(f, p, blocks(), rows_per_chunk * v.px_w, sink)
 
-    workers = min(threads, -(-v.px_h // rows_per_chunk))
+    workers = min(threads, -(-len(todo) // rows_per_chunk))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as ex:
             for fut in [ex.submit(work) for _ in range(workers)]:
                 fut.result()
     else:
         work()
+    for dst_r, dst_c, src_r, src_c in copies:
+        out[np.ix_(dst_r, dst_c)] = out[np.ix_(src_r, src_c)]
     return ImageBuffer(out)
 
 

@@ -23,7 +23,7 @@ from expdyn import (
     function_to_dict,
     load_function,
 )
-from expdyn.funcs import _log_sum, wrap_phase
+from expdyn.funcs import _log_sum, _mirror_sign, mirror_group, wrap_phase
 
 
 # ---------------------------------------------------------------------------
@@ -329,3 +329,68 @@ def test_bundled_sin_values(sinz, sin2, sin3):
     for f, power in ((sinz, 1), (sin2, 2), (sin3, 3)):
         z = 0.7 + 0.2j
         assert abs(eval_direct(f, z) - cmath.sin(z**power)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Exact sign and conjugation symmetries
+
+ALL_MIRRORS = frozenset({(1, False), (-1, False), (1, True), (-1, True)})
+
+
+def _apply(g, z):
+    s, conj = g
+    return s * (z.conjugate() if conj else z)
+
+
+def test_mirror_group_of_bundled_functions(sinz, sin2, sin3, h_example, hemke):
+    assert mirror_group(sinz) == mirror_group(sin2) == mirror_group(sin3) == ALL_MIRRORS
+    # f(-conj z) = -conj f(z), while -z and conj z change the i z in the exponent
+    assert mirror_group(h_example) == {(1, False), (-1, True)}
+    # real coefficients, but z^3 + z^2 is neither odd nor even
+    assert mirror_group(hemke) == {(1, False), (1, True)}
+    # f(g(z)) = h(f(z)) holds in values, for an image map h in the group
+    for f in (sinz, sin2, sin3, h_example, hemke):
+        group = mirror_group(f)
+        for g in group:
+            h = (_mirror_sign(f, *g), g[1])
+            assert h in group
+            for z in (0.7 + 0.2j, -0.3 + 0.9j):
+                w = eval_direct(f, z)
+                assert abs(eval_direct(f, _apply(g, z)) - _apply(h, w)) < 1e-12 * max(1, abs(w))
+
+
+def test_mirror_group_of_a_rotated_sine():
+    # e^{0.3i} sin z^3 is odd, but its coefficients are not real
+    rot = cmath.exp(0.3j)
+    f = ExpPoly(3, [ExpPolyTerm(Poly([-0.5j * rot]), 1j), ExpPolyTerm(Poly([0.5j * rot]), -1j)])
+    assert _mirror_sign(f, -1, False) == -1
+    assert mirror_group(f) == {(1, False), (-1, False)}
+
+
+def test_mirror_group_drops_maps_whose_image_is_missing():
+    # f = i (e^{z^3 + z^2 + z} - e^{-z^3 + z^2 + z}) / 2 has f(conj z) = -conj f(z),
+    # but f(-z) is neither f(z) nor -f(z): the image map -conj w of conj z is
+    # not in the group, so conj z goes too.
+    f = ExpPoly(3, [ExpPolyTerm(Poly([0.5j]), 1, Poly([0, 1, 1])), ExpPolyTerm(Poly([-0.5j]), -1, Poly([0, 1, 1]))])
+    z = 0.4 + 0.3j
+    assert abs(eval_direct(f, z.conjugate()) + eval_direct(f, z).conjugate()) < 1e-12
+    assert _mirror_sign(f, 1, True) == -1
+    assert _mirror_sign(f, -1, False) is None
+    assert mirror_group(f) == {(1, False)}
+
+
+def test_mirror_group_has_no_quarter_turns(sin2):
+    # sin((-i conj z)^2) = -sin(conj(z)^2) = -conj sin(z^2): sin z^2 respects the
+    # quarter turn z -> -i conj z as well, which the group leaves out.
+    z = 0.6 + 0.25j
+    assert abs(eval_direct(sin2, -1j * z.conjugate()) + eval_direct(sin2, z).conjugate()) < 1e-12
+    assert mirror_group(sin2) == ALL_MIRRORS
+    assert all(s in (1, -1) for s, _ in mirror_group(sin2))
+
+
+def test_mirror_group_needs_one_global_sign():
+    # f(-z) = e^{-z^3} - 2 e^{z^3}: each term maps to a term, but with signs -1
+    # and -2 that no single eps matches; conj z holds with eps = 1
+    f = ExpPoly(3, [ExpPolyTerm(Poly([1]), 1), ExpPolyTerm(Poly([-2]), -1)])
+    assert _mirror_sign(f, -1, False) is None
+    assert mirror_group(f) == {(1, False), (1, True)}

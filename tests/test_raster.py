@@ -1,16 +1,23 @@
+import cmath
+
 import numpy as np
 import pytest
 
 from expdyn import (
     ClassifyParams,
+    ExpPoly,
+    ExpPolyTerm,
     ImageBuffer,
+    Poly,
     Viewport,
+    bundled_function,
+    classify_batch,
     read_ppm,
     render_classification,
     render_exceptional,
     write_ppm,
 )
-from expdyn.raster import COLOR_BG, COLOR_E1, COLOR_E2, DEFAULT_PALETTE
+from expdyn.raster import COLOR_BG, COLOR_E1, COLOR_E2, DEFAULT_PALETTE, _colorize
 
 
 # ---------------------------------------------------------------------------
@@ -98,17 +105,49 @@ def small_sin3_render(sin3_module):
 
 @pytest.fixture(scope="module")
 def sin3_module():
-    from expdyn import bundled_function
-
     return bundled_function("sin_z3")
 
 
-def test_render_symmetries_pixel_exact(small_sin3_render):
-    px = small_sin3_render.pixels
-    # sin((-z)^3) = -sin(z^3): 180 degree rotation invariance
-    assert np.array_equal(px, px[::-1, ::-1])
-    # conjugation symmetry: vertical mirror
-    assert np.array_equal(px, px[::-1, :])
+def _full_render(f, v):
+    """Every pixel center classified by classify_batch and coloured, with no
+    appeal to any symmetry."""
+    res = classify_batch(f, v.all_points().ravel(), ClassifyParams())
+    return _colorize(res["tag_code"], res["steps"]).reshape(v.px_h, v.px_w, 3)
+
+
+def test_render_symmetries_pixel_exact(sin3_module):
+    # render_classification copies exactly mirrored pixels from their
+    # partners; each image must equal the one that classifies every pixel.
+    def term(q, b, p=()):
+        return ExpPolyTerm(Poly(q), b, Poly(p))
+
+    sin2 = bundled_function("sin_z2")
+    cases = [
+        # every column and row centre has an exact mirror (spacing 1/16)
+        (bundled_function("sin_z"), Viewport.square(0j, 2.0, 64)),
+        (sin2, Viewport.square(0j, 2.0, 64)),
+        (sin3_module, Viewport.square(0j, 2.0, 64)),
+        # only some centres have an exact mirror; an odd width has a
+        # centre column on the imaginary axis
+        (sin3_module, Viewport.square(0j, 1.3, 63)),
+        (bundled_function("example_h"), Viewport.square(0j, 1.5, 64)),  # {z, -conj z}
+        # non-real coefficients: the group is trivial
+        (ExpPoly(3, [term([0.5 + 0.2j], 1), term([-0.5], -1 + 0.5j)]), Viewport.square(0j, 1.5, 64)),
+        # e^{0.3i} sin z^3 respects z -> -z only, and
+        # f(z) = (e^{z^3 + z^2 + z} - e^{-z^3 + z^2 + z}) / 2 respects conj z only
+        (ExpPoly(3, [term([-0.5j * cmath.exp(0.3j)], 1j), term([0.5j * cmath.exp(0.3j)], -1j)]),
+         Viewport.square(0j, 1.7, 65)),
+        (ExpPoly(3, [term([0.5], 1, [0, 1, 1]), term([-0.5], -1, [0, 1, 1])]), Viewport.square(0j, 1.7, 64)),
+        (sin3_module, Viewport.square(0.3 + 0.1j, 2.0, 64)),  # off centre: no pairs
+        (sin2, Viewport(0j, 2.0, 1.0, 64, 32)),
+    ]
+    for f, v in cases:
+        want = _full_render(f, v)
+        assert np.array_equal(render_classification(f, v, ClassifyParams()).pixels, want)
+    f, v = cases[3]
+    want = _full_render(f, v)
+    for kw in ({"threads": 4}, {"rows_per_chunk": 7}):
+        assert np.array_equal(render_classification(f, v, ClassifyParams(), **kw).pixels, want)
 
 
 def test_render_thread_and_chunk_invariance(sin3_module, small_sin3_render):
@@ -125,8 +164,6 @@ def test_render_pays_the_budget_once(step_sizes):
     # The 96-px sin_z figure has full-budget orbits in the middle block of
     # rows.  One pool for the image pays that 512-step tail once, where one
     # batch per 32-row block took 98 + 512 + 98 = 708 steps.
-    from expdyn import bundled_function
-
     p = ClassifyParams()
     rows_per_chunk = 32
     v = Viewport.square(0j, 4.0, 96)
@@ -146,10 +183,15 @@ def test_render_starts_no_more_threads_than_row_blocks(sin3_module, small_sin3_r
         return executor(max_workers=max_workers)
 
     monkeypatch.setattr(raster, "ThreadPoolExecutor", recording)
+    # The pixel spacing 1/16 is exact, so each of the bottom 32 rows is the
+    # exact mirror of a top row and is copied: 32 rows are classified.
     v = Viewport.square(0j, 2.0, 64)
-    img = render_classification(sin3_module, v, ClassifyParams(), threads=8, rows_per_chunk=32)
+    img = render_classification(sin3_module, v, ClassifyParams(), threads=8, rows_per_chunk=16)
     assert img == small_sin3_render
     assert started == [2]
+    img = render_classification(sin3_module, v, ClassifyParams(), threads=8, rows_per_chunk=32)
+    assert img == small_sin3_render
+    assert started == [2]  # one block of rows: no worker threads
     with pytest.raises(ValueError):
         render_classification(sin3_module, v, rows_per_chunk=0)
 
@@ -174,7 +216,8 @@ def test_render_threads_claim_each_row_once(sin3_module, small_sin3_render):
         img = render_classification(sin3_module, v, ClassifyParams(), threads=4, rows_per_chunk=1)
     finally:
         sys.setswitchinterval(interval)
-    assert sorted(j for j, _ in claims) == list(range(64))
+    # The bottom 32 rows are exact mirrors of the top 32 and are copied.
+    assert sorted(j for j, _ in claims) == list(range(32))
     assert len({t for _, t in claims}) > 1
     assert img == small_sin3_render
 
@@ -190,8 +233,6 @@ def test_render_has_all_classes_colored(small_sin3_render):
 def test_sin_z_column_property():
     # the sine strip map leaves non-escaping points near the real axis in
     # every column of a viewport straddling it
-    from expdyn import bundled_function
-
     f = bundled_function("sin_z")
     v = Viewport.square(0j, 3.0, 48)
     img = render_classification(f, v, ClassifyParams())
