@@ -236,11 +236,8 @@ def _cmd_grid_bound(args) -> int:
     f = _load_fn(args)
     tiling = Tiling(f, args.r_lo, args.r_hi, args.sigma)
     radii = np.geomspace(args.r_lo * 1.02, args.r_hi * 0.98, args.count)
-    reports = []
-    for r in radii:
-        tile = good_square_near(tiling, float(r))
-        if tile is not None:
-            reports.append(square_density_bound(f, tile, args.alpha))
+    tiles = [good_square_near(tiling, float(r)) for r in radii]
+    reports = square_density_bound(f, [t for t in tiles if t is not None], args.alpha)
     if args.out:
         write_csv(args.out, DENSITY_COLUMNS, [list(rep.to_dict().values()) for rep in reports])
     _print_json(

@@ -258,6 +258,7 @@ def eval_log_batch(f: ExpPoly, Z, order: int = 0):
         else:
             logp = [np.log(p(Z)) for p in _deriv_prefactors(f, order)]
         rows = [lp + w for lp, w in zip(logp, ws)]
+    del ws, logp  # free the term arrays before the sum allocates its own
     return _log_sum(rows)
 
 

@@ -43,6 +43,9 @@ SQRT2 = math.sqrt(2.0)
 NEAR_ANGLES = 96
 # distortion_constant_C2 stops at the first factor within this of 1.
 C2_TOL = 1e-15
+# Squares whose derivative grids square_density_bound evaluates in one call.
+# Peak memory grows with it: 4 squares stack 4356 order-1 points.
+BATCH_SQUARES = 4
 
 
 @dataclass(frozen=True)
@@ -126,15 +129,24 @@ def tile_side_ok(tile: SquareTile, d: int, sigma: float) -> bool:
     return lo <= tile.side <= hi
 
 
+def _cell_centre(x: float, side: float) -> float:
+    """Centre of the half-open cell [j side, (j+1) side) holding x, for a
+    power-of-two side.  fmod is exact, so unlike floor(x / side) this stays
+    right where x / side underflows."""
+    r = math.fmod(x, side)
+    return x - r - (side if r < 0 else 0.0) + side / 2.0
+
+
 class Tiling:
     """Lazy quadtree tiling of the annulus {r_lo <= |z| <= r_hi}.
 
-    The root square is centered at 0 with a power-of-two side covering the
-    annulus; a node splits while its side exceeds the location-dependent
-    upper bound, so all leaves reached through tile_at satisfy the side
-    invariant (the lower bound holds because a split halves the side at most
-    one level past the upper bound).  An r_hi whose leaves are finer than
-    doubles resolve (side/32 below 64 ulp(r_hi)) raises ValueError.
+    The root square is centered at 0 with the least power-of-two side whose
+    half-open square holds the closed annulus; a node splits while its side
+    exceeds the location-dependent upper bound, so all leaves reached through
+    tile_at satisfy the side invariant (the lower bound holds because a split
+    halves the side at most one level past the upper bound).  An r_hi whose
+    leaves are finer than doubles resolve (side/32 below 64 ulp(r_hi)) raises
+    ValueError.
     """
 
     def __init__(self, f: ExpPoly, r_lo: float, r_hi: float, sigma: float | None = None):
@@ -145,7 +157,9 @@ class Tiling:
         self.r_hi = float(r_hi)
         self.sigma = _check_sigma(f, default_sigma(f) if sigma is None else sigma)
         try:
-            root_side = 2.0 ** math.ceil(math.log2(2.0 * r_hi))
+            # The half-open root [-side/2, side/2)^2 must hold |z| <= r_hi, so
+            # side/2 is the least power of two above r_hi, strictly.
+            root_side = 2.0 ** (math.frexp(self.r_hi)[1] + 1)
             self.root = SquareTile(0j, root_side, 0)
             # The root reaches farthest out, so no deeper tile overflows.
             side_bounds(self.root, f.d, self.sigma)
@@ -165,15 +179,27 @@ class Tiling:
     def tile_at(self, z: complex) -> SquareTile:
         """The unique leaf containing z (half-open edges, deterministic).
 
-        The descent runs on the centre and side as floats and builds the
+        Every node holding z reaches |z| from 0, so its admissible side is at
+        most b/2 for b = 2 sigma / (sqrt2 |z|^(d-1)), and a node of side above
+        b/2 must split.  The levels whose side exceeds 2b, four times that,
+        so that rounding cannot matter, are skipped at once: a node at level
+        k >= 1 is the dyadic cell [j side, (j+1) side) of each coordinate.
+        The descent then runs on the centre and side as floats and builds the
         leaf's SquareTile only at the end.
         """
         z = complex(z)
-        if not (self.r_lo <= abs(z) <= self.r_hi):
-            raise ValueError(f"|z|={abs(z):.6g} outside [{self.r_lo}, {self.r_hi}]")
+        az = abs(z)
+        if not (self.r_lo <= az <= self.r_hi):
+            raise ValueError(f"|z|={az:.6g} outside [{self.r_lo}, {self.r_hi}]")
         d, sigma = self.f.d, self.sigma
+        b = 2.0 * sigma / (SQRT2 * az ** (d - 1))
         cx = cy = 0.0
         side, level = self.root.side, 0
+        while side / 2.0 > b:
+            side /= 2.0
+            level += 1
+        if level:
+            cx, cy = _cell_centre(z.real, side), _cell_centre(z.imag, side)
         while side > _side_upper(cx, cy, side, d, sigma):
             q = side / 4.0
             cx += q if z.real >= cx else -q
@@ -232,7 +258,8 @@ class DensityReport:
 
     Not a certificate, for two reasons.  min/max_fprime_log come from
     sampling log|f'| on a 33x33 grid of the square, and the Lipschitz slack
-    from sampling max|f''| on an 8x8 grid: a sampled maximum is not a bound.
+    from sampling max|f''| on a 9x9 grid (8x8 cells): a sampled maximum is
+    not a bound.
     And grid-bound passes e2_budget = 0, so density_upper_log leaves out
     the part of the image that meets the level-2 exceptional set.
 
@@ -269,24 +296,38 @@ DENSITY_COLUMNS = ("center_re", "center_im", "side", "level") + tuple(
 )
 
 
-def _log_extrema_fprime(f: ExpPoly, tile: SquareTile):
-    """(min, max, slack) of log|f'| over the tile via a 33x33 grid.
+def _stacked_grids(tiles, n: int) -> np.ndarray:
+    """(k, (n+1)^2) array whose row i is tiles[i].grid(n).ravel(), bitwise."""
+    x0, x1, y0, y1 = (np.array([getattr(t, e) for t in tiles]) for e in ("x0", "x1", "y0", "y1"))
+    xs = np.linspace(x0, x1, n + 1, axis=1)
+    ys = np.linspace(y0, y1, n + 1, axis=1)
+    return (xs[:, None, :] + 1j * ys[:, :, None]).reshape(len(tiles), -1)
+
+
+def _log_extrema_fprime(f: ExpPoly, tiles):
+    """(min, max, slack) of log|f'| over each tile via a 33x33 grid.
 
     The slack is the log of the relative drop a true minimum between grid
-    nodes could suffer, bounded by max|f''| times the half-diagonal of a
-    grid cell over the sampled minimum.
+    nodes could suffer, bounded by max|f''| on a 9x9 grid (8x8 cells) times
+    the half-diagonal of a 33x33 grid cell over the sampled minimum.  The
+    grids of BATCH_SQUARES tiles at a time go through one evaluation per
+    order; the evaluation is elementwise, so each tile's numbers are the
+    ones it would get alone.
     """
-    Z = tile.grid(32).ravel()
-    lm1, _, zero1 = eval_log_batch(f, Z, order=1)
-    if zero1.any():
-        return -math.inf, float(np.max(lm1[~zero1], initial=-math.inf)), math.inf
-    mn, mx = float(lm1.min()), float(lm1.max())
-    Z2 = tile.grid(8).ravel()
-    lm2, _, zero2 = eval_log_batch(f, Z2, order=2)
-    max2 = float(np.where(zero2, -np.inf, lm2).max())
-    half_diag = tile.side / 32.0 * SQRT2 / 2.0
-    slack = max2 + math.log(half_diag) - mn
-    return mn, mx, slack
+    out = []
+    for i in range(0, len(tiles), BATCH_SQUARES):
+        batch = tiles[i : i + BATCH_SQUARES]
+        lm1, _, zero1 = eval_log_batch(f, _stacked_grids(batch, 32), order=1)
+        lm2, _, zero2 = eval_log_batch(f, _stacked_grids(batch, 8), order=2)
+        max2 = np.where(zero2, -np.inf, lm2).max(axis=1)
+        for tile, row, zero, m2 in zip(batch, lm1, zero1, max2):
+            if zero.any():
+                out.append((-math.inf, float(np.max(row[~zero], initial=-math.inf)), math.inf))
+                continue
+            mn = float(row.min())
+            half_diag = tile.side / 32.0 * SQRT2 / 2.0
+            out.append((mn, float(row.max()), float(m2) + math.log(half_diag) - mn))
+    return out
 
 
 def _check_alpha(alpha: float) -> None:
@@ -294,21 +335,28 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError("alpha must be positive and finite")
 
 
-def square_density_bound(
-    f: ExpPoly, S: SquareTile, alpha: float, e2_budget: float = 0.0
-) -> DensityReport:
-    """Assemble the uncovered-image density bound for a good square.
+def square_density_bound(f: ExpPoly, squares, alpha: float, e2_budget: float = 0.0) -> list[DensityReport]:
+    """Assemble the uncovered-image density bound for each good square, in order.
 
     Chain, all in log domain: meas(f(S)) >= side^2 min|f'|^2 (injectivity),
     boundary length <= 4 side max|f'|, the unit band around the image
     boundary has measure at most (9 pi / 2) times that length, and the
     uncovered part of f(S) is at most the band plus the e2_budget.
 
+    The squares are sampled BATCH_SQUARES at a time; a report depends
+    neither on BATCH_SQUARES nor on the other squares of the call.
+
     The result is not certified: its |f'| inputs are sampled, not bounded,
     and grid-bound passes e2_budget = 0 (see DensityReport).
     """
     _check_alpha(alpha)
-    mn_log, mx_log, slack = _log_extrema_fprime(f, S)
+    squares = list(squares)
+    extrema = _log_extrema_fprime(f, squares)
+    return [_density_report(S, *ext, alpha, e2_budget) for S, ext in zip(squares, extrema)]
+
+
+def _density_report(S: SquareTile, mn_log, mx_log, slack, alpha: float, e2_budget: float) -> DensityReport:
+    """The density chain of square_density_bound for one square and its log|f'| extrema."""
     if slack < 0:
         mn_adj = mn_log + math.log1p(-math.exp(slack))
     else:

@@ -546,8 +546,9 @@ def _step_tower(f: ExpPoly, p: ClassifyParams, dcap: float, s, pos, fl):
         logc = np.log(np.where(dead, 1.0, c))
         grow = logc + d * v
         # At depth 1, |z| = e^v >= escape_radius and log|z'| = c |z|^d >= |z|^alpha.
-        # Deeper states are canonical, v > LIFT, so beyond any double radius.
-        cond = ((dep != 1) | ((v >= math.log(p.escape_radius)) & (grow >= alpha * v))) & ~dead
+        # Deeper states are canonical, v > LIFT, so beyond any double radius,
+        # and log c + (d - alpha) log|z| >= 0 holds there only for alpha < d.
+        cond = np.where(dep == 1, (v >= math.log(p.escape_radius)) & (grow >= alpha * v), alpha < d) & ~dead
     logd = math.log(d) if d > 1 else 0.0
     nd, nv = _canon_arrays(dep + 1, np.where(dep == 1, grow, np.where(dep == 2, v + logd, v)))
     phase = wrap_phase(dphi + beta)

@@ -187,12 +187,12 @@ def test_acceptance_8_grid_construction(cosh3):
         tile = good_square_near(tiling, r)
         if tile is None:
             continue
-        rep = square_density_bound(cosh3, tile, 0.25)
+        (rep,) = square_density_bound(cosh3, [tile], 0.25)
         logs.append(rep.density_upper_log)
         count += 1
         neighbor = good_square_near(tiling, r * 1.01)
         if neighbor is not None:
-            logs2 = square_density_bound(cosh3, neighbor, 0.25).density_upper_log
+            logs2 = square_density_bound(cosh3, [neighbor], 0.25)[0].density_upper_log
             count += 1
             in_unit = math.isfinite(logs2) and logs2 < 0.0
             violations += 0 if in_unit else 1

@@ -9,6 +9,9 @@ from hypothesis import assume, given, settings, strategies as st
 from expdyn import (
     BadSigma,
     DomainError,
+    ExpPoly,
+    ExpPolyTerm,
+    Poly,
     SquareTile,
     Tiling,
     annulus_tail_bound,
@@ -21,7 +24,9 @@ from expdyn import (
     koebe_distortion_factor,
     square_density_bound,
 )
-from expdyn.grid import side_bounds, tile_side_ok
+from expdyn import grid
+from expdyn.funcs import eval_log_batch
+from expdyn.grid import DENSITY_COLUMNS, side_bounds, tile_side_ok
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +119,26 @@ def test_tile_at_contains_z_up_to_the_limit(sin3, r_hi, u, theta):
     assert Tiling(sin3, 10.0, r_hi).tile_at(z).contains(z)
 
 
+@pytest.mark.parametrize("r_hi", [2.0, 8.0, 16.0, 2048.0])
+def test_root_strictly_contains_a_power_of_two_annulus(sin3, r_hi):
+    # The half-open root square must hold the points of |z| = r_hi on the
+    # axes, so its half-side is the next power of two above r_hi.
+    tiling = Tiling(sin3, r_hi / 2.0, r_hi)
+    assert tiling.root.side == 4.0 * r_hi
+    for z in (r_hi, -r_hi, 1j * r_hi, -1j * r_hi):
+        assert tiling.tile_at(z).contains(complex(z))
+
+
+def test_tile_at_sign_of_a_subnormal_coordinate():
+    # For f = exp(z / 100) the descent skips to side 32, where -5e-324 / 32
+    # underflows to -0.0: a floor of it would place the point right of 0.
+    tiling = Tiling(ExpPoly(1, [ExpPolyTerm(Poly([1]), 0.01 + 0j)]), 100.0, 200.0)
+    for x, y in ((-5e-324, 150.0), (5e-324, -150.0), (150.0, -5e-324), (-0.0, 150.0)):
+        z = complex(x, y)
+        t = tiling.tile_at(z)
+        assert t.contains(z) and t == _reference_tile_at(tiling, z)
+
+
 def _reference_tile_at(tiling, z):
     """The quadtree descent built from SquareTile objects: the reference for tile_at."""
     t = tiling.root
@@ -130,7 +155,9 @@ _TILINGS = {}
 
 @settings(max_examples=300, deadline=None)
 @given(
-    case=st.sampled_from([("sin_z3", 10.0, 20.0), ("sin_z3", 100.0, 200.0), ("example_h", 10.0, 4000.0)]),
+    case=st.sampled_from(
+        [("sin_z3", 10.0, 20.0), ("sin_z3", 100.0, 200.0), ("example_h", 10.0, 4000.0), ("sin_z", 1e-3, 2.0)]
+    ),
     u=st.floats(0.0, 1.0),
     theta=st.floats(-math.pi, math.pi),
 )
@@ -194,7 +221,7 @@ def test_good_square_near_finds_one(cosh3):
 def test_density_report_fields(cosh3):
     tiling = Tiling(cosh3, 10.0, 20.0)
     t = tiling.tile_at(15.0 + 0.0j)
-    rep = square_density_bound(cosh3, t, 0.25)
+    (rep,) = square_density_bound(cosh3, [t], 0.25)
     assert rep.min_abs_z <= 15.0 <= rep.max_abs_z + t.side
     # |f'| ~ 3 r^2 e^{r^3} near r = 15: log scale around 15^3
     assert 3000.0 < rep.min_fprime_log < rep.max_fprime_log < 3500.0
@@ -212,7 +239,7 @@ def test_density_report_fields(cosh3):
     assert d["side"] == t.side and "density_upper_log" in d
     for alpha in (-1.0, 0.0, math.nan, math.inf):
         with pytest.raises(ValueError):
-            square_density_bound(cosh3, t, alpha)
+            square_density_bound(cosh3, [t], alpha)
 
 
 def test_density_bound_improves_with_radius(cosh3):
@@ -222,7 +249,7 @@ def test_density_bound_improves_with_radius(cosh3):
     for r in (10.5, 15.0, 20.0, 30.0, 40.0):
         t = good_square_near(tiling, r)
         assert t is not None
-        rep = square_density_bound(cosh3, t, 0.25)
+        (rep,) = square_density_bound(cosh3, [t], 0.25)
         logs.append(rep.density_upper_log)
         targets.append(rep.asymptotic_bound)
     assert all(b < a for a, b in zip(logs, logs[1:]))
@@ -233,10 +260,52 @@ def test_e2_budget_enters_bound(cosh3):
     # at small radius the band and budget terms are comparable, so the
     # budget's effect on the log-sum is visible
     t = SquareTile(1.1 + 0j, 0.01, 0)
-    plain = square_density_bound(cosh3, t, 0.25)
-    budget = square_density_bound(cosh3, t, 0.25, e2_budget=1.0)
+    (plain,) = square_density_bound(cosh3, [t], 0.25)
+    (budget,) = square_density_bound(cosh3, [t], 0.25, e2_budget=1.0)
     assert budget.density_upper_log > plain.density_upper_log
     assert budget.e2_contrib == 1.0
+
+
+def _reference_extrema(f, tile):
+    """(min, max, slack) of log|f'| from one square's own grids, as the density chain reads them."""
+    lm1, _, zero1 = eval_log_batch(f, tile.grid(32).ravel(), order=1)
+    if zero1.any():
+        return -math.inf, float(np.max(lm1[~zero1], initial=-math.inf)), math.inf
+    mn = float(lm1.min())
+    lm2, _, zero2 = eval_log_batch(f, tile.grid(8).ravel(), order=2)
+    max2 = float(np.where(zero2, -np.inf, lm2).max())
+    return mn, float(lm1.max()), max2 + math.log(tile.side / 32.0 * math.sqrt(2.0) / 2.0) - mn
+
+
+def _report_bits(rep):
+    return rep.square, np.array([getattr(rep, k) for k in DENSITY_COLUMNS[4:]]).tobytes()
+
+
+def test_density_reports_do_not_depend_on_batching(sin3, monkeypatch):
+    tiling = Tiling(sin3, 10.0, 20.0)
+    squares = [tiling.tile_at(r * cmath.exp(0.1j * r)) for r in (10.5, 12.0, 13.5, 15.0, 16.5, 18.0)]
+    # The 33x33 grid of the unit square at 0 has a node at 0, where
+    # f' = 3 z^2 cos z^3 vanishes; 1.1 is a small radius.
+    squares[2:2] = [SquareTile(0j, 1.0, 0), SquareTile(1.1 + 0j, 0.01, 0)]
+    assert len(squares) > grid.BATCH_SQUARES
+    reports = square_density_bound(sin3, squares, 0.25)
+    assert [rep.square for rep in reports] == squares
+    assert reports[2].min_fprime_log == -math.inf and reports[2].lipschitz_slack_log == math.inf
+    for tile, rep in zip(squares, reports):
+        mn, mx, slack = _reference_extrema(sin3, tile)
+        want_min = mn + math.log1p(-math.exp(slack)) if slack < 0 else -math.inf
+        got = np.array([rep.min_fprime_log, rep.max_fprime_log, rep.lipschitz_slack_log])
+        assert got.tobytes() == np.array([want_min, mx, slack]).tobytes()
+    for size in (1, 3):
+        monkeypatch.setattr(grid, "BATCH_SQUARES", size)
+        again = square_density_bound(sin3, squares, 0.25)
+        assert [_report_bits(r) for r in again] == [_report_bits(r) for r in reports]
+
+
+def test_density_bound_of_no_squares(sin3):
+    assert square_density_bound(sin3, [], 0.25) == []
+    with pytest.raises(ValueError):
+        square_density_bound(sin3, [], 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from expdyn import (
     ExpPolyTerm,
     Poly,
     TowerMag,
+    bundled_function,
     classify_batch,
     iterate_max_modulus,
     log_max_modulus,
@@ -371,6 +372,27 @@ def test_tower_steps_check_the_escape_radius(sin3, radius, monkeypatch):
     inside = (dep == 1) & (val < math.log(radius))
     assert np.count_nonzero(inside) > 0
     assert not np.count_nonzero(cond & inside)
+
+
+@pytest.mark.parametrize(
+    "fn, alpha, tag, steps",
+    [
+        ("sin_z", 0.9, ESCAPE_CERTIFIED, 3),
+        ("sin_z", 1.0, UNDETERMINED, 8),
+        ("sin_z", 2.0, UNDETERMINED, 8),
+        ("sin_z", 5.0, UNDETERMINED, 8),
+        ("sin_z3", 2.9, ESCAPE_CERTIFIED, 3),
+        ("sin_z3", 3.0, UNDETERMINED, 7),
+        ("sin_z3", 4.0, UNDETERMINED, 7),
+    ],
+)
+def test_deep_tower_steps_certify_only_below_degree(fn, alpha, tag, steps):
+    # At depth >= 2, log|z| > e^690 and log|z'| = c |z|^d, so the growth
+    # condition log|z'| >= |z|^alpha reads log c + (d - alpha) log|z| >= 0:
+    # it holds for every live direction when alpha < d, and a double cannot
+    # decide it when alpha >= d.
+    res = classify_batch(bundled_function(fn), np.array([300j]), ClassifyParams(alpha=alpha))
+    assert (res["tag"][0], res["steps"][0]) == (tag, steps)
 
 
 def test_ladder_gate_excludes_slow_orbit(sin3, orbit_walk):
