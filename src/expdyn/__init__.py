@@ -81,6 +81,5 @@ from .raster import (
     render_exceptional,
     write_ppm,
 )
-from .towers import TowerMag, tower_compare, tower_exp, tower_log
 
 __version__ = "0.1.0"

@@ -35,6 +35,9 @@ reaches max_iter steps is retired at that step by the trailing-run rule.
 classify_batch runs its whole batch as one pool, and is the only
 classifier: a single orbit is a batch of one.  The renderer runs one
 bounded pool per worker thread.
+
+The pairs are the package's one tower arithmetic: _tower_next steps them
+for the orbits and for the iterated maximum modulus M^n(R) alike.
 """
 
 from __future__ import annotations
@@ -58,7 +61,6 @@ from .funcs import (
     eval_log_batch,
     wrap_phase,
 )
-from .towers import TowerMag, _canon_arrays, _tower_add_const, _tower_scale, tower_exp, tower_log
 
 __all__ = [
     "ClassifyParams",
@@ -108,6 +110,41 @@ class ClassifyParams:
 
 
 # ---------------------------------------------------------------------------
+# Tower magnitudes
+#
+# (depth, val) stands for exp^depth(val).  The canonical form has the least
+# depth: no depth > 0 with val <= LIFT, where exp(val) fits in doubles.
+# Canonical pairs compare lexicographically as the magnitudes do while no val
+# exceeds exp(LIFT) ~ 4.4e299; a larger depth-k val can exceed exp of a
+# depth-(k+1) val in (LIFT, 709.8] and reverse that order.
+
+LIFT = 690.0
+
+
+def _canon_arrays(depth, val):
+    """Canonicalise (depth, val) pairs in place and return them."""
+    while True:
+        m = (depth > 0) & (val <= LIFT)
+        if not m.any():
+            break
+        val[m] = np.exp(val[m])
+        depth[m] -= 1
+    return depth, val
+
+
+def _tower_next(dep, v, logc, d: int):
+    """Canonical (depth, val) of exp(c r^d) for the magnitudes r = (dep, v), dep >= 1.
+
+    val is log c + d v at depth 1, log(d e^v + log c) = v + log d in doubles
+    at depth 2 (v > LIFT), and v deeper.
+    """
+    logd = math.log(d) if d > 1 else 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        nv = np.where(dep == 1, logc + d * v, np.where(dep == 2, v + logd, v))
+    return _canon_arrays(dep + 1, nv)
+
+
+# ---------------------------------------------------------------------------
 # Maximum modulus
 
 
@@ -132,48 +169,47 @@ def log_max_modulus(f: ExpPoly, r: float):
 
     lo is the maximum of log|f| over CIRCLE_SAMPLES points; hi adds a
     Lipschitz slack for the half gap between samples using the crude
-    gradient bound above.
+    gradient bound above.  Raises ValueError where the bracket is not
+    finite in doubles.
     """
-    if r <= 0:
-        raise ValueError("r must be positive")
+    if not (r > 0 and math.isfinite(r)):
+        raise ValueError("r must be positive and finite")
     thetas = 2.0 * math.pi * np.arange(CIRCLE_SAMPLES) / CIRCLE_SAMPLES
     Z = r * np.exp(1j * thetas)
-    lm, _, zero = eval_log_batch(f, Z)
-    lm = np.where(zero, -np.inf, lm)
-    lo = float(lm.max())
-    slack = r * _log_deriv_bound(f, r) * (math.pi / CIRCLE_SAMPLES)
-    return lo, lo + slack
-
-
-def _asymptotic_log_max(f: ExpPoly) -> float:
-    """Conservative coefficient for log M(r) <= c r^d at unrepresentable r."""
-    return f.max_abs_b * (1.0 + 1e-9)
+    with np.errstate(all="ignore"):
+        lm, _, zero = eval_log_batch(f, Z)
+    lo = float(np.where(zero, -np.inf, lm).max())
+    # A finite lo means r^d, and so the r^(d-1) of the slack, fits in doubles.
+    hi = lo + r * _log_deriv_bound(f, r) * (math.pi / CIRCLE_SAMPLES) if math.isfinite(lo) else lo
+    if math.isfinite(hi):
+        return lo, hi
+    raise ValueError(f"log max modulus on |z| = {r} is not finite in doubles")
 
 
 def iterate_max_modulus(f: ExpPoly, R: float, n: int):
-    """The first n iterates of r -> M(r, f) starting at R, as TowerMag.
+    """The first n iterates M^n(R) of r -> M(r, f), which define the fast
+    escaping set A(f), as canonical (depth, val) tuples (ordered as at LIFT).
 
-    These are the M^n(R) of the fast escaping set A(f).  Uses circle
-    sampling (upper bracket side) while r is small enough that the
-    exponents fit in doubles, and the dominant-coefficient asymptotic
-    log M(r) <= c r^d beyond; every approximation is taken on the upper
-    side, so each iterate bounds M^n(R) from above.
+    Circle sampling (upper bracket side) while the exponents fit in doubles,
+    then the tower step of log M(r) <= c r^d, c = max|b_j| (1 + 1e-9); every
+    approximation is taken on the upper side, so each iterate bounds M^n(R)
+    from above.
     """
     lo, hi = log_max_modulus(f, R)
     if lo <= math.log(R):
         raise BadBase(f"M({R}) not certified above {R}")
-    out = []
-    t = TowerMag(0, float(R))
-    c_up = _asymptotic_log_max(f)
+    out, depth, val = [], 0, float(R)
+    logc = math.log(f.max_abs_b * (1.0 + 1e-9))
     for _ in range(n):
-        if t.depth == 0 and f.d * math.log(t.value) + math.log(f.max_abs_b) <= 700.0:
-            _, hi = log_max_modulus(f, t.value)
-            t = TowerMag.from_logmod(hi)
+        if depth == 0 and f.d * math.log(val) + math.log(f.max_abs_b) <= 700.0:
+            _, hi = log_max_modulus(f, val)
+            depth, val = (0, math.exp(hi)) if hi <= LIFT else (1, hi)
         else:
-            log_r = tower_log(t)
-            loglog_m = _tower_add_const(_tower_scale(log_r, float(f.d)), math.log(c_up))
-            t = tower_exp(tower_exp(loglog_m))
-        out.append(t)
+            # A depth-0 r enters the tower step as (1, log r).
+            dep, v = (depth, val) if depth else (1, math.log(val))
+            nd, nv = _tower_next(np.array([dep]), np.array([v]), logc, f.d)
+            depth, val = int(nd[0]), float(nv[0])
+        out.append((depth, val))
     return out
 
 
@@ -549,8 +585,7 @@ def _step_tower(f: ExpPoly, p: ClassifyParams, dcap: float, s, pos, fl):
         # Deeper states are canonical, v > LIFT, so beyond any double radius,
         # and log c + (d - alpha) log|z| >= 0 holds there only for alpha < d.
         cond = np.where(dep == 1, (v >= math.log(p.escape_radius)) & (grow >= alpha * v), alpha < d) & ~dead
-    logd = math.log(d) if d > 1 else 0.0
-    nd, nv = _canon_arrays(dep + 1, np.where(dep == 1, grow, np.where(dep == 2, v + logd, v)))
+    nd, nv = _tower_next(dep, v, logc, d)
     phase = wrap_phase(dphi + beta)
     # Demotion to direct mode when |z| fits the exact evaluator again.
     with np.errstate(divide="ignore"):

@@ -15,12 +15,10 @@ from expdyn import (
     ExpPoly,
     ExpPolyTerm,
     Poly,
-    TowerMag,
     bundled_function,
     classify_batch,
     iterate_max_modulus,
     log_max_modulus,
-    tower_compare,
 )
 from expdyn import orbits
 from expdyn.measure import _annulus_points
@@ -60,16 +58,28 @@ def test_log_max_modulus_brackets_truth(cosh3):
         log_max_modulus(cosh3, -1.0)
 
 
+def test_log_max_modulus_refuses_past_doubles(sin3, recwarn):
+    # At r = 1e100, r^3 = 1e300 still fits in doubles, and so does the bracket.
+    lo, hi = log_max_modulus(sin3, 1e100)
+    assert lo == 1e300 and hi == pytest.approx(1.0736e300, rel=1e-4)
+    # At 1e110, r^3 overflows in the circle samples; at 1e155, r^2 in the slack
+    # too.  Neither may return a non-finite bracket or leak a warning.
+    for r in (1e110, 1e155):
+        with pytest.raises(ValueError, match="not finite"):
+            log_max_modulus(sin3, r)
+    assert len(recwarn) == 0
+
+
 def test_iterate_max_modulus_ladder(cosh3):
     ladder = iterate_max_modulus(cosh3, 2.0, 4)
     # First iterate is M(2) ~ e^8 up to the sampling slack.
-    assert ladder[0].depth == 0
-    assert math.exp(8.0) <= ladder[0].value <= math.exp(9.0)
+    assert ladder[0][0] == 0
+    assert math.exp(8.0) <= ladder[0][1] <= math.exp(9.0)
     # Second iterate is at the exp(M(2)^3) scale, i.e. depth 1.
-    assert ladder[1].depth == 1
-    assert ladder[1].value >= ladder[0].value ** 3
-    for a, b in zip(ladder, ladder[1:]):
-        assert tower_compare(b, a) == 1
+    assert ladder[1][0] == 1
+    assert ladder[1][1] >= ladder[0][1] ** 3
+    assert all(type(d) is int and type(v) is float for d, v in ladder)
+    assert ladder == sorted(set(ladder))
 
 
 def test_iterate_max_modulus_bad_base():
@@ -78,13 +88,42 @@ def test_iterate_max_modulus_bad_base():
         iterate_max_modulus(small, 1.0, 3)
 
 
+@pytest.mark.parametrize("r", [math.inf, math.nan])
+def test_log_max_modulus_rejects_non_finite_radius(cosh3, r):
+    with pytest.raises(ValueError, match="positive and finite"):
+        log_max_modulus(cosh3, r)
+
+
+def test_tower_step_and_ladder_share_the_next_state_rule(cosh3, monkeypatch):
+    # One rule gives the next tower state to the orbit engine and to the
+    # ladder's rungs past doubles.
+    callers = []
+    tower_next = orbits._tower_next
+
+    def spy(dep, v, logc, d):
+        callers.append(np.ndim(logc))
+        return tower_next(dep, v, logc, d)
+
+    monkeypatch.setattr(orbits, "_tower_next", spy)
+    assert classify_batch(cosh3, [60.0])["tag"][0] == ESCAPE_CERTIFIED
+    # The engine passes one log c per orbit.
+    assert callers and set(callers) == {1}
+    callers.clear()
+    ladder = iterate_max_modulus(cosh3, 2.0, 4)
+    # Rungs 0 and 1 come from circle sampling, 2 and 3 from the tower step.
+    assert [depth for depth, _ in ladder] == [0, 1, 2, 3]
+    assert callers == [0, 0]
+
+
 # ---------------------------------------------------------------------------
 # Classification
 
 
 def _abs(state):
-    """|z| of an engine state: in direct mode val is |z| and depth is 0."""
-    return TowerMag(int(state["depth"]), float(state["val"]))
+    """|z| of an engine state as a canonical (depth, val) pair, which compares
+    as the magnitudes do: in direct mode val is |z| and depth is 0."""
+    depth, val = orbits._canon_arrays(np.array([state["depth"]]), np.array([state["val"]], float))
+    return int(depth[0]), float(val[0])
 
 
 def test_obvious_escape(cosh3, orbit_walk):
@@ -92,7 +131,7 @@ def test_obvious_escape(cosh3, orbit_walk):
     assert res["tag"] == ESCAPE_CERTIFIED
     assert res["steps"] <= 10
     assert all(st["cond"] for st in states[-3:])
-    assert _abs(states[-1]) > TowerMag(0, 60.0)
+    assert _abs(states[-1]) > (0, 60.0)
 
 
 def test_superattracting_basin(sin3):
@@ -404,10 +443,15 @@ def test_ladder_gate_excludes_slow_orbit(sin3, orbit_walk):
     assert res["tag"] == NON_ESCAPE_OBSERVED and len(states) > 1
     ladder = iterate_max_modulus(sin3, abs(z0), len(states))
     assert all(_abs(st) <= rung for st, rung in zip(states, ladder))
+    # Independently of the ladder: log|sin w| <= |Im w| <= |w|, so
+    # log|z'| <= |z|^3 at every step.
+    assert all(st["mode"] == 0 for st in states)
+    zs = [z0] + [complex(st["z"]) for st in states]
+    assert all(b == 0 or math.log(abs(b)) <= abs(a) ** 3 for a, b in zip(zs, zs[1:]))
 
 
 def test_final_abs_tower_scales(cosh3, orbit_walk):
     res, states = orbit_walk(cosh3, 60.0)
     assert res["final_mode"] == 1
     assert (res["final_depth"], res["final_val"]) == (states[-1]["depth"], states[-1]["val"])
-    assert _abs(states[-1]) > TowerMag(0, 60.0)
+    assert _abs(states[-1]) > (0, 60.0)
