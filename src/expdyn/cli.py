@@ -108,17 +108,6 @@ def _viewport(args) -> Viewport:
     return Viewport.square(complex(args.center_re, args.center_im), args.half, args.px)
 
 
-def _print_json(payload: dict):
-    print(json.dumps(payload, indent=2))
-
-
-def _emit(args, payload: dict):
-    if getattr(args, "out", None):
-        write_json(args.out, payload)
-    else:
-        _print_json(payload)
-
-
 def _usable_cpus() -> int:
     """CPUs this process may run on; os.cpu_count() where affinity is unknown."""
     if hasattr(os, "sched_getaffinity"):
@@ -193,7 +182,7 @@ def build_parser() -> _Parser:
 
 def _cmd_check(args) -> int:
     f = _load_fn(args)
-    _emit(args, check_hypotheses(f).to_dict())
+    write_json(args.out, check_hypotheses(f).to_dict())
     return 0
 
 
@@ -217,7 +206,7 @@ def _cmd_e2measure(args) -> int:
     if args.out:
         row = (args.r_min, args.r_max, args.nr, args.ntheta, val)
         write_csv(args.out, E2_COLUMNS, [row])
-    _print_json({"r_min": args.r_min, "r_max": args.r_max, "measure": val})
+    write_json(None, {"r_min": args.r_min, "r_max": args.r_max, "measure": val})
     return 0
 
 
@@ -226,7 +215,7 @@ def _cmd_annulus_scan(args) -> int:
     row = annulus_scan(f, args.r, args.samples, _classify_params(args), seed=args.seed).to_dict()
     if args.out:
         write_csv(args.out, list(row), [list(row.values())])
-    _print_json(row)
+    write_json(None, row)
     return 0
 
 
@@ -239,13 +228,14 @@ def _cmd_grid_bound(args) -> int:
     reports = square_density_bound(f, [t for t in tiles if t is not None], args.alpha)
     if args.out:
         write_csv(args.out, DENSITY_COLUMNS, [list(rep.to_dict().values()) for rep in reports])
-    _print_json(
+    write_json(
+        None,
         {
             "requested": args.count,
             "found": len(reports),
             "density_upper_log": [rep.density_upper_log for rep in reports],
             "asymptotic_bound": [rep.asymptotic_bound for rep in reports],
-        }
+        },
     )
     return 0
 
@@ -254,7 +244,7 @@ def _cmd_counterexample(args) -> int:
     params = CounterexampleParams(r0=args.r0, eps=args.eps, samples=args.samples)
     f = _load_fn(args)
     rep = counterexample_check(params, args.R, f, seed=args.seed)
-    _emit(args, rep)
+    write_json(args.out, rep)
     return 0 if rep["violations"] == 0 else 2
 
 

@@ -87,7 +87,8 @@ class ExpPoly:
 
     def __init__(self, d: int, terms):
         terms = tuple(terms)
-        if not isinstance(d, int) or d < 1:
+        # bool is an int subclass, but true is not a degree.
+        if not isinstance(d, int) or isinstance(d, bool) or d < 1:
             raise ValueError("d must be a positive integer")
         if not terms:
             raise ValueError("at least one term required")

@@ -46,6 +46,9 @@ C2_TOL = 1e-15
 # Squares whose derivative grids square_density_bound evaluates in one call.
 # Peak memory grows with it: 4 squares stack 4356 order-1 points.
 BATCH_SQUARES = 4
+# 9 pi / 2: the s-neighbourhood of a curve of length L has area at most
+# _BAND_FACTOR s L.
+_BAND_FACTOR = 4.5 * math.pi
 
 
 @dataclass(frozen=True)
@@ -364,7 +367,7 @@ def _density_report(S: SquareTile, mn_log, mx_log, slack, alpha: float, e2_budge
     meas_s_log = 2.0 * math.log(S.side)
     meas_fs_log = meas_s_log + 2.0 * mn_adj
     blen_log = math.log(4.0 * S.side) + mx_log
-    band_log = math.log(4.5 * math.pi) + blen_log
+    band_log = math.log(_BAND_FACTOR) + blen_log
     e2_log = math.log(e2_budget) if e2_budget > 0 else -math.inf
     uncovered_log = float(np.logaddexp(band_log, e2_log))
     mz = S.min_abs_z()
@@ -421,4 +424,4 @@ def band_measure_bound(length: float, s: float) -> float:
     """(9 pi / 2) s length, for the s-neighborhood of a curve of that length."""
     if not (0.0 < s < length):
         raise DomainError("need 0 < s < length")
-    return 4.5 * math.pi * s * length
+    return _BAND_FACTOR * s * length

@@ -488,7 +488,6 @@ def _step_direct(f: ExpPoly, p: ClassifyParams, dcap: float, trap, s, pos, fl):
         over = ~(maxs < np.inf)  # NaN or +inf
         if np.count_nonzero(over):
             io = pos[over]
-            s["mode"][io] = 1
             s["depth"][io] = 1
             s["val"][io] = np.log(np.abs(Z[over]))
             s["phase"][io] = np.angle(Z[over])
@@ -532,7 +531,6 @@ def _step_direct(f: ExpPoly, p: ClassifyParams, dcap: float, trap, s, pos, fl):
         if np.count_nonzero(enter):
             enter[enter] = trap.contains(znew[enter])
             fl["trap"][pos] = enter
-    s["mode"][pos] = promote
     s["z"][pos] = np.where(promote, 0.0, znew)
     s["depth"][pos] = promote
     s["val"][pos] = np.where(promote, lm, np.abs(znew))
@@ -587,7 +585,8 @@ def _step_tower(f: ExpPoly, p: ClassifyParams, dcap: float, s, pos, fl):
         cond = np.where(dep == 1, (v >= math.log(p.escape_radius)) & (grow >= alpha * v), alpha < d) & ~dead
     nd, nv = _tower_next(dep, v, logc, d)
     phase = wrap_phase(dphi + beta)
-    # Demotion to direct mode when |z| fits the exact evaluator again.
+    # Demotion to direct mode when |z| fits the exact evaluator again; any
+    # other depth-0 result is lifted to depth 1, so depth 0 means demoted.
     with np.errstate(divide="ignore"):
         lognv = np.log(np.maximum(nv, 1e-300))
     demote = (nd == 0) & (lognv <= dcap)
@@ -599,7 +598,6 @@ def _step_tower(f: ExpPoly, p: ClassifyParams, dcap: float, s, pos, fl):
 
     fl["cond"][pos] = cond
     fl["stop"][pos] = dead | (nd > MAX_DEPTH)
-    s["mode"][pos] = ~demote
     s["z"][pos] = znew
     s["depth"][pos] = nd
     s["val"][pos] = nv
@@ -610,46 +608,52 @@ def _step_tower(f: ExpPoly, p: ClassifyParams, dcap: float, s, pos, fl):
 _NO_POS = np.zeros(0, np.int64)
 
 
+# The result columns of classify_batch other than tag: name, dtype, and the
+# per-orbit array it reports when the orbit retires, an engine-state column or
+# the step's "code" (tag code) or "trap" flag.
+_RESULT_COLUMNS = (
+    ("tag_code", np.int8, "code"),
+    ("steps", np.int64, "age"),
+    ("trapped", bool, "trap"),
+    ("final_depth", np.int64, "depth"),
+    ("final_val", np.float64, "val"),
+)
+
+
 def _start_state(idx, z):
     """Engine state of orbits starting at z, with batch indices idx."""
     n = idx.size
     return {
         "idx": idx,
         "age": np.zeros(n, np.int64),
-        "mode": np.zeros(n, np.int8),
         "z": z,
         "depth": np.zeros(n, np.int64),
-        "val": np.abs(z),
-        "phase": np.angle(z),
+        # val and phase are written by every orbit's first step, a direct one.
+        "val": np.zeros(n),
+        "phase": np.zeros(n),
         "run": np.zeros(n, np.int64),
         "below": np.zeros(n, np.int64),
     }
 
 
-def _results(s, m, code, trapped):
-    """Result columns of the state entries m, with tag codes code."""
-    return {
-        "tag_code": code,
-        "steps": s["age"][m],
-        "trapped": trapped[m],
-        "final_mode": s["mode"][m],
-        "final_depth": s["depth"][m],
-        "final_val": s["val"][m],
-    }
+def _results(src, m):
+    """The result columns of the entries m of the per-orbit arrays src."""
+    return {name: src[key][m] for name, _, key in _RESULT_COLUMNS}
 
 
 def _finite_starts(blocks, sink):
     """The (index, points) blocks without their NaN and infinite start points.
 
-    Those are reported to sink at once, as Undetermined after 0 steps.
+    Those are reported to sink at once, as Undetermined after 0 steps with
+    final_val |z|.
     """
     for idx, z in blocks:
         idx, z = np.asarray(idx, np.int64), np.asarray(z, complex)
         bad = ~np.isfinite(z)
-        if np.count_nonzero(bad):
-            b = _start_state(idx[bad], z[bad])
-            no = np.zeros(b["idx"].size, bool)
-            sink(b["idx"], _results(b, ~no, no.astype(np.int8), no))
+        n = np.count_nonzero(bad)
+        if n:
+            cols = {name: np.abs(z[bad]) if key == "val" else np.zeros(n, dt) for name, dt, key in _RESULT_COLUMNS}
+            sink(idx[bad], cols)
             idx, z = idx[~bad], z[~bad]
         yield idx, z
 
@@ -700,13 +704,14 @@ def _classify_pool(f: ExpPoly, p: ClassifyParams, blocks, capacity: int, sink):
 
         s["age"] += 1
         fl = dict(zip(("cond", "fixed", "trap", "stop"), np.zeros((4, n), bool)))
-        n_tower = np.count_nonzero(s["mode"])
+        # Depth is the mode: depth-0 orbits take a direct step, the rest a tower step.
+        n_tower = np.count_nonzero(s["depth"])
         if n_tower == 0:
             direct, tower = np.arange(n), _NO_POS
         elif n_tower == n:
             direct, tower = _NO_POS, np.arange(n)
         else:
-            direct, tower = np.flatnonzero(s["mode"] == 0), np.flatnonzero(s["mode"])
+            direct, tower = np.flatnonzero(s["depth"] == 0), np.flatnonzero(s["depth"])
         over = _step_direct(f, p, dcap, trap, s, direct, fl)
         _step_tower(f, p, dcap, s, np.concatenate([tower, over]) if over.size else tower, fl)
 
@@ -723,7 +728,7 @@ def _classify_pool(f: ExpPoly, p: ClassifyParams, blocks, capacity: int, sink):
             # radius, which is when its below count is positive.
             nonesc = trapped | (fixed & (s["below"] > 0)) | (~end & (s["below"] >= tail_len))
             code = np.where(cert, 1, np.where(nonesc, 2, 0)).astype(np.int8)
-            sink(s["idx"][done], _results(s, done, code[done], trapped))
+            sink(s["idx"][done], _results({**s, "code": code, "trap": trapped}, done))
             keep = ~done
             s = {k: a[keep] for k, a in s.items()}
 
@@ -731,24 +736,24 @@ def _classify_pool(f: ExpPoly, p: ClassifyParams, blocks, capacity: int, sink):
 def classify_batch(f: ExpPoly, points, p: ClassifyParams | None = None):
     """Classify an array of starting points; returns a dict of result arrays.
 
-    Keys: tag (strings), tag_code (0 Undetermined, 1 EscapeCertified, 2
-    NonEscapeObserved), steps (the step at which the orbit finished; for an
-    EscapeCertified one, the step that completed its certified run),
+    Six keys: tag (strings), tag_code (0 Undetermined, 1 EscapeCertified,
+    2 NonEscapeObserved), steps (the step at which the orbit finished; for
+    an EscapeCertified one, the step that completed its certified run),
     trapped (the orbit stopped on entering the trap region of trap_at_0),
-    final_mode, final_depth, final_val (|z| = exp^depth(val) at the last
-    computed step).  A NaN or infinite start point is Undetermined after 0
-    steps.
+    final_depth and final_val (|z| = exp^depth(val) at the last computed
+    step; depth 0 is direct mode).  A NaN or infinite start point is
+    Undetermined after 0 steps, with final_val |z|.
 
     The engine holds a compact state of the live orbits only: their index in
-    the batch, age (steps taken), z, mode (0 direct complex, 1 tower
-    magnitude), depth, val, phase, run (consecutive certified steps) and
-    below (consecutive steps inside the radius).  Each step advances the
-    direct-mode orbits by _step_direct and the tower-mode ones by
-    _step_tower.  An orbit that finishes (certified run, fixed point, trap
-    entry, dead direction, depth beyond MAX_DEPTH, or max_iter steps taken,
-    judged by the trailing-run rule) is retired at once: its results are
-    scattered into the output arrays and it leaves the state.  The whole
-    batch is one pool (see _classify_pool).
+    the batch, age (steps taken), z (the exact point in direct mode, 0 in
+    tower mode), depth (0 direct mode, >= 1 tower mode), val, phase, run
+    (consecutive certified steps) and below (consecutive steps inside the
+    radius).  Each step advances the depth-0 orbits by _step_direct and the
+    others by _step_tower.  An orbit that finishes (certified run, fixed
+    point, trap entry, dead direction, depth beyond MAX_DEPTH, or max_iter
+    steps taken, judged by the trailing-run rule) is retired at once: its
+    results are scattered into the output arrays and it leaves the state.
+    The whole batch is one pool (see _classify_pool).
 
     What EscapeCertified proves: cert_steps consecutive certified steps, of
     two kinds.  A direct step checks the true z: |z| >= escape_radius, the
@@ -762,14 +767,7 @@ def classify_batch(f: ExpPoly, points, p: ClassifyParams | None = None):
     if p is None:
         p = ClassifyParams()
     pts = np.asarray(points, dtype=complex).ravel()
-    out = {
-        "tag_code": np.zeros(pts.size, np.int8),
-        "steps": np.zeros(pts.size, np.int64),
-        "trapped": np.zeros(pts.size, bool),
-        "final_mode": np.zeros(pts.size, np.int8),
-        "final_depth": np.zeros(pts.size, np.int64),
-        "final_val": np.zeros(pts.size),
-    }
+    out = {name: np.zeros(pts.size, dt) for name, dt, _ in _RESULT_COLUMNS}
 
     def sink(i, cols):
         for k, a in cols.items():

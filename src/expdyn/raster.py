@@ -47,6 +47,9 @@ COLOR_E1 = (96, 96, 96)
 COLOR_E2 = (200, 200, 200)
 COLOR_BG = (255, 255, 255)
 
+# Rows of pixels in the live-orbit pool of each render worker.
+ROWS_PER_CHUNK = 32
+
 
 @dataclass(frozen=True)
 class Viewport:
@@ -89,11 +92,6 @@ class Viewport:
         x = self.center.real - self.half_width + (np.arange(self.px_w) + 0.5) * sx
         y = self.center.imag + self.half_height - (np.arange(self.px_h) + 0.5) * sy
         return x, y
-
-    def row_points(self, j: int) -> np.ndarray:
-        """Pixel-center points of row j (row 0 is the top of the image)."""
-        x, y = self.axes()
-        return x + 1j * y[j]
 
     def all_points(self) -> np.ndarray:
         """(px_h, px_w) array of pixel centers, top row first."""
@@ -145,43 +143,44 @@ def _colorize(codes: np.ndarray, steps: np.ndarray) -> np.ndarray:
     return rgb
 
 
-def _quotient(f: ExpPoly, v: Viewport):
+def _quotient(f: ExpPoly, x, y):
     """The pixels left to classify once the exact mirror pixels of f's
     symmetries are set aside, and the copies that fill those in.
 
-    Column i pairs with column px_w-1-i, and row j with row px_h-1-j, only
-    where their pixel-center coordinates are exact negatives in doubles, so
-    a paired pixel's center is exactly g of its partner's, for the maps g
-    of funcs.mirror_group that the pairing realises: -conj z mirrors
-    columns, conj z mirrors rows, and -z, used alone only when f has neither
-    of the others, mirrors both.  Returns (todo, copies): todo lists
+    x and y are the pixel-center axes of Viewport.axes.  Column i pairs
+    with column px_w-1-i, and row j with row px_h-1-j, only where their
+    pixel-center coordinates are exact negatives in doubles, so a paired
+    pixel's center is exactly g of its partner's, for the maps g of
+    funcs.mirror_group that the pairing realises: -conj z mirrors columns,
+    conj z mirrors rows, and -z, used alone only when f has neither of the
+    others, mirrors both.  Returns (todo, copies): todo lists
     (row, columns) of the pixels to classify, top row first, and each copy
     (rows, cols, src_rows, src_cols), applied in order, sets the pixels
     rows x cols from src_rows x src_cols.
     """
     group = mirror_group(f)
-    x, y = v.axes()
-    every_row, every_col = np.arange(v.px_h), np.arange(v.px_w)
+    px_h, px_w = y.size, x.size
+    every_row, every_col = np.arange(px_h), np.arange(px_w)
     paired_cols = x == -x[::-1]
     # The bottom rows and right columns with an exact mirror.
-    is_low = (y == -y[::-1]) & (2 * every_row > v.px_h - 1)
+    is_low = (y == -y[::-1]) & (2 * every_row > px_h - 1)
     low = np.flatnonzero(is_low)
-    right = np.flatnonzero(paired_cols & (2 * every_col > v.px_w - 1))
+    right = np.flatnonzero(paired_cols & (2 * every_col > px_w - 1))
     # cols: the columns to classify in each row; low_cols: in the rows low.
     cols = every_col
     copies = []
     if (-1, True) in group:  # the right columns, from the left ones
-        copies.append((every_row, right, every_row, v.px_w - 1 - right))
+        copies.append((every_row, right, every_row, px_w - 1 - right))
         cols = np.setdiff1d(every_col, right)
     low_cols = cols
     if (1, True) in group:  # then the bottom rows, from the top ones
-        copies.append((low, every_col, v.px_h - 1 - low, every_col))
+        copies.append((low, every_col, px_h - 1 - low, every_col))
         low_cols = every_col[:0]
     elif (-1, False) in group:  # the paired columns of the bottom rows
         pairs = np.flatnonzero(paired_cols)
-        copies.append((low, pairs, v.px_h - 1 - low, v.px_w - 1 - pairs))
+        copies.append((low, pairs, px_h - 1 - low, px_w - 1 - pairs))
         low_cols = np.setdiff1d(every_col, pairs)
-    todo = [(j, low_cols if is_low[j] else cols) for j in range(v.px_h)]
+    todo = [(j, low_cols if is_low[j] else cols) for j in range(px_h)]
     return [(j, c) for j, c in todo if c.size], copies
 
 
@@ -190,7 +189,6 @@ def render_classification(
     v: Viewport,
     p: ClassifyParams | None = None,
     threads: int = 1,
-    rows_per_chunk: int = 32,
 ) -> ImageBuffer:
     """Classify the pixel-center orbits and map classes to colors.
 
@@ -198,24 +196,23 @@ def render_classification(
     is copied from its partner once the pools finish (see the module
     docstring for why the copy is the pixel a classification would write).
 
-    Each worker thread runs one pool of rows_per_chunk rows of live orbits
+    Each worker thread runs one pool of ROWS_PER_CHUNK rows of live orbits
     (see orbits._classify_pool).  The pool takes the next unclaimed rows as
     its orbits finish, and each finished orbit's pixel is coloured at once,
     so an image pays its longest orbit once, not once per block of rows.
-    No more threads start than there are blocks of rows_per_chunk rows to
-    classify.  Results are independent of threads and rows_per_chunk:
+    No more threads start than there are blocks of ROWS_PER_CHUNK rows to
+    classify.  Results are independent of threads and ROWS_PER_CHUNK:
     classification is per-point, and each pixel ends as the pool that ran
     it wrote it or as a copy of a pixel that a pool ran.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
-    if rows_per_chunk < 1:
-        raise ValueError(f"rows_per_chunk must be at least 1, got {rows_per_chunk}")
     if p is None:
         p = ClassifyParams()
     out = np.zeros((v.px_h, v.px_w, 3), dtype=np.uint8)
     flat = out.reshape(-1, 3)
-    todo, copies = _quotient(f, v)
+    x, y = v.axes()
+    todo, copies = _quotient(f, x, y)
     rows = iter(todo)
     claim = threading.Lock()
 
@@ -225,15 +222,15 @@ def render_classification(
                 j, cols = next(rows, (None, None))
             if j is None:
                 return
-            yield j * v.px_w + cols, v.row_points(j)[cols]
+            yield j * v.px_w + cols, x[cols] + 1j * y[j]
 
     def sink(i, cols):
         flat[i] = _colorize(cols["tag_code"], cols["steps"])
 
     def work():
-        _classify_pool(f, p, blocks(), rows_per_chunk * v.px_w, sink)
+        _classify_pool(f, p, blocks(), ROWS_PER_CHUNK * v.px_w, sink)
 
-    workers = min(threads, -(-len(todo) // rows_per_chunk))
+    workers = min(threads, -(-len(todo) // ROWS_PER_CHUNK))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as ex:
             for fut in [ex.submit(work) for _ in range(workers)]:

@@ -7,11 +7,11 @@ from expdyn import ExpPoly, ExpPolyTerm, Poly, bundled_function, classify_batch
 from expdyn import orbits
 
 # The result arrays of classify_batch.
-RESULT_KEYS = ("tag", "tag_code", "steps", "trapped", "final_mode", "final_depth", "final_val")
+RESULT_KEYS = ("tag", "tag_code", "steps", "trapped", "final_depth", "final_val")
 # The engine state of an orbit after each step: z in direct mode (0 in tower
-# mode), mode (0 direct, 1 tower), depth and val with |z| = exp^depth(val),
-# and the carried phase.
-STEP_KEYS = ("z", "mode", "depth", "val", "phase")
+# mode), depth (0 in direct mode) and val with |z| = exp^depth(val), and the
+# carried phase.
+STEP_KEYS = ("z", "depth", "val", "phase")
 
 
 @pytest.fixture

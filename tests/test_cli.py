@@ -72,8 +72,9 @@ _TERM = {"Q": [[1.0, 0.0]], "b": [1.0, 0.0], "P": []}
         {"terms": [_TERM]},
         {"d": 3},
         {"d": 3, "terms": [1]},
+        {"d": True, "terms": [_TERM]},
     ],
-    ids=["nan-b", "inf-b", "nan-Q", "inf-P", "top-level-list", "missing-d", "missing-terms", "bad-term"],
+    ids=["nan-b", "inf-b", "nan-Q", "inf-P", "top-level-list", "missing-d", "missing-terms", "bad-term", "bool-d"],
 )
 def test_malformed_function_file_exits_one(capsys, tmp_path, definition):
     path = tmp_path / "f.json"
@@ -155,6 +156,19 @@ def test_check_to_file(capsys, tmp_path):
     code, out, _ = run(capsys, "check", "--fn", "sin_z3", "--out", str(out_path))
     assert code == 0 and out == ""
     assert json.loads(out_path.read_text())["verdict"] == "Theorem1.3"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["check", "--fn", "sin_z3"], ["counterexample", "--r0", "100", "--R", "1000", "--samples", "50"]],
+    ids=["check", "counterexample"],
+)
+def test_json_stdout_is_the_out_file(capsys, tmp_path, argv):
+    path = tmp_path / "report.json"
+    code_file, out_file, _ = run(capsys, *argv, "--out", str(path))
+    code, out, _ = run(capsys, *argv)
+    assert code == code_file == 0 and out_file == ""
+    assert out.encode("utf-8") == path.read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -136,9 +136,9 @@ def corpus_hashes(name, walk):
 
 GOLDEN = {
     "example_h": {
-        "classify/default": "827390bf8c03791c637c1ef1bedb69f3ff8a7b05f54ffec4984efcf9e7e64128",
-        "classify/short": "780d27e24c9809fbfff5624aafbaacf6205d2143a5fb09146201d49fd773c651",
-        "classify/single": "e74cf2ee21f40044b5487f016191145cbd2391fa63e469bc08944216261d2a9f",
+        "classify/default": "12f0b5edf5d520f966bbf425d2e1456b5d5d3e41fcbabfd318f5992fcddd2e4d",
+        "classify/short": "49e1f12badf83be39c5de930ef1965f2232b52ba3f635595abe62850c9f958ff",
+        "classify/single": "944d5827eb08906596362178bc142aab3eb0300e9c2a47813dd152f50d98b4dd",
         "eval0": "5388ecbd6b47206c7d66141fba3b12c2e13e41770aad4c2962b18b35e3553326",
         "eval0/0d": "1ce8c7f5e519062d073055d64f6286ca37ca9ae1d59b298b1aa8e971a1dfc0ed",
         "eval1": "596c9e55663fd299a07c752f1962e4e2b7c7da01a83f6f76130b538473b69de5",
@@ -147,9 +147,9 @@ GOLDEN = {
         "eval2/0d": "6e3327063c0732fc39be4b44fc182d158954f887219522501803b06ff69bf18b",
     },
     "sin_z": {
-        "classify/default": "f30ce1c44e20590a1237e1680587c10599bdf3571e6087e50ebf8521c838cde0",
-        "classify/short": "75b4b646fec5516e05184af86e6a7034753bc291dcadff0e36e5662d376378af",
-        "classify/single": "4abc9b3c331a7ae8f08c9c0061a8e3b288eae528a0431f18cb5d18a4a1ca436c",
+        "classify/default": "67311dd1b7e537e42c5b5b521e4a70195351d9f25decc3b7f9db46f500974f1a",
+        "classify/short": "2ed5269662cbab2d89b30861feaac633b77a669b7d1645cd9245d55548799b2c",
+        "classify/single": "fd5a87c0ae8d231d84b9690ca3da9d5b37e0d6f5aebf5b8afa8cc703550b8129",
         "eval0": "7b63ae374791ffca8da18094ec909fa5b39c34006f048537da1a3292ba4a0aa5",
         "eval0/0d": "f8b221161e1d0a5aecc3addf4b1838923676f387fbe1e3ad0a6cc1e84671ee32",
         "eval1": "c8181a72d04ee40a6bf35404f83e121ae8a0d5db11f3277a50e254852a2f3e70",
@@ -158,33 +158,33 @@ GOLDEN = {
         "eval2/0d": "76c048ac954a568ecdd34d7f9ca431ea04bb7bc5627cbaef1948ee7b57336e00",
     },
     "sin_z2": {
-        "classify/default": "3addd5c04d9243144dc845d1472dfa09b1f733630cb2223cb76b9e06b677c98e",
-        "classify/short": "8d12f0cdb937c29636f9a830fccacdd05735eaedc7fa40030ca87cd2d0d3d4ec",
-        "classify/single": "babe07ae6e9ff0e06646eb55a93f8a00e18dcf76b7233b5a9a42399f39e73c81",
+        "classify/default": "5b1f8209b6c1fced0d2a347c1358036871902f32d826fc1b38d1ff582501349d",
+        "classify/short": "d3f417014fd0f99ba538ecf2c55f146bac8faf3417f9250b8dbf7e7c5b1bfb41",
+        "classify/single": "b1ebb9f996022618ecefaf7ecd7e96dccf9539ad24263150c8b2d3bab4a8d18c",
         "eval0": "daaf81fa01635c75d37aac3ecf48f5eb46019f28110b774460c070cacf3e650d",
         "eval0/0d": "2cba4b0143ed47bfe60dade1e033808bd7813628eb85b71ff3f5236dea23c2f7",
         "eval1": "2aaa54c629e929ef5b8704a966fbcb6b6213f181308a5238d827f6903946ebb6",
         "eval1/0d": "06ec09953691b069e64565255a91bc4342645fd06f79391bb9ad9c10f1be0d55",
         "eval2": "bed19fb3dbfcca238852b699bb4f636a1f168c235224c299363a1c95d8fee2de",
         "eval2/0d": "78bffb994e9f48d2e948fce7fa15119239de7a86127f85a3ac71137d44a922e9",
-        "render64": "c86eb0ea1dd25a265b88b53795f3b21eef6d756bc8ecba53de6beb3cae875327",
+        "render64": "5ea10f0dcc17779c095450c3871bceaa0726c9fbc5b52761a1fa0604c1182b90",
     },
     "sin_z3": {
-        "classify/default": "022c5b092bb20b9c47b3c147ebaab9192297743c02ab025acbb564470a559cef",
-        "classify/short": "2e1112a0aabda4c3a0c208e8351042021d7676ea8830cb66b2c528f75059a918",
-        "classify/single": "8603bad58997c597cdf9698a38eb8abbd5b9852078f1fc08bd80518c16c7eb07",
+        "classify/default": "446af116d5f7761f60173855871433accdfd478648b08d489603c6cd1f665537",
+        "classify/short": "d12ab4b1d0b4e15e2fbd71b9c0b763125c0c48a8aed5c1c9fda293805f5c0b51",
+        "classify/single": "93be9a7b267725239cb4dd11e5f9b6d785e2649cfa737f443acfd1340fda79f9",
         "eval0": "4d86c8b7f07165015fca0edf3b399fea6f0793420d7c249d575609e9ac7001c2",
         "eval0/0d": "c4c7c53a9f8e74bb07423287ea14e2d7238dc578784c1a9dfab72732d63430c3",
         "eval1": "afbf80034f882a465d35647fe2e3625c7228593f687af488400c672013bc0f4f",
         "eval1/0d": "7de877386bf065baa6663d8dd0d1cbcfbb0289d6fc77be2bd79176496e3e5dd4",
         "eval2": "77c47e7aec6ff9b9477f46c0567a6e068fa51c40f138f691cde64b69bfc7680e",
         "eval2/0d": "92344da4aea996c4ce88de81f6223f8eff1fc9da5337705cc30a2336d063cc08",
-        "render64": "021979df37ac236185c4bfa253af03bcaf8f6941424dd8e72e8ae2fd60d71f5d",
+        "render64": "8090f90d941adda2ea40e9b3c24f32505a8b4e9f0f28484cbde3e7d82b3ef663",
     },
     "three_term": {
-        "classify/default": "9403a49b642f5ad12c49ac813c5b6e06f76c52c7d48b96179185f33415dfebb0",
-        "classify/short": "5cb2c97aa1fe1897206010733cd9528ef8f090991ce50bdb4f221faa37baf9fa",
-        "classify/single": "6c84474e2b1cc47f9872ae4355d91017088e865b776a8e1e889006e206e2b189",
+        "classify/default": "c48b6e3b93cc7f8ab7c786bf72ea8f1e239840c97fd269de8d9c5be86343ccb6",
+        "classify/short": "3b7d050e462c4cf4eec038506e531c273acb68f4a5cb1336ee104f78892f1e68",
+        "classify/single": "4979047a64d70922cf1912b6b44c973859cb408e3b2906977ea32d7efe3ce309",
         "eval0": "1c53453b4d7a9585e0c48fc65d47f96248b4e49f166cc700bf3700e589071d13",
         "eval0/0d": "77818874cd42bfe88df97688b69f04f59cacc18b8076216c85c79b15b198a1ca",
         "eval1": "4ade9724c28a0aea1fd6144b542a1c207877b406fc456f028d4904b786a7ceb3",
@@ -254,12 +254,12 @@ ORBIT_WALKS = {
     "sin_z3 depth 0": (
         lambda: bundled_function("sin_z3"),
         2.0 + 0.1j,
-        "359fe1025bea363b73fe030145662dbf4ff5e6a25fd7ee27e6c97d3531b3536d",
+        "42bc09e48af30b50f9ff670add6ac1dc301d90e16d6ccec78ed0ee7f3709e1f1",
     ),
     "cosh3 depth 3": (
         lambda: ExpPoly(3, [ExpPolyTerm(Poly([1]), 1 + 0j), ExpPolyTerm(Poly([1]), -1 + 0j)]),
         3.0 + 0.1j,
-        "182b237e804ce42930d93e4161fba08c83a942954184777c02152201eef79fef",
+        "a0aa092ecac9519c839523a63551110cca2fb722c8526999580d85a13254ea56",
     ),
 }
 

@@ -329,15 +329,15 @@ def test_batch_composition_does_not_change_results():
     tag, steps = got("late escape", "tag_code", "steps")
     assert tag == 1 and steps > p.cert_steps + 1
     assert got("exact fixed point", "tag_code", "steps", "trapped") == (2, 1, False)
-    assert got("stuck fixed point", "tag_code", "steps", "final_mode") == (0, 1, 0)
+    assert got("stuck fixed point", "tag_code", "steps", "final_depth") == (0, 1, 0)
     assert got("trap entry", "tag_code", "trapped") == (2, True)
-    tag, mode, depth = got("dead direction", "tag_code", "final_mode", "final_depth")
-    assert (tag, mode) == (0, 1) and depth <= MAX_DEPTH
+    tag, depth = got("dead direction", "tag_code", "final_depth")
+    assert tag == 0 and 1 <= depth <= MAX_DEPTH
     assert got("depth cut", "tag_code", "final_depth") == (0, MAX_DEPTH + 1)
     assert got("budget with tail", "tag_code", "steps", "trapped") == (2, p.max_iter, False)
     assert got("budget without tail", "tag_code", "steps") == (0, p.max_iter)
-    mode, steps = got("overflowing start", "final_mode", "steps")
-    assert mode == 1 and steps < p.max_iter
+    depth, steps = got("overflowing start", "final_depth", "steps")
+    assert depth >= 1 and steps < p.max_iter
     assert got("nan", "steps") == got("inf", "steps") == (0,)
 
     alone = [classify_batch(f, [z], p) for z in pts]
@@ -445,13 +445,13 @@ def test_ladder_gate_excludes_slow_orbit(sin3, orbit_walk):
     assert all(_abs(st) <= rung for st, rung in zip(states, ladder))
     # Independently of the ladder: log|sin w| <= |Im w| <= |w|, so
     # log|z'| <= |z|^3 at every step.
-    assert all(st["mode"] == 0 for st in states)
+    assert all(st["depth"] == 0 for st in states)
     zs = [z0] + [complex(st["z"]) for st in states]
     assert all(b == 0 or math.log(abs(b)) <= abs(a) ** 3 for a, b in zip(zs, zs[1:]))
 
 
 def test_final_abs_tower_scales(cosh3, orbit_walk):
     res, states = orbit_walk(cosh3, 60.0)
-    assert res["final_mode"] == 1
+    assert res["final_depth"] >= 1
     assert (res["final_depth"], res["final_val"]) == (states[-1]["depth"], states[-1]["val"])
     assert _abs(states[-1]) > (0, 60.0)

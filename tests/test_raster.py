@@ -17,6 +17,7 @@ from expdyn import (
     render_exceptional,
     write_ppm,
 )
+from expdyn import raster
 from expdyn.raster import COLOR_BG, COLOR_E1, COLOR_E2, DEFAULT_PALETTE, _colorize
 
 
@@ -44,8 +45,6 @@ def test_viewport_points():
     # pixel centers of a 2x2 image over [-1, 1]^2
     assert pts[0, 0] == pytest.approx(-0.5 + 0.5j)
     assert pts[1, 1] == pytest.approx(0.5 - 0.5j)
-    assert np.array_equal(v.row_points(0), pts[0])
-    assert np.array_equal(v.row_points(1), pts[1])
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +114,7 @@ def _full_render(f, v):
     return _colorize(res["tag_code"], res["steps"]).reshape(v.px_h, v.px_w, 3)
 
 
-def test_render_symmetries_pixel_exact(sin3_module):
+def test_render_symmetries_pixel_exact(sin3_module, monkeypatch):
     # render_classification copies exactly mirrored pixels from their
     # partners; each image must equal the one that classifies every pixel.
     def term(q, b, p=()):
@@ -146,16 +145,16 @@ def test_render_symmetries_pixel_exact(sin3_module):
         assert np.array_equal(render_classification(f, v, ClassifyParams()).pixels, want)
     f, v = cases[3]
     want = _full_render(f, v)
-    for kw in ({"threads": 4}, {"rows_per_chunk": 7}):
-        assert np.array_equal(render_classification(f, v, ClassifyParams(), **kw).pixels, want)
+    assert np.array_equal(render_classification(f, v, ClassifyParams(), threads=4).pixels, want)
+    monkeypatch.setattr(raster, "ROWS_PER_CHUNK", 7)
+    assert np.array_equal(render_classification(f, v, ClassifyParams()).pixels, want)
 
 
-def test_render_thread_and_chunk_invariance(sin3_module, small_sin3_render):
+def test_render_thread_and_chunk_invariance(sin3_module, small_sin3_render, monkeypatch):
     v = Viewport.square(0j, 2.0, 64)
     threaded = render_classification(sin3_module, v, ClassifyParams(), threads=4)
-    rechunked = render_classification(
-        sin3_module, v, ClassifyParams(), rows_per_chunk=7
-    )
+    monkeypatch.setattr(raster, "ROWS_PER_CHUNK", 7)
+    rechunked = render_classification(sin3_module, v, ClassifyParams())
     assert threaded == small_sin3_render
     assert rechunked == small_sin3_render
 
@@ -165,16 +164,13 @@ def test_render_pays_the_budget_once(step_sizes):
     # rows.  One pool for the image pays that 512-step tail once, where one
     # batch per 32-row block took 98 + 512 + 98 = 708 steps.
     p = ClassifyParams()
-    rows_per_chunk = 32
     v = Viewport.square(0j, 4.0, 96)
-    render_classification(bundled_function("sin_z"), v, p, threads=1, rows_per_chunk=rows_per_chunk)
+    render_classification(bundled_function("sin_z"), v, p, threads=1)
     assert len(step_sizes) <= p.max_iter + 32
-    assert max(step_sizes) <= rows_per_chunk * v.px_w
+    assert max(step_sizes) <= raster.ROWS_PER_CHUNK * v.px_w
 
 
 def test_render_starts_no_more_threads_than_row_blocks(sin3_module, small_sin3_render, monkeypatch):
-    from expdyn import raster
-
     started = []
     executor = raster.ThreadPoolExecutor
 
@@ -186,17 +182,17 @@ def test_render_starts_no_more_threads_than_row_blocks(sin3_module, small_sin3_r
     # The pixel spacing 1/16 is exact, so each of the bottom 32 rows is the
     # exact mirror of a top row and is copied: 32 rows are classified.
     v = Viewport.square(0j, 2.0, 64)
-    img = render_classification(sin3_module, v, ClassifyParams(), threads=8, rows_per_chunk=16)
+    monkeypatch.setattr(raster, "ROWS_PER_CHUNK", 16)
+    img = render_classification(sin3_module, v, ClassifyParams(), threads=8)
     assert img == small_sin3_render
     assert started == [2]
-    img = render_classification(sin3_module, v, ClassifyParams(), threads=8, rows_per_chunk=32)
+    monkeypatch.setattr(raster, "ROWS_PER_CHUNK", 32)
+    img = render_classification(sin3_module, v, ClassifyParams(), threads=8)
     assert img == small_sin3_render
     assert started == [2]  # one block of rows: no worker threads
-    with pytest.raises(ValueError):
-        render_classification(sin3_module, v, rows_per_chunk=0)
 
 
-def test_render_threads_claim_each_row_once(sin3_module, small_sin3_render):
+def test_render_threads_claim_each_row_once(sin3_module, small_sin3_render, monkeypatch):
     # More workers than cores, one-row pools and a short switch interval:
     # a row claimed twice or never would show in the claims or the pixels.
     import sys
@@ -204,16 +200,27 @@ def test_render_threads_claim_each_row_once(sin3_module, small_sin3_render):
 
     claims = []
 
-    class CountingViewport(Viewport):
-        def row_points(self, j):
-            claims.append((j, threading.get_ident()))
-            return super().row_points(j)
+    class CountingRows(list):
+        """The rows to classify; records which thread takes each one."""
 
-    v = CountingViewport(0j, 2.0, 2.0, 64, 64)
+        def __iter__(self):
+            for row in super().__iter__():
+                claims.append((row[0], threading.get_ident()))
+                yield row
+
+    quotient = raster._quotient
+
+    def spy(f, x, y):
+        todo, copies = quotient(f, x, y)
+        return CountingRows(todo), copies
+
+    monkeypatch.setattr(raster, "_quotient", spy)
+    monkeypatch.setattr(raster, "ROWS_PER_CHUNK", 1)
+    v = Viewport.square(0j, 2.0, 64)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        img = render_classification(sin3_module, v, ClassifyParams(), threads=4, rows_per_chunk=1)
+        img = render_classification(sin3_module, v, ClassifyParams(), threads=4)
     finally:
         sys.setswitchinterval(interval)
     # The bottom 32 rows are exact mirrors of the top 32 and are copied.

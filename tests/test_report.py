@@ -11,10 +11,13 @@ def test_write_csv_header_without_rows(tmp_path):
     assert path.read_bytes() == b"a,b\r\n1,2.5\r\n,x\r\n"
 
 
-def test_write_json_indent_and_newline(tmp_path):
+def test_write_json_indent_and_newline(tmp_path, capsys):
     data = {"radii": [5.0], "rows": [{"samples": 200}]}
     path = tmp_path / "r.json"
     write_json(path, data)
     text = path.read_text()
     assert text == json.dumps(data, indent=2) + "\n"
     assert json.loads(text) == data
+    # Without a path the same text goes to standard output.
+    write_json(None, data)
+    assert capsys.readouterr().out == text
