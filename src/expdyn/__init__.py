@@ -14,7 +14,6 @@ from .errors import (
     DomainError,
     EvalOverflow,
     ExpDynError,
-    ZeroValue,
 )
 from .exceptional import (
     c1_constant,
@@ -26,13 +25,10 @@ from .funcs import (
     ExpPoly,
     ExpPolyTerm,
     HypothesisReport,
-    LogComplex,
     bundled_function,
     check_extra_condition,
     check_hypotheses,
-    eval_deriv_log,
     eval_direct,
-    eval_log,
     eval_log_batch,
     function_from_dict,
     function_to_dict,

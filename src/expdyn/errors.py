@@ -9,10 +9,6 @@ class EvalOverflow(ExpDynError):
     """Direct evaluation would exceed double range (exponent real part > 700)."""
 
 
-class ZeroValue(ExpDynError):
-    """The function value is (numerically) zero; log representation undefined."""
-
-
 class DomainError(ExpDynError):
     """An argument lies outside the mathematical domain of the formula."""
 

@@ -12,21 +12,18 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import EvalOverflow, ZeroValue
+from .errors import EvalOverflow
 from .poly import Poly
 
 __all__ = [
-    "LogComplex",
     "ExpPolyTerm",
     "ExpPoly",
     "HypothesisReport",
     "eval_direct",
-    "eval_log",
-    "eval_deriv_log",
     "eval_log_batch",
     "mirror_group",
     "check_hypotheses",
@@ -48,20 +45,6 @@ def wrap_phase(p):
     """Reduce an angle (scalar or array) to (-pi, pi]."""
     w = np.remainder(p, TWO_PI)
     return np.where(w > math.pi, w - TWO_PI, w)
-
-
-@dataclass(frozen=True)
-class LogComplex:
-    """A nonzero complex value as (log of modulus, phase in (-pi, pi])."""
-
-    logmod: float
-    phase: float
-
-    def to_complex(self) -> complex:
-        return cmath.rect(math.exp(self.logmod), self.phase)
-
-    def __complex__(self) -> complex:
-        return self.to_complex()
 
 
 @dataclass(frozen=True)
@@ -244,13 +227,16 @@ def _log_sum(rows):
 
 
 def eval_log_batch(f: ExpPoly, Z, order: int = 0):
-    """Vectorized log-domain evaluation of f (order 0) or its derivatives.
+    """Log-domain value of f (order 0), f' (order 1) or f'' (order 2) at Z.
 
-    Returns (logmod, phase, zero_mask) as float arrays shaped like Z.
-    Entries flagged in zero_mask are numerically zero (the dominant-term
-    correction factor vanished to within 1e-15); their logmod/phase are
-    meaningless.
+    Returns (logmod, phase, zero_mask) shaped like Z, with the phase in
+    (-pi, pi]; a scalar Z gives 0-d values.  A zero of f is reported in
+    zero_mask, not raised: flagged entries are numerically zero (the
+    dominant-term correction factor vanished to within 1e-15) and their
+    logmod and phase are meaningless.  Any other order raises ValueError.
     """
+    if order not in (0, 1, 2):
+        raise ValueError("order must be 0, 1 or 2")
     Z = np.asarray(Z, dtype=complex)
     ws = _term_exponents(f, Z)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -261,24 +247,6 @@ def eval_log_batch(f: ExpPoly, Z, order: int = 0):
         rows = [lp + w for lp, w in zip(logp, ws)]
     del ws, logp  # free the term arrays before the sum allocates its own
     return _log_sum(rows)
-
-
-def eval_log(f: ExpPoly, z: complex) -> LogComplex:
-    """Log-domain value of f(z); raises ZeroValue near a zero of f."""
-    logmod, phase, zero = eval_log_batch(f, np.asarray(complex(z)))
-    if bool(zero):
-        raise ZeroValue(f"f vanishes (numerically) at {z}")
-    return LogComplex(float(logmod), float(phase))
-
-
-def eval_deriv_log(f: ExpPoly, z: complex, order: int) -> LogComplex:
-    """Log-domain value of f'(z) or f''(z) with exact per-term prefactors."""
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
-    logmod, phase, zero = eval_log_batch(f, np.asarray(complex(z)), order=order)
-    if bool(zero):
-        raise ZeroValue(f"derivative of order {order} vanishes at {z}")
-    return LogComplex(float(logmod), float(phase))
 
 
 # ---------------------------------------------------------------------------
@@ -365,15 +333,7 @@ class HypothesisReport:
     reason: str = ""
 
     def to_dict(self):
-        return {
-            "d_ok": self.d_ok,
-            "arg_order_ok": self.arg_order_ok,
-            "strict_gaps": self.strict_gaps,
-            "pi_gap_pairs": [list(p) for p in self.pi_gap_pairs],
-            "extra_condition_ok": list(self.extra_condition_ok),
-            "verdict": self.verdict,
-            "reason": self.reason,
-        }
+        return asdict(self)
 
 
 def check_hypotheses(f: ExpPoly) -> HypothesisReport:
@@ -471,15 +431,23 @@ def function_from_dict(data: dict) -> ExpPoly:
         d = data["d"]
         terms = []
         for td in data["terms"]:
-            q = Poly(complex(re, im) for re, im in td["Q"])
-            p = Poly(complex(re, im) for re, im in td.get("P", []))
-            b = complex(td["b"][0], td["b"][1])
+            q = Poly(_coeff(re, im) for re, im in td["Q"])
+            p = Poly(_coeff(re, im) for re, im in td.get("P", []))
+            b = _coeff(td["b"][0], td["b"][1])
             terms.append(ExpPolyTerm(Q=q, b=b, P=p))
     except KeyError as exc:
         raise ValueError(f"function definition lacks key {exc}") from None
     except (TypeError, IndexError) as exc:
         raise ValueError(f"malformed function definition: {exc}") from None
     return ExpPoly(d=d, terms=terms)
+
+
+def _coeff(re, im) -> complex:
+    """One coefficient [re, im] of a JSON definition; bool is an int
+    subclass, but true is not a number."""
+    if isinstance(re, bool) or isinstance(im, bool):
+        raise ValueError("coefficients must be numbers, not true or false")
+    return complex(re, im)
 
 
 def function_to_dict(f: ExpPoly) -> dict:

@@ -184,7 +184,8 @@ class Tiling:
 
         Every node holding z reaches |z| from 0, so its admissible side is at
         most b/2 for b = 2 sigma / (sqrt2 |z|^(d-1)), and a node of side above
-        b/2 must split.  The levels whose side exceeds 2b, four times that,
+        b/2 must split; where |z|^(d-1) underflows to 0, b is infinite and
+        nothing is skipped.  The levels whose side exceeds 2b, four times that,
         so that rounding cannot matter, are skipped at once: a node at level
         k >= 1 is the dyadic cell [j side, (j+1) side) of each coordinate.
         The descent then runs on the centre and side as floats and builds the
@@ -195,7 +196,8 @@ class Tiling:
         if not (self.r_lo <= az <= self.r_hi):
             raise ValueError(f"|z|={az:.6g} outside [{self.r_lo}, {self.r_hi}]")
         d, sigma = self.f.d, self.sigma
-        b = 2.0 * sigma / (SQRT2 * az ** (d - 1))
+        p = az ** (d - 1)
+        b = 2.0 * sigma / (SQRT2 * p) if p else math.inf
         cx = cy = 0.0
         side, level = self.root.side, 0
         while side / 2.0 > b:
@@ -383,8 +385,16 @@ def _density_report(S: SquareTile, mn_log, mx_log, slack, alpha: float, e2_budge
         band_measure_upper_log=band_log,
         e2_contrib=e2_budget,
         density_upper_log=uncovered_log - meas_fs_log,
-        asymptotic_bound=math.exp(-0.5 * mz**alpha),
+        asymptotic_bound=_exp_neg_power(0.5, mz, alpha),
     )
+
+
+def _exp_neg_power(c: float, r: float, alpha: float) -> float:
+    """exp(-c r^alpha); 0.0, its exact value in doubles, where r^alpha overflows."""
+    try:
+        return math.exp(-c * r**alpha)
+    except OverflowError:
+        return 0.0
 
 
 def koebe_distortion_factor(rho: float) -> float:
@@ -417,7 +427,12 @@ def annulus_tail_bound(r: float, alpha: float) -> float:
     if r <= 0:
         raise ValueError("r must be positive")
     _check_alpha(alpha)
-    return math.exp(-(r**alpha) / 2.0 ** (2.0 + alpha))
+    try:
+        return math.exp(-(r**alpha) / 2.0 ** (2.0 + alpha))
+    except OverflowError:
+        # r^alpha or 2^(2+alpha) exceeds doubles; their quotient
+        # (r/2)^alpha / 4 exceeds them only where the bound is 0.0.
+        return _exp_neg_power(0.25, r / 2.0, alpha)
 
 
 def band_measure_bound(length: float, s: float) -> float:

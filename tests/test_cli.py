@@ -73,8 +73,26 @@ _TERM = {"Q": [[1.0, 0.0]], "b": [1.0, 0.0], "P": []}
         {"d": 3},
         {"d": 3, "terms": [1]},
         {"d": True, "terms": [_TERM]},
+        {"d": 3, "terms": [{"Q": [[True, False]], "b": [True, False]}]},
+        {"d": 3, "terms": [_TERM, {**_TERM, "Q": [[0.0, True]], "b": [-1.0, 0.0]}]},
+        {"d": 3, "terms": [_TERM, {**_TERM, "b": [0.0, True]}]},
+        {"d": 3, "terms": [_TERM, {**_TERM, "b": [-1.0, 0.0], "P": [[False, 1.0]]}]},
     ],
-    ids=["nan-b", "inf-b", "nan-Q", "inf-P", "top-level-list", "missing-d", "missing-terms", "bad-term", "bool-d"],
+    ids=[
+        "nan-b",
+        "inf-b",
+        "nan-Q",
+        "inf-P",
+        "top-level-list",
+        "missing-d",
+        "missing-terms",
+        "bad-term",
+        "bool-d",
+        "bool-Q-and-b",
+        "bool-Q",
+        "bool-b",
+        "bool-P",
+    ],
 )
 def test_malformed_function_file_exits_one(capsys, tmp_path, definition):
     path = tmp_path / "f.json"
@@ -391,6 +409,24 @@ def test_grid_bound_refuses_tiles_finer_than_doubles(capsys, r_hi):
         )
     assert code == 1 and err.startswith("error:") and "finer than doubles" in err
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["--r-lo", "1e-300", "--r-hi", "2"], ["--r-lo", "5e-324", "--r-hi", "2"], ["--r-lo", "10", "--r-hi", "20", "--alpha", "1e300"]],
+    ids=["r-lo-1e-300", "r-lo-subnormal", "alpha-1e300"],
+)
+def test_grid_bound_accepts_extreme_input(capsys, args):
+    # These exited 2: |z|^(d-1) underflowed to 0 in the tile descent's skip
+    # bound, and |z|^alpha overflowed in the asymptotic bound.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "grid-bound", "--fn", "sin_z3", *args, "--count", "2")
+    assert (code, err) == (0, "")
+    rep = json.loads(out)
+    assert rep["found"] >= 1
+    if "--alpha" in args:
+        assert rep["asymptotic_bound"] == [0.0] * rep["found"]
 
 
 @pytest.mark.parametrize("r_min, r_max", [("1e6", "2e6"), ("1e7", "2e7"), ("10", "inf"), ("1e60", "2e60")])

@@ -340,6 +340,13 @@ def test_e2_measure_closed_form(sin3, r_min, r_max):
     assert got == pytest.approx(leading, rel=1e-4)
 
 
+def test_e2_measure_of_whole_circles(sin3):
+    # For r < 2^(1/15), about 1.047, the level-2 arcs |sin 3 theta| <
+    # 2^(1/6) r^(-5/2) of test_e2_measure_closed_form fill the circle, so the
+    # midpoint rule gives the annulus area exactly.
+    assert e2_measure(sin3, 0.5, 1.0, 16, 64) == math.pi * (1.0 - 0.25)
+
+
 def _indicator_measure(f, r_min, r_max, nr, ntheta, chunk=1 << 16):
     """Midpoint rule over nr radii x ntheta angles of the plain level-2
     membership test, counted in chunks of angles to keep memory small."""

@@ -12,12 +12,9 @@ from expdyn import (
     ExpPoly,
     ExpPolyTerm,
     Poly,
-    ZeroValue,
     check_extra_condition,
     check_hypotheses,
-    eval_deriv_log,
     eval_direct,
-    eval_log,
     eval_log_batch,
     function_from_dict,
     function_to_dict,
@@ -51,6 +48,13 @@ def test_requires_nonzero_q_and_b():
 # Evaluation
 
 
+def _value(f, z, order=0):
+    """f^(order)(z) from its log-domain value, which must not be flagged zero."""
+    logmod, phase, zero = eval_log_batch(f, z, order)
+    assert not zero
+    return cmath.rect(math.exp(logmod), phase)
+
+
 def test_direct_matches_cosh(cosh3):
     for z in (0.0, 1.0, 2.0, 1j, 0.5 + 0.5j):
         z = complex(z)
@@ -70,18 +74,18 @@ def test_log_matches_direct_on_disk(cosh3, sin3, h_example):
         for z in zs:
             z = complex(z)
             direct = eval_direct(f, z)
-            try:
-                lv = eval_log(f, z)
-            except ZeroValue:
+            logmod, phase, zero = eval_log_batch(f, z)
+            if zero:
                 assert abs(direct) < 1e-9
                 continue
-            assert abs(complex(lv) - direct) <= 1e-9 * max(abs(direct), 1e-12)
+            assert abs(cmath.rect(math.exp(logmod), phase) - direct) <= 1e-9 * max(abs(direct), 1e-12)
 
 
 def test_log_finite_far_out(cosh3):
-    lv = eval_log(cosh3, 40.0)
-    assert abs(lv.logmod - (40.0**3 + math.log1p(math.exp(-2 * 40.0**3)))) < 1e-6
-    assert lv.phase == 0.0
+    logmod, phase, zero = eval_log_batch(cosh3, 40.0)
+    assert not zero
+    assert abs(logmod - (40.0**3 + math.log1p(math.exp(-2 * 40.0**3)))) < 1e-6
+    assert phase == 0.0
 
 
 def test_batch_shapes(cosh3):
@@ -95,13 +99,17 @@ def test_zero_detection(sin3):
     # sin(0) = 0: the two terms cancel exactly
     _, _, zero = eval_log_batch(sin3, np.asarray(0j))
     assert bool(zero)
-    with pytest.raises(ZeroValue):
-        eval_log(sin3, 0.0)
+
+
+@pytest.mark.parametrize("order", [-1, 3])
+def test_batch_refuses_other_orders(cosh3, order):
+    with pytest.raises(ValueError):
+        eval_log_batch(cosh3, 1.0, order)
 
 
 def test_deriv_log_matches_analytic(cosh3):
     z = 2.0
-    got = complex(eval_deriv_log(cosh3, z, 1))
+    got = _value(cosh3, z, 1)
     expected = 3 * z**2 * (cmath.exp(z**3) - cmath.exp(-(z**3)))
     assert abs(got - expected) < 1e-9 * abs(expected)
 
@@ -116,7 +124,7 @@ def test_deriv_log_matches_finite_difference(cosh3, h_example):
             fd = (eval_direct(f, z + eps) - eval_direct(f, z - eps)) / (2 * eps)
             if abs(fd) < 1e-3:
                 continue
-            got = complex(eval_deriv_log(f, z, 1))
+            got = _value(f, z, 1)
             assert abs(got - fd) < 1e-6 * abs(fd) + 1e-8
 
 
@@ -126,7 +134,7 @@ def test_second_deriv(cosh3):
     fd = (
         eval_direct(cosh3, z + eps) - 2 * eval_direct(cosh3, z) + eval_direct(cosh3, z - eps)
     ) / eps**2
-    got = complex(eval_deriv_log(cosh3, z, 2))
+    got = _value(cosh3, z, 2)
     assert abs(got - fd) < 1e-4 * abs(fd)
 
 
@@ -176,10 +184,11 @@ def test_log_eval_matches_mpmath_far_out(order, sin3, h_example, hemke, three_te
             exact, biggest = _mp_eval(f, z, order)
             if abs(exact) < 1e-6 * biggest:
                 continue  # near a spoke the terms cancel
-            lv = eval_log(f, z) if order == 0 else eval_deriv_log(f, z, order)
+            logmod, phase, zero = eval_log_batch(f, z, order)
+            assert not zero
             tol = 1e-14 * abs(z) ** f.d * max(abs(t.b) for t in f.terms) + 1e-12
-            assert abs(lv.logmod - float(mp.log(abs(exact)))) <= tol
-            dphase = (lv.phase - float(mp.arg(exact)) + math.pi) % (2 * math.pi) - math.pi
+            assert abs(logmod - float(mp.log(abs(exact)))) <= tol
+            dphase = (phase - float(mp.arg(exact)) + math.pi) % (2 * math.pi) - math.pi
             assert abs(dphase) <= tol
 
 
@@ -192,7 +201,7 @@ def test_log_direct_agree_property(z):
     direct = eval_direct(f, z)
     if abs(direct) < 1e-6:
         return
-    assert abs(complex(eval_log(f, z)) - direct) <= 1e-9 * abs(direct)
+    assert abs(_value(f, z) - direct) <= 1e-9 * abs(direct)
 
 
 def _log_sum_stacked(rows):
@@ -295,6 +304,16 @@ def test_pi_gap_without_splitting_fails():
     rep = check_hypotheses(f)
     assert rep.verdict == "Fails"
     assert rep.pi_gap_pairs and not all(rep.extra_condition_ok)
+
+
+def test_spread_of_pi_is_a_pi_gap_pair():
+    # b = 1, i, -1: both gaps are pi/2, but the spread is pi, so the outer
+    # pair must admit the splitting, which P = 0 does.
+    f = ExpPoly(3, [ExpPolyTerm(Poly([1]), b) for b in (1, 1j, -1)])
+    rep = check_hypotheses(f)
+    assert rep.pi_gap_pairs == [(0, 2)] and rep.extra_condition_ok == [True]
+    assert rep.verdict == "Theorem1.3"
+    assert json.loads(json.dumps(rep.to_dict()))["pi_gap_pairs"] == [[0, 2]]
 
 
 def test_extra_condition_cross_products():

@@ -235,6 +235,9 @@ def test_density_report_fields(cosh3):
     assert math.isfinite(rep.density_upper_log)
     assert rep.density_upper_log < 0.0
     assert 0.0 < rep.asymptotic_bound < 1.0
+    # |z|^alpha past the double range: the bound's exact value in doubles
+    (far,) = square_density_bound(cosh3, [t], 1e300)
+    assert far.asymptotic_bound == 0.0 and far.density_upper_log == rep.density_upper_log
     d = rep.to_dict()
     assert d["side"] == t.side and "density_upper_log" in d
     for alpha in (-1.0, 0.0, math.nan, math.inf):
@@ -339,6 +342,10 @@ def test_annulus_tail_examples():
     vals = [annulus_tail_bound(r, 0.25) for r in rs]
     assert all(b < a for a, b in zip(vals, vals[1:]))
     assert sum(vals) < math.inf
+    # r^alpha or 2^(2+alpha) past the double range: exact values, not OverflowError
+    assert annulus_tail_bound(4096.0, 1e300) == 0.0
+    assert annulus_tail_bound(2.0, 2000.0) == math.exp(-0.25)
+    assert annulus_tail_bound(1.0, 2000.0) == 1.0
     for r, alpha in ((-1.0, 0.25), (4096.0, 0.0), (4096.0, math.nan), (4096.0, math.inf)):
         with pytest.raises(ValueError):
             annulus_tail_bound(r, alpha)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from conftest import RESULT_KEYS
 from hypothesis import given, settings, strategies as st
+from mpmath import mp
 
 from expdyn import (
     ESCAPE_CERTIFIED,
@@ -132,6 +133,20 @@ def test_obvious_escape(cosh3, orbit_walk):
     assert res["steps"] <= 10
     assert all(st["cond"] for st in states[-3:])
     assert _abs(states[-1]) > (0, 60.0)
+
+
+def test_step_rebuilds_from_the_log_value(orbit_walk):
+    # At z0 = 701 + 0.5i the exponent of e^z exceeds 700, the limit of the
+    # exact term sum, while f = 1e-6 e^z + e^-z, with log|f| about 687, stays
+    # below the promotion cap 690: the direct step rebuilds z1 from the
+    # log-domain value.
+    f = ExpPoly(1, [ExpPolyTerm(Poly([1e-6]), 1 + 0j), ExpPolyTerm(Poly([1]), -1 + 0j)])
+    z0 = 701 + 0.5j
+    _, states = orbit_walk(f, z0)
+    assert states[0]["depth"] == 0
+    with mp.workdps(40):
+        exact = mp.mpf(1e-6) * mp.exp(mp.mpc(z0)) + mp.exp(-mp.mpc(z0))
+        assert abs(mp.mpc(states[0]["z"]) - exact) <= 1e-12 * abs(exact)
 
 
 def test_superattracting_basin(sin3):
