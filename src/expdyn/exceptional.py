@@ -275,7 +275,8 @@ def e2_measure(f: ExpPoly, r_min: float, r_max: float, nr: int, ntheta: int) -> 
     expo = _expo(f)
     for poly in _pair_polys(f):
         log_size = math.log(abs(poly.coeff(f.d))) + f.d * math.log(r_max)
-        if 2.0 / f.d * math.exp((expo - 1.0) * log_size) < MIN_HALF_WIDTH:
+        # At a tiny r_max the half-width overflows doubles: far above the limit.
+        if 2.0 / f.d * math.exp(min((expo - 1.0) * log_size, 700.0)) < MIN_HALF_WIDTH:
             raise ValueError(f"r_max={r_max:.6g} too large: level-2 spokes narrower than {MIN_HALF_WIDTH:.3g} rad")
     dr = (r_max - r_min) / nr
     thetas = (np.arange(ntheta) + 0.5) * (TWO_PI / ntheta)

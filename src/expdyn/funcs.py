@@ -12,6 +12,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -41,10 +42,22 @@ ANGLE_TOL = 1e-9
 SPLIT_TOL = 1e-12
 
 
+def _const(x):
+    """x as a read-only 0-d array, for constants that meet arrays in every
+    orbit step: numpy takes it without converting a Python scalar on each
+    call, and computes the same values."""
+    a = np.array(x)
+    a.setflags(write=False)
+    return a
+
+
+_TWO_PI_0D, _PI_0D, _ZERO_C = _const(TWO_PI), _const(math.pi), _const(0j)
+
+
 def wrap_phase(p):
-    """Reduce an angle (scalar or array) to (-pi, pi]."""
-    w = np.remainder(p, TWO_PI)
-    return np.where(w > math.pi, w - TWO_PI, w)
+    """Reduce an angle (scalar or array) to (-pi, pi]; a scalar gives a 0-d array."""
+    w = np.remainder(p, _TWO_PI_0D)
+    return np.asarray(w - _TWO_PI_0D * (w > _PI_0D))
 
 
 @dataclass(frozen=True)
@@ -111,7 +124,8 @@ def _pow_int(z, d: int):
 def _term_exponents(f: ExpPoly, z):
     """w_j = b_j z^d + P_j(z) for all j; z scalar or ndarray."""
     zd = _pow_int(z, f.d)
-    return [t.b * zd + t.P(z) for t in f.terms]
+    # A zero P_j adds a 0-d zero: the same sum as P_j(z), without its array.
+    return [t.b * zd + (_ZERO_C if t.P.is_zero() else t.P(z)) for t in f.terms]
 
 
 def _deriv_prefactors(f: ExpPoly, order: int):
@@ -146,34 +160,39 @@ def eval_direct(f: ExpPoly, z: complex) -> complex:
 def _term_consts(f: ExpPoly) -> dict:
     """Per-term constants of f, computed once and stored on f.memo.
 
-    "q_logs" holds (Q_j, log Q_j, log|Q_j|) for a constant prefactor and None
-    for a non-constant one; "beta" and "abs_b" hold arg b_j and |b_j|.  The
-    logs come from the same ufuncs as a per-point evaluation, so they are
-    bitwise the values it would give.
+    "q_logs" holds the _q_logs of a constant prefactor, as 0-d arrays, with
+    None for a lift of 0, and None for a non-constant one; "beta" and "abs_b"
+    hold arg b_j and |b_j|.  The logs come from the same ufuncs as a
+    per-point evaluation, so they are bitwise the values it would give.
     """
     if "term_consts" not in f.memo:
         qs = [np.full(1, t.Q.coeffs[0]) if t.Q.degree == 0 else None for t in f.terms]
+        logs = [None if q is None else [_const(a[0]) for a in _q_logs(q)] for q in qs]
         f.memo["term_consts"] = {
-            "q_logs": [None if q is None else (q[0], np.log(q)[0], np.log(np.abs(q))[0]) for q in qs],
+            "q_logs": [None if c is None else (*c[:3], c[3] if c[3] > 0 else None) for c in logs],
             "beta": np.array([cmath.phase(t.b) for t in f.terms]),
             "abs_b": np.array([abs(t.b) for t in f.terms]),
         }
     return f.memo["term_consts"]
 
 
+def _q_logs(q):
+    """(q, log q, log|q|, max(log|q|, 0)) of prefactor values q.  The last,
+    the lift, bounds what q adds to the real part of a term's log, Re w_j."""
+    lqa = np.log(np.abs(q))
+    return q, np.log(q), lqa, np.maximum(lqa, 0.0)
+
+
 def _prefactor_logs(f: ExpPoly, Z):
-    """Per term (Q_j(Z), log Q_j(Z), log|Q_j(Z)|); scalars for a constant Q_j."""
-    out = []
-    for t, cached in zip(f.terms, _term_consts(f)["q_logs"]):
-        if cached is None:
-            q = t.Q(Z)
-            cached = (q, np.log(q), np.log(np.abs(q)))
-        out.append(cached)
-    return out
+    """Per term the _q_logs of Q_j(Z); 0-d arrays for a constant Q_j."""
+    return [_q_logs(t.Q(Z)) if cached is None else cached for t, cached in zip(f.terms, _term_consts(f)["q_logs"])]
 
 
 # exp(x + iy) of a finite y is a signed zero for every x below this.
-_EXP_UNDERFLOW = -746.0
+_EXP_UNDERFLOW = _const(-746.0)
+_NEG_INF = _const(-np.inf)
+# A correction factor below this is a numerical zero of the sum.
+_ZERO_CORR = _const(1e-15)
 
 
 def _log_sum(rows):
@@ -184,45 +203,35 @@ def _log_sum(rows):
     the differences D_j = S_j - S_m, with non-positive real part, in
     corr = sum_j exp(D_j).  Only the terms that can move corr are
     exponentiated:
-    - a row equal to a finite S_m (the dominant row, or a tie) has
-      D_j = +-0 and adds exactly 1, up to the sign of a zero;
+    - a zero D_j (a row equal to a finite S_m: the dominant row, or a tie)
+      adds exactly 1, up to the sign of a zero;
     - a row with Re D_j < -746 and a finite Im D_j adds a signed zero
       (exp underflows), so it is skipped.
     Every partial sum that holds the dominant 1 absorbs a signed zero, and
     where S_m is not finite the dominant row's NaN decides the sum, so corr
-    is bitwise the sum over every term, added in the order a sum over a
-    stacked term axis uses.
+    is bitwise the sum over every term, reduced over a stacked term axis.
+
+    Call it under np.errstate(divide="ignore", invalid="ignore").
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        Sm = np.asarray(rows[0])
-        best = np.where(np.isnan(Sm.real), -np.inf, Sm.real)
-        for row in rows[1:]:
-            Sm = np.where(row.real > best, row, Sm)
-            best = np.fmax(best, row.real)
-        finite = np.isfinite(Sm)
-        terms = []
-        for row in rows:
-            D = row - Sm
-            one = (row == Sm) & finite
-            e = np.array(one, complex)
-            np.exp(D, out=e, where=~(one | ((D.real < _EXP_UNDERFLOW) & np.isfinite(D.imag))))
-            terms.append(e)
-        if Sm.size > 1:
-            corr = terms[0]
-            for e in terms[1:]:
-                corr += e
-        else:
-            # A single column is a contiguous reduction, which numpy
-            # sums pairwise once there are four terms or more.
-            corr = np.add.reduce(terms)
-        del best, finite, terms, D, e, one  # free the term arrays for the phase reduction
-        # A 0-d S_m becomes a numpy scalar, as the stacked formula had it:
-        # scalar and array arithmetic keep different NaNs of two NaN operands.
-        Sm = Sm[()]
-        corr_abs = np.abs(corr)
-        logmod = Sm.real + np.log(corr_abs)
-        phase = wrap_phase(Sm.imag + np.angle(corr))
-    zero = ~np.isfinite(Sm.real) | (corr_abs < 1e-15)
+    Sm = np.asarray(rows[0])
+    for row in rows[1:]:
+        Sm = np.where(row.real > np.fmax(Sm.real, _NEG_INF), row, Sm)
+    terms = np.empty((len(rows),) + Sm.shape, complex)
+    for j, row in enumerate(rows):
+        e = terms[j, ...]  # a view, 0-d for 0-d rows
+        D = row - Sm
+        one = np.logical_not(D)
+        e[...] = one
+        np.exp(D, out=e, where=~(one | ((D.real < _EXP_UNDERFLOW) & np.isfinite(D.imag))))
+    corr = np.add.reduce(terms)
+    del terms, D, e, one  # free the term arrays for the phase reduction
+    # A 0-d S_m becomes a numpy scalar, as the stacked formula had it:
+    # scalar and array arithmetic keep different NaNs of two NaN operands.
+    Sm = Sm[()]
+    corr_abs = np.abs(corr)
+    logmod = Sm.real + np.log(corr_abs)
+    phase = wrap_phase(Sm.imag + np.arctan2(corr.imag, corr.real))
+    zero = ~np.isfinite(Sm.real) | (corr_abs < _ZERO_CORR)
     return logmod, phase, zero
 
 
@@ -241,12 +250,12 @@ def eval_log_batch(f: ExpPoly, Z, order: int = 0):
     ws = _term_exponents(f, Z)
     with np.errstate(divide="ignore", invalid="ignore"):
         if order == 0:
-            logp = [lq for _, lq, _ in _prefactor_logs(f, Z)]
+            logp = [lq for _, lq, _, _ in _prefactor_logs(f, Z)]
         else:
             logp = [np.log(p(Z)) for p in _deriv_prefactors(f, order)]
         rows = [lp + w for lp, w in zip(logp, ws)]
-    del ws, logp  # free the term arrays before the sum allocates its own
-    return _log_sum(rows)
+        del ws, logp  # free the term arrays before the sum allocates its own
+        return _log_sum(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -431,10 +440,9 @@ def function_from_dict(data: dict) -> ExpPoly:
         d = data["d"]
         terms = []
         for td in data["terms"]:
-            q = Poly(_coeff(re, im) for re, im in td["Q"])
-            p = Poly(_coeff(re, im) for re, im in td.get("P", []))
-            b = _coeff(td["b"][0], td["b"][1])
-            terms.append(ExpPolyTerm(Q=q, b=b, P=p))
+            q = Poly(_coeff(c) for c in td["Q"])
+            p = Poly(_coeff(c) for c in td.get("P", []))
+            terms.append(ExpPolyTerm(Q=q, b=_coeff(td["b"]), P=p))
     except KeyError as exc:
         raise ValueError(f"function definition lacks key {exc}") from None
     except (TypeError, IndexError) as exc:
@@ -442,12 +450,17 @@ def function_from_dict(data: dict) -> ExpPoly:
     return ExpPoly(d=d, terms=terms)
 
 
-def _coeff(re, im) -> complex:
-    """One coefficient [re, im] of a JSON definition; bool is an int
-    subclass, but true is not a number."""
-    if isinstance(re, bool) or isinstance(im, bool):
-        raise ValueError("coefficients must be numbers, not true or false")
-    return complex(re, im)
+def _coeff(pair) -> complex:
+    """One coefficient [re, im] of a JSON definition: exactly two numbers.
+    bool is an int subclass, but true is not a number."""
+    if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+        raise ValueError(f"a coefficient must be a pair [re, im], not {pair!r}")
+    if not all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in pair):
+        raise ValueError(f"coefficients must be numbers, not {pair!r}")
+    try:
+        return complex(float(pair[0]), float(pair[1]))
+    except OverflowError:
+        raise ValueError(f"coefficient {pair!r} does not fit in doubles") from None
 
 
 def function_to_dict(f: ExpPoly) -> dict:

@@ -117,13 +117,14 @@ def _max_abs_z(cx: float, cy: float, side: float) -> float:
 def _side_upper(cx: float, cy: float, side: float, d: int, sigma: float) -> float:
     """Largest admissible side, sigma / (sqrt2 max_S |z|^(d-1)), of a square."""
     mx = _max_abs_z(cx, cy, side)
-    return sigma / (SQRT2 * mx ** (d - 1)) if mx > 0 else math.inf
+    # Where |z|^(d-1) underflows to 0 the bound is infinite, as in tile_at.
+    return sigma / (SQRT2 * mx ** (d - 1)) if mx > 0 and mx ** (d - 1) > 0 else math.inf
 
 
 def side_bounds(tile: SquareTile, d: int, sigma: float):
     """(lower, upper) admissible side lengths for this tile's location."""
     mn = tile.min_abs_z()
-    lo = math.inf if mn == 0.0 else sigma / (4.0 * SQRT2 * mn ** (d - 1))
+    lo = sigma / (4.0 * SQRT2 * mn ** (d - 1)) if mn > 0 and mn ** (d - 1) > 0 else math.inf
     return lo, _side_upper(tile.center.real, tile.center.imag, tile.side, d, sigma)
 
 

@@ -27,14 +27,11 @@ NonEscapeObserved, with the `trapped` flag, as soon as that makes the tail
 rule certain to fire.  Its `steps` is the entry step; tags are those the
 full budget gives.
 
-One engine, _classify_pool, steps a pool of live orbits of any ages.  Each
-orbit counts its own steps (its age), and the trap rule, the max_iter
-budget and the reported steps read that count, so the pool can admit new
-start points as orbits finish without changing any result.  An orbit that
-reaches max_iter steps is retired at that step by the trailing-run rule.
-classify_batch runs its whole batch as one pool, and is the only
-classifier: a single orbit is a batch of one.  The renderer runs one
-bounded pool per worker thread.
+One engine, _classify_pool, steps a pool of live orbits of any ages, each
+reading its own age, so the pool admits new start points as orbits finish
+without changing any result.  classify_batch runs its whole batch as one
+pool, and is the only classifier: a single orbit is a batch of one.  The
+renderer runs one bounded pool per worker thread.
 
 The pairs are the package's one tower arithmetic: _tower_next steps them
 for the orbits and for the iterated maximum modulus M^n(R) alike.
@@ -53,6 +50,8 @@ from .errors import BadBase
 from .exceptional import in_E_mask
 from .funcs import (
     ExpPoly,
+    _ZERO_C,
+    _const,
     _log_sum,
     _pow_int,
     _prefactor_logs,
@@ -123,10 +122,7 @@ LIFT = 690.0
 
 def _canon_arrays(depth, val):
     """Canonicalise (depth, val) pairs in place and return them."""
-    while True:
-        m = (depth > 0) & (val <= LIFT)
-        if not m.any():
-            break
+    while (m := (depth > 0) & (val <= LIFT)).any():
         val[m] = np.exp(val[m])
         depth[m] -= 1
     return depth, val
@@ -360,12 +356,15 @@ class TrapRegion:
 
     def contains(self, z):
         """Float membership with an outward margin: True entries lie in R."""
-        z = np.asarray(z, dtype=complex)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return self._inside(np.asarray(z, dtype=complex))
+
+    def _inside(self, z):
+        """contains for a complex array z, under the caller's np.errstate."""
         if self.kind == "disk":
             return np.abs(z) < self.rho * (1.0 - _TRAP_MARGIN)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            w = self.c / _pow_int(z, self.m)
-            return w.real - _TRAP_MARGIN * np.abs(w) > self.A
+        w = self.c / _pow_int(z, self.m)
+        return w.real - _TRAP_MARGIN * np.abs(w) > self.A
 
 
 def _taylor(f: ExpPoly, K: int, coef, zero, one):
@@ -469,74 +468,90 @@ def trap_at_0(f: ExpPoly, escape_radius: float) -> TrapRegion | None:
 # Classification engine
 
 
-def _step_direct(f: ExpPoly, p: ClassifyParams, dcap: float, trap, s, pos, fl):
+# A step at the positions _ALL steps every orbit of the pool: it reads whole
+# state columns and replaces them, where other positions gather and scatter.
+_ALL, _NO_POS = slice(None), np.zeros(0, np.int64)
+_FLAGS = ("cond", "fixed", "trap", "stop")
+_ONE, _FITS = _const(np.int64(1)), _const(700.0)
+
+
+def _put(d, pos, cols):
+    """Write the step's arrays cols into the columns of d at positions pos."""
+    if pos is _ALL:
+        d.update(cols)
+    else:
+        for k, a in cols.items():
+            d[k][pos] = a
+
+
+def _step_direct(f: ExpPoly, p: ClassifyParams, radius, dcap, trap, s, pos, fl):
     """Advance the direct-mode orbits at positions pos of the state s by one step.
 
-    Writes their new state into s and their cond, fixed and trap flags into
-    fl.  Returns the positions whose log-domain terms overflow doubles (in
-    practice only start points): they are moved to tower mode at their own
-    magnitude, depth 1, val = log|z|, phase = arg z, and take a tower step
-    instead.
+    radius and dcap are 0-d arrays; runs under the pool's np.errstate.
+    Writes the new state into s and the cond, fixed and (where it may be
+    set) trap flags into fl.  A point whose log-domain terms overflow (in
+    practice a start point) instead moves to tower mode at its magnitude
+    (depth 1, val log|z|, phase arg z); then no orbit steps and it returns True.
     """
-    if pos.size == 0:
-        return pos
+    if pos is not _ALL and pos.size == 0:
+        return False
     Z = s["z"][pos]
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
-        ws = _term_exponents(f, Z)
-        qs = _prefactor_logs(f, Z)
-        maxs = functools.reduce(np.maximum, [w.real + lqa for w, (_, _, lqa) in zip(ws, qs)])
-        over = ~(maxs < np.inf)  # NaN or +inf
-        if np.count_nonzero(over):
-            io = pos[over]
-            s["depth"][io] = 1
-            s["val"][io] = np.log(np.abs(Z[over]))
-            s["phase"][io] = np.angle(Z[over])
-            s["z"][io] = 0.0
-            return np.concatenate([io, _step_direct(f, p, dcap, trap, s, pos[~over], fl)])
-        lm, ph, zero = _log_sum([lq + w for w, (_, lq, _) in zip(ws, qs)])
-        lm[zero] = -np.inf
-
-        absZ = np.abs(Z)
-        cond = absZ >= p.escape_radius
-        cond[cond] = lm[cond] >= absZ[cond] ** p.alpha
-        below = np.where(absZ <= p.escape_radius, s["below"][pos] + 1, 0)
-
-        promote = lm > dcap
-        # Step with the exact complex term sum whenever every term fits in
-        # doubles: IEEE products and sums commute with negation and
-        # conjugation, so sign/mirror symmetries of f survive bitwise.
-        # Otherwise reconstruct from the log-domain value; a promoted
-        # point's znew is never read.
-        live = ~promote & ~zero
-        maxw = functools.reduce(np.maximum, [w.real for w in ws])
-        safe = (maxw <= 700.0) & (maxs <= 700.0) & live
-        rebuild = live & ~safe
-        znew = np.zeros(Z.size, complex)
-        direct = np.zeros(np.count_nonzero(safe), complex)
-        for w, (q, _, _) in zip(ws, qs):
-            direct = direct + (q if np.ndim(q) == 0 else q[safe]) * np.exp(w[safe])
-        znew[safe] = direct
+    ws, qs = _term_exponents(f, Z), _prefactor_logs(f, Z)
+    # Both e^{w_j} and Q_j e^{w_j} are at most e^{Re w_j + x}, x = max(log|Q_j|, 0).
+    fits = functools.reduce(np.maximum, [w.real if x is None else w.real + x for w, (*_, x) in zip(ws, qs)]) <= _FITS
+    if np.count_nonzero(fits) < Z.size:
+        over = ~(functools.reduce(np.maximum, [w.real + lqa for w, (_, _, lqa, _) in zip(ws, qs)]) < np.inf)
+        if np.count_nonzero(over):  # a NaN or +inf log term
+            io = np.flatnonzero(over) if pos is _ALL else pos[over]
+            _put(s, io, {"depth": 1, "val": np.log(np.abs(Z[over])), "phase": np.angle(Z[over]), "z": 0.0})
+            return True
+    lm, ph, zero = _log_sum([lq + w for w, (_, lq, _, _) in zip(ws, qs)])
+    lm[zero] = -np.inf
+    promote = lm > dcap
+    live = ~(promote | zero)
+    # Step with the exact complex term sum where every term fits in doubles:
+    # IEEE products and sums commute with negation and conjugation, so
+    # sign/mirror symmetries of f survive bitwise.  Elsewhere a live point is
+    # rebuilt from the log-domain value, and a zero point steps to 0.  A
+    # promoted point steps to NaN, which is neither fixed nor in the trap, and
+    # its state z is 0.
+    safe = fits & live
+    sel = _ALL if np.count_nonzero(safe) == Z.size else safe
+    znew = _ZERO_C
+    for w, (q, *_) in zip(ws, qs):
+        znew = znew + (q if q.ndim == 0 else q[sel]) * np.exp(w[sel])
+    if sel is not _ALL:
+        znew, exact = np.where(promote, np.nan, 0j), znew
+        znew[safe] = exact
+        rebuild = live ^ safe
         if np.count_nonzero(rebuild):
             znew[rebuild] = np.exp(lm[rebuild]) * np.exp(1j * ph[rebuild])
-    if f.d >= 3 and np.count_nonzero(cond):
-        cond[cond] = ~in_E_mask(f, Z[cond], 1)
-
-    fl["cond"][pos] = cond
-    fl["fixed"][pos] = ~promote & (znew == Z)
+    absnew, absZ = np.abs(znew), np.abs(Z)
+    cond = absZ >= radius
+    if np.count_nonzero(cond):
+        cond[cond] = lm[cond] >= absZ[cond] ** p.alpha
+        if f.d >= 3 and np.count_nonzero(cond):
+            cond[cond] = ~in_E_mask(f, Z[cond], 1)
+    below = (s["below"][pos] + _ONE) * (absZ <= radius)
+    flags = {"cond": cond, "fixed": znew == Z}
     # An orbit entering the trap stays inside the radius for its remaining
     # max_iter - age points.  Flag it only when that makes the trailing-run
-    # rule certain to fire.
+    # rule certain to fire, as it does for all while the oldest (the first) is
+    # young enough.  The trap lies in D(0, rho), and its membership margin
+    # keeps every float member below rho: only points there are tested.
     if trap is not None:
-        enter = ~promote & (below + (p.max_iter - s["age"][pos]) >= min(TAIL_STEPS, p.max_iter))
-        if np.count_nonzero(enter):
-            enter[enter] = trap.contains(znew[enter])
-            fl["trap"][pos] = enter
-    s["z"][pos] = np.where(promote, 0.0, znew)
-    s["depth"][pos] = promote
-    s["val"][pos] = np.where(promote, lm, np.abs(znew))
-    s["phase"][pos] = ph
-    s["below"][pos] = below
-    return pos[:0]
+        near = absnew < trap.rho
+        if np.count_nonzero(near):
+            last = p.max_iter - min(TAIL_STEPS, p.max_iter)
+            if s["age"][0] > last:
+                near &= s["age"][pos] - below <= last
+            flags["trap"] = near & trap._inside(znew)
+    _put(fl, pos, flags)
+    state = {"z": znew, "val": absnew, "phase": ph, "below": below}
+    if sel is not _ALL and np.count_nonzero(promote):
+        state.update(z=np.where(promote, 0j, znew), depth=promote.astype(np.int64), val=np.where(promote, lm, absnew))
+    _put(s, pos, state)
+    return False
 
 
 def _dominant_growth(f: ExpPoly, dphi):
@@ -548,15 +563,11 @@ def _dominant_growth(f: ExpPoly, dphi):
     is kept, as argmax keeps it.
     """
     tc = _term_consts(f)
-    c = beta = None
-    for ab, bj in zip(tc["abs_b"], tc["beta"]):
+    c, beta = tc["abs_b"][0] * np.cos(dphi + tc["beta"][0]), np.full(dphi.shape, tc["beta"][0])
+    for ab, bj in zip(tc["abs_b"][1:], tc["beta"][1:]):
         cj = ab * np.cos(dphi + bj)
-        if c is None:
-            c, beta = cj, np.full(dphi.shape, bj)
-        else:
-            take = cj > c
-            c = np.where(take, cj, c)
-            beta = np.where(take, bj, beta)
+        take = cj > c
+        c, beta = np.where(take, cj, c), np.where(take, bj, beta)
     return c, beta
 
 
@@ -567,45 +578,35 @@ def _step_tower(f: ExpPoly, p: ClassifyParams, dcap: float, s, pos, fl):
     c = max_j |b_j| cos(d phi + arg b_j); c <= 0 is a dead direction.  A step
     is certified (cond) when |z| >= escape_radius and the model grows at
     the stretched exponential rate.  Writes the new state into s and the
-    cond and stop flags into fl.
+    cond and stop flags into fl.  Runs under the pool's np.errstate.
     """
-    if pos.size == 0:
+    if pos is not _ALL and pos.size == 0:
         return
     d, alpha = f.d, p.alpha
     dep, v = s["depth"][pos], s["val"][pos]
     dphi = d * s["phase"][pos]
     c, beta = _dominant_growth(f, dphi)
     dead = c <= 0
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        logc = np.log(np.where(dead, 1.0, c))
-        grow = logc + d * v
-        # At depth 1, |z| = e^v >= escape_radius and log|z'| = c |z|^d >= |z|^alpha.
-        # Deeper states are canonical, v > LIFT, so beyond any double radius,
-        # and log c + (d - alpha) log|z| >= 0 holds there only for alpha < d.
-        cond = np.where(dep == 1, (v >= math.log(p.escape_radius)) & (grow >= alpha * v), alpha < d) & ~dead
+    logc = np.log(np.where(dead, 1.0, c))
+    grow = logc + d * v
+    # At depth 1, |z| = e^v >= escape_radius and log|z'| = c |z|^d >= |z|^alpha.
+    # Deeper states are canonical, v > LIFT, so beyond any double radius,
+    # and log c + (d - alpha) log|z| >= 0 holds there only for alpha < d.
+    cond = np.where(dep == 1, (v >= math.log(p.escape_radius)) & (grow >= alpha * v), alpha < d) & ~dead
     nd, nv = _tower_next(dep, v, logc, d)
     phase = wrap_phase(dphi + beta)
     # Demotion to direct mode when |z| fits the exact evaluator again; any
     # other depth-0 result is lifted to depth 1, so depth 0 means demoted.
-    with np.errstate(divide="ignore"):
-        lognv = np.log(np.maximum(nv, 1e-300))
+    lognv = np.log(np.maximum(nv, 1e-300))
     demote = (nd == 0) & (lognv <= dcap)
     redepth = (nd == 0) & ~demote
     nd[redepth] = 1
     nv[redepth] = lognv[redepth]
-    znew = np.zeros(pos.size, complex)
+    znew = np.zeros(nd.size, complex)
     znew[demote] = nv[demote] * np.exp(1j * phase[demote])
 
-    fl["cond"][pos] = cond
-    fl["stop"][pos] = dead | (nd > MAX_DEPTH)
-    s["z"][pos] = znew
-    s["depth"][pos] = nd
-    s["val"][pos] = nv
-    s["phase"][pos] = phase
-    s["below"][pos] = 0
-
-
-_NO_POS = np.zeros(0, np.int64)
+    _put(fl, pos, {"cond": cond, "stop": dead | (nd > MAX_DEPTH)})
+    _put(s, pos, {"z": znew, "depth": nd, "val": nv, "phase": phase, "below": np.zeros(nd.size, np.int64)})
 
 
 # The result columns of classify_batch other than tag: name, dtype, and the
@@ -621,19 +622,10 @@ _RESULT_COLUMNS = (
 
 
 def _start_state(idx, z):
-    """Engine state of orbits starting at z, with batch indices idx."""
-    n = idx.size
-    return {
-        "idx": idx,
-        "age": np.zeros(n, np.int64),
-        "z": z,
-        "depth": np.zeros(n, np.int64),
-        # val and phase are written by every orbit's first step, a direct one.
-        "val": np.zeros(n),
-        "phase": np.zeros(n),
-        "run": np.zeros(n, np.int64),
-        "below": np.zeros(n, np.int64),
-    }
+    """Engine state of orbits starting at z, with batch indices idx.  Every
+    orbit's first step, a direct one, writes its val and phase."""
+    counts = {k: np.zeros(idx.size, np.int64) for k in ("age", "depth", "run", "below")}
+    return {"idx": idx, "z": z, "val": np.zeros(idx.size), "phase": np.zeros(idx.size), **counts}
 
 
 def _results(src, m):
@@ -642,16 +634,12 @@ def _results(src, m):
 
 
 def _finite_starts(blocks, sink):
-    """The (index, points) blocks without their NaN and infinite start points.
-
-    Those are reported to sink at once, as Undetermined after 0 steps with
-    final_val |z|.
-    """
+    """The (index, points) blocks without their NaN and infinite start points,
+    which go to sink at once: Undetermined after 0 steps, final_val |z|."""
     for idx, z in blocks:
         idx, z = np.asarray(idx, np.int64), np.asarray(z, complex)
         bad = ~np.isfinite(z)
-        n = np.count_nonzero(bad)
-        if n:
+        if n := np.count_nonzero(bad):
             cols = {name: np.abs(z[bad]) if key == "val" else np.zeros(n, dt) for name, dt, key in _RESULT_COLUMNS}
             sink(idx[bad], cols)
             idx, z = idx[~bad], z[~bad]
@@ -670,8 +658,22 @@ def _classify_pool(f: ExpPoly, p: ClassifyParams, blocks, capacity: int, sink):
     Orbits are stepped together whatever their age, and every rule that
     reads the step number reads the orbit's own age, so an orbit's results
     do not depend on when it was admitted or on which orbits share its pool.
+
+    The state holds the live orbits only: index in the batch, age (steps
+    taken), z (the exact point in direct mode, 0 in tower mode), depth (0 in
+    direct mode), val, phase, run (consecutive certified steps) and below
+    (consecutive steps inside the radius).  A step advances the depth-0
+    orbits by _step_direct and the others by _step_tower; a finished orbit
+    (certified run, fixed point, trap entry, dead direction, depth beyond
+    MAX_DEPTH, or max_iter steps, judged by the trailing-run rule) leaves.
+    A step costs about 60 us however few orbits are live (2-core Xeon), so
+    a tail of long orbits pays it each step.  It enters one np.errstate,
+    steps whole columns when all orbits share a mode, gathers for the exact
+    term sum only when some point cannot take it, and skips the growth test,
+    the trap test and the promotion writes where no orbit needs them.
     """
-    dcap = min((700.0 - math.log(f.max_abs_b) - 5.0) / f.d, BAIL_LOGMOD)
+    radius, cert_steps = _const(p.escape_radius), _const(p.cert_steps)
+    dcap = _const(min((700.0 - math.log(f.max_abs_b) - 5.0) / f.d, BAIL_LOGMOD))
     trap = trap_at_0(f, p.escape_radius)
     tail_len = min(TAIL_STEPS, p.max_iter)
 
@@ -680,13 +682,14 @@ def _classify_pool(f: ExpPoly, p: ClassifyParams, blocks, capacity: int, sink):
     s = _start_state(pend_i, pend_z)
     while True:
         n = s["idx"].size
-        if 2 * n < capacity:
+        if starts is not None and 2 * n < capacity:
             new_i, new_z = [], []
             room = capacity - n
             while room > 0:
                 if pend_z.size == 0:
                     block = next(starts, None)
                     if block is None:
+                        starts = None
                         break
                     pend_i, pend_z = block
                     continue
@@ -702,28 +705,33 @@ def _classify_pool(f: ExpPoly, p: ClassifyParams, blocks, capacity: int, sink):
         if n == 0:
             return
 
-        s["age"] += 1
-        fl = dict(zip(("cond", "fixed", "trap", "stop"), np.zeros((4, n), bool)))
-        # Depth is the mode: depth-0 orbits take a direct step, the rest a tower step.
-        n_tower = np.count_nonzero(s["depth"])
-        if n_tower == 0:
-            direct, tower = np.arange(n), _NO_POS
-        elif n_tower == n:
-            direct, tower = _NO_POS, np.arange(n)
-        else:
-            direct, tower = np.flatnonzero(s["depth"] == 0), np.flatnonzero(s["depth"])
-        over = _step_direct(f, p, dcap, trap, s, direct, fl)
-        _step_tower(f, p, dcap, s, np.concatenate([tower, over]) if over.size else tower, fl)
+        s["age"] = s["age"] + _ONE
+        with np.errstate(all="ignore"):
+            # Depth is the mode: depth-0 orbits take a direct step, the rest
+            # a tower step.  A pool of one mode steps whole columns.  The split
+            # is redone when the direct step moves orbits to tower mode.
+            while True:
+                n_tower = np.count_nonzero(s["depth"])
+                direct = _ALL if n_tower == 0 else _NO_POS if n_tower == n else np.flatnonzero(s["depth"] == 0)
+                tower = _ALL if n_tower == n else _NO_POS if n_tower == 0 else np.flatnonzero(s["depth"])
+                fl = {} if n_tower in (0, n) else dict(zip(_FLAGS, np.zeros((len(_FLAGS), n), bool)))
+                if not _step_direct(f, p, radius, dcap, trap, s, direct, fl):
+                    break
+            _step_tower(f, p, dcap, s, tower, fl)
 
-        fixed = fl["fixed"]
-        s["run"] = np.where(fl["cond"] & ~fixed, s["run"] + 1, 0)
-        cert = s["run"] >= p.cert_steps
-        trapped = fl["trap"] & ~fixed & ~cert
-        end = fixed | cert | trapped | fl["stop"]
+        # A flag that no step wrote is False for every orbit.  A fixed orbit
+        # finishes at once, and its run is no certificate.
+        s["run"] = (s["run"] + _ONE) * fl["cond"]
+        cert = s["run"] >= cert_steps
+        end = functools.reduce(np.bitwise_or, [fl[k] for k in _FLAGS[1:] if k in fl], cert)
         # An orbit that reaches max_iter steps without finishing is judged by
-        # the trailing-run rule.
-        done = end | (s["age"] >= p.max_iter)
+        # the trailing-run rule.  Orbits join at the end of the state and keep
+        # their order, so the first is the oldest.
+        done = end | (s["age"] >= p.max_iter) if s["age"][0] >= p.max_iter else end
         if np.count_nonzero(done):
+            fixed, trapped = (fl.get(k, np.zeros(n, bool)) for k in ("fixed", "trap"))
+            cert &= ~fixed
+            trapped = trapped & ~fixed & ~cert
             # A fixed direct point is non-escaping when it lies inside the
             # radius, which is when its below count is positive.
             nonesc = trapped | (fixed & (s["below"] > 0)) | (~end & (s["below"] >= tail_len))
@@ -744,16 +752,8 @@ def classify_batch(f: ExpPoly, points, p: ClassifyParams | None = None):
     step; depth 0 is direct mode).  A NaN or infinite start point is
     Undetermined after 0 steps, with final_val |z|.
 
-    The engine holds a compact state of the live orbits only: their index in
-    the batch, age (steps taken), z (the exact point in direct mode, 0 in
-    tower mode), depth (0 direct mode, >= 1 tower mode), val, phase, run
-    (consecutive certified steps) and below (consecutive steps inside the
-    radius).  Each step advances the depth-0 orbits by _step_direct and the
-    others by _step_tower.  An orbit that finishes (certified run, fixed
-    point, trap entry, dead direction, depth beyond MAX_DEPTH, or max_iter
-    steps taken, judged by the trailing-run rule) is retired at once: its
-    results are scattered into the output arrays and it leaves the state.
-    The whole batch is one pool (see _classify_pool).
+    The whole batch is one pool of _classify_pool, which describes the
+    engine state and step.
 
     What EscapeCertified proves: cert_steps consecutive certified steps, of
     two kinds.  A direct step checks the true z: |z| >= escape_radius, the

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +10,9 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from expdyn import __version__
 from expdyn.cli import LEMMA_CHECKS, build_parser, main
 
 
@@ -77,6 +80,10 @@ _TERM = {"Q": [[1.0, 0.0]], "b": [1.0, 0.0], "P": []}
         {"d": 3, "terms": [_TERM, {**_TERM, "Q": [[0.0, True]], "b": [-1.0, 0.0]}]},
         {"d": 3, "terms": [_TERM, {**_TERM, "b": [0.0, True]}]},
         {"d": 3, "terms": [_TERM, {**_TERM, "b": [-1.0, 0.0], "P": [[False, 1.0]]}]},
+        {"d": 3, "terms": [_TERM, {**_TERM, "b": [0.0, 1.0, 7.0]}]},
+        {"d": 3, "terms": [_TERM, {**_TERM, "b": [0.0, -1.0, "x"]}]},
+        {"d": 3, "terms": [_TERM, {**_TERM, "b": [-1.0, 0.0], "Q": [[0.5, 0, 9]]}]},
+        {"d": 3, "terms": [_TERM, {**_TERM, "b": [-1.0, 0.0], "Q": [[10**400, 0]]}]},
     ],
     ids=[
         "nan-b",
@@ -92,6 +99,10 @@ _TERM = {"Q": [[1.0, 0.0]], "b": [1.0, 0.0], "P": []}
         "bool-Q",
         "bool-b",
         "bool-P",
+        "three-number-b",
+        "b-with-a-string",
+        "three-number-Q",
+        "Q-beyond-doubles",
     ],
 )
 def test_malformed_function_file_exits_one(capsys, tmp_path, definition):
@@ -149,6 +160,16 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def test_python_m_expdyn_runs_the_command_line():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(_SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "expdyn", "--version"], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == __version__
 
 
 def test_parser_builds():
@@ -429,6 +450,25 @@ def test_grid_bound_accepts_extreme_input(capsys, args):
         assert rep["asymptotic_bound"] == [0.0] * rep["found"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["grid-bound", "--fn", "sin_z3", "--r-lo", "5e-324", "--r-hi", "1e-300", "--count", "2"],
+        ["e2measure", "--fn", "sin_z3", "--r-min", "5e-324", "--r-max", "1e-300"],
+    ],
+    ids=["grid-bound", "e2measure"],
+)
+def test_tiny_annulus_exits_zero(capsys, argv):
+    # Both exited 2: |z|^(d-1) underflowed to 0 in the side bounds of the
+    # quadtree root, and the level-2 half-width of e2measure's resolution
+    # check overflowed.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert json.loads(out)
+
+
 @pytest.mark.parametrize("r_min, r_max", [("1e6", "2e6"), ("1e7", "2e7"), ("10", "inf"), ("1e60", "2e60")])
 def test_e2measure_refuses_unresolved_spokes(capsys, r_min, r_max):
     # Out here the spokes are narrower than the doubles near their angles, so
@@ -510,6 +550,53 @@ def test_input_checked_before_any_work(capsys, tmp_path, argv):
     code, out, err = run(capsys, *argv, "--out", str(out_path))
     assert code == 1 and err.startswith("error:")
     assert out == "" and not out_path.exists()
+
+
+# The numeric options of the commands swept below.  Each call sets one to
+# three of them, a float option to one of _EDGES and a count to one of
+# _COUNTS; the others take the value given here, where None leaves the
+# command's default (--px and --samples never keep their large defaults).
+_EDGES = [0.0, -1.0, math.nan, math.inf, 1e-300, 1e300, 5e-324]
+_COUNTS = [0, -3, 1]
+_COUNT_FLAGS = {"--samples", "--seed", "--max-iter", "--cert-steps", "--nr", "--ntheta", "--count", "--px", "--threads"}
+_CLASSIFY = {"--alpha": None, "--escape-radius": None, "--max-iter": None, "--cert-steps": None}
+_VIEW = {"--center-re": None, "--center-im": None, "--half": None, "--px": 8}
+_SWEEP = {
+    "annulus-scan": {"--r": 1.0, "--samples": 50, "--seed": None, **_CLASSIFY},
+    "e2measure": {"--r-min": 10.0, "--r-max": 20.0, "--nr": None, "--ntheta": None},
+    "grid-bound": {"--r-lo": 10.0, "--r-hi": 20.0, "--sigma": None, "--alpha": None, "--count": None},
+    "counterexample": {"--r0": None, "--R": None, "--eps": None, "--samples": 50, "--seed": None},
+    "render": {**_VIEW, **_CLASSIFY, "--threads": None},
+    "exceptional": _VIEW,
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(_SWEEP))
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_numeric_options_exit_zero_or_one(cmd, data, tmp_path):
+    # Every numeric input either runs or is refused with an error line: no
+    # internal error (exit 2) and no leaked floating-point warning.  Exit 2
+    # is the counterexample command's verdict on a violated bound.
+    argv = [cmd, "--out", str(tmp_path / "out")] + ([] if cmd == "counterexample" else ["--fn", "sin_z3"])
+    edge = data.draw(st.sets(st.sampled_from(sorted(_SWEEP[cmd])), min_size=1, max_size=3), label="edge options")
+    for flag, value in _SWEEP[cmd].items():
+        if flag in edge:
+            value = data.draw(st.sampled_from(_COUNTS if flag in _COUNT_FLAGS else _EDGES), label=flag)
+        argv += [] if value is None else [flag, str(value)]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as leaked, contextlib.redirect_stdout(out):
+        with contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main(argv)
+    assert not [str(w.message) for w in leaked], argv
+    if code == 1:
+        assert err.getvalue().startswith("error:"), (argv, err.getvalue())
+    elif code == 2:
+        assert cmd == "counterexample" and not err.getvalue(), (argv, err.getvalue())
+        assert json.loads((tmp_path / "out").read_text())["violations"] > 0
+    else:
+        assert code == 0, (argv, code, err.getvalue())
 
 
 @pytest.mark.parametrize("cmd", ["render", "exceptional"])

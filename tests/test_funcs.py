@@ -254,7 +254,9 @@ def test_log_sum_matches_stacked_formula(n, shape, data):
         # A 0-d row is a numpy scalar, as a scalar evaluation produces it.
         rows.append(row[()])
     want = _log_sum_stacked(rows)
-    got = _log_sum(rows)
+    # _log_sum leaves the floating-point state to its caller.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        got = _log_sum(rows)
     for name, a, b in zip(("logmod", "phase", "zero"), want, got):
         assert _same_bits(a, b), f"{name}: {a!r} != {b!r}"
 

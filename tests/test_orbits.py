@@ -397,6 +397,50 @@ def test_pool_refill_does_not_change_results(capacity, step_sizes):
     assert len(step_sizes) > p.max_iter
 
 
+# A tracked orbit, its mirror images (an all-direct pool while it is direct)
+# and starts that are tower orbits within one step: 1e120 overflows z^3 and
+# takes the overflow path, +-1e120j promote on their first step.
+_MODE_MIX_CASES = [
+    ("sin_z", 3.125 + 0.0417j, [1e120j, -1e120j]),  # bounded for the whole budget
+    ("sin_z3", 0.97 + 0.38j, [1e120]),  # direct, then tower, then certified
+    ("sin_z3", -1.141540327183785 - 1.836888161303421j, [1e120]),  # enters the trap
+]
+
+
+@pytest.mark.parametrize("fn, z0, towers", _MODE_MIX_CASES, ids=["sin_z-bounded", "sin_z3-escape", "sin_z3-trap"])
+def test_step_does_not_depend_on_the_modes_in_its_pool(fn, z0, towers, monkeypatch):
+    # A pool of one mode steps whole state columns; a mixed pool gathers and
+    # scatters them.  The tracked orbit (batch index 0) must take bitwise the
+    # same steps alone, among direct orbits and next to tower orbits.  Its
+    # run is as of the end of the step before: the pool updates it after the
+    # tower step.
+    f = bundled_function(fn)
+    step_tower = orbits._step_tower
+    records = []
+
+    def spy(f, p, dcap, s, pos, fl):
+        step_tower(f, p, dcap, s, pos, fl)
+        keys = ("z", "depth", "val", "phase", "below", "run")
+        for i in np.flatnonzero(s["idx"] == 0):
+            records[-1].append(b"".join(np.asarray(s[k][i]).tobytes() for k in keys) + fl["cond"][i].tobytes())
+
+    monkeypatch.setattr(orbits, "_step_tower", spy)
+    pools = {
+        "alone": [z0],
+        "all direct": [z0, -z0, np.conj(z0)],
+        "next to towers": [z0, *towers],
+    }
+    results = {}
+    for name, pts in pools.items():
+        records.append([])
+        res = classify_batch(f, pts)
+        results[name] = tuple(res[k][0] for k in RESULT_KEYS)
+    assert len(records[0]) == results["alone"][2] > 3
+    assert records[1] == records[0] and records[2] == records[0]
+    assert results["all direct"] == results["alone"] == results["next to towers"]
+    assert (classify_batch(f, towers)["final_depth"] >= 1).all()
+
+
 def test_escape_rate_certificate_members(cosh3, orbit_walk):
     # Certified run means each step satisfied log|z_{k+1}| >= |z_k|^alpha.
     res, states = orbit_walk(cosh3, 55.0)
