@@ -8,13 +8,6 @@ density bounds, and the results rendered and aggregated from the command
 line (`expdyn --help`).
 """
 
-from .errors import (
-    BadBase,
-    BadSigma,
-    DomainError,
-    EvalOverflow,
-    ExpDynError,
-)
 from .exceptional import (
     c1_constant,
     dist_to_E1_measured,

@@ -4,14 +4,14 @@ Subcommands wire the library modules to files: `check` prints a hypothesis
 report, `render`/`exceptional` write PPM images, `e2measure`, `annulus-scan`,
 `grid-bound`, and `counterexample` emit numeric reports, and `lemma-verify`
 runs the cross-module invariant checks of LEMMA_CHECKS, the same checks as
-acceptance 9 of the test suite.  Exit codes: 0 success, 1 invalid
-configuration, 2 internal error or failed verification.
+acceptance 9 of the test suite.  Exit codes: 0 success; 1 with one `error:`
+line on a ValueError (every refusal), OSError or MemoryError; 2 on any other
+exception, a counterexample violation or a failed lemma-verify check.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -19,7 +19,6 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import ExpDynError
 from .exceptional import E2_COLUMNS, c1_constant, e2_measure, in_E_mask
 from .funcs import (
     ExpPoly,
@@ -57,13 +56,9 @@ from .report import write_csv, write_json
 BUNDLED = ("sin_z", "sin_z2", "sin_z3", "example_h")
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def _load_fn(args) -> ExpPoly:
@@ -365,18 +360,13 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
+        args = build_parser().parse_args(argv)
         return _COMMANDS[args.cmd](args)
-    except (ExpDynError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except Exception as exc:  # pragma: no cover - internal faults
+    except Exception as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
 

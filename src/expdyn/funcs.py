@@ -17,7 +17,6 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import EvalOverflow
 from .poly import Poly
 
 __all__ = [
@@ -152,7 +151,7 @@ def eval_direct(f: ExpPoly, z: complex) -> complex:
     total = 0j
     for t, w in zip(f.terms, _term_exponents(f, complex(z))):
         if w.real > 700.0:
-            raise EvalOverflow(f"exponent real part {w.real:.3g} > 700")
+            raise ValueError(f"exponent real part {w.real:.3g} > 700")
         total += t.Q(complex(z)) * cmath.exp(w)
     return total
 

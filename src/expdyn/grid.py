@@ -19,7 +19,6 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import BadSigma, DomainError
 from .exceptional import _disc_clear
 from .funcs import ExpPoly, eval_log_batch
 
@@ -104,7 +103,7 @@ def default_sigma(f: ExpPoly) -> float:
 def _check_sigma(f: ExpPoly, sigma: float) -> float:
     hi = 1.0 / (4.0 * f.d * f.max_abs_b)
     if not (0.0 < sigma < hi):
-        raise BadSigma(f"sigma={sigma:.6g} outside (0, {hi:.6g})")
+        raise ValueError(f"sigma={sigma:.6g} outside (0, {hi:.6g})")
     return sigma
 
 
@@ -401,7 +400,7 @@ def _exp_neg_power(c: float, r: float, alpha: float) -> float:
 def koebe_distortion_factor(rho: float) -> float:
     """((1 + rho) / (1 - rho))^4, the distortion ratio on the rho-disk."""
     if not (0.0 < rho < 1.0):
-        raise DomainError("rho must lie in (0, 1)")
+        raise ValueError("rho must lie in (0, 1)")
     return ((1.0 + rho) / (1.0 - rho)) ** 4
 
 
@@ -439,5 +438,5 @@ def annulus_tail_bound(r: float, alpha: float) -> float:
 def band_measure_bound(length: float, s: float) -> float:
     """(9 pi / 2) s length, for the s-neighborhood of a curve of that length."""
     if not (0.0 < s < length):
-        raise DomainError("need 0 < s < length")
+        raise ValueError("need 0 < s < length")
     return _BAND_FACTOR * s * length

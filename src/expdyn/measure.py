@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
 from .exceptional import MIN_HALF_WIDTH, in_E_mask
 from .funcs import ExpPoly, eval_log_batch
 from .grid import annulus_tail_bound
@@ -88,7 +87,7 @@ class CounterexampleParams:
 
     def __post_init__(self):
         if not (_E < self.r0 < math.inf):
-            raise DomainError("r0 must be finite and exceed e so log log r0 is defined")
+            raise ValueError("r0 must be finite and exceed e so log log r0 is defined")
         if not (0 < self.eps < math.inf) or self.samples < 1:
             raise ValueError("eps must be positive and finite, and samples >= 1")
 
@@ -148,16 +147,16 @@ def b_wedge_halfwidth(r) -> float:
 def b_measure_closed_form(r0: float, R: float) -> float:
     """2 (log log R - log log r0), the wedge measure between radii r0 and R."""
     if r0 <= _E:
-        raise DomainError("r0 must exceed e")
+        raise ValueError("r0 must exceed e")
     if R <= r0:
-        raise DomainError("need R > r0")
+        raise ValueError("need R > r0")
     return 2.0 * (math.log(math.log(R)) - math.log(math.log(r0)))
 
 
 def b_measure_quadrature(r0: float, R: float) -> float:
     """Numerical check of the wedge measure: integral of 2/(r log r)."""
     if r0 <= _E or R <= r0:
-        raise DomainError("need e < r0 < R")
+        raise ValueError("need e < r0 < R")
     from scipy import integrate
 
     val, _ = integrate.quad(lambda r: 2.0 / (r * math.log(r)), r0, R, limit=200)
@@ -190,9 +189,9 @@ def counterexample_check(p: CounterexampleParams, R: float, f: ExpPoly, seed: in
     fall outside it, since pi/2 is rounded to a double.
     """
     if not (p.r0 < R < math.inf):
-        raise DomainError("need R > r0, R finite")
+        raise ValueError("need R > r0, R finite")
     if b_wedge_halfwidth(R) < MIN_HALF_WIDTH:
-        raise DomainError(f"R={R:.6g} too large: wedge narrower than {MIN_HALF_WIDTH:.3g} rad")
+        raise ValueError(f"R={R:.6g} too large: wedge narrower than {MIN_HALF_WIDTH:.3g} rad")
     pts = _wedge_points(p.r0, R, p.samples, seed)
     r = np.abs(pts)
     lm, _, zero = eval_log_batch(f, pts)

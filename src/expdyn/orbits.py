@@ -46,7 +46,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BadBase
 from .exceptional import in_E_mask
 from .funcs import (
     ExpPoly,
@@ -193,7 +192,7 @@ def iterate_max_modulus(f: ExpPoly, R: float, n: int):
     """
     lo, hi = log_max_modulus(f, R)
     if lo <= math.log(R):
-        raise BadBase(f"M({R}) not certified above {R}")
+        raise ValueError(f"M({R}) not certified above {R}")
     out, depth, val = [], 0, float(R)
     logc = math.log(f.max_abs_b * (1.0 + 1e-9))
     for _ in range(n):

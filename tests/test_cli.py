@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from expdyn import __version__
+from expdyn import __version__, cli
 from expdyn.cli import LEMMA_CHECKS, build_parser, main
 
 
@@ -84,6 +84,7 @@ _TERM = {"Q": [[1.0, 0.0]], "b": [1.0, 0.0], "P": []}
         {"d": 3, "terms": [_TERM, {**_TERM, "b": [0.0, -1.0, "x"]}]},
         {"d": 3, "terms": [_TERM, {**_TERM, "b": [-1.0, 0.0], "Q": [[0.5, 0, 9]]}]},
         {"d": 3, "terms": [_TERM, {**_TERM, "b": [-1.0, 0.0], "Q": [[10**400, 0]]}]},
+        {"d": 3, "terms": []},
     ],
     ids=[
         "nan-b",
@@ -103,6 +104,7 @@ _TERM = {"Q": [[1.0, 0.0]], "b": [1.0, 0.0], "P": []}
         "b-with-a-string",
         "three-number-Q",
         "Q-beyond-doubles",
+        "no-terms",
     ],
 )
 def test_malformed_function_file_exits_one(capsys, tmp_path, definition):
@@ -114,6 +116,14 @@ def test_malformed_function_file_exits_one(capsys, tmp_path, definition):
 
 
 _SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _src_env():
+    """os.environ with this checkout's src first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(_SRC), env.get("PYTHONPATH")]))
+    return env
+
 
 _COLD_START = textwrap.dedent(
     """
@@ -144,16 +154,64 @@ _COLD_START = textwrap.dedent(
 def test_scipy_loaded_only_by_sampling_commands(tmp_path):
     # Importing SciPy's stats, special and integrate packages takes about a
     # second; commands that neither sample nor integrate must not pay it.
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(_SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", _COLD_START, str(tmp_path)],
-        env=env,
+        env=_src_env(),
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "exc, code, prefix",
+    [
+        (ValueError, 1, "error: "),
+        (OSError, 1, "error: "),
+        (MemoryError, 1, "error: "),
+        (RuntimeError, 2, "internal error: "),
+        (OverflowError, 2, "internal error: "),
+    ],
+)
+def test_main_maps_exceptions_to_exit_codes(capsys, monkeypatch, exc, code, prefix):
+    def fail(args):
+        raise exc("boom")
+
+    monkeypatch.setitem(cli._COMMANDS, "check", fail)
+    assert run(capsys, "check", "--fn", "sin_z3") == (code, "", f"{prefix}boom\n")
+
+
+# A size whose first array (711 PiB) exceeds the user address space even
+# with 57-bit virtual addresses, so the allocation fails at once whatever
+# the overcommit policy.  Sizes in the GB range could really be allocated.
+_HUGE = str(10**17)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["annulus-scan", "--fn", "sin_z3", "--r", "5", "--samples", _HUGE],
+        ["counterexample", "--samples", _HUGE],
+        ["e2measure", "--fn", "sin_z3", "--r-min", "10", "--r-max", "20", "--nr", _HUGE],
+        ["e2measure", "--fn", "sin_z3", "--r-min", "10", "--r-max", "20", "--ntheta", _HUGE],
+        ["grid-bound", "--fn", "sin_z3", "--r-lo", "10", "--r-hi", "20", "--count", _HUGE],
+        ["exceptional", "--fn", "sin_z3", "--px", _HUGE],
+    ],
+    ids=[
+        "annulus-scan-samples",
+        "counterexample-samples",
+        "e2measure-nr",
+        "e2measure-ntheta",
+        "grid-bound-count",
+        "exceptional-px",
+    ],
+)
+def test_unallocatable_size_exits_one(capsys, tmp_path, argv):
+    out_path = tmp_path / "out"
+    code, out, err = run(capsys, *argv, "--out", str(out_path))
+    assert code == 1 and err.startswith("error: Unable to allocate")
+    assert out == "" and not out_path.exists()
 
 
 def test_version_flag(capsys):
@@ -162,14 +220,18 @@ def test_version_flag(capsys):
     assert exc.value.code == 0
 
 
-def test_python_m_expdyn_runs_the_command_line():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(_SRC), env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-m", "expdyn", "--version"], env=env, capture_output=True, text=True, timeout=120
-    )
+def test_python_m_expdyn_runs_the_command_line(tmp_path):
+    def python_m(*argv):
+        cmd = [sys.executable, "-m", "expdyn", *argv]
+        return subprocess.run(cmd, env=_src_env(), capture_output=True, text=True, timeout=120)
+
+    done = python_m("--version")
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == __version__
+    # argparse exits by itself on --version; a refusal must pass main's code on.
+    done = python_m("check", "--fn", str(tmp_path / "nope.json"))
+    assert done.returncode == 1
+    assert done.stderr.startswith("error:") and done.stdout == ""
 
 
 def test_parser_builds():

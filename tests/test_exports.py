@@ -1,3 +1,5 @@
+import ast
+import builtins
 import importlib
 import importlib.util
 import pkgutil
@@ -17,6 +19,37 @@ def test_all_names_are_defined(name):
     # `from expdyn.<module> import *`.
     module = importlib.import_module(f"expdyn.{name}")
     assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
+
+
+def _resolve(module, node):
+    """The object a Name or dotted Attribute base names in module, or None."""
+    if isinstance(node, ast.Attribute):
+        owner = _resolve(module, node.value)
+        return getattr(owner, node.attr, None)
+    if isinstance(node, ast.Name):
+        return getattr(module, node.id, getattr(builtins, node.id, None))
+    return None
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_refusal_is_a_value_error(name):
+    # One refusal type: the package defines no exception class, and every
+    # raise is a ValueError, which the command line maps to exit 1.  Exempt
+    # are a bare re-raise and the SystemExit of `python -m expdyn`.
+    module = importlib.import_module(f"expdyn.{name}")
+    tree = ast.parse(Path(module.__file__).read_text())
+    allowed = {"ValueError", "SystemExit"} if name == "__main__" else {"ValueError"}
+    bad = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            bases = [_resolve(module, b) for b in node.bases]
+            if any(isinstance(b, type) and issubclass(b, BaseException) for b in bases):
+                bad.append(f"class {node.name}")
+        elif isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if not (isinstance(exc, ast.Name) and exc.id in allowed):
+                bad.append(f"line {node.lineno}: {ast.unparse(node)}")
+    assert bad == []
 
 
 # perfbench/tracing.py wraps library functions by (module, attribute) name, so

@@ -7,7 +7,6 @@ from expdyn import (
     AnnulusReport,
     ClassifyParams,
     CounterexampleParams,
-    DomainError,
     annulus_area,
     annulus_scan,
     b_measure_closed_form,
@@ -83,9 +82,9 @@ def test_scan_conjugation_symmetry(sin3):
 def test_b_measure_closed_form_example():
     # r0 = e^2, R = e^8: 2 (log 8 - log 2) = 2 log 4
     assert b_measure_closed_form(math.e**2, math.e**8) == pytest.approx(2.0 * math.log(4.0))
-    with pytest.raises(DomainError):
+    with pytest.raises(ValueError, match="r0 must exceed e"):
         b_measure_closed_form(1.0, 100.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValueError, match="need R > r0"):
         b_measure_closed_form(100.0, 50.0)
 
 
@@ -101,6 +100,8 @@ def test_b_measure_quadrature_matches():
         closed = b_measure_closed_form(r0, R)
         quad = b_measure_quadrature(r0, R)
         assert abs(quad - closed) < 0.01 * closed
+    with pytest.raises(ValueError, match="need e < r0 < R"):
+        b_measure_quadrature(3.0, 2.0)
 
 
 def test_b_wedge_halfwidth_and_increment():
@@ -118,7 +119,7 @@ def test_b_wedge_halfwidth_and_increment():
 
 
 def test_counterexample_params_validation():
-    with pytest.raises(DomainError):
+    with pytest.raises(ValueError, match="r0 must be finite and exceed e"):
         CounterexampleParams(r0=2.0)
     with pytest.raises(ValueError):
         CounterexampleParams(eps=-1.0)
@@ -134,7 +135,7 @@ def test_counterexample_check(h_example):
     assert rep["inside_eps_disk"]
     assert rep["nonescape_fraction"] >= 0.99
     assert rep["quadrature_rel_err"] < 0.01
-    with pytest.raises(DomainError):
+    with pytest.raises(ValueError, match="need R > r0, R finite"):
         counterexample_check(p, 50.0, f=h_example)
 
 

@@ -11,7 +11,6 @@ from expdyn import (
     ESCAPE_CERTIFIED,
     NON_ESCAPE_OBSERVED,
     UNDETERMINED,
-    BadBase,
     ClassifyParams,
     ExpPoly,
     ExpPolyTerm,
@@ -85,7 +84,7 @@ def test_iterate_max_modulus_ladder(cosh3):
 
 def test_iterate_max_modulus_bad_base():
     small = ExpPoly(1, [ExpPolyTerm(Poly([1e-6]), 1 + 0j)])
-    with pytest.raises(BadBase):
+    with pytest.raises(ValueError, match=r"M\(1\.0\) not certified above 1\.0"):
         iterate_max_modulus(small, 1.0, 3)
 
 

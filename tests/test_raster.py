@@ -90,6 +90,9 @@ def test_read_ppm_rejects_garbage(tmp_path):
     path.write_bytes(b"P6\n2 2\n255\n\x00\x00")
     with pytest.raises(ValueError):
         read_ppm(path)
+    path.write_bytes(b"P6\n1 1\n65535\n" + bytes(6))
+    with pytest.raises(ValueError, match="only maxval 255 supported"):
+        read_ppm(path)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from expdyn import (
     bundled_function,
     classify_batch,
 )
+from expdyn import orbits
 from expdyn.orbits import TrapRegion, trap_at_0
 
 BUNDLED = ("sin_z", "sin_z2", "sin_z3", "example_h")
@@ -53,6 +54,43 @@ def test_trap_radius_stays_below_escape_radius():
 )
 def test_no_trap(f):
     assert trap_at_0(f, 50.0) is None
+
+
+# Each refusal path of trap_at_0: the certifier it must reach, the number of
+# radii it tries, and what _tail_up returns on them.  The majorant exponent
+# b rho exceeds 64 at every radius rho = 2^-i, i <= 20, for both b = 1e9 and
+# b = 2^30, so no radius is tried with a finite tail.
+def _sinh_terms(q, b):
+    """The terms of q e^(bz) - q e^(-bz) = 2q sinh(bz)."""
+    return [ExpPolyTerm(Poly([q]), b + 0j), ExpPolyTerm(Poly([-q]), -b + 0j)]
+
+
+@pytest.mark.parametrize(
+    "f, certifier, tries",
+    [
+        # 0.5e-9 sinh(1e9 z): |f'(0)| = 0.5, the disk case
+        (ExpPoly(1, _sinh_terms(0.25e-9, 1e9)), "_certify_disk", 21),
+        # 2^-30 sinh(2^30 z): f'(0) = 1 exactly, the petal case
+        (ExpPoly(1, _sinh_terms(2.0**-31, 2.0**30)), "_certify_petal", 21),
+        # z exp(z^12): a_1 = 1 and a_2 ... a_11 = 0, so no petal order
+        (ExpPoly(12, [ExpPolyTerm(Poly([0, 1]), 1 + 0j)]), None, 0),
+    ],
+    ids=["disk-tail-too-large", "petal-tail-too-large", "no-petal-order"],
+)
+def test_trap_refusal_paths(monkeypatch, f, certifier, tries):
+    calls = {name: [] for name in ("_tail_up", "_certify_disk", "_certify_petal")}
+    for name, log in calls.items():
+        def spy(*args, _fn=getattr(orbits, name), _log=log):
+            _log.append(_fn(*args))
+            return _log[-1]
+
+        monkeypatch.setattr(orbits, name, spy)
+    assert trap_at_0(f, 50.0) is None
+    assert calls["_tail_up"] == [None] * tries
+    for name in ("_certify_disk", "_certify_petal"):
+        assert calls[name] == ([False] * tries if name == certifier else [])
+    pts = np.array([0, 1e-12, 1e-12j, -1e-9, 0.5, -0.3 + 0.2j, 1e-3])
+    assert not classify_batch(f, pts, ClassifyParams())["trapped"].any()
 
 
 def test_membership_keeps_outward_margin():
