@@ -194,8 +194,9 @@ _NEG_INF = _const(-np.inf)
 _ZERO_CORR = _const(1e-15)
 
 
-def _log_sum(rows):
-    """(logmod, phase, zero_mask) of sum_j exp(S_j) for a list of complex log rows.
+def _log_parts(rows):
+    """(logmod, zero_mask, S_m, corr) of sum_j exp(S_j) for a list of complex
+    log rows; its phase is _phase(S_m, corr), taken where it is read.
 
     The dominant row S_m, the first with the largest real part (a NaN real
     part counts as -inf), is factored out, so the others enter only through
@@ -209,6 +210,8 @@ def _log_sum(rows):
     Every partial sum that holds the dominant 1 absorbs a signed zero, and
     where S_m is not finite the dominant row's NaN decides the sum, so corr
     is bitwise the sum over every term, reduced over a stacked term axis.
+    Every output is elementwise: the values at a point do not depend on the
+    other points of the rows.
 
     Call it under np.errstate(divide="ignore", invalid="ignore").
     """
@@ -223,15 +226,26 @@ def _log_sum(rows):
         e[...] = one
         np.exp(D, out=e, where=~(one | ((D.real < _EXP_UNDERFLOW) & np.isfinite(D.imag))))
     corr = np.add.reduce(terms)
-    del terms, D, e, one  # free the term arrays for the phase reduction
+    del terms, D, e, one  # free the term arrays before the outputs are allocated
     # A 0-d S_m becomes a numpy scalar, as the stacked formula had it:
     # scalar and array arithmetic keep different NaNs of two NaN operands.
     Sm = Sm[()]
     corr_abs = np.abs(corr)
     logmod = Sm.real + np.log(corr_abs)
-    phase = wrap_phase(Sm.imag + np.arctan2(corr.imag, corr.real))
     zero = ~np.isfinite(Sm.real) | (corr_abs < _ZERO_CORR)
-    return logmod, phase, zero
+    return logmod, zero, Sm, corr
+
+
+def _phase(Sm, corr):
+    """The phase, in (-pi, pi], of the sum that _log_parts returned as S_m, corr."""
+    return wrap_phase(Sm.imag + np.arctan2(corr.imag, corr.real))
+
+
+def _log_sum(rows):
+    """(logmod, phase, zero_mask) of sum_j exp(S_j): _log_parts with its phase.
+    Call it under np.errstate(divide="ignore", invalid="ignore")."""
+    logmod, zero, Sm, corr = _log_parts(rows)
+    return logmod, _phase(Sm, corr), zero
 
 
 def eval_log_batch(f: ExpPoly, Z, order: int = 0):

@@ -29,6 +29,7 @@ from .orbits import (
     NON_ESCAPE_OBSERVED,
     UNDETERMINED,
     ClassifyParams,
+    _TAG_TABLE,
     classify_batch,
 )
 
@@ -119,11 +120,8 @@ def annulus_scan(
     if not (r > 0 and math.isfinite(annulus_area(r))):
         raise ValueError(f"r must be positive with a finite annulus area, got {r:.6g}")
     pts = _annulus_points(r, samples, seed)
-    res = classify_batch(f, pts, p)
-    fractions = {
-        tag: float(np.count_nonzero(res["tag"] == tag)) / samples
-        for tag in (ESCAPE_CERTIFIED, NON_ESCAPE_OBSERVED, UNDETERMINED)
-    }
+    counts = dict(zip(_TAG_TABLE, np.bincount(classify_batch(f, pts, p)["tag_code"], minlength=_TAG_TABLE.size)))
+    fractions = {tag: float(counts[tag]) / samples for tag in (ESCAPE_CERTIFIED, NON_ESCAPE_OBSERVED, UNDETERMINED)}
     e2 = float(in_E_mask(f, pts, 2).mean()) if f.d >= 3 else 0.0
     return AnnulusReport(
         r=float(r),

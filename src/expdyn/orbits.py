@@ -1,8 +1,11 @@
 """Orbit iteration, escape certification, and maximum-modulus machinery.
 
 Orbits are iterated in three regimes.  While the next exponent b z^d is
-representable in doubles the position is held as an exact complex number and
-f is evaluated in log-domain.  Beyond that the magnitude is carried as an
+representable in doubles the position is held as an exact complex number,
+stepped by the exact term sum; f is evaluated in log-domain only where a
+per-point screen cannot prove that log|f| leaves the step unchanged: near a
+zero of f, near the promotion to tower mode, beyond the escape radius, or
+where a term overflows.  Beyond that the magnitude is carried as an
 iterated-exp pair (depth, v) with |z| = exp^depth(v), driven by the dominant
 term's growth max_j |b_j| cos(d phi + arg b_j) * |z|^d; at this scale the
 phase is a deterministic proxy (the argument direction of the dominant
@@ -51,7 +54,8 @@ from .funcs import (
     ExpPoly,
     _ZERO_C,
     _const,
-    _log_sum,
+    _log_parts,
+    _phase,
     _pow_int,
     _prefactor_logs,
     _term_consts,
@@ -483,54 +487,149 @@ def _put(d, pos, cols):
             d[k][pos] = a
 
 
-def _step_direct(f: ExpPoly, p: ClassifyParams, radius, dcap, trap, s, pos, fl):
+# The screen of _step_direct: the unit of its rounding bounds (twice the unit
+# roundoff), and the least t it passes, where tau e^t is a normal double.
+_U, _T_LO = float(np.finfo(float).eps), -600.0
+
+
+def _screen(f: ExpPoly, radius: float, dcap: float):
+    """The bounds (t_lo, t_hi, tau) of the screen of _step_direct, as 0-d
+    arrays, for escape radius `radius` and promotion cap dcap; None (no
+    screen) where the rounding bound err is not below 1e-3, or not finite,
+    as where |b_j| radius^d overflows.  See _step_direct for their proof.
+    """
+    n = f.n_terms
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = np.float64(radius)
+        W = max(abs(t.b) * r**f.d + t.P.coeff_bound(r) for t in f.terms)
+        err = n * _U * (16.0 * (749.0 + W) + 16.0 + 4.0 * n)
+    if not err < 1e-3:
+        return None
+    return _const(_T_LO), _const(dcap - math.log(n) - 2.0 * err), _const(2.0 * (1e-15 + err))
+
+
+def _step_direct(f: ExpPoly, p: ClassifyParams, radius, dcap, screen, trap, s, pos, fl):
     """Advance the direct-mode orbits at positions pos of the state s by one step.
 
-    radius and dcap are 0-d arrays; runs under the pool's np.errstate.
-    Writes the new state into s and the cond, fixed and (where it may be
-    set) trap flags into fl.  A point whose log-domain terms overflow (in
-    practice a start point) instead moves to tower mode at its magnitude
-    (depth 1, val log|z|, phase arg z); then no orbit steps and it returns True.
+    radius and dcap are 0-d arrays and screen is _screen's (or None); runs
+    under the pool's np.errstate.  Writes the new state into s and the
+    cond, fixed and (where it may be set) trap flags into fl.  A point whose
+    log-domain terms overflow (in practice a start point) instead moves to
+    tower mode at its magnitude (depth 1, val log|z|, phase arg z); then no
+    orbit steps and it returns True.
+
+    The exact path.  log|f| and the phase come from _log_parts on the rows
+    S_j = log Q_j + w_j, w_j = b_j Z^d + P_j(Z).  A zero of the sum steps
+    to 0; a point with log|f| > dcap is promoted to tower mode at depth 1,
+    val log|f|, with the phase; any other point steps to the exact term sum
+    F = sum_j Q_j e^{w_j} where every term fits in doubles (IEEE products
+    and sums commute with negation and conjugation, so sign and mirror
+    symmetries of f survive bitwise), and is rebuilt from log|f| and the
+    phase elsewhere.  A step is certified (cond) at |Z| >= radius where
+    log|f| >= |Z|^alpha and, for d >= 3, Z lies outside the level-1 set.
+    The phase of a point that stays in direct mode is never read again, so
+    the state keeps it only for promoted points.
+
+    The screen.  A point takes the exact term sum alone, with no log-domain
+    sum, when (a) every term fits, (b) |Z| < radius, (c) t_lo < t < t_hi
+    for t = max_j (log|Q_j(Z)| + Re w_j), and (d) |F| > tau e^t.  With
+    n terms, u = 2^-52, W = max_j (|b_j| R^d + sum_i |P_ji| R^i) >= |w_j| at
+    |Z| < R = radius, A = 749 + W and err = n u (16 A + 16 + 4 n) < 1e-3
+    (so u A < 1e-4, where the linear rounding bounds below hold), _screen
+    sets t_lo = -600, t_hi = dcap - log n - 2 err and
+    tau = 2 (1e-15 + err).  The exact path steps such a point the same way:
+    - Both paths read the same doubles w_j and Q_j(Z), and every operation
+      of either is elementwise, so F is bitwise the sum it would take, and
+      by (b) cond is False without reading log|f|.
+    - A nonzero double Q_j has |log|Q_j|| < 745, so |S_j| < A; a zero Q_j
+      adds an exact 0 to both sums.  The rounding of S_j and
+      D_j = S_j - S_m is then below 9 u A, and corr = sum_j exp(D_j) is
+      within n (10 u A + 5 u) + 2 n^2 u of its exact value
+      F_exact e^{-S_m}, while F is within e^t (7 n u + 2 n^2 u) of F_exact;
+      the two bounds add up to at most err.
+    - (c): log|f| <= Re S_m + log|corr| <= t + log n + 28 u A + (5 + 2n) u
+      < dcap, so the point is not promoted.
+    - (d): by (c) tau e^t is a normal double, so |corr| >= tau (1 - 5 u A)
+      - err > 1e-15, and _log_parts does not flag a zero.
+    Where no point passes, or the screen is None, every point takes the
+    exact path on whole columns; otherwise only the rest are gathered for
+    it.
     """
     if pos is not _ALL and pos.size == 0:
         return False
     Z = s["z"][pos]
     ws, qs = _term_exponents(f, Z), _prefactor_logs(f, Z)
-    # Both e^{w_j} and Q_j e^{w_j} are at most e^{Re w_j + x}, x = max(log|Q_j|, 0).
+    # t = max_j log|Q_j e^{w_j}|.  Both e^{w_j} and Q_j e^{w_j} are at most
+    # e^{Re w_j + x}, x = max(log|Q_j|, 0).
+    t = functools.reduce(np.maximum, [w.real + lqa for w, (_, _, lqa, _) in zip(ws, qs)])
     fits = functools.reduce(np.maximum, [w.real if x is None else w.real + x for w, (*_, x) in zip(ws, qs)]) <= _FITS
-    if np.count_nonzero(fits) < Z.size:
-        over = ~(functools.reduce(np.maximum, [w.real + lqa for w, (_, _, lqa, _) in zip(ws, qs)]) < np.inf)
+    if (n_fit := np.count_nonzero(fits)) < Z.size:
+        over = ~(t < np.inf)
         if np.count_nonzero(over):  # a NaN or +inf log term
             io = np.flatnonzero(over) if pos is _ALL else pos[over]
             _put(s, io, {"depth": 1, "val": np.log(np.abs(Z[over])), "phase": np.angle(Z[over]), "z": 0.0})
             return True
-    lm, ph, zero = _log_sum([lq + w for w, (_, lq, _, _) in zip(ws, qs)])
-    lm[zero] = -np.inf
-    promote = lm > dcap
-    live = ~(promote | zero)
-    # Step with the exact complex term sum where every term fits in doubles:
-    # IEEE products and sums commute with negation and conjugation, so
-    # sign/mirror symmetries of f survive bitwise.  Elsewhere a live point is
-    # rebuilt from the log-domain value, and a zero point steps to 0.  A
-    # promoted point steps to NaN, which is neither fixed nor in the trap, and
-    # its state z is 0.
-    safe = fits & live
-    sel = _ALL if np.count_nonzero(safe) == Z.size else safe
-    znew = _ZERO_C
+    # The exact term sum, taken where every term fits: exp is slow on the
+    # huge imaginary parts of the others, which take 0 until the exact path
+    # gives them their value.
+    fit = _ALL if n_fit == Z.size else np.flatnonzero(fits)
+    zfit = _ZERO_C
     for w, (q, *_) in zip(ws, qs):
-        znew = znew + (q if q.ndim == 0 else q[sel]) * np.exp(w[sel])
-    if sel is not _ALL:
-        znew, exact = np.where(promote, np.nan, 0j), znew
-        znew[safe] = exact
-        rebuild = live ^ safe
-        if np.count_nonzero(rebuild):
-            znew[rebuild] = np.exp(lm[rebuild]) * np.exp(1j * ph[rebuild])
+        zfit = zfit + (q if q.ndim == 0 else q[fit]) * np.exp(w[fit])
+    if fit is _ALL:
+        znew = zfit
+    else:
+        znew = np.zeros(Z.size, complex)
+        znew[fit] = zfit
     absnew, absZ = np.abs(znew), np.abs(Z)
     cond = absZ >= radius
-    if np.count_nonzero(cond):
-        cond[cond] = lm[cond] >= absZ[cond] ** p.alpha
-        if f.d >= 3 and np.count_nonzero(cond):
-            cond[cond] = ~in_E_mask(f, Z[cond], 1)
+    rest = _ALL
+    if screen is not None:
+        t_lo, t_hi, tau = screen
+        easy = fits & ~cond & (t > t_lo) & (t < t_hi) & (absnew > tau * np.exp(t))
+        if n_easy := np.count_nonzero(easy):
+            rest = _NO_POS if n_easy == Z.size else np.flatnonzero(~easy)
+        del easy
+    del t
+    promoted = None
+    if rest is _ALL or rest.size:
+        rows = [(lq if lq.ndim == 0 else lq[rest]) + w[rest] for w, (_, lq, _, _) in zip(ws, qs)]
+        del ws, qs, w  # free the term arrays before the sum allocates its own
+        lm, zero, Sm, corr = _log_parts(rows)
+        del rows
+        lm[zero] = -np.inf
+        promote = lm > dcap
+        rebuild = ~(promote | zero | fits[rest])
+        # The phase is read only where a point is promoted or rebuilt.
+        read = promote | rebuild
+        ph = _phase(Sm[read], corr[read])
+        del Sm, corr
+        # A zero point steps to 0.  A promoted one steps to NaN, which is
+        # neither fixed nor in the trap, and its state z is 0.
+        zr = znew[rest]
+        zr[zero], zr[promote] = 0j, np.nan
+        if np.count_nonzero(rebuild):
+            zr[rebuild] = np.exp(lm[rebuild]) * np.exp(1j * ph[rebuild[read]])
+        if rest is _ALL:
+            absnew = np.abs(znew)
+        else:
+            znew[rest], absnew[rest] = zr, np.abs(zr)
+        # Only the rest can lie beyond the radius: c is cond there, and
+        # rest[c] its True entries' positions in Z.
+        c = cond[rest]
+        if np.count_nonzero(c):
+            c[c] = lm[c] >= absZ[c if rest is _ALL else rest[c]] ** p.alpha
+            if f.d >= 3 and np.count_nonzero(c):
+                c[c] = ~in_E_mask(f, Z[c if rest is _ALL else rest[c]], 1)
+            cond[rest] = c
+        if np.count_nonzero(promote):
+            ip = np.flatnonzero(promote) if rest is _ALL else rest[promote]
+            promoted = (ip if pos is _ALL else pos[ip]), {
+                "z": 0j,
+                "depth": 1,
+                "val": lm[promote],
+                "phase": ph[promote[read]],
+            }
     below = (s["below"][pos] + _ONE) * (absZ <= radius)
     flags = {"cond": cond, "fixed": znew == Z}
     # An orbit entering the trap stays inside the radius for its remaining
@@ -546,10 +645,9 @@ def _step_direct(f: ExpPoly, p: ClassifyParams, radius, dcap, trap, s, pos, fl):
                 near &= s["age"][pos] - below <= last
             flags["trap"] = near & trap._inside(znew)
     _put(fl, pos, flags)
-    state = {"z": znew, "val": absnew, "phase": ph, "below": below}
-    if sel is not _ALL and np.count_nonzero(promote):
-        state.update(z=np.where(promote, 0j, znew), depth=promote.astype(np.int64), val=np.where(promote, lm, absnew))
-    _put(s, pos, state)
+    _put(s, pos, {"z": znew, "val": absnew, "below": below})
+    if promoted is not None:
+        _put(s, *promoted)
     return False
 
 
@@ -627,9 +725,9 @@ def _start_state(idx, z):
     return {"idx": idx, "z": z, "val": np.zeros(idx.size), "phase": np.zeros(idx.size), **counts}
 
 
-def _results(src, m):
-    """The result columns of the entries m of the per-orbit arrays src."""
-    return {name: src[key][m] for name, _, key in _RESULT_COLUMNS}
+def _results(src, i):
+    """The result columns of the entries i (an index array) of the per-orbit arrays src."""
+    return {name: src[key][i] for name, _, key in _RESULT_COLUMNS}
 
 
 def _finite_starts(blocks, sink):
@@ -660,19 +758,23 @@ def _classify_pool(f: ExpPoly, p: ClassifyParams, blocks, capacity: int, sink):
 
     The state holds the live orbits only: index in the batch, age (steps
     taken), z (the exact point in direct mode, 0 in tower mode), depth (0 in
-    direct mode), val, phase, run (consecutive certified steps) and below
-    (consecutive steps inside the radius).  A step advances the depth-0
-    orbits by _step_direct and the others by _step_tower; a finished orbit
-    (certified run, fixed point, trap entry, dead direction, depth beyond
-    MAX_DEPTH, or max_iter steps, judged by the trailing-run rule) leaves.
-    A step costs about 60 us however few orbits are live (2-core Xeon), so
-    a tail of long orbits pays it each step.  It enters one np.errstate,
-    steps whole columns when all orbits share a mode, gathers for the exact
-    term sum only when some point cannot take it, and skips the growth test,
-    the trap test and the promotion writes where no orbit needs them.
+    direct mode), val, phase (defined and read in tower mode only), run
+    (consecutive certified steps) and below (consecutive steps inside the
+    radius).  A step advances the depth-0 orbits by _step_direct and the
+    others by _step_tower; a finished orbit (certified run, fixed point,
+    trap entry, dead direction, depth beyond MAX_DEPTH, or max_iter steps,
+    judged by the trailing-run rule) leaves.
+    A step costs about 35 us however few orbits are live (one bounded sin z
+    orbit, 2-core Xeon), so a tail of long orbits pays it each step.  It
+    enters one np.errstate, steps whole columns when all orbits share a
+    mode, gathers for the exact term sum only when some point cannot take
+    it, makes no log-domain sum when every point passes the screen of
+    _step_direct, and skips the growth test, the trap test and the
+    promotion writes where no orbit needs them.
     """
     radius, cert_steps = _const(p.escape_radius), _const(p.cert_steps)
-    dcap = _const(min((700.0 - math.log(f.max_abs_b) - 5.0) / f.d, BAIL_LOGMOD))
+    dcap = min((700.0 - math.log(f.max_abs_b) - 5.0) / f.d, BAIL_LOGMOD)
+    screen, dcap = _screen(f, p.escape_radius, dcap), _const(dcap)
     trap = trap_at_0(f, p.escape_radius)
     tail_len = min(TAIL_STEPS, p.max_iter)
 
@@ -714,7 +816,7 @@ def _classify_pool(f: ExpPoly, p: ClassifyParams, blocks, capacity: int, sink):
                 direct = _ALL if n_tower == 0 else _NO_POS if n_tower == n else np.flatnonzero(s["depth"] == 0)
                 tower = _ALL if n_tower == n else _NO_POS if n_tower == 0 else np.flatnonzero(s["depth"])
                 fl = {} if n_tower in (0, n) else dict(zip(_FLAGS, np.zeros((len(_FLAGS), n), bool)))
-                if not _step_direct(f, p, radius, dcap, trap, s, direct, fl):
+                if not _step_direct(f, p, radius, dcap, screen, trap, s, direct, fl):
                     break
             _step_tower(f, p, dcap, s, tower, fl)
 
@@ -735,8 +837,8 @@ def _classify_pool(f: ExpPoly, p: ClassifyParams, blocks, capacity: int, sink):
             # radius, which is when its below count is positive.
             nonesc = trapped | (fixed & (s["below"] > 0)) | (~end & (s["below"] >= tail_len))
             code = np.where(cert, 1, np.where(nonesc, 2, 0)).astype(np.int8)
-            sink(s["idx"][done], _results({**s, "code": code, "trap": trapped}, done))
-            keep = ~done
+            gone, keep = np.flatnonzero(done), np.flatnonzero(~done)
+            sink(s["idx"][gone], _results({**s, "code": code, "trap": trapped}, gone))
             s = {k: a[keep] for k, a in s.items()}
 
 

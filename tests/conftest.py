@@ -10,7 +10,7 @@ from expdyn import orbits
 RESULT_KEYS = ("tag", "tag_code", "steps", "trapped", "final_depth", "final_val")
 # The engine state of an orbit after each step: z in direct mode (0 in tower
 # mode), depth (0 in direct mode) and val with |z| = exp^depth(val), and the
-# carried phase.
+# carried phase, which only tower mode defines and reads.
 STEP_KEYS = ("z", "depth", "val", "phase")
 
 
@@ -20,7 +20,8 @@ def orbit_walk(monkeypatch):
 
     result maps each of RESULT_KEYS to the orbit's value, and states
     holds one dict per step taken, with the STEP_KEYS of the state after the
-    step and cond, whether the step was certified.  A spy on
+    step (phase only in tower mode, depth > 0) and cond, whether the step
+    was certified.  A spy on
     orbits._step_tower takes them: the tower step runs once per step, after
     the direct one, so on its return both have written the new state.
     """
@@ -29,7 +30,8 @@ def orbit_walk(monkeypatch):
 
     def spy(f, p, dcap, s, pos, fl):
         step_tower(f, p, dcap, s, pos, fl)
-        states.append({**{k: s[k][0] for k in STEP_KEYS}, "cond": fl["cond"][0]})
+        keys = STEP_KEYS if s["depth"][0] else [k for k in STEP_KEYS if k != "phase"]
+        states.append({**{k: s[k][0] for k in keys}, "cond": fl["cond"][0]})
 
     monkeypatch.setattr(orbits, "_step_tower", spy)
 

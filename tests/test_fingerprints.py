@@ -89,14 +89,16 @@ def _classify_hash(f, pts, p):
 
 
 def _walk_hash(walk, f, z0, p):
-    """sha256 of the results of one orbit and of its engine state after each step."""
+    """sha256 of the results of one orbit and of its engine state after each
+    step; the phase counts in tower mode only, where it is defined."""
     h = hashlib.sha256()
     res, states = walk(f, z0, p)
     for k in RESULT_KEYS:
         _digest(h, k, res[k])
     for n_step, state in enumerate(states, 1):
         for k in (*STEP_KEYS, "cond"):
-            _digest(h, f"{n_step}.{k}", state[k])
+            if k in state:
+                _digest(h, f"{n_step}.{k}", state[k])
     return h.hexdigest()
 
 
@@ -138,7 +140,7 @@ GOLDEN = {
     "example_h": {
         "classify/default": "12f0b5edf5d520f966bbf425d2e1456b5d5d3e41fcbabfd318f5992fcddd2e4d",
         "classify/short": "49e1f12badf83be39c5de930ef1965f2232b52ba3f635595abe62850c9f958ff",
-        "classify/single": "944d5827eb08906596362178bc142aab3eb0300e9c2a47813dd152f50d98b4dd",
+        "classify/single": "fee8fb185a8b9f3f25945275ddfd3ed9de8c62c76cfac0393083ab00542dc51f",
         "eval0": "5388ecbd6b47206c7d66141fba3b12c2e13e41770aad4c2962b18b35e3553326",
         "eval0/0d": "1ce8c7f5e519062d073055d64f6286ca37ca9ae1d59b298b1aa8e971a1dfc0ed",
         "eval1": "596c9e55663fd299a07c752f1962e4e2b7c7da01a83f6f76130b538473b69de5",
@@ -149,7 +151,7 @@ GOLDEN = {
     "sin_z": {
         "classify/default": "67311dd1b7e537e42c5b5b521e4a70195351d9f25decc3b7f9db46f500974f1a",
         "classify/short": "2ed5269662cbab2d89b30861feaac633b77a669b7d1645cd9245d55548799b2c",
-        "classify/single": "fd5a87c0ae8d231d84b9690ca3da9d5b37e0d6f5aebf5b8afa8cc703550b8129",
+        "classify/single": "9d889be4fcff0da59b9ab7a3bb15643b4efe88afc4dfb29fc82b8d29be88f907",
         "eval0": "7b63ae374791ffca8da18094ec909fa5b39c34006f048537da1a3292ba4a0aa5",
         "eval0/0d": "f8b221161e1d0a5aecc3addf4b1838923676f387fbe1e3ad0a6cc1e84671ee32",
         "eval1": "c8181a72d04ee40a6bf35404f83e121ae8a0d5db11f3277a50e254852a2f3e70",
@@ -160,7 +162,7 @@ GOLDEN = {
     "sin_z2": {
         "classify/default": "5b1f8209b6c1fced0d2a347c1358036871902f32d826fc1b38d1ff582501349d",
         "classify/short": "d3f417014fd0f99ba538ecf2c55f146bac8faf3417f9250b8dbf7e7c5b1bfb41",
-        "classify/single": "b1ebb9f996022618ecefaf7ecd7e96dccf9539ad24263150c8b2d3bab4a8d18c",
+        "classify/single": "b4a34cc85084d1c9bc6cdf3e3a8b2149cf084ec242e0c0011e37a450f32ea9c2",
         "eval0": "daaf81fa01635c75d37aac3ecf48f5eb46019f28110b774460c070cacf3e650d",
         "eval0/0d": "2cba4b0143ed47bfe60dade1e033808bd7813628eb85b71ff3f5236dea23c2f7",
         "eval1": "2aaa54c629e929ef5b8704a966fbcb6b6213f181308a5238d827f6903946ebb6",
@@ -172,7 +174,7 @@ GOLDEN = {
     "sin_z3": {
         "classify/default": "446af116d5f7761f60173855871433accdfd478648b08d489603c6cd1f665537",
         "classify/short": "d12ab4b1d0b4e15e2fbd71b9c0b763125c0c48a8aed5c1c9fda293805f5c0b51",
-        "classify/single": "93be9a7b267725239cb4dd11e5f9b6d785e2649cfa737f443acfd1340fda79f9",
+        "classify/single": "d9c5ddce22da021000f4b2faee042d2194c496d1fb7f5566caede5c58336d720",
         "eval0": "4d86c8b7f07165015fca0edf3b399fea6f0793420d7c249d575609e9ac7001c2",
         "eval0/0d": "c4c7c53a9f8e74bb07423287ea14e2d7238dc578784c1a9dfab72732d63430c3",
         "eval1": "afbf80034f882a465d35647fe2e3625c7228593f687af488400c672013bc0f4f",
@@ -184,7 +186,7 @@ GOLDEN = {
     "three_term": {
         "classify/default": "c48b6e3b93cc7f8ab7c786bf72ea8f1e239840c97fd269de8d9c5be86343ccb6",
         "classify/short": "3b7d050e462c4cf4eec038506e531c273acb68f4a5cb1336ee104f78892f1e68",
-        "classify/single": "4979047a64d70922cf1912b6b44c973859cb408e3b2906977ea32d7efe3ce309",
+        "classify/single": "89ac102d6a63d605131110d73cca6ddf0aa676aab559245e2f2ec45ec2d02fee",
         "eval0": "1c53453b4d7a9585e0c48fc65d47f96248b4e49f166cc700bf3700e589071d13",
         "eval0/0d": "77818874cd42bfe88df97688b69f04f59cacc18b8076216c85c79b15b198a1ca",
         "eval1": "4ade9724c28a0aea1fd6144b542a1c207877b406fc456f028d4904b786a7ceb3",
@@ -254,12 +256,12 @@ ORBIT_WALKS = {
     "sin_z3 depth 0": (
         lambda: bundled_function("sin_z3"),
         2.0 + 0.1j,
-        "42bc09e48af30b50f9ff670add6ac1dc301d90e16d6ccec78ed0ee7f3709e1f1",
+        "524d1e6219a08723018e837e41589db83061e7cef8760a03fd1e75fd12275e36",
     ),
     "cosh3 depth 3": (
         lambda: ExpPoly(3, [ExpPolyTerm(Poly([1]), 1 + 0j), ExpPolyTerm(Poly([1]), -1 + 0j)]),
         3.0 + 0.1j,
-        "a0aa092ecac9519c839523a63551110cca2fb722c8526999580d85a13254ea56",
+        "9275b4c9d662dd91d07ccfa406d9a66df030742b24fff99acc9058ab1c295593",
     ),
 }
 
