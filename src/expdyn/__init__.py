@@ -31,13 +31,9 @@ from .grid import (
     DensityReport,
     SquareTile,
     Tiling,
-    annulus_tail_bound,
-    band_measure_bound,
     default_sigma,
-    distortion_constant_C2,
     good_square_near,
     is_good_square,
-    koebe_distortion_factor,
     square_density_bound,
 )
 from .measure import (
@@ -48,9 +44,7 @@ from .measure import (
     b_measure_closed_form,
     b_measure_quadrature,
     b_wedge_halfwidth,
-    b_wedge_increment,
     counterexample_check,
-    headline_summary,
 )
 from .orbits import (
     ESCAPE_CERTIFIED,

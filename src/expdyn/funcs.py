@@ -241,13 +241,6 @@ def _phase(Sm, corr):
     return wrap_phase(Sm.imag + np.arctan2(corr.imag, corr.real))
 
 
-def _log_sum(rows):
-    """(logmod, phase, zero_mask) of sum_j exp(S_j): _log_parts with its phase.
-    Call it under np.errstate(divide="ignore", invalid="ignore")."""
-    logmod, zero, Sm, corr = _log_parts(rows)
-    return logmod, _phase(Sm, corr), zero
-
-
 def eval_log_batch(f: ExpPoly, Z, order: int = 0):
     """Log-domain value of f (order 0), f' (order 1) or f'' (order 2) at Z.
 
@@ -268,7 +261,8 @@ def eval_log_batch(f: ExpPoly, Z, order: int = 0):
             logp = [np.log(p(Z)) for p in _deriv_prefactors(f, order)]
         rows = [lp + w for lp, w in zip(logp, ws)]
         del ws, logp  # free the term arrays before the sum allocates its own
-        return _log_sum(rows)
+        logmod, zero, Sm, corr = _log_parts(rows)
+        return logmod, _phase(Sm, corr), zero
 
 
 # ---------------------------------------------------------------------------

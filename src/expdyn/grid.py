@@ -31,17 +31,11 @@ __all__ = [
     "is_good_square",
     "good_square_threshold",
     "square_density_bound",
-    "koebe_distortion_factor",
-    "distortion_constant_C2",
-    "annulus_tail_bound",
-    "band_measure_bound",
 ]
 
 SQRT2 = math.sqrt(2.0)
 # Points of the circle that good_square_near walks.
 NEAR_ANGLES = 96
-# distortion_constant_C2 stops at the first factor within this of 1.
-C2_TOL = 1e-15
 # Squares whose derivative grids square_density_bound evaluates in one call.
 # Peak memory grows with it: 4 squares stack 4356 order-1 points.
 BATCH_SQUARES = 4
@@ -395,48 +389,3 @@ def _exp_neg_power(c: float, r: float, alpha: float) -> float:
         return math.exp(-c * r**alpha)
     except OverflowError:
         return 0.0
-
-
-def koebe_distortion_factor(rho: float) -> float:
-    """((1 + rho) / (1 - rho))^4, the distortion ratio on the rho-disk."""
-    if not (0.0 < rho < 1.0):
-        raise ValueError("rho must lie in (0, 1)")
-    return ((1.0 + rho) / (1.0 - rho)) ** 4
-
-
-def distortion_constant_C2(n_factors: int | None = None) -> float:
-    """(prod_{j>=1} (1 + 2^-j) / (1 - 2^-j))^4, truncated after n_factors
-    factors, or by default at the first factor within C2_TOL of 1."""
-    prod = 1.0
-    j = 1
-    while True:
-        x = 2.0**-j
-        factor = (1.0 + x) / (1.0 - x)
-        prod *= factor
-        if n_factors is not None:
-            if j >= n_factors:
-                break
-        elif factor - 1.0 < C2_TOL:
-            break
-        j += 1
-    return prod**4
-
-
-def annulus_tail_bound(r: float, alpha: float) -> float:
-    """exp(-r^alpha / 2^(2+alpha)) for the annulus {r <= |z| <= 2r}."""
-    if r <= 0:
-        raise ValueError("r must be positive")
-    _check_alpha(alpha)
-    try:
-        return math.exp(-(r**alpha) / 2.0 ** (2.0 + alpha))
-    except OverflowError:
-        # r^alpha or 2^(2+alpha) exceeds doubles; their quotient
-        # (r/2)^alpha / 4 exceeds them only where the bound is 0.0.
-        return _exp_neg_power(0.25, r / 2.0, alpha)
-
-
-def band_measure_bound(length: float, s: float) -> float:
-    """(9 pi / 2) s length, for the s-neighborhood of a curve of that length."""
-    if not (0.0 < s < length):
-        raise ValueError("need 0 < s < length")
-    return _BAND_FACTOR * s * length

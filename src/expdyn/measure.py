@@ -23,7 +23,6 @@ import numpy as np
 
 from .exceptional import MIN_HALF_WIDTH, in_E_mask
 from .funcs import ExpPoly, eval_log_batch
-from .grid import annulus_tail_bound
 from .orbits import (
     ESCAPE_CERTIFIED,
     NON_ESCAPE_OBSERVED,
@@ -41,9 +40,7 @@ __all__ = [
     "b_wedge_halfwidth",
     "b_measure_closed_form",
     "b_measure_quadrature",
-    "b_wedge_increment",
     "counterexample_check",
-    "headline_summary",
 ]
 
 _E = math.e
@@ -161,11 +158,6 @@ def b_measure_quadrature(r0: float, R: float) -> float:
     return val
 
 
-def b_wedge_increment(r: float) -> float:
-    """Wedge measure between radii r and 2r (one dyadic step)."""
-    return b_measure_closed_form(r, 2.0 * r)
-
-
 def _wedge_points(r0: float, R: float, samples: int, seed: int) -> np.ndarray:
     """Measure-proportional low-discrepancy sample of B with r in [r0, R]."""
     from scipy.stats import qmc
@@ -214,45 +206,4 @@ def counterexample_check(p: CounterexampleParams, R: float, f: ExpPoly, seed: in
         "b_measure_closed": closed,
         "b_measure_quadrature": quad,
         "quadrature_rel_err": abs(quad - closed) / closed,
-    }
-
-
-def headline_summary(
-    f: ExpPoly,
-    radii,
-    p: ClassifyParams | None = None,
-    samples: int = 20000,
-    seed: int = 0,
-) -> dict:
-    """Annulus scans over a radius ladder with cumulative measure estimates.
-
-    Undetermined samples are never folded silently into either side: the
-    cumulative non-escape measure is reported best-case (Undetermined counted
-    as escaping) and worst-case (counted as non-escaping), with the matching
-    analytic tail bounds alongside.
-    """
-    if p is None:
-        p = ClassifyParams()
-    rows = []
-    for i, r in enumerate(radii):
-        rows.append(annulus_scan(f, r, samples, p, seed=seed + i))
-    best = []
-    worst = []
-    tails = []
-    cb = cw = 0.0
-    for rep in rows:
-        area = annulus_area(rep.r)
-        cb += rep.fractions[NON_ESCAPE_OBSERVED] * area
-        cw += (rep.fractions[NON_ESCAPE_OBSERVED] + rep.fractions[UNDETERMINED]) * area
-        best.append(cb)
-        worst.append(cw)
-        tails.append(annulus_tail_bound(rep.r, p.alpha))
-    return {
-        "radii": [rep.r for rep in rows],
-        "rows": rows,
-        "cumulative_best": best,
-        "cumulative_worst": worst,
-        "tail_bounds": tails,
-        "samples": samples,
-        "seed": seed,
     }

@@ -79,3 +79,32 @@ def test_tracer_installs_and_restores(tracing):
         assert all(fn is not before[key] for key, fn in _traced(tracing).items())
     assert _traced(tracing) == before
     assert cli._COMMANDS == commands
+
+
+# Exported names that only the test suite reads: acceptance 3 holds the
+# ring-search distances of dist_to_E1_measured to the lemma c1_constant.
+TEST_ONLY_EXPORTS = {"c1_constant", "dist_to_E1_measured"}
+
+
+def test_every_export_has_a_reader(tracing):
+    # A name expdyn exports is read by a library module other than
+    # __init__.py (a Name load or an attribute), or by perfbench through an
+    # import or a traced function; otherwise it is dead code kept alive by
+    # its own tests.
+    src = Path(expdyn.__file__).parent
+    init = ast.parse((src / "__init__.py").read_text())
+    exported = {a.asname or a.name for node in init.body if isinstance(node, ast.ImportFrom) for a in node.names}
+    read = {attr for _, _, attr, _ in tracing.TRACED}
+    for path in src.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    for path in (Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                read.update(a.name for a in node.names)
+    assert sorted(exported - read) == sorted(TEST_ONLY_EXPORTS)

@@ -12,14 +12,10 @@ from expdyn import (
     Poly,
     SquareTile,
     Tiling,
-    annulus_tail_bound,
-    band_measure_bound,
     bundled_function,
     default_sigma,
-    distortion_constant_C2,
     good_square_near,
     is_good_square,
-    koebe_distortion_factor,
     square_density_bound,
 )
 from expdyn import grid
@@ -307,57 +303,3 @@ def test_density_bound_of_no_squares(sin3):
     assert square_density_bound(sin3, [], 0.25) == []
     with pytest.raises(ValueError):
         square_density_bound(sin3, [], 0.0)
-
-
-# ---------------------------------------------------------------------------
-# Distortion and tail constants
-
-
-def test_koebe_examples():
-    assert koebe_distortion_factor(0.5) == pytest.approx(81.0)
-    assert koebe_distortion_factor(0.25) == pytest.approx(625.0 / 81.0)
-    assert koebe_distortion_factor(0.1) == pytest.approx((1.1 / 0.9) ** 4)
-    for bad in (0.0, 1.0, -0.3, 2.0):
-        with pytest.raises(ValueError, match=r"rho must lie in \(0, 1\)"):
-            koebe_distortion_factor(bad)
-
-
-def test_distortion_constant():
-    # one factor: ((1 + 1/2)/(1 - 1/2))^4 = 81
-    assert distortion_constant_C2(1) == pytest.approx(81.0)
-    full = distortion_constant_C2()
-    assert full == pytest.approx(distortion_constant_C2(60))
-    assert abs(distortion_constant_C2(50) - distortion_constant_C2(60)) < 1e-10
-    assert 4645.0 < full < 4647.0
-
-
-def test_annulus_tail_examples():
-    assert annulus_tail_bound(4096.0, 0.25) == pytest.approx(
-        math.exp(-(4096.0**0.25) / 2.0**2.25)
-    )
-    assert annulus_tail_bound(4096.0, 0.25) < 0.2
-    rs = [2.0**k for k in range(4, 20)]
-    vals = [annulus_tail_bound(r, 0.25) for r in rs]
-    assert all(b < a for a, b in zip(vals, vals[1:]))
-    assert sum(vals) < math.inf
-    # r^alpha or 2^(2+alpha) past the double range: exact values, not OverflowError
-    assert annulus_tail_bound(4096.0, 1e300) == 0.0
-    assert annulus_tail_bound(2.0, 2000.0) == math.exp(-0.25)
-    assert annulus_tail_bound(1.0, 2000.0) == 1.0
-    for r, alpha in ((-1.0, 0.25), (4096.0, 0.0), (4096.0, math.nan), (4096.0, math.inf)):
-        with pytest.raises(ValueError):
-            annulus_tail_bound(r, alpha)
-
-
-def test_band_measure_bound():
-    # s-neighborhood of a segment of length L fits in a stadium of measure
-    # 2 s L + pi s^2; the stated bound must dominate it
-    L, s = 10.0, 1.0
-    stadium = 2 * s * L + math.pi * s * s
-    got = band_measure_bound(L, s)
-    assert got == pytest.approx(45.0 * math.pi)
-    assert got >= stadium
-    with pytest.raises(ValueError, match="need 0 < s < length"):
-        band_measure_bound(1.0, 2.0)
-    with pytest.raises(ValueError, match="need 0 < s < length"):
-        band_measure_bound(1.0, 0.0)

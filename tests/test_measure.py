@@ -5,16 +5,13 @@ import pytest
 
 from expdyn import (
     AnnulusReport,
-    ClassifyParams,
     CounterexampleParams,
     annulus_area,
     annulus_scan,
     b_measure_closed_form,
     b_measure_quadrature,
     b_wedge_halfwidth,
-    b_wedge_increment,
     counterexample_check,
-    headline_summary,
 )
 from expdyn.measure import _annulus_points
 
@@ -106,10 +103,8 @@ def test_b_measure_quadrature_matches():
 
 def test_b_wedge_halfwidth_and_increment():
     assert b_wedge_halfwidth(10.0) == pytest.approx(1.0 / (100.0 * math.log(10.0)))
-    inc = b_wedge_increment(100.0)
-    assert inc == pytest.approx(b_measure_closed_form(100.0, 200.0))
-    # increments shrink with radius but every one is positive
-    incs = [b_wedge_increment(10.0 * 2**k) for k in range(8)]
+    # dyadic increments shrink with radius but every one is positive
+    incs = [b_measure_closed_form(10.0 * 2**k, 20.0 * 2**k) for k in range(8)]
     assert all(i > 0 for i in incs)
     assert all(b < a for a, b in zip(incs, incs[1:]))
 
@@ -144,24 +139,3 @@ def test_counterexample_deterministic(h_example):
     a = counterexample_check(p, 1000.0, f=h_example, seed=3)
     b = counterexample_check(p, 1000.0, f=h_example, seed=3)
     assert a == b
-
-
-# ---------------------------------------------------------------------------
-# Headline summary
-
-
-def test_headline_summary_decreasing(sin3):
-    s = headline_summary(sin3, [5.0, 10.0, 20.0], samples=3000, seed=0)
-    fracs = [rep.fractions["NonEscapeObserved"] for rep in s["rows"]]
-    assert all(b < a for a, b in zip(fracs, fracs[1:]))
-    assert fracs[-1] < 0.01
-    # cumulative series are non-decreasing and worst dominates best
-    for seq in (s["cumulative_best"], s["cumulative_worst"]):
-        assert all(b >= a for a, b in zip(seq, seq[1:]))
-    assert all(w >= b for w, b in zip(s["cumulative_worst"], s["cumulative_best"]))
-    assert all(t < 1.0 for t in s["tail_bounds"])
-
-
-def test_headline_summary_empty(sin3):
-    s = headline_summary(sin3, [], samples=10)
-    assert s["rows"] == [] and s["cumulative_best"] == []
