@@ -14,10 +14,11 @@ import json
 import math
 import numbers
 from dataclasses import asdict, dataclass, field
+from functools import cmp_to_key
 
 import numpy as np
 
-from .poly import Poly
+from .poly import Poly, _exact
 
 __all__ = [
     "ExpPolyTerm",
@@ -35,10 +36,6 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
-# check_hypotheses treats argument gaps within this of pi as exactly pi.
-ANGLE_TOL = 1e-9
-# Relative tolerance of the cross products in check_extra_condition.
-SPLIT_TOL = 1e-12
 
 
 def _const(x):
@@ -169,7 +166,8 @@ def _term_consts(f: ExpPoly) -> dict:
         logs = [None if q is None else [_const(a[0]) for a in _q_logs(q)] for q in qs]
         f.memo["term_consts"] = {
             "q_logs": [None if c is None else (*c[:3], c[3] if c[3] > 0 else None) for c in logs],
-            "beta": np.array([cmath.phase(t.b) for t in f.terms]),
+            # cmath.phase gives the same values, but raises where they underflow.
+            "beta": np.array([math.atan2(t.b.imag, t.b.real) for t in f.terms]),
             "abs_b": np.array([abs(t.b) for t in f.terms]),
         }
     return f.memo["term_consts"]
@@ -324,16 +322,10 @@ def check_extra_condition(Pk: Poly, bk: complex, Pl: Poly, bl: complex, d: int) 
     Only the coefficients of z^(d-2) and z^(d-1) are constrained: anything of
     degree <= d-3 is absorbable into the remainder, and the top coefficients
     of g are determined by P_k/b_k, which must agree with P_l/b_l.  That is
-    equivalent to the cross products P_k[i] b_l == P_l[i] b_k, to SPLIT_TOL
-    relative.
+    equivalent to the cross products P_k[i] b_l == P_l[i] b_k, compared
+    exactly on the stored doubles.
     """
-    for i in (d - 2, d - 1):
-        x = Pk.coeff(i) * bl
-        y = Pl.coeff(i) * bk
-        scale = max(abs(x), abs(y))
-        if scale > 0 and abs(x - y) > SPLIT_TOL * scale:
-            return False
-    return True
+    return all(_exact(Pk.coeff(i)) * _exact(bl) == _exact(Pl.coeff(i)) * _exact(bk) for i in (d - 2, d - 1))
 
 
 @dataclass
@@ -355,84 +347,69 @@ class HypothesisReport:
 def check_hypotheses(f: ExpPoly) -> HypothesisReport:
     """Classify f against the strict and weak frequency-gap conditions.
 
-    Arguments of the b_j are taken in [0, 2pi) and sorted; consecutive gaps
-    must not exceed pi and the total spread must reach pi.  A gap within
-    ANGLE_TOL of pi is treated as exactly pi, and each such pair must admit
-    the coefficient splitting tested by check_extra_condition (existentially
-    over all terms sharing the two arguments involved).
+    The arguments of the b_j, taken in [0, 2pi) and sorted, leave cyclic
+    gaps, the last one from the largest argument round to the smallest; no
+    gap may exceed pi.  Each gap of exactly pi is a pair that must admit the
+    coefficient splitting tested by check_extra_condition, existentially over
+    all terms sharing the two arguments; with no such pair the gaps are
+    strict.  Every decision is exact on the stored doubles: the b_j are
+    ordered by half-plane, then by the sign of the cross product
+    Im(conj(b_j) b_k), and a gap from b_j to b_k is pi iff that is 0 and
+    Re(conj(b_j) b_k) < 0.  A gap within 1e-9 rad of pi in floats that is
+    not exactly pi adds a note to the reason and changes nothing else.
     """
     if f.d < 3:
-        return HypothesisReport(
-            d_ok=False,
-            arg_order_ok=False,
-            strict_gaps=False,
-            pi_gap_pairs=[],
-            extra_condition_ok=[],
-            verdict="Fails",
-            reason="RequiresD3",
+        return HypothesisReport(False, False, False, [], [], "Fails", "RequiresD3")
+    bs = [_exact(t.b) for t in f.terms]
+
+    def turn(j, k):
+        """conj(b_j) b_k: im is the cross product, re the dot product."""
+        return bs[j].conjugate() * bs[k]
+
+    def half(j):
+        """0 for an argument in [0, pi), 1 for one in [pi, 2pi)."""
+        return 0 if bs[j].im > 0 or (bs[j].im == 0 and bs[j].re > 0) else 1
+
+    def same_arg(j):
+        return [i for i in range(f.n_terms) if turn(j, i).im == 0 and turn(j, i).re > 0]
+
+    beta = [math.atan2(t.b.imag, t.b.real) for t in f.terms]
+
+    def near_pi(j, k):
+        """The one float test, which only labels: the gap is within 1e-9 rad of pi."""
+        gap = math.remainder(beta[k] - beta[j], TWO_PI)
+        return math.pi - abs(gap) <= 1e-9
+
+    order = sorted(range(f.n_terms), key=cmp_to_key(lambda j, k: half(j) - half(k) or -turn(j, k).im))
+    # Gap i runs from order[i] to order[i + 1], the last one round to order[0];
+    # its pair is listed in sorted order.  With two terms both gaps have one pair.
+    turns = [turn(j, k) for j, k in zip(order, order[1:] + order[:1])]
+    pairs = [*zip(order, order[1:]), (order[0], order[-1])]
+    is_pi = [t.im == 0 and t.re < 0 for t in turns]
+    pi_pairs = list(dict.fromkeys(p for p, pi in zip(pairs, is_pi) if pi))
+    near = dict.fromkeys(p for p, pi in zip(pairs, is_pi) if not pi and near_pi(*p))
+    notes = [f"gap {p} is within 1e-9 rad of pi but not exactly pi" for p in near]
+    # The last gap is in (0, 2pi]: there a zero cross product with a positive
+    # dot product is 2pi, every argument being the same.
+    if any(t.im < 0 for t in turns) or (turns[-1].im == 0 and turns[-1].re > 0):
+        reason = "; ".join(["argument gap condition violated", *notes])
+        return HypothesisReport(True, False, False, [], [], "Fails", reason)
+    extra_ok = [
+        any(
+            check_extra_condition(f.terms[a].P, f.terms[a].b, f.terms[b].P, f.terms[b].b, f.d)
+            for a in same_arg(j)
+            for b in same_arg(k)
         )
-
-    args = np.array([cmath.phase(t.b) % TWO_PI for t in f.terms])
-    order = np.argsort(args, kind="stable")
-    beta = args[order]
-    gaps = np.diff(beta)
-    spread = beta[-1] - beta[0]
-
-    weak_ok = bool(np.all(gaps <= math.pi + ANGLE_TOL) and spread >= math.pi - ANGLE_TOL)
-    if not weak_ok:
-        return HypothesisReport(
-            d_ok=True,
-            arg_order_ok=False,
-            strict_gaps=False,
-            pi_gap_pairs=[],
-            extra_condition_ok=[],
-            verdict="Fails",
-            reason="argument gap condition violated",
-        )
-
-    pi_pairs = []
-    for i, g in enumerate(gaps):
-        if abs(g - math.pi) <= ANGLE_TOL:
-            pi_pairs.append((int(order[i]), int(order[i + 1])))
-    if abs(spread - math.pi) <= ANGLE_TOL:
-        pair = (int(order[0]), int(order[-1]))
-        if pair not in pi_pairs:
-            pi_pairs.append(pair)
-
-    extra_ok = []
-    for j, k in pi_pairs:
-        # Existential over all terms sharing the two arguments of the pair.
-        side_a = [i for i in range(f.n_terms) if _arg_close(args[i], args[j])]
-        side_b = [i for i in range(f.n_terms) if _arg_close(args[i], args[k])]
-        found = any(
-            check_extra_condition(
-                f.terms[a].P, f.terms[a].b, f.terms[b].P, f.terms[b].b, f.d
-            )
-            for a in side_a
-            for b in side_b
-        )
-        extra_ok.append(found)
-
-    strict = not pi_pairs and spread > math.pi + ANGLE_TOL
-    if strict:
+        for j, k in pi_pairs
+    ]
+    if not pi_pairs:
         verdict, reason = "Theorem1.1", ""
     elif all(extra_ok):
         verdict, reason = "Theorem1.3", ""
     else:
         verdict, reason = "Fails", "pi-gap pair without admissible splitting"
-    return HypothesisReport(
-        d_ok=True,
-        arg_order_ok=True,
-        strict_gaps=strict,
-        pi_gap_pairs=pi_pairs,
-        extra_condition_ok=extra_ok,
-        verdict=verdict,
-        reason=reason,
-    )
-
-
-def _arg_close(a: float, b: float) -> bool:
-    return abs(wrap_phase(a - b)) <= ANGLE_TOL
+    reason = "; ".join(filter(None, [reason, *notes]))
+    return HypothesisReport(True, True, not pi_pairs, pi_pairs, extra_ok, verdict, reason)
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,7 @@ from .funcs import (
     eval_log_batch,
     wrap_phase,
 )
+from .poly import _GaussQ, _exact
 
 __all__ = [
     "ClassifyParams",
@@ -233,30 +234,6 @@ _TRAP_MARGIN = 1e-9
 _SQRT_REL = Fraction(1, 2**50)
 
 
-class _GaussQ:
-    """Exact complex rational re + i im."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
-
-    def __add__(self, o):
-        return _GaussQ(self.re + o.re, self.im + o.im)
-
-    def __mul__(self, o):
-        if isinstance(o, _GaussQ):
-            return _GaussQ(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
-        return _GaussQ(self.re * o, self.im * o)
-
-    def __bool__(self):
-        return bool(self.re or self.im)
-
-    def abs2(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
-
-
 def _sqrt_bounds(x: Fraction):
     """Rationals lo <= sqrt(x) <= hi for a rational x >= 0."""
     if x > 2**1000:
@@ -421,7 +398,7 @@ def _certify_petal(a, hat, f, m: int, rho: Fraction) -> bool:
 def _derive_trap(f: ExpPoly, escape_radius: float) -> TrapRegion | None:
     if any(t.P.coeff(0) != 0 for t in f.terms):
         return None
-    a = _taylor(f, TRAP_ORDER, lambda c: _GaussQ(c.real, c.imag), _GaussQ(0), _GaussQ(1))
+    a = _taylor(f, TRAP_ORDER, _exact, _GaussQ(0), _GaussQ(1))
     if a[0]:
         return None
     hat = _taylor(f, TRAP_ORDER, _abs_up, Fraction(0), Fraction(1))

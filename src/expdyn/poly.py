@@ -1,6 +1,9 @@
-"""Dense polynomials with complex coefficients, ascending degree order."""
+"""Dense polynomials with complex coefficients, ascending degree order, and
+the exact complex rationals that decide questions on their stored doubles."""
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -86,3 +89,38 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self.coeffs.tolist()})"
+
+
+class _GaussQ:
+    """Exact complex rational re + i im."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re, im=0):
+        self.re = Fraction(re)
+        self.im = Fraction(im)
+
+    def __add__(self, o):
+        return _GaussQ(self.re + o.re, self.im + o.im)
+
+    def __mul__(self, o):
+        if isinstance(o, _GaussQ):
+            return _GaussQ(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+        return _GaussQ(self.re * o, self.im * o)
+
+    def __eq__(self, o):
+        return self.re == o.re and self.im == o.im
+
+    def __bool__(self):
+        return bool(self.re or self.im)
+
+    def conjugate(self):
+        return _GaussQ(self.re, -self.im)
+
+    def abs2(self) -> Fraction:
+        return self.re * self.re + self.im * self.im
+
+
+def _exact(c) -> _GaussQ:
+    """The stored double complex c as an exact Gaussian rational."""
+    return _GaussQ(c.real, c.imag)

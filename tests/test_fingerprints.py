@@ -222,6 +222,24 @@ CLI_FILES = {
         ["grid-bound", "--fn", "sin_z3", "--r-lo", "10", "--r-hi", "20", "--count", "3"],
         "b388beebe2f544b87b0772b1802e60a3190564e0d6b99e24e26d35bb6230bf87",
     ),
+    # The hypothesis report of each bundled function; sin_z and sin_z2 are
+    # both the d < 3 refusal.
+    "check sin_z": (
+        ["check", "--fn", "sin_z"],
+        "f8783892a1c3273df675b35f1147e0a60c6ada4641b9d0c76d9a1a3da1913527",
+    ),
+    "check sin_z2": (
+        ["check", "--fn", "sin_z2"],
+        "f8783892a1c3273df675b35f1147e0a60c6ada4641b9d0c76d9a1a3da1913527",
+    ),
+    "check sin_z3": (
+        ["check", "--fn", "sin_z3"],
+        "bc4f047d3fe3eb4a149996e6a78d990f8a88ec6390865000b93f0a443e25671f",
+    ),
+    "check example_h": (
+        ["check", "--fn", "example_h"],
+        "e4ea23c1e2d30d70b8820d4f434fc24ee5309746c9f9181920bd7cb4434a38d8",
+    ),
 }
 
 

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 
 from expdyn import (
@@ -298,6 +298,8 @@ def test_gap_violation_fails():
     rep = check_hypotheses(f)
     assert rep.verdict == "Fails"
     assert not rep.arg_order_ok
+    assert rep.pi_gap_pairs == [] and not rep.strict_gaps
+    assert rep.reason == "argument gap condition violated"
 
 
 def test_pi_gap_without_splitting_fails():
@@ -329,6 +331,118 @@ def test_extra_condition_cross_products():
     assert not check_extra_condition(Poly([0, 0, 1]), 1 + 0j, Poly([0, 0, 1]), -1 + 0j, 3)
     # degree <= d-3 parts are unconstrained
     assert check_extra_condition(Poly([5]), 1 + 0j, Poly([-3]), -1 + 0j, 3)
+
+
+def _flat(bs, Ps=None):
+    """d = 3 and Q = 1 terms with frequencies bs and exponent polynomials Ps (default 0)."""
+    Ps = Ps or [Poly() for _ in bs]
+    return ExpPoly(3, [ExpPolyTerm(Poly([1]), b, P) for b, P in zip(bs, Ps)])
+
+
+_NEAR_PI = "gap (0, 1) is within 1e-9 rad of pi but not exactly pi"
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_gap_just_off_pi_fails(sign):
+    # b = (1, -1 +- 2^-k i): one gap exceeds pi by about 2^-k for every k,
+    # however far below the rounding of the float arguments; the note
+    # labels exactly the gaps within 1e-9 rad of pi, k >= 30.
+    for k in range(1, 61):
+        rep = check_hypotheses(_flat([1, complex(-1, sign * 2.0**-k)]))
+        assert (rep.verdict, rep.arg_order_ok, rep.pi_gap_pairs) == ("Fails", False, [])
+        note = [_NEAR_PI] if k >= 30 else []
+        assert rep.reason == "; ".join(["argument gap condition violated", *note])
+
+
+@pytest.mark.parametrize("delta", [5e-10, -5e-10, 5e-9])
+def test_rounded_pi_gap_fails(delta):
+    # b2 = e^{i(pi + delta)} is not -1, so one gap of b = (1, b2) exceeds pi.
+    rep = check_hypotheses(_flat([1, cmath.exp(1j * (math.pi + delta))]))
+    assert (rep.verdict, rep.pi_gap_pairs, rep.extra_condition_ok) == ("Fails", [], [])
+    assert rep.reason.endswith(_NEAR_PI) == (abs(delta) < 1e-9)
+
+
+def test_exact_pi_gap_needs_exact_splitting():
+    # b = (1, -1): P_0 = g and P_1 = -g split with the shared g; moving one
+    # coefficient of P_1 by one ulp breaks the splitting.
+    g = [0, 0.5, 1]
+    rep = check_hypotheses(_flat([1, -1], [Poly(g), Poly([-c for c in g])]))
+    assert (rep.verdict, rep.pi_gap_pairs, rep.extra_condition_ok) == ("Theorem1.3", [(0, 1)], [True])
+    assert rep.reason == ""
+    off = Poly([0, -0.5, np.nextafter(-1.0, -2.0)])
+    rep = check_hypotheses(_flat([1, -1], [Poly(g), off]))
+    assert (rep.verdict, rep.pi_gap_pairs, rep.extra_condition_ok) == ("Fails", [(0, 1)], [False])
+    assert rep.reason == "pi-gap pair without admissible splitting"
+    assert not check_extra_condition(Poly(g), 1 + 0j, off, -1 + 0j, 3)
+
+
+@pytest.mark.parametrize("bs", [[1], [1, 2], [1 + 1j, 0.5 + 0.5j, 3 + 3j]])
+def test_one_argument_fails(bs):
+    # Every b_j on one ray: the one gap round the circle is 2 pi.
+    rep = check_hypotheses(_flat(bs))
+    assert (rep.verdict, rep.arg_order_ok, rep.reason) == ("Fails", False, "argument gap condition violated")
+
+
+def test_splitting_is_existential_over_shared_arguments():
+    # b = (1, 2, -1): the pi pairs are (1, 2) and (0, 2).  P_1 does not split
+    # with P_2, but P_0, on the ray of b_1, does, so both pairs are admissible.
+    rep = check_hypotheses(_flat([1, 2, -1], [Poly([0, 0, 1]), Poly([0, 0, 5]), Poly([0, 0, -1])]))
+    assert (rep.pi_gap_pairs, rep.extra_condition_ok) == ([(1, 2), (0, 2)], [True, True])
+    assert rep.verdict == "Theorem1.3"
+
+
+def test_argument_that_underflows():
+    # arg(2 + 5e-324 i) underflows to 0, where cmath.phase raises.  The gap
+    # from -1 back to b_0 exceeds pi by that much.
+    f = _flat([complex(2, 5e-324), -1])
+    assert np.isfinite(eval_log_batch(f, np.array([1 + 1j]))[0]).all()
+    rep = check_hypotheses(f)
+    assert (rep.verdict, rep.reason) == ("Fails", "argument gap condition violated; " + _NEAR_PI)
+
+
+def _quarter(c, turns):
+    """c times i^turns, by exact swaps and negations of its parts."""
+    for _ in range(turns % 4):
+        c = complex(-c.imag, c.real)
+    return c
+
+
+_AXIS_B = [s * complex(x, y) for x in (-1, 0, 1) for y in (-1, 0, 1) if x or y for s in (1, 3)]
+_FREQ = st.one_of(
+    st.sampled_from(_AXIS_B),
+    st.builds(complex, st.floats(-4, 4), st.floats(-4, 4)).filter(lambda b: b != 0),
+)
+_SMALL = st.sampled_from([0, 1, -1, 0.5j, 1 + 1j])
+
+
+@settings(max_examples=300, deadline=None)
+@example(d=3, bs=[-1, 1, -1j], g=[0] * 5, own=[None] * 4, q=[1], turns=3)
+@given(
+    d=st.integers(3, 5),
+    bs=st.lists(_FREQ, min_size=1, max_size=4, unique=True),
+    g=st.lists(_SMALL, min_size=5, max_size=5),
+    own=st.lists(st.none() | st.lists(_SMALL, min_size=5, max_size=5), min_size=4, max_size=4),
+    q=st.lists(_SMALL, min_size=1, max_size=3).filter(any),
+    turns=st.integers(1, 3),
+)
+def test_quarter_turn_keeps_verdict(d, bs, g, own, q, turns):
+    # f(i^turns z) multiplies b by i^(turns d) and the k-th coefficient of Q
+    # and of P by i^(turns k), all exact in doubles, so it meets the gap
+    # conditions exactly as f does, with the same pairs.  P_j is b_j g, which
+    # splits, or P_j's own coefficients.
+    Ps = [[b * c for c in g[:d]] if mine is None else mine[:d] for b, mine in zip(bs, own)]
+
+    def function(t):
+        def rot(cs):
+            return Poly(_quarter(complex(c), t * k) for k, c in enumerate(cs))
+
+        return ExpPoly(d, [ExpPolyTerm(rot(q), _quarter(b, t * d), rot(P)) for b, P in zip(bs, Ps)])
+
+    def key(rep):
+        pairs = {(frozenset(p), ok) for p, ok in zip(rep.pi_gap_pairs, rep.extra_condition_ok)}
+        return rep.verdict, rep.arg_order_ok, rep.strict_gaps, pairs
+
+    assert key(check_hypotheses(function(0))) == key(check_hypotheses(function(turns)))
 
 
 def test_report_serializable(sin3):
