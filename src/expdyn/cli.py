@@ -15,6 +15,7 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from .exceptional import E2_COLUMNS, e2_measure, in_E_mask
 from .funcs import (
     ExpPoly,
     ExpPolyTerm,
+    _check_alpha,
     bundled_function,
     check_hypotheses,
     eval_direct,
@@ -32,7 +34,6 @@ from .funcs import (
 from .grid import (
     DENSITY_COLUMNS,
     Tiling,
-    _check_alpha,
     good_square_near,
     square_density_bound,
     tile_side_ok,
@@ -72,19 +73,24 @@ def _add_fn(p):
 
 
 def _add_classify(p):
-    p.add_argument("--alpha", type=float, default=0.25, help="growth exponent for escape certification")
-    p.add_argument("--escape-radius", type=float, default=50.0, help="radius a certified-escape step must exceed")
-    p.add_argument("--max-iter", type=int, default=512, help="iteration budget per orbit")
-    p.add_argument("--cert-steps", type=int, default=3, help="consecutive certified steps required for escape")
+    p.add_argument("--alpha", type=float, default=ClassifyParams.alpha, help="growth exponent for escape certification")
+    p.add_argument(
+        "--escape-radius",
+        type=float,
+        default=ClassifyParams.escape_radius,
+        help="radius a certified-escape step must exceed",
+    )
+    p.add_argument("--max-iter", type=int, default=ClassifyParams.max_iter, help="iteration budget per orbit")
+    p.add_argument(
+        "--cert-steps",
+        type=int,
+        default=ClassifyParams.cert_steps,
+        help="consecutive certified steps required for escape",
+    )
 
 
 def _classify_params(args) -> ClassifyParams:
-    return ClassifyParams(
-        alpha=args.alpha,
-        escape_radius=args.escape_radius,
-        max_iter=args.max_iter,
-        cert_steps=args.cert_steps,
-    )
+    return ClassifyParams(**{f.name: getattr(args, f.name) for f in fields(ClassifyParams)})
 
 
 def _add_viewport(p):
@@ -147,16 +153,16 @@ def build_parser() -> _Parser:
     sp.add_argument("--r-lo", type=float, required=True)
     sp.add_argument("--r-hi", type=float, required=True)
     sp.add_argument("--sigma", type=float, help="square-scale parameter; default 1/(8 d max|b|)")
-    sp.add_argument("--alpha", type=float, default=0.25)
+    sp.add_argument("--alpha", type=float, default=ClassifyParams.alpha)
     sp.add_argument("--count", type=int, default=5, help="number of radii to probe")
     sp.add_argument("--out", help="optional CSV output path")
 
     sp = sub.add_parser("counterexample", help="slow-wedge bound checks and classification")
     sp.add_argument("--fn", default="example_h", help="function definition (default: the bundled slow-wedge example)")
-    sp.add_argument("--r0", type=float, default=100.0)
+    sp.add_argument("--r0", type=float, default=CounterexampleParams.r0)
     sp.add_argument("--R", type=float, default=10000.0)
-    sp.add_argument("--samples", type=int, default=2000)
-    sp.add_argument("--eps", type=float, default=0.1)
+    sp.add_argument("--samples", type=int, default=CounterexampleParams.samples)
+    sp.add_argument("--eps", type=float, default=CounterexampleParams.eps)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", help="write the JSON report here instead of stdout")
 
@@ -172,7 +178,7 @@ def build_parser() -> _Parser:
 
 def _cmd_check(args) -> int:
     f = _load_fn(args)
-    write_json(args.out, check_hypotheses(f).to_dict())
+    write_json(args.out, asdict(check_hypotheses(f)))
     return 0
 
 
@@ -202,7 +208,7 @@ def _cmd_e2measure(args) -> int:
 
 def _cmd_annulus_scan(args) -> int:
     f = _load_fn(args)
-    row = annulus_scan(f, args.r, args.samples, _classify_params(args), seed=args.seed).to_dict()
+    row = asdict(annulus_scan(f, args.r, args.samples, _classify_params(args), seed=args.seed))
     if args.out:
         write_csv(args.out, list(row), [list(row.values())])
     write_json(None, row)
@@ -217,7 +223,7 @@ def _cmd_grid_bound(args) -> int:
     tiles = [good_square_near(tiling, float(r)) for r in radii]
     reports = square_density_bound(f, [t for t in tiles if t is not None], args.alpha)
     if args.out:
-        write_csv(args.out, DENSITY_COLUMNS, [list(rep.to_dict().values()) for rep in reports])
+        write_csv(args.out, DENSITY_COLUMNS, [[getattr(rep, c) for c in DENSITY_COLUMNS] for rep in reports])
     write_json(
         None,
         {

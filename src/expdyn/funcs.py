@@ -13,7 +13,7 @@ import cmath
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import cmp_to_key
 
 import numpy as np
@@ -48,6 +48,13 @@ def _const(x):
 
 
 _TWO_PI_0D, _PI_0D, _ZERO_C = _const(TWO_PI), _const(math.pi), _const(0j)
+
+
+def _check_alpha(alpha: float) -> None:
+    """Refuse a growth exponent alpha, of |f(z)| >= exp(|z|^alpha), that is
+    not positive and finite."""
+    if not (0.0 < alpha < math.inf):
+        raise ValueError("alpha must be positive and finite")
 
 
 def wrap_phase(p):
@@ -330,7 +337,8 @@ def check_extra_condition(Pk: Poly, bk: complex, Pl: Poly, bl: complex, d: int) 
 
 @dataclass
 class HypothesisReport:
-    """Outcome of the frequency-argument gap conditions on a function."""
+    """Outcome of the frequency-argument gap conditions on a function: the
+    check report, its fields the JSON keys in order."""
 
     d_ok: bool
     arg_order_ok: bool
@@ -339,9 +347,6 @@ class HypothesisReport:
     extra_condition_ok: list
     verdict: str  # "Theorem1.1" | "Theorem1.3" | "Fails"
     reason: str = ""
-
-    def to_dict(self):
-        return asdict(self)
 
 
 def check_hypotheses(f: ExpPoly) -> HypothesisReport:

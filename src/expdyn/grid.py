@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .exceptional import _disc_clear
-from .funcs import ExpPoly, eval_log_batch
+from .funcs import ExpPoly, _check_alpha, eval_log_batch
 
 __all__ = [
     "SquareTile",
@@ -77,10 +77,6 @@ class SquareTile:
     def max_abs_z(self) -> float:
         """Distance from the origin to the farthest corner."""
         return _max_abs_z(self.center.real, self.center.imag, self.side)
-
-    def contains(self, z: complex) -> bool:
-        """Half-open membership matching the quadtree descent convention."""
-        return self.x0 <= z.real < self.x1 and self.y0 <= z.imag < self.y1
 
     def grid(self, n: int) -> np.ndarray:
         """(n+1) x (n+1) closed sample grid over the square."""
@@ -253,7 +249,8 @@ def good_square_near(tiling: Tiling, r: float):
 
 @dataclass(frozen=True)
 class DensityReport:
-    """Ingredients of the image-density bound for one square.
+    """Ingredients of the image-density bound for one square: one grid-bound
+    row, its fields the columns in order (DENSITY_COLUMNS).
 
     Not a certificate, for two reasons.  min/max_fprime_log come from
     sampling log|f'| on a 33x33 grid of the square, and the Lipschitz slack
@@ -269,7 +266,10 @@ class DensityReport:
     for the computed chain.
     """
 
-    square: SquareTile
+    center_re: float
+    center_im: float
+    side: float
+    level: int
     min_abs_z: float
     max_abs_z: float
     min_fprime_log: float
@@ -282,17 +282,9 @@ class DensityReport:
     density_upper_log: float
     asymptotic_bound: float
 
-    def to_dict(self):
-        """The report keyed by DENSITY_COLUMNS: the square's geometry, then the other fields."""
-        sq = self.square
-        head = (sq.center.real, sq.center.imag, sq.side, sq.level)
-        return dict(zip(DENSITY_COLUMNS, head + tuple(getattr(self, k) for k in DENSITY_COLUMNS[4:])))
-
 
 # The columns of a density report row, as grid-bound writes them.
-DENSITY_COLUMNS = ("center_re", "center_im", "side", "level") + tuple(
-    f.name for f in fields(DensityReport) if f.name != "square"
-)
+DENSITY_COLUMNS = tuple(f.name for f in fields(DensityReport))
 
 
 def _stacked_grids(tiles, n: int) -> np.ndarray:
@@ -329,11 +321,6 @@ def _log_extrema_fprime(f: ExpPoly, tiles):
     return out
 
 
-def _check_alpha(alpha: float) -> None:
-    if not (0.0 < alpha < math.inf):
-        raise ValueError("alpha must be positive and finite")
-
-
 def square_density_bound(f: ExpPoly, squares, alpha: float, e2_budget: float = 0.0) -> list[DensityReport]:
     """Assemble the uncovered-image density bound for each good square, in order.
 
@@ -368,7 +355,10 @@ def _density_report(S: SquareTile, mn_log, mx_log, slack, alpha: float, e2_budge
     uncovered_log = float(np.logaddexp(band_log, e2_log))
     mz = S.min_abs_z()
     return DensityReport(
-        square=S,
+        center_re=S.center.real,
+        center_im=S.center.imag,
+        side=S.side,
+        level=S.level,
         min_abs_z=mz,
         max_abs_z=S.max_abs_z(),
         min_fprime_log=mn_adj,

@@ -23,14 +23,7 @@ import numpy as np
 
 from .exceptional import MIN_HALF_WIDTH, in_E_mask
 from .funcs import ExpPoly, eval_log_batch
-from .orbits import (
-    ESCAPE_CERTIFIED,
-    NON_ESCAPE_OBSERVED,
-    UNDETERMINED,
-    ClassifyParams,
-    _TAG_TABLE,
-    classify_batch,
-)
+from .orbits import NON_ESCAPE_OBSERVED, ClassifyParams, classify_batch
 
 __all__ = [
     "AnnulusReport",
@@ -53,26 +46,17 @@ def annulus_area(r: float) -> float:
 
 @dataclass(frozen=True)
 class AnnulusReport:
-    """Classification fractions over a low-discrepancy sample of ann(r)."""
+    """Classification fractions over a low-discrepancy sample of ann(r):
+    one annulus-scan row, its fields the columns in order."""
 
     r: float
     samples: int
-    fractions: dict
+    frac_escape: float
+    frac_nonescape: float
+    frac_undetermined: float
     e2_fraction: float
     estimated_nonescape_measure: float
     seed: int
-
-    def to_dict(self):
-        return {
-            "r": self.r,
-            "samples": self.samples,
-            "frac_escape": self.fractions[ESCAPE_CERTIFIED],
-            "frac_nonescape": self.fractions[NON_ESCAPE_OBSERVED],
-            "frac_undetermined": self.fractions[UNDETERMINED],
-            "e2_fraction": self.e2_fraction,
-            "estimated_nonescape_measure": self.estimated_nonescape_measure,
-            "seed": self.seed,
-        }
 
 
 @dataclass(frozen=True)
@@ -117,15 +101,18 @@ def annulus_scan(
     if not (r > 0 and math.isfinite(annulus_area(r))):
         raise ValueError(f"r must be positive with a finite annulus area, got {r:.6g}")
     pts = _annulus_points(r, samples, seed)
-    counts = dict(zip(_TAG_TABLE, np.bincount(classify_batch(f, pts, p)["tag_code"], minlength=_TAG_TABLE.size)))
-    fractions = {tag: float(counts[tag]) / samples for tag in (ESCAPE_CERTIFIED, NON_ESCAPE_OBSERVED, UNDETERMINED)}
+    # tag_code 0 is Undetermined, 1 EscapeCertified, 2 NonEscapeObserved.
+    counts = np.bincount(classify_batch(f, pts, p)["tag_code"], minlength=3)
+    undetermined, escape, nonescape = (float(n) / samples for n in counts)
     e2 = float(in_E_mask(f, pts, 2).mean()) if f.d >= 3 else 0.0
     return AnnulusReport(
         r=float(r),
         samples=samples,
-        fractions=fractions,
+        frac_escape=escape,
+        frac_nonescape=nonescape,
+        frac_undetermined=undetermined,
         e2_fraction=e2,
-        estimated_nonescape_measure=fractions[NON_ESCAPE_OBSERVED] * annulus_area(r),
+        estimated_nonescape_measure=nonescape * annulus_area(r),
         seed=seed,
     )
 

@@ -53,6 +53,7 @@ from .exceptional import in_E_mask
 from .funcs import (
     ExpPoly,
     _ZERO_C,
+    _check_alpha,
     _const,
     _log_parts,
     _phase,
@@ -101,8 +102,7 @@ class ClassifyParams:
     cert_steps: int = 3
 
     def __post_init__(self):
-        if not (math.isfinite(self.alpha) and self.alpha > 0):
-            raise ValueError("alpha must be positive and finite")
+        _check_alpha(self.alpha)
         if self.cert_steps < 2:
             raise ValueError("cert_steps must be at least 2")
         if not (math.isfinite(self.escape_radius) and self.escape_radius > 0):
@@ -149,7 +149,7 @@ def _tower_next(dep, v, logc, d: int):
 
 
 def _log_deriv_bound(f: ExpPoly, r: float) -> float:
-    """Crude bound on |f'/f| near the circle maximum of |f| on |z| = r.
+    """Crude estimate of |f'/f| near the circle maximum of |f| on |z| = r.
 
     Near the maximum the dominant term carries f, so |f'/f| is within a
     factor of the exponent derivative plus polynomial logarithmic
@@ -165,11 +165,13 @@ def _log_deriv_bound(f: ExpPoly, r: float) -> float:
 
 
 def log_max_modulus(f: ExpPoly, r: float):
-    """Bracket [lo, hi] for log max_{|z|=r} |f(z)| by circle sampling.
+    """Sampled estimates lo <= hi of log max_{|z|=r} |f(z)|.
 
-    lo is the maximum of log|f| over CIRCLE_SAMPLES points; hi adds a
-    Lipschitz slack for the half gap between samples using the crude
-    gradient bound above.  Raises ValueError where the bracket is not
+    lo is the maximum of log|f| over CIRCLE_SAMPLES points, so up to
+    rounding it is at most the true value.  hi adds a Lipschitz slack for
+    the half gap between samples from the crude gradient estimate above,
+    a heuristic that is no bound near a zero of a Q_j: hi is an estimate,
+    not a certified upper bound.  Raises ValueError where either is not
     finite in doubles.
     """
     if not (r > 0 and math.isfinite(r)):
@@ -187,13 +189,14 @@ def log_max_modulus(f: ExpPoly, r: float):
 
 
 def iterate_max_modulus(f: ExpPoly, R: float, n: int):
-    """The first n iterates M^n(R) of r -> M(r, f), which define the fast
-    escaping set A(f), as canonical (depth, val) tuples (ordered as at LIFT).
+    """Estimates of the first n iterates M^n(R) of r -> M(r, f), which define
+    the fast escaping set A(f), as canonical (depth, val) tuples (ordered as
+    at LIFT).
 
-    Circle sampling (upper bracket side) while the exponents fit in doubles,
-    then the tower step of log M(r) <= c r^d, c = max|b_j| (1 + 1e-9); every
-    approximation is taken on the upper side, so each iterate bounds M^n(R)
-    from above.
+    Circle sampling (the hi estimate of log_max_modulus) while the exponents
+    fit in doubles, then the tower step of log M(r) <= c r^d,
+    c = max|b_j| (1 + 1e-9).  The ladder is a sampled estimate of M^n(R), not
+    a certified upper bound: hi rests on a heuristic gradient estimate.
     """
     lo, hi = log_max_modulus(f, R)
     if lo <= math.log(R):
@@ -335,12 +338,8 @@ class TrapRegion:
     A: float = 0.0
 
     def contains(self, z):
-        """Float membership with an outward margin: True entries lie in R."""
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return self._inside(np.asarray(z, dtype=complex))
-
-    def _inside(self, z):
-        """contains for a complex array z, under the caller's np.errstate."""
+        """Float membership of a complex array z with an outward margin: True
+        entries lie in R.  Runs under the caller's np.errstate."""
         if self.kind == "disk":
             return np.abs(z) < self.rho * (1.0 - _TRAP_MARGIN)
         w = self.c / _pow_int(z, self.m)
@@ -620,7 +619,7 @@ def _step_direct(f: ExpPoly, p: ClassifyParams, radius, dcap, screen, trap, s, p
             last = p.max_iter - min(TAIL_STEPS, p.max_iter)
             if s["age"][0] > last:
                 near &= s["age"][pos] - below <= last
-            flags["trap"] = near & trap._inside(znew)
+            flags["trap"] = near & trap.contains(znew)
     _put(fl, pos, flags)
     _put(s, pos, {"z": znew, "val": absnew, "below": below})
     if promoted is not None:

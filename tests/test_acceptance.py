@@ -124,7 +124,7 @@ def test_acceptance_5_counterexample_wedge(h_example):
 def test_acceptance_6_finite_vs_infinite_contrast(sin3, h_example):
     t0 = time.perf_counter()
     rows = [annulus_scan(sin3, r, 100_000, seed=i) for i, r in enumerate((5.0, 10.0, 20.0))]
-    worst = [rep.fractions["NonEscapeObserved"] + rep.fractions["Undetermined"] for rep in rows]
+    worst = [rep.frac_nonescape + rep.frac_undetermined for rep in rows]
     sin3_ok = all(b < a for a, b in zip(worst, worst[1:])) and worst[-1] < 0.01
     wedge_ok = True
     for r in (100.0, 200.0, 400.0):
@@ -174,7 +174,8 @@ def test_acceptance_8_grid_construction(cosh3):
     violations = 0
     for z in pts:
         t = tiling.tile_at(complex(z))
-        if not t.contains(complex(z)) or not tile_side_ok(t, cosh3.d, tiling.sigma):
+        in_cell = t.x0 <= z.real < t.x1 and t.y0 <= z.imag < t.y1
+        if not in_cell or not tile_side_ok(t, cosh3.d, tiling.sigma):
             violations += 1
     logs = []
     count = 0

@@ -1,6 +1,7 @@
 import cmath
 import gc
 import math
+import warnings
 import weakref
 
 import numpy as np
@@ -252,6 +253,14 @@ def test_disc_test_is_sound(request, name):
         if clear:
             assert not in_E_mask(f, _disc_sample(rng, c, R), 1).any()
     assert outcomes == {True, False}
+
+
+def test_disc_clear_refuses_where_powers_overflow(sin3):
+    # At |c| = 1e200 the rho^i of the derivative bound leave doubles: not
+    # proven, and no warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _disc_clear(sin3, 1e200, 1.0) is False
 
 
 def _disc_sample(rng, c, R):

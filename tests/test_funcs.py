@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -323,7 +324,7 @@ def test_spread_of_pi_is_a_pi_gap_pair():
     rep = check_hypotheses(f)
     assert rep.pi_gap_pairs == [(0, 2)] and rep.extra_condition_ok == [True]
     assert rep.verdict == "Theorem1.3"
-    assert json.loads(json.dumps(rep.to_dict()))["pi_gap_pairs"] == [[0, 2]]
+    assert json.loads(json.dumps(asdict(rep)))["pi_gap_pairs"] == [[0, 2]]
 
 
 def test_extra_condition_cross_products():
@@ -447,7 +448,7 @@ def test_quarter_turn_keeps_verdict(d, bs, g, own, q, turns):
 
 def test_report_serializable(sin3):
     rep = check_hypotheses(sin3)
-    data = json.loads(json.dumps(rep.to_dict()))
+    data = json.loads(json.dumps(asdict(rep)))
     assert data["verdict"] == "Theorem1.3"
 
 

@@ -1,6 +1,15 @@
 import json
+import re
+from dataclasses import fields
+from pathlib import Path
 
+from expdyn.exceptional import E2_COLUMNS
+from expdyn.funcs import HypothesisReport
+from expdyn.grid import DENSITY_COLUMNS
+from expdyn.measure import AnnulusReport
 from expdyn.report import write_csv, write_json
+
+SCHEMA = Path(__file__).resolve().parents[1] / "docs" / "measure_schema.md"
 
 
 def test_write_csv_header_without_rows(tmp_path):
@@ -21,3 +30,15 @@ def test_write_json_indent_and_newline(tmp_path, capsys):
     # Without a path the same text goes to standard output.
     write_json(None, data)
     assert capsys.readouterr().out == text
+
+
+def test_every_report_column_is_documented():
+    """Each column or key a command writes is a word of docs/measure_schema.md."""
+    words = set(re.findall(r"\w+", SCHEMA.read_text(encoding="utf-8")))
+    columns = [
+        *(f.name for f in fields(AnnulusReport)),
+        *DENSITY_COLUMNS,
+        *E2_COLUMNS,
+        *(f.name for f in fields(HypothesisReport)),
+    ]
+    assert [c for c in columns if c not in words] == []

@@ -1,5 +1,7 @@
 """Trap regions at the fixed point 0, checked against mpmath oracles."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from mpmath import iv, mp
@@ -93,19 +95,81 @@ def test_trap_refusal_paths(monkeypatch, f, certifier, tries):
     assert not classify_batch(f, pts, ClassifyParams())["trapped"].any()
 
 
+# Refusals inside _certify_petal once the tail is finite.  2^-7 sinh(128 z)
+# has f'(0) = 1 and a_3 = 128^2/6, so m = 2 and U >= |a_3| rho^2 >= 1 for
+# rho >= 2^-5, while its tail is finite from rho = 1/2 on (majorant
+# exponent 128 rho <= 64).  2^260 sinh(2^-260 z) has f'(0) = 1 and
+# |a_3|^2 = 2^-1040/36 < 2^-1000, whose square root _sqrt_bounds bounds
+# below by 0 alone, so no radius certifies.
+def _spy_petal(monkeypatch):
+    calls = []
+
+    def spy(a, hat, f, m, rho, _fn=orbits._certify_petal):
+        calls.append((rho, _fn(a, hat, f, m, rho)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(orbits, "_certify_petal", spy)
+    return calls
+
+
+def test_petal_refused_while_U_reaches_1(monkeypatch):
+    calls = _spy_petal(monkeypatch)
+    f = ExpPoly(1, _sinh_terms(2.0**-8, 128.0))
+    trap = trap_at_0(f, 50.0)
+    # rho = 1: the tail is infinite; 1/2 ... 1/32: U >= 1; 1/64: the final
+    # inequality fails; 1/128 certifies.
+    assert calls == [(Fraction(1, 2**i), i == 7) for i in range(8)]
+    assert trap.kind == "petal" and trap.m == 2 and trap.rho == 2.0**-7
+    c = iv.mpc(trap.c.real, trap.c.imag)
+
+    def check(lo, hi):
+        z = _arc(trap.rho, lo, hi)
+        fz = _iv_eval(f, z)
+        if not _sup_abs(fz / z - 1) < 1:
+            return False
+        return _sup_abs(c / fz**2 - c / z**2 - 1) <= 0.5
+
+    assert _cover_circle(check)
+
+
+def test_petal_refused_with_a_vanishing_lead(monkeypatch):
+    calls = _spy_petal(monkeypatch)
+    tails = []
+
+    def spy_tail(*args, _fn=orbits._tail_up):
+        tails.append(_fn(*args))
+        return tails[-1]
+
+    monkeypatch.setattr(orbits, "_tail_up", spy_tail)
+    f = ExpPoly(1, _sinh_terms(2.0**259, 2.0**-260))
+    assert trap_at_0(f, 50.0) is None
+    assert [ok for _, ok in calls] == [False] * 21
+    assert len(tails) == 21 and None not in tails
+
+
+def test_sqrt_bounds_bracket_exactly():
+    """lo^2 <= x <= hi^2 from 2^-1100 to 2^1100, across the cut-offs at 2^+-1000."""
+    two = Fraction(2)
+    xs = [two**k * u for k in range(-1100, 1101, 5) for u in (1, Fraction(5, 3), 1 - two**-60)]
+    for x in xs + [two**1000 + 1, two**-1000 * (1 + two**-60)]:
+        lo, hi = orbits._sqrt_bounds(x)
+        assert 0 <= lo and lo * lo <= x <= hi * hi
+
+
 def test_membership_keeps_outward_margin():
     petal = TrapRegion("petal", 1.0, 2, 3.0 + 0j, 3.0)
     # Re(3/z^2) = 3/x^2 on the real axis: x = 1 is the boundary.
     z = np.array([0.5, -0.5, 1.0, 1.0 - 1e-12, 0.0, 0.5j, 0.3 + 0.3j])
-    assert petal.contains(z).tolist() == [True, True, False, False, False, False, False]
-    disk = TrapRegion("disk", 0.5)
-    assert disk.contains(np.array([0.0, 0.49, 0.5, 0.5 * (1 - 1e-12), 0.3 + 0.4j])).tolist() == [
-        True,
-        True,
-        False,
-        False,
-        False,
-    ]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        assert petal.contains(z).tolist() == [True, True, False, False, False, False, False]
+        disk = TrapRegion("disk", 0.5)
+        assert disk.contains(np.array([0.0, 0.49, 0.5, 0.5 * (1 - 1e-12), 0.3 + 0.4j])).tolist() == [
+            True,
+            True,
+            False,
+            False,
+            False,
+        ]
 
 
 # ---------------------------------------------------------------------------
