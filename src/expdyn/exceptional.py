@@ -9,11 +9,12 @@ pair, with nu = d - 5/2.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 import numpy as np
 
-from .funcs import TWO_PI, ExpPoly
+from .funcs import CACHE_SIZE, TWO_PI, ExpPoly
 from .poly import Poly
 
 __all__ = [
@@ -40,17 +41,11 @@ def _expo(f: ExpPoly) -> float:
     return (f.d - 2.5) / f.d
 
 
+@functools.lru_cache(CACHE_SIZE)
 def _pair_polys(f: ExpPoly):
-    # p_{j,k} for j < k.  Unordered pairs suffice: p_{k,j} = -p_{j,k} and
-    # membership only sees |Re| and the modulus.  Stored on the function, so
-    # they live as long as it.
-    if "pair_polys" not in f.memo:
-        f.memo["pair_polys"] = [
-            f.exponent_poly(j) - f.exponent_poly(k)
-            for j in range(f.n_terms)
-            for k in range(j + 1, f.n_terms)
-        ]
-    return f.memo["pair_polys"]
+    # p_{j,k} for j < k, cached by the function value.  Unordered pairs
+    # suffice: p_{k,j} = -p_{j,k} and membership only sees |Re| and the modulus.
+    return tuple(f.exponent_poly(j) - f.exponent_poly(k) for j in range(f.n_terms) for k in range(j + 1, f.n_terms))
 
 
 def _far_member(poly: Poly, Z, level: int, expo: float):

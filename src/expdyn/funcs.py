@@ -14,7 +14,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import cmp_to_key
+from functools import cmp_to_key, lru_cache
 
 import numpy as np
 
@@ -36,10 +36,13 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+# Each cache of quantities derived from a function's coefficients holds at
+# most this many entries, so it keeps at most this many functions alive.
+CACHE_SIZE = 32
 
 
 def _const(x):
-    """x as a read-only 0-d array, for constants that meet arrays in every
+    """x as a read-only array, for constants that meet arrays in every
     orbit step: numpy takes it without converting a Python scalar on each
     call, and computes the same values."""
     a = np.array(x)
@@ -82,7 +85,13 @@ class ExpPolyTerm:
 
 
 class ExpPoly:
-    """Immutable exponential polynomial of leading exponent degree d."""
+    """Immutable exponential polynomial of leading exponent degree d.
+
+    Two are equal iff their d and every stored double of every Q_j, b_j and
+    P_j, in term order, are bitwise equal, signed zeros included: == on the
+    coefficients would merge b = -1+0i and -1-0i, of arguments pi and -pi.
+    Quantities derived from the coefficients are cached by this value.
+    """
 
     def __init__(self, d: int, terms):
         terms = tuple(terms)
@@ -101,9 +110,15 @@ class ExpPoly:
         self.terms = terms
         self.n_terms = len(terms)
         self.max_abs_b = max(abs(b) for b in bs)
-        # Quantities derived from the (never modified) coefficients, computed
-        # once by their users; see orbits.trap_at_0.
-        self.memo = {}
+        self._key = (d, tuple((t.Q.coeffs.tobytes(), np.complex128(t.b).tobytes(), t.P.coeffs.tobytes())
+                              for t in terms))
+        self._hash = hash(self._key)
+
+    def __eq__(self, other):
+        return isinstance(other, ExpPoly) and self._key == other._key
+
+    def __hash__(self):
+        return self._hash
 
     def exponent_poly(self, j: int) -> Poly:
         """b_j z^d + P_j as a polynomial."""
@@ -131,23 +146,14 @@ def _term_exponents(f: ExpPoly, z):
     return [t.b * zd + (_ZERO_C if t.P.is_zero() else t.P(z)) for t in f.terms]
 
 
+@lru_cache(CACHE_SIZE)
 def _deriv_prefactors(f: ExpPoly, order: int):
     """Polynomial prefactors A_j with f^(order) = sum A_j exp(w_j), exact;
-    built once per order and stored on f.memo."""
-    key = ("deriv_prefactors", order)
-    if key not in f.memo:
-        prefs = [t.Q for t in f.terms]
-        for _ in range(order):
-            nxt = []
-            for j, a in enumerate(prefs):
-                t = f.terms[j]
-                lead = np.zeros(f.d, dtype=complex)
-                lead[f.d - 1] = f.d * t.b
-                wprime = Poly(lead) + t.P.deriv()
-                nxt.append(a.deriv() + a * wprime)
-            prefs = nxt
-        f.memo[key] = prefs
-    return f.memo[key]
+    cached by the function value and order."""
+    prefs = tuple(t.Q for t in f.terms)
+    for _ in range(order):
+        prefs = tuple(a.deriv() + a * f.exponent_poly(j).deriv() for j, a in enumerate(prefs))
+    return prefs
 
 
 def eval_direct(f: ExpPoly, z: complex) -> complex:
@@ -160,24 +166,24 @@ def eval_direct(f: ExpPoly, z: complex) -> complex:
     return total
 
 
+@lru_cache(CACHE_SIZE)
 def _term_consts(f: ExpPoly) -> dict:
-    """Per-term constants of f, computed once and stored on f.memo.
+    """Per-term constants of f, cached by the function value.
 
     "q_logs" holds the _q_logs of a constant prefactor, as 0-d arrays, with
     None for a lift of 0, and None for a non-constant one; "beta" and "abs_b"
     hold arg b_j and |b_j|.  The logs come from the same ufuncs as a
     per-point evaluation, so they are bitwise the values it would give.
+    Every array is read-only, as the result is shared.
     """
-    if "term_consts" not in f.memo:
-        qs = [np.full(1, t.Q.coeffs[0]) if t.Q.degree == 0 else None for t in f.terms]
-        logs = [None if q is None else [_const(a[0]) for a in _q_logs(q)] for q in qs]
-        f.memo["term_consts"] = {
-            "q_logs": [None if c is None else (*c[:3], c[3] if c[3] > 0 else None) for c in logs],
-            # cmath.phase gives the same values, but raises where they underflow.
-            "beta": np.array([math.atan2(t.b.imag, t.b.real) for t in f.terms]),
-            "abs_b": np.array([abs(t.b) for t in f.terms]),
-        }
-    return f.memo["term_consts"]
+    qs = [np.full(1, t.Q.coeffs[0]) if t.Q.degree == 0 else None for t in f.terms]
+    logs = [None if q is None else [_const(a[0]) for a in _q_logs(q)] for q in qs]
+    return {
+        "q_logs": tuple(None if c is None else (*c[:3], c[3] if c[3] > 0 else None) for c in logs),
+        # cmath.phase gives the same values, but raises where they underflow.
+        "beta": _const([math.atan2(t.b.imag, t.b.real) for t in f.terms]),
+        "abs_b": _const([abs(t.b) for t in f.terms]),
+    }
 
 
 def _q_logs(q):

@@ -51,6 +51,7 @@ import numpy as np
 
 from .exceptional import in_E_mask
 from .funcs import (
+    CACHE_SIZE,
     ExpPoly,
     _ZERO_C,
     _check_alpha,
@@ -394,7 +395,19 @@ def _certify_petal(a, hat, f, m: int, rho: Fraction) -> bool:
     return g / (m * lead_lo * rho**m) + tau / (lead_lo * rho ** (m + 1)) <= Fraction(1, 2)
 
 
-def _derive_trap(f: ExpPoly, escape_radius: float) -> TrapRegion | None:
+@functools.lru_cache(CACHE_SIZE)
+def trap_at_0(f: ExpPoly, escape_radius: float) -> TrapRegion | None:
+    """The certified trap region of f at the fixed point 0, or None.
+
+    Defined when f(0) = 0 holds exactly (every P_j(0) = 0 and the Q_j(0) sum
+    to 0).  If |a_1| < 1 it is the disk D(0, rho) with sup |f| < rho there;
+    if a_1 = 1 and a_(m+1) is the next nonzero coefficient, it is the petal
+    set {Re w > A}, w = -1/(m a_(m+1) z^m), A = 1/(m |a_(m+1)| rho^m), with
+    |W - w - 1| <= 1/2 on |z| <= rho for W = w(f(z)): each step then adds at
+    least 1/2 to Re w, so R is invariant, and Re w > A forces |z| < rho.
+    rho is the first radius of a fixed halving sequence below escape_radius
+    that certifies.  The result is cached by the function value and radius.
+    """
     if any(t.P.coeff(0) != 0 for t in f.terms):
         return None
     a = _taylor(f, TRAP_ORDER, _exact, _GaussQ(0), _GaussQ(1))
@@ -422,25 +435,6 @@ def _derive_trap(f: ExpPoly, escape_radius: float) -> TrapRegion | None:
             A = _up(1 / (m * _sqrt_bounds(lead.abs2())[0] * rho**m))
             return TrapRegion("petal", r, m, c, A)
     return None
-
-
-def trap_at_0(f: ExpPoly, escape_radius: float) -> TrapRegion | None:
-    """The certified trap region of f at the fixed point 0, or None.
-
-    Defined when f(0) = 0 holds exactly (every P_j(0) = 0 and the Q_j(0) sum
-    to 0).  If |a_1| < 1 it is the disk D(0, rho) with sup |f| < rho there;
-    if a_1 = 1 and a_(m+1) is the next nonzero coefficient, it is the petal
-    set {Re w > A}, w = -1/(m a_(m+1) z^m), A = 1/(m |a_(m+1)| rho^m), with
-    |W - w - 1| <= 1/2 on |z| <= rho for W = w(f(z)): each step then adds at
-    least 1/2 to Re w, so R is invariant, and Re w > A forces |z| < rho.
-    rho is the first radius of a fixed halving sequence below escape_radius
-    that certifies.  The result is stored on f, whose coefficients never
-    change.
-    """
-    memo = f.memo.setdefault("trap_at_0", {})
-    if escape_radius not in memo:
-        memo[escape_radius] = _derive_trap(f, escape_radius)
-    return memo[escape_radius]
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from expdyn import ExpPoly, ExpPolyTerm, Poly, bundled_function, classify_batch
-from expdyn import orbits
+from expdyn import exceptional, funcs, orbits
 
 # The result arrays of classify_batch.
 RESULT_KEYS = ("tag", "tag_code", "steps", "trapped", "final_depth", "final_val")
@@ -12,6 +12,20 @@ RESULT_KEYS = ("tag", "tag_code", "steps", "trapped", "final_depth", "final_val"
 # mode), depth (0 in direct mode) and val with |z| = exp^depth(val), and the
 # carried phase, which only tower mode defines and reads.
 STEP_KEYS = ("z", "depth", "val", "phase")
+
+
+@pytest.fixture(autouse=True)
+def clear_caches():
+    """Clears the caches of quantities derived from a function's coefficients
+    before each test, so a test that spies on a derivation sees it whatever
+    ran earlier; the test may call the returned function to clear them again."""
+
+    def clear():
+        for cached in (funcs._term_consts, funcs._deriv_prefactors, exceptional._pair_polys, orbits.trap_at_0):
+            cached.cache_clear()
+
+    clear()
+    return clear
 
 
 @pytest.fixture

@@ -12,8 +12,9 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from expdyn import __version__, cli
+from expdyn import __version__, bundled_function, cli, function_to_dict
 from expdyn.cli import LEMMA_CHECKS, build_parser, main
+from expdyn.orbits import trap_at_0
 
 
 def run(capsys, *argv):
@@ -385,6 +386,17 @@ def test_annulus_scan_seeded(capsys, tmp_path):
     assert out1 == out2
     rep = json.loads(out1)
     assert rep["frac_escape"] + rep["frac_nonescape"] + rep["frac_undetermined"] == pytest.approx(1.0)
+
+
+def test_trap_derived_once_per_function_value(capsys, tmp_path):
+    """Two loads of sin_z and a file of its coefficients are one function
+    value, so the three scans derive its trap once."""
+    path = tmp_path / "sin_z.json"
+    path.write_text(json.dumps(function_to_dict(bundled_function("sin_z"))))
+    misses = trap_at_0.cache_info().misses
+    for fn in ("sin_z", "sin_z", str(path)):
+        assert run(capsys, "annulus-scan", "--fn", fn, "--r", "1", "--samples", "50")[0] == 0
+    assert trap_at_0.cache_info().misses == misses + 1
 
 
 @pytest.mark.parametrize("r", ["nan", "inf", "1e300"])

@@ -1,8 +1,6 @@
 import cmath
-import gc
 import math
 import warnings
-import weakref
 
 import numpy as np
 import pytest
@@ -469,15 +467,6 @@ def test_in_E_mask_rotation_invariant(cosh3, phi, r, k, offset, level):
     assume(abs(abs(p.real) / (level * abs(p) ** (1.0 / 6.0)) - 1.0) > 1e-6)
     z = w * cmath.exp(-1j * phi)
     assert in_E_mask(rotated, z, level) == in_E_mask(cosh3, w, level)
-
-
-def test_pair_polys_do_not_keep_function_alive():
-    f = ExpPoly(3, [ExpPolyTerm(Poly([1]), 1 + 0j), ExpPolyTerm(Poly([1]), -1 + 0j)])
-    ref = weakref.ref(f)
-    in_E_mask(f, np.array([10.0 + 1j]), 2)
-    del f
-    gc.collect()
-    assert ref() is None
 
 
 def test_write_csv(tmp_path):

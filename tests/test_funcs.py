@@ -1,6 +1,8 @@
 import cmath
+import gc
 import json
 import math
+import weakref
 from dataclasses import asdict
 
 import numpy as np
@@ -9,18 +11,22 @@ from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 
 from expdyn import (
+    ClassifyParams,
     ExpPoly,
     ExpPolyTerm,
     Poly,
+    bundled_function,
     check_extra_condition,
     check_hypotheses,
+    classify_batch,
     eval_direct,
     eval_log_batch,
     function_from_dict,
     function_to_dict,
+    in_E_mask,
     load_function,
 )
-from expdyn.funcs import _log_parts, _mirror_sign, _phase, mirror_group, wrap_phase
+from expdyn.funcs import CACHE_SIZE, _log_parts, _mirror_sign, _phase, mirror_group, wrap_phase
 
 
 # ---------------------------------------------------------------------------
@@ -42,6 +48,71 @@ def test_requires_nonzero_q_and_b():
         ExpPolyTerm(Poly(), 1 + 0j)
     with pytest.raises(ValueError):
         ExpPolyTerm(Poly([1]), 0j)
+
+
+# ---------------------------------------------------------------------------
+# Value identity: the caches of derived quantities are keyed by it
+
+
+def _cosh3_signed(sign):
+    """e^{z^3} + e^{(-1 + sign 0i) z^3}: the two signs compare equal term by
+    term, but arg b_2 is pi for one and -pi for the other."""
+    return ExpPoly(3, [ExpPolyTerm(Poly([1]), 1 + 0j), ExpPolyTerm(Poly([1]), complex(-1.0, math.copysign(0.0, sign)))])
+
+
+def test_equal_loads_are_equal_values():
+    f, g = bundled_function("sin_z3"), bundled_function("sin_z3")
+    assert f is not g and f == g and hash(f) == hash(g)
+
+
+def test_signed_zero_functions_are_distinct_values(clear_caches):
+    plus, minus = _cosh3_signed(1.0), _cosh3_signed(-1.0)
+    assert plus.terms == minus.terms and plus != minus
+    theta = 2 * np.pi * np.arange(4000) / 4000
+    z = np.concatenate([r * np.exp(1j * theta) for r in (3, 5, 9, 20)])
+    # Both enter the caches before either is classified afresh.
+    cached = [classify_batch(f, z) for f in (plus, minus)]
+    for f, res in zip((plus, minus), cached):
+        clear_caches()
+        fresh = classify_batch(f, z)
+        for k in res:
+            np.testing.assert_array_equal(res[k], fresh[k], err_msg=k)
+
+
+def test_one_ulp_gives_another_value(hemke):
+    """Moving any one stored double of a function by one ulp gives an unequal function."""
+    def pairs(data):
+        """The [re, im] pairs of a definition, the lists that hold its doubles."""
+        return [p for t in data["terms"] for p in (*t["Q"], t["b"], *t["P"])]
+
+    data = function_to_dict(hemke)
+    for n in range(2 * len(pairs(data))):
+        moved = json.loads(json.dumps(data))
+        pair = pairs(moved)[n // 2]
+        pair[n % 2] = float(np.nextafter(pair[n % 2], math.inf))
+        assert function_from_dict(moved) != hemke, n
+
+
+def test_caches_keep_at_most_cache_size_functions_alive():
+    """Every cache keyed by a function value holds at most CACHE_SIZE of
+    them: a function is freed once that many others have passed through."""
+
+    def touch(f):
+        in_E_mask(f, np.array([10.0 + 1j]), 2)
+        classify_batch(f, [0.5 + 0.5j], ClassifyParams(max_iter=2))
+        eval_log_batch(f, np.array([0.5]), 1)
+
+    def sinh3(b):
+        return ExpPoly(3, [ExpPolyTerm(Poly([0.5]), b), ExpPolyTerm(Poly([-0.5]), -b)])
+
+    f = sinh3(1.0 + 0j)
+    ref = weakref.ref(f)
+    touch(f)
+    del f
+    for k in range(CACHE_SIZE):
+        touch(sinh3(complex(2 + k)))
+    gc.collect()
+    assert ref() is None
 
 
 # ---------------------------------------------------------------------------
