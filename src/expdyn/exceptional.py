@@ -43,9 +43,10 @@ def _expo(f: ExpPoly) -> float:
 
 @functools.lru_cache(CACHE_SIZE)
 def _pair_polys(f: ExpPoly):
-    # p_{j,k} for j < k, cached by the function value.  Unordered pairs
-    # suffice: p_{k,j} = -p_{j,k} and membership only sees |Re| and the modulus.
-    return tuple(f.exponent_poly(j) - f.exponent_poly(k) for j in range(f.n_terms) for k in range(j + 1, f.n_terms))
+    # (p_{j,k}, p_{j,k}') for j < k, cached by the function value.  Unordered
+    # pairs suffice: p_{k,j} = -p_{j,k}, and membership sees |Re| and |p|.
+    polys = (f.exponent_poly(j) - f.exponent_poly(k) for j in range(f.n_terms) for k in range(j + 1, f.n_terms))
+    return tuple((p, p.deriv()) for p in polys)
 
 
 def _far_member(poly: Poly, Z, level: int, expo: float):
@@ -94,7 +95,7 @@ def in_E_mask(f: ExpPoly, Z, level: int) -> np.ndarray:
     flat = Z.reshape(-1)  # a 0-d Z would give numpy scalars, which take no item assignment
     member = np.zeros(flat.shape, dtype=bool)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore", under="ignore"):
-        for poly in _pair_polys(f):
+        for poly, _ in _pair_polys(f):
             margin = _margin(poly(flat), expo, level)
             hit = margin < 0
             far = ~np.isfinite(margin)
@@ -119,9 +120,9 @@ def _disc_clear(f: ExpPoly, c: complex, R: float) -> bool:
     """Whether the disc D(c, R) provably holds no level-1 point.
 
     With rho = |c| + R, on D every pair polynomial moves from p(c) by at most
-    m = R sum |p'_i| rho^i, so |Re p| >= |Re p(c)| - m and |p| <= |p(c)| + m
-    there; as nu/d lies in (0, 1), |Re p(c)| - m > (|p(c)| + m)^(nu/d) rules
-    the whole disc out.  SLACK widens m by a multiple of sum |p_i| rho^i and
+    m = R sum |p'_i| rho^i (_pair_polys caches p' beside p), so |Re p| >=
+    |Re p(c)| - m and |p| <= |p(c)| + m there; as nu/d lies in (0, 1),
+    |Re p(c)| - m > (|p(c)| + m)^(nu/d) rules the whole disc out.  SLACK widens m by a multiple of sum |p_i| rho^i and
     the threshold by a factor, which covers the rounding of Horner's rule, of
     exp(log) in in_E_mask and of points sampled in D by many orders of
     magnitude, so in_E_mask reads no such point as a member either.
@@ -130,10 +131,10 @@ def _disc_clear(f: ExpPoly, c: complex, R: float) -> bool:
     expo = _expo(f)
     with np.errstate(over="ignore", invalid="ignore"):
         rho = abs(c) + R
-        for poly in _pair_polys(f):
+        for poly, dpoly in _pair_polys(f):
             w = complex(poly(c))
             try:
-                m = R * poly.deriv().coeff_bound(rho) + SLACK * poly.coeff_bound(rho)
+                m = R * dpoly.coeff_bound(rho) + SLACK * poly.coeff_bound(rho)
             except OverflowError:  # rho^i beyond doubles
                 return False
             if not (
@@ -268,7 +269,7 @@ def e2_measure(f: ExpPoly, r_min: float, r_max: float, nr: int, ntheta: int) -> 
     if nr < 16 or ntheta < 16:
         raise ValueError("need nr, ntheta >= 16")
     expo = _expo(f)
-    for poly in _pair_polys(f):
+    for poly, _ in _pair_polys(f):
         log_size = math.log(abs(poly.coeff(f.d))) + f.d * math.log(r_max)
         # At a tiny r_max the half-width overflows doubles: far above the limit.
         if 2.0 / f.d * math.exp(min((expo - 1.0) * log_size, 700.0)) < MIN_HALF_WIDTH:
@@ -277,7 +278,7 @@ def e2_measure(f: ExpPoly, r_min: float, r_max: float, nr: int, ntheta: int) -> 
     thetas = (np.arange(ntheta) + 0.5) * (TWO_PI / ntheta)
     radii = r_min + (np.arange(nr) + 0.5) * dr
     with np.errstate(divide="ignore"):
-        arcs = [_pair_arcs(poly, radii, thetas, expo) for poly in _pair_polys(f)]
+        arcs = [_pair_arcs(poly, radii, thetas, expo) for poly, _ in _pair_polys(f)]
     rows, lo, hi = (np.concatenate(parts) for parts in zip(*arcs))
     total = 0.0
     for i, r in enumerate(radii):

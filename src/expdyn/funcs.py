@@ -193,9 +193,9 @@ def _q_logs(q):
     return q, np.log(q), lqa, np.maximum(lqa, 0.0)
 
 
-def _prefactor_logs(f: ExpPoly, Z):
-    """Per term the _q_logs of Q_j(Z); 0-d arrays for a constant Q_j."""
-    return [_q_logs(t.Q(Z)) if cached is None else cached for t, cached in zip(f.terms, _term_consts(f)["q_logs"])]
+def _prefactor_logs(f: ExpPoly, Z, tc: dict):
+    """Per term the _q_logs of Q_j(Z); a constant Q_j reads them from tc = _term_consts(f)."""
+    return [_q_logs(t.Q(Z)) if cached is None else cached for t, cached in zip(f.terms, tc["q_logs"])]
 
 
 # exp(x + iy) of a finite y is a signed zero for every x below this.
@@ -252,6 +252,31 @@ def _phase(Sm, corr):
     return wrap_phase(Sm.imag + np.arctan2(corr.imag, corr.real))
 
 
+def _eval_log_parts(f: ExpPoly, Z, order: int = 0):
+    """eval_log_batch without its phase, for callers that read none: the
+    _log_parts (logmod, zero_mask, S_m, corr) of the rows log A_j(Z) + w_j,
+    A_j the prefactors of f^(order).  The phase is _phase(S_m, corr).
+
+    Each derivative prefactor, told apart by the bytes of its coefficients
+    (== would merge signed zeros, whose logs differ), takes one complex log:
+    both order-1 prefactors of sin z^d are (d/2) z^(d-1).
+    """
+    if order not in (0, 1, 2):
+        raise ValueError("order must be 0, 1 or 2")
+    Z = np.asarray(Z, dtype=complex)
+    ws = _term_exponents(f, Z)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if order == 0:
+            rows = [lq + w for (_, lq, _, _), w in zip(_prefactor_logs(f, Z, _term_consts(f)), ws)]
+        else:
+            prefs = _deriv_prefactors(f, order)
+            logs = {k: np.log(p(Z)) for k, p in {p.coeffs.tobytes(): p for p in prefs}.items()}
+            rows = [logs[p.coeffs.tobytes()] + w for p, w in zip(prefs, ws)]
+            del logs
+        del ws  # free the term arrays before the sum allocates its own
+        return _log_parts(rows)
+
+
 def eval_log_batch(f: ExpPoly, Z, order: int = 0):
     """Log-domain value of f (order 0), f' (order 1) or f'' (order 2) at Z.
 
@@ -260,19 +285,10 @@ def eval_log_batch(f: ExpPoly, Z, order: int = 0):
     zero_mask, not raised: flagged entries are numerically zero (the
     dominant-term correction factor vanished to within 1e-15) and their
     logmod and phase are meaningless.  Any other order raises ValueError.
+    This is _eval_log_parts plus the phase.
     """
-    if order not in (0, 1, 2):
-        raise ValueError("order must be 0, 1 or 2")
-    Z = np.asarray(Z, dtype=complex)
-    ws = _term_exponents(f, Z)
+    logmod, zero, Sm, corr = _eval_log_parts(f, Z, order)
     with np.errstate(divide="ignore", invalid="ignore"):
-        if order == 0:
-            logp = [lq for _, lq, _, _ in _prefactor_logs(f, Z)]
-        else:
-            logp = [np.log(p(Z)) for p in _deriv_prefactors(f, order)]
-        rows = [lp + w for lp, w in zip(logp, ws)]
-        del ws, logp  # free the term arrays before the sum allocates its own
-        logmod, zero, Sm, corr = _log_parts(rows)
         return logmod, _phase(Sm, corr), zero
 
 

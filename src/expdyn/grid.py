@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .exceptional import _disc_clear
-from .funcs import ExpPoly, _check_alpha, eval_log_batch
+from .funcs import ExpPoly, _check_alpha, _eval_log_parts
 
 __all__ = [
     "SquareTile",
@@ -302,14 +302,15 @@ def _log_extrema_fprime(f: ExpPoly, tiles):
     nodes could suffer, bounded by max|f''| on a 9x9 grid (8x8 cells) times
     the half-diagonal of a 33x33 grid cell over the sampled minimum.  The
     grids of BATCH_SQUARES tiles at a time go through one evaluation per
-    order; the evaluation is elementwise, so each tile's numbers are the
-    ones it would get alone.
+    order, by funcs._eval_log_parts, which computes no phase: none is read.
+    The evaluation is elementwise, so each tile's numbers are the ones it
+    would get alone.
     """
     out = []
     for i in range(0, len(tiles), BATCH_SQUARES):
         batch = tiles[i : i + BATCH_SQUARES]
-        lm1, _, zero1 = eval_log_batch(f, _stacked_grids(batch, 32), order=1)
-        lm2, _, zero2 = eval_log_batch(f, _stacked_grids(batch, 8), order=2)
+        lm1, zero1 = _eval_log_parts(f, _stacked_grids(batch, 32), order=1)[:2]
+        lm2, zero2 = _eval_log_parts(f, _stacked_grids(batch, 8), order=2)[:2]
         max2 = np.where(zero2, -np.inf, lm2).max(axis=1)
         for tile, row, zero, m2 in zip(batch, lm1, zero1, max2):
             if zero.any():

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptional import MIN_HALF_WIDTH, in_E_mask
-from .funcs import ExpPoly, eval_log_batch
+from .funcs import ExpPoly, _eval_log_parts
 from .orbits import NON_ESCAPE_OBSERVED, ClassifyParams, classify_batch
 
 __all__ = [
@@ -171,7 +171,7 @@ def counterexample_check(p: CounterexampleParams, R: float, f: ExpPoly, seed: in
         raise ValueError(f"R={R:.6g} too large: wedge narrower than {MIN_HALF_WIDTH:.3g} rad")
     pts = _wedge_points(p.r0, R, p.samples, seed)
     r = np.abs(pts)
-    lm, _, zero = eval_log_batch(f, pts)
+    lm, zero = _eval_log_parts(f, pts)[:2]
     lm = np.where(zero, -np.inf, lm)
     margin = lm + r / 4.0
     violations = int(np.count_nonzero(margin > 0.0))

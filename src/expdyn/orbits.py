@@ -56,13 +56,13 @@ from .funcs import (
     _ZERO_C,
     _check_alpha,
     _const,
+    _eval_log_parts,
     _log_parts,
     _phase,
     _pow_int,
     _prefactor_logs,
     _term_consts,
     _term_exponents,
-    eval_log_batch,
     wrap_phase,
 )
 from .poly import _GaussQ, _exact
@@ -180,7 +180,7 @@ def log_max_modulus(f: ExpPoly, r: float):
     thetas = 2.0 * math.pi * np.arange(CIRCLE_SAMPLES) / CIRCLE_SAMPLES
     Z = r * np.exp(1j * thetas)
     with np.errstate(all="ignore"):
-        lm, _, zero = eval_log_batch(f, Z)
+        lm, zero = _eval_log_parts(f, Z)[:2]
     lo = float(np.where(zero, -np.inf, lm).max())
     # A finite lo means r^d, and so the r^(d-1) of the slack, fits in doubles.
     hi = lo + r * _log_deriv_bound(f, r) * (math.pi / CIRCLE_SAMPLES) if math.isfinite(lo) else lo
@@ -478,15 +478,15 @@ def _screen(f: ExpPoly, radius: float, dcap: float):
     return _const(_T_LO), _const(dcap - math.log(n) - 2.0 * err), _const(2.0 * (1e-15 + err))
 
 
-def _step_direct(f: ExpPoly, p: ClassifyParams, radius, dcap, screen, trap, s, pos, fl):
+def _step_direct(f: ExpPoly, tc: dict, p: ClassifyParams, radius, dcap, screen, trap, s, pos, fl):
     """Advance the direct-mode orbits at positions pos of the state s by one step.
 
-    radius and dcap are 0-d arrays and screen is _screen's (or None); runs
-    under the pool's np.errstate.  Writes the new state into s and the
-    cond, fixed and (where it may be set) trap flags into fl.  A point whose
-    log-domain terms overflow (in practice a start point) instead moves to
-    tower mode at its magnitude (depth 1, val log|z|, phase arg z); then no
-    orbit steps and it returns True.
+    tc is _term_consts(f); radius and dcap are 0-d arrays and screen is
+    _screen's (or None); runs under the pool's np.errstate.  Writes the new
+    state into s and the cond, fixed and (where it may be set) trap flags
+    into fl.  A point whose log-domain terms overflow (in practice a start
+    point) instead moves to tower mode at its magnitude (depth 1, val
+    log|z|, phase arg z); then no orbit steps and it returns True.
 
     The exact path.  log|f| and the phase come from _log_parts on the rows
     S_j = log Q_j + w_j, w_j = b_j Z^d + P_j(Z).  A zero of the sum steps
@@ -528,7 +528,7 @@ def _step_direct(f: ExpPoly, p: ClassifyParams, radius, dcap, screen, trap, s, p
     if pos is not _ALL and pos.size == 0:
         return False
     Z = s["z"][pos]
-    ws, qs = _term_exponents(f, Z), _prefactor_logs(f, Z)
+    ws, qs = _term_exponents(f, Z), _prefactor_logs(f, Z, tc)
     # t = max_j log|Q_j e^{w_j}|.  Both e^{w_j} and Q_j e^{w_j} are at most
     # e^{Re w_j + x}, x = max(log|Q_j|, 0).
     t = functools.reduce(np.maximum, [w.real + lqa for w, (_, _, lqa, _) in zip(ws, qs)])
@@ -621,15 +621,15 @@ def _step_direct(f: ExpPoly, p: ClassifyParams, radius, dcap, screen, trap, s, p
     return False
 
 
-def _dominant_growth(f: ExpPoly, dphi):
-    """(c, arg b_m) for c = max_j |b_j| cos(dphi + arg b_j), m the first maximising term.
+def _dominant_growth(tc: dict, dphi):
+    """(c, arg b_m) for c = max_j |b_j| cos(dphi + arg b_j), m the first
+    maximising term, with |b_j| and arg b_j from tc, which is _term_consts(f).
 
     A running maximum over the terms picks the term argmax would: the first
     of equal maxima.  |b_j| and arg b_j are finite, so a c_j is NaN exactly
     where dphi is not finite, for every j at once, and there the first term
     is kept, as argmax keeps it.
     """
-    tc = _term_consts(f)
     c, beta = tc["abs_b"][0] * np.cos(dphi + tc["beta"][0]), np.full(dphi.shape, tc["beta"][0])
     for ab, bj in zip(tc["abs_b"][1:], tc["beta"][1:]):
         cj = ab * np.cos(dphi + bj)
@@ -638,21 +638,22 @@ def _dominant_growth(f: ExpPoly, dphi):
     return c, beta
 
 
-def _step_tower(f: ExpPoly, p: ClassifyParams, dcap: float, s, pos, fl):
+def _step_tower(f: ExpPoly, tc: dict, p: ClassifyParams, dcap: float, s, pos, fl):
     """Advance the tower-mode orbits at positions pos of the state s by one step.
 
     The magnitude grows like the dominant term, log|z'| = c |z|^d with
     c = max_j |b_j| cos(d phi + arg b_j); c <= 0 is a dead direction.  A step
     is certified (cond) when |z| >= escape_radius and the model grows at
-    the stretched exponential rate.  Writes the new state into s and the
-    cond and stop flags into fl.  Runs under the pool's np.errstate.
+    the stretched exponential rate.  tc is _term_consts(f).  Writes the new
+    state into s and the cond and stop flags into fl.  Runs under the
+    pool's np.errstate.
     """
     if pos is not _ALL and pos.size == 0:
         return
     d, alpha = f.d, p.alpha
     dep, v = s["depth"][pos], s["val"][pos]
     dphi = d * s["phase"][pos]
-    c, beta = _dominant_growth(f, dphi)
+    c, beta = _dominant_growth(tc, dphi)
     dead = c <= 0
     logc = np.log(np.where(dead, 1.0, c))
     grow = logc + d * v
@@ -736,16 +737,16 @@ def _classify_pool(f: ExpPoly, p: ClassifyParams, blocks, capacity: int, sink):
     judged by the trailing-run rule) leaves.
     A step costs about 35 us however few orbits are live (one bounded sin z
     orbit, 2-core Xeon), so a tail of long orbits pays it each step.  It
-    enters one np.errstate, steps whole columns when all orbits share a
-    mode, gathers for the exact term sum only when some point cannot take
-    it, makes no log-domain sum when every point passes the screen of
-    _step_direct, and skips the growth test, the trap test and the
-    promotion writes where no orbit needs them.
+    reads _term_consts(f) once per pool, enters one np.errstate, steps
+    whole columns when all orbits share a mode, gathers for the exact term
+    sum only when some point cannot take it, makes no log-domain sum when
+    every point passes the screen of _step_direct, and skips the growth
+    test, the trap test and the promotion writes where no orbit needs them.
     """
     radius, cert_steps = _const(p.escape_radius), _const(p.cert_steps)
     dcap = min((700.0 - math.log(f.max_abs_b) - 5.0) / f.d, BAIL_LOGMOD)
     screen, dcap = _screen(f, p.escape_radius, dcap), _const(dcap)
-    trap = trap_at_0(f, p.escape_radius)
+    trap, tc = trap_at_0(f, p.escape_radius), _term_consts(f)
     tail_len = min(TAIL_STEPS, p.max_iter)
 
     starts = _finite_starts(blocks, sink)
@@ -786,9 +787,9 @@ def _classify_pool(f: ExpPoly, p: ClassifyParams, blocks, capacity: int, sink):
                 direct = _ALL if n_tower == 0 else _NO_POS if n_tower == n else np.flatnonzero(s["depth"] == 0)
                 tower = _ALL if n_tower == n else _NO_POS if n_tower == 0 else np.flatnonzero(s["depth"])
                 fl = {} if n_tower in (0, n) else dict(zip(_FLAGS, np.zeros((len(_FLAGS), n), bool)))
-                if not _step_direct(f, p, radius, dcap, screen, trap, s, direct, fl):
+                if not _step_direct(f, tc, p, radius, dcap, screen, trap, s, direct, fl):
                     break
-            _step_tower(f, p, dcap, s, tower, fl)
+            _step_tower(f, tc, p, dcap, s, tower, fl)
 
         # A flag that no step wrote is False for every orbit.  A fixed orbit
         # finishes at once, and its run is no certificate.

@@ -35,7 +35,7 @@ def test_params_require_d3(sinz):
 
 
 def test_pair_poly(cosh3):
-    (p,) = _pair_polys(cosh3)
+    ((p, _),) = _pair_polys(cosh3)
     assert p.coeff(3) == 2.0
 
 
@@ -124,7 +124,7 @@ def _spoke(f, r, k):
     The spoke is that of the first pair polynomial p through the leading-order
     ray (pi/2 - arg c_d + k pi)/d, located as a root of Re p on |z| = r.
     """
-    p = _pair_polys(f)[0]
+    p = _pair_polys(f)[0][0]
     cd = p.coeffs[-1]
     ray = (math.pi / 2 - cmath.phase(cd) + k * math.pi) / f.d
     theta = brentq(lambda t: p(r * cmath.exp(1j * t)).real, ray - 0.3, ray + 0.3, xtol=1e-15)
@@ -435,7 +435,7 @@ def test_scale_free_membership_matches_direct_form(name, request):
     expo = _expo(f)
     rng = np.random.default_rng(3)
     z = 10.0 ** (0.5 + 2.5 * rng.random(20000)) * np.exp(2j * math.pi * rng.random(20000))
-    for p in _pair_polys(f):
+    for p, _ in _pair_polys(f):
         w = p(z)
         ratio = np.abs(w.real) / np.abs(w) ** expo
         for level in (1, 2):

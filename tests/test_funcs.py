@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
+from test_fingerprints import FUNCS as FINGERPRINT_FUNCS, _scan_points as fingerprint_points
 
 from expdyn import (
     ClassifyParams,
@@ -26,7 +27,17 @@ from expdyn import (
     in_E_mask,
     load_function,
 )
-from expdyn.funcs import CACHE_SIZE, _log_parts, _mirror_sign, _phase, mirror_group, wrap_phase
+from expdyn import funcs
+from expdyn.funcs import (
+    CACHE_SIZE,
+    _eval_log_parts,
+    _log_parts,
+    _mirror_sign,
+    _phase,
+    _term_exponents,
+    mirror_group,
+    wrap_phase,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +359,58 @@ def test_log_sum_adds_in_stacked_order(shape):
         rows = [(-3.0 * rng.random(shape) + 1j * rng.normal(size=shape))[()] for _ in range(4)]
         for a, b in zip(_log_sum_stacked(rows), _log_sum(rows)):
             assert _same_bits(a, b)
+
+
+# Points on the real axis with both signs of a zero imaginary part, where a
+# complex log's imaginary part is +pi or -pi by that sign.
+_SIGNED_AXIS = np.array([complex(x, y) for x in (-2.0, 2.0, -0.0) for y in (0.0, -0.0)])
+
+
+def _termwise_parts(f, Z, order):
+    """The _log_parts of f^(order) at Z with each term's log taken
+    separately: log Q_j(Z) at order 0, log A_j(Z) of each derivative
+    prefactor otherwise."""
+    Z = np.asarray(Z, dtype=complex)
+    prefs = [t.Q for t in f.terms] if order == 0 else funcs._deriv_prefactors(f, order)
+    return _log_parts([np.log(p(Z)) + w for p, w in zip(prefs, _term_exponents(f, Z))])
+
+
+def _assert_core_is_evaluator(f, Z, order):
+    """The core's four parts are bitwise the termwise reference's, and
+    eval_log_batch is the core plus the reference's phase."""
+    with np.errstate(all="ignore"):
+        core, want = _eval_log_parts(f, Z, order), _termwise_parts(f, Z, order)
+        logmod, phase, zero = eval_log_batch(f, Z, order)
+        assert _same_bits(phase, _phase(*want[2:]))
+    for name, a, b in zip(("logmod", "zero", "Sm", "corr"), core, want):
+        assert _same_bits(a, b), f"{name}: {a!r} != {b!r}"
+    assert _same_bits(logmod, core[0]) and _same_bits(zero, core[1])
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("name", sorted(FINGERPRINT_FUNCS))
+def test_core_is_the_evaluator_bitwise(name, order):
+    # The fingerprint corpus, whose specials hold a zero of f (0), points
+    # where the terms overflow (1e155) and NaN and infinite starts, plus
+    # signed zeros on the real axis; whole and as 0-d evaluations.
+    f = FINGERPRINT_FUNCS[name]()
+    pts = np.concatenate([fingerprint_points(), _SIGNED_AXIS])
+    for Z in (pts, *pts[::41], *_SIGNED_AXIS):
+        _assert_core_is_evaluator(f, Z, order)
+
+
+def test_prefactors_differing_in_a_zero_sign_take_separate_logs(monkeypatch):
+    # == merges z + 0 and z - 0i, but at z = -2 - 0i their values are
+    # -2 + 0i and -2 - 0i, whose logs have imaginary parts pi and -pi.
+    # _deriv_prefactors builds no -0.0 (a Poly sum starts from +0.0), so the
+    # order-1 prefactors of 2 sinh z are replaced by such a pair.
+    f = ExpPoly(1, [ExpPolyTerm(Poly([1]), 1 + 0j), ExpPolyTerm(Poly([-1]), -1 + 0j)])
+    prefs = (Poly([0j, 1]), Poly([complex(0.0, -0.0), 1]))
+    assert prefs[0] == prefs[1]
+    monkeypatch.setattr(funcs, "_deriv_prefactors", lambda f, order: prefs)
+    _assert_core_is_evaluator(f, _SIGNED_AXIS, 1)
+    for z in _SIGNED_AXIS:
+        _assert_core_is_evaluator(f, np.asarray(z), 1)
 
 
 # ---------------------------------------------------------------------------

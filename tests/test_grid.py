@@ -19,7 +19,7 @@ from expdyn import (
     is_good_square,
     square_density_bound,
 )
-from expdyn import grid
+from expdyn import exceptional, funcs, grid
 from expdyn.funcs import eval_log_batch
 from expdyn.grid import DENSITY_COLUMNS, side_bounds, tile_side_ok
 
@@ -307,6 +307,31 @@ def test_density_reports_do_not_depend_on_batching(sin3, monkeypatch):
         monkeypatch.setattr(grid, "BATCH_SQUARES", size)
         again = square_density_bound(sin3, squares, 0.25)
         assert [_report_bits(r) for r in again] == [_report_bits(r) for r in reports]
+
+
+def test_grid_bound_reads_no_phase_and_derives_pair_polynomials_once(sin3, monkeypatch):
+    # Twice what grid-bound --r-lo 10 --r-hi 20 --count 300 runs: no phase
+    # is computed, and each pair polynomial is differentiated once.
+    phases, derived = [], []
+    phase, deriv = funcs._phase, Poly.deriv
+
+    def phase_spy(*args):
+        phases.append(args)
+        return phase(*args)
+
+    def deriv_spy(self):
+        derived.append(self)
+        return deriv(self)
+
+    monkeypatch.setattr(funcs, "_phase", phase_spy)
+    monkeypatch.setattr(Poly, "deriv", deriv_spy)
+    for _ in range(2):
+        tiling = Tiling(sin3, 10.0, 20.0)
+        tiles = [good_square_near(tiling, float(r)) for r in np.geomspace(10.2, 19.6, 300)]
+        assert square_density_bound(sin3, [t for t in tiles if t is not None], 0.25)
+    assert not phases
+    pairs = [p for p, _ in exceptional._pair_polys(sin3)]
+    assert [sum(d is p for d in derived) for p in pairs] == [1] * len(pairs)
 
 
 def test_density_bound_of_no_squares(sin3):

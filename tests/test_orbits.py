@@ -21,6 +21,7 @@ from expdyn import (
     log_max_modulus,
 )
 from expdyn import orbits
+from expdyn.funcs import _term_consts
 from expdyn.measure import _annulus_points
 from expdyn.orbits import MAX_DEPTH, TAIL_STEPS
 
@@ -237,7 +238,7 @@ def test_tower_term_selection_matches_argmax(freqs, dphi):
         cj = abs_b[:, None] * np.cos(dphi[None, :] + beta[:, None])
         mj = np.argmax(cj, axis=0)
         want_c = np.take_along_axis(cj, mj[None, :], axis=0)[0]
-        got_c, got_beta = orbits._dominant_growth(f, dphi)
+        got_c, got_beta = orbits._dominant_growth(_term_consts(f), dphi)
     assert got_c.tobytes() == want_c.tobytes()
     assert got_beta.tobytes() == beta[mj].tobytes()
 
@@ -417,8 +418,8 @@ def test_step_does_not_depend_on_the_modes_in_its_pool(fn, z0, towers, monkeypat
     step_tower = orbits._step_tower
     records = []
 
-    def spy(f, p, dcap, s, pos, fl):
-        step_tower(f, p, dcap, s, pos, fl)
+    def spy(f, tc, p, dcap, s, pos, fl):
+        step_tower(f, tc, p, dcap, s, pos, fl)
         keys = ("z", "depth", "val", "phase", "below", "run")
         for i in np.flatnonzero(s["idx"] == 0):
             records[-1].append(b"".join(np.asarray(s[k][i]).tobytes() for k in keys) + fl["cond"][i].tobytes())
@@ -456,9 +457,9 @@ def test_tower_steps_check_the_escape_radius(sin3, radius, monkeypatch):
     seen = []
     step_tower = orbits._step_tower
 
-    def spy(f, p, dcap, s, pos, fl):
+    def spy(f, tc, p, dcap, s, pos, fl):
         dep, val = s["depth"][pos], s["val"][pos]
-        step_tower(f, p, dcap, s, pos, fl)
+        step_tower(f, tc, p, dcap, s, pos, fl)
         seen.append((dep, val, fl["cond"][pos]))
 
     monkeypatch.setattr(orbits, "_step_tower", spy)
