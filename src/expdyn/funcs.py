@@ -255,7 +255,8 @@ def _phase(Sm, corr):
 def _eval_log_parts(f: ExpPoly, Z, order: int = 0):
     """eval_log_batch without its phase, for callers that read none: the
     _log_parts (logmod, zero_mask, S_m, corr) of the rows log A_j(Z) + w_j,
-    A_j the prefactors of f^(order).  The phase is _phase(S_m, corr).
+    A_j the prefactors of f^(order).  The phase is _phase(S_m, corr).  It
+    raises no numpy warning: overflow and NaN show in its outputs.
 
     Each derivative prefactor, told apart by the bytes of its coefficients
     (== would merge signed zeros, whose logs differ), takes one complex log:
@@ -264,8 +265,8 @@ def _eval_log_parts(f: ExpPoly, Z, order: int = 0):
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1 or 2")
     Z = np.asarray(Z, dtype=complex)
-    ws = _term_exponents(f, Z)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
+        ws = _term_exponents(f, Z)
         if order == 0:
             rows = [lq + w for (_, lq, _, _), w in zip(_prefactor_logs(f, Z, _term_consts(f)), ws)]
         else:
@@ -287,8 +288,8 @@ def eval_log_batch(f: ExpPoly, Z, order: int = 0):
     logmod and phase are meaningless.  Any other order raises ValueError.
     This is _eval_log_parts plus the phase.
     """
-    logmod, zero, Sm, corr = _eval_log_parts(f, Z, order)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
+        logmod, zero, Sm, corr = _eval_log_parts(f, Z, order)
         return logmod, _phase(Sm, corr), zero
 
 

@@ -10,25 +10,28 @@ iterated-exp pair (depth, v) with |z| = exp^depth(v), driven by the dominant
 term's growth max_j |b_j| cos(d phi + arg b_j) * |z|^d; at this scale the
 phase is a deterministic proxy (the argument direction of the dominant
 exponent), since the true phase of f is an astronomically large number mod
-2 pi.  A start point whose log-domain evaluation overflows doubles starts
-in tower mode at its own magnitude; a NaN or infinite start point is
-Undetermined after 0 steps.  Classification is certificate-based: escape is
-only reported after a run of consecutive certified steps.  A direct step is
-certified when the point lies beyond the escape radius, outside the level-1
-exceptional set, and grows at the stretched exponential rate
-log|z_{k+1}| >= |z_k|^alpha; a tower step checks the radius and the growth
-of the dominant-term model, and no level-1 membership.
+2 pi.  Tower mode is one-way: an orbit never returns to direct mode, and one
+whose model magnitude falls back into the double range stops there,
+Undetermined, since the model has no true point to continue from.  A start
+point whose log-domain evaluation overflows doubles starts in tower mode at
+its own magnitude; a NaN or infinite start point is Undetermined after 0
+steps.  Classification is certificate-based: escape is only reported after a
+run of consecutive certified steps.  A direct step is certified when the
+point lies beyond the escape radius, outside the level-1 exceptional set,
+and grows at the stretched exponential rate log|z_{k+1}| >= |z_k|^alpha; a
+tower step checks the radius and the growth of the dominant-term model, and
+no level-1 membership.
 
 Non-escape is reported when an orbit lands exactly on a fixed point inside
-the radius, or when its last TAIL_STEPS points (all of them, for a shorter
-budget) lie inside the radius.  Where f(0) = 0 holds exactly, trap_at_0
-certifies a region R with f(R) inside R and R inside D(0, rho), rho below
-the escape radius: an attracting disk when |f'(0)| < 1, or a parabolic petal
-(Leau-Fatou flower) when f'(0) = 1.  An orbit whose new point lies in R
-stays inside the radius for the rest of its budget, so it stops there as
-NonEscapeObserved, with the `trapped` flag, as soon as that makes the tail
-rule certain to fire.  Its `steps` is the entry step; tags are those the
-full budget gives.
+the radius, or when the start points of its last TAIL_STEPS steps (all of
+them, for a shorter budget) and its last point lie inside the radius, in
+direct mode.  Where f(0) = 0 holds exactly, trap_at_0 certifies a region R
+with f(R) inside R and R inside D(0, rho), rho below the escape radius: an
+attracting disk when |f'(0)| < 1, or a parabolic petal (Leau-Fatou flower)
+when f'(0) = 1.  An orbit whose new point lies in R stays inside the radius
+for the rest of its budget, so it stops there as NonEscapeObserved, with the
+`trapped` flag, as soon as that makes the tail rule certain to fire.  Its
+`steps` is the entry step; tags are those the full budget gives.
 
 One engine, _classify_pool, steps a pool of live orbits of any ages, each
 reading its own age, so the pool admits new start points as orbits finish
@@ -84,7 +87,8 @@ UNDETERMINED = "Undetermined"
 # Tag strings indexed by tag_code.
 _TAG_TABLE = np.array([UNDETERMINED, ESCAPE_CERTIFIED, NON_ESCAPE_OBSERVED], dtype=object)
 
-# A non-escape verdict requires this many trailing steps inside the radius.
+# A non-escape verdict requires this many trailing steps inside the radius,
+# and the last point inside it.
 TAIL_STEPS = 16
 # Beyond this iterated-exp depth an uncertified orbit is given up on.
 MAX_DEPTH = 6
@@ -179,8 +183,7 @@ def log_max_modulus(f: ExpPoly, r: float):
         raise ValueError("r must be positive and finite")
     thetas = 2.0 * math.pi * np.arange(CIRCLE_SAMPLES) / CIRCLE_SAMPLES
     Z = r * np.exp(1j * thetas)
-    with np.errstate(all="ignore"):
-        lm, zero = _eval_log_parts(f, Z)[:2]
+    lm, zero = _eval_log_parts(f, Z)[:2]
     lo = float(np.where(zero, -np.inf, lm).max())
     # A finite lo means r^d, and so the r^(d-1) of the slack, fits in doubles.
     hi = lo + r * _log_deriv_bound(f, r) * (math.pi / CIRCLE_SAMPLES) if math.isfinite(lo) else lo
@@ -638,15 +641,20 @@ def _dominant_growth(tc: dict, dphi):
     return c, beta
 
 
-def _step_tower(f: ExpPoly, tc: dict, p: ClassifyParams, dcap: float, s, pos, fl):
+def _step_tower(f: ExpPoly, tc: dict, p: ClassifyParams, s, pos, fl):
     """Advance the tower-mode orbits at positions pos of the state s by one step.
 
     The magnitude grows like the dominant term, log|z'| = c |z|^d with
     c = max_j |b_j| cos(d phi + arg b_j); c <= 0 is a dead direction.  A step
     is certified (cond) when |z| >= escape_radius and the model grows at
     the stretched exponential rate.  tc is _term_consts(f).  Writes the new
-    state into s and the cond and stop flags into fl.  Runs under the
-    pool's np.errstate.
+    depth, val and phase into s and the cond and stop flags into fl.  Runs
+    under the pool's np.errstate.
+
+    Tower mode is terminal.  A model magnitude that canonicalises back to
+    depth 0 has no true point to continue from, so it stops the orbit, as
+    a dead direction and a depth beyond MAX_DEPTH do.  A tower orbit's z
+    stays 0 and its below count is not read again.
     """
     if pos is not _ALL and pos.size == 0:
         return
@@ -662,19 +670,8 @@ def _step_tower(f: ExpPoly, tc: dict, p: ClassifyParams, dcap: float, s, pos, fl
     # and log c + (d - alpha) log|z| >= 0 holds there only for alpha < d.
     cond = np.where(dep == 1, (v >= math.log(p.escape_radius)) & (grow >= alpha * v), alpha < d) & ~dead
     nd, nv = _tower_next(dep, v, logc, d)
-    phase = wrap_phase(dphi + beta)
-    # Demotion to direct mode when |z| fits the exact evaluator again; any
-    # other depth-0 result is lifted to depth 1, so depth 0 means demoted.
-    lognv = np.log(np.maximum(nv, 1e-300))
-    demote = (nd == 0) & (lognv <= dcap)
-    redepth = (nd == 0) & ~demote
-    nd[redepth] = 1
-    nv[redepth] = lognv[redepth]
-    znew = np.zeros(nd.size, complex)
-    znew[demote] = nv[demote] * np.exp(1j * phase[demote])
-
-    _put(fl, pos, {"cond": cond, "stop": dead | (nd > MAX_DEPTH)})
-    _put(s, pos, {"z": znew, "depth": nd, "val": nv, "phase": phase, "below": np.zeros(nd.size, np.int64)})
+    _put(fl, pos, {"cond": cond, "stop": dead | (nd == 0) | (nd > MAX_DEPTH)})
+    _put(s, pos, {"depth": nd, "val": nv, "phase": wrap_phase(dphi + beta)})
 
 
 # The result columns of classify_batch other than tag: name, dtype, and the
@@ -730,11 +727,14 @@ def _classify_pool(f: ExpPoly, p: ClassifyParams, blocks, capacity: int, sink):
     The state holds the live orbits only: index in the batch, age (steps
     taken), z (the exact point in direct mode, 0 in tower mode), depth (0 in
     direct mode), val, phase (defined and read in tower mode only), run
-    (consecutive certified steps) and below (consecutive steps inside the
-    radius).  A step advances the depth-0 orbits by _step_direct and the
-    others by _step_tower; a finished orbit (certified run, fixed point,
-    trap entry, dead direction, depth beyond MAX_DEPTH, or max_iter steps,
-    judged by the trailing-run rule) leaves.
+    (consecutive certified steps) and below (consecutive direct steps that
+    start inside the radius).  A step advances the depth-0 orbits by
+    _step_direct and the others by _step_tower; a finished orbit leaves.
+    It finishes on a certified run, a fixed point, trap entry, a dead
+    direction, a model magnitude back in the double range, depth beyond
+    MAX_DEPTH, or max_iter steps.  A fixed point and a budget's tail are
+    judged non-escaping only if the last point is a direct point inside
+    the radius.
     A step costs about 35 us however few orbits are live (one bounded sin z
     orbit, 2-core Xeon), so a tail of long orbits pays it each step.  It
     reads _term_consts(f) once per pool, enters one np.errstate, steps
@@ -789,7 +789,7 @@ def _classify_pool(f: ExpPoly, p: ClassifyParams, blocks, capacity: int, sink):
                 fl = {} if n_tower in (0, n) else dict(zip(_FLAGS, np.zeros((len(_FLAGS), n), bool)))
                 if not _step_direct(f, tc, p, radius, dcap, screen, trap, s, direct, fl):
                     break
-            _step_tower(f, tc, p, dcap, s, tower, fl)
+            _step_tower(f, tc, p, s, tower, fl)
 
         # A flag that no step wrote is False for every orbit.  A fixed orbit
         # finishes at once, and its run is no certificate.
@@ -804,9 +804,10 @@ def _classify_pool(f: ExpPoly, p: ClassifyParams, blocks, capacity: int, sink):
             fixed, trapped = (fl.get(k, np.zeros(n, bool)) for k in ("fixed", "trap"))
             cert &= ~fixed
             trapped = trapped & ~fixed & ~cert
-            # A fixed direct point is non-escaping when it lies inside the
-            # radius, which is when its below count is positive.
-            nonesc = trapped | (fixed & (s["below"] > 0)) | (~end & (s["below"] >= tail_len))
+            # A fixed point or a budget's tail is non-escaping only where the
+            # last point is a direct point inside the radius.
+            inside = (s["depth"] == 0) & (s["val"] <= radius)
+            nonesc = trapped | (inside & (fixed | (~end & (s["below"] >= tail_len))))
             code = np.where(cert, 1, np.where(nonesc, 2, 0)).astype(np.int8)
             gone, keep = np.flatnonzero(done), np.flatnonzero(~done)
             sink(s["idx"][gone], _results({**s, "code": code, "trap": trapped}, gone))
@@ -821,8 +822,9 @@ def classify_batch(f: ExpPoly, points, p: ClassifyParams | None = None):
     an EscapeCertified one, the step that completed its certified run),
     trapped (the orbit stopped on entering the trap region of trap_at_0),
     final_depth and final_val (|z| = exp^depth(val) at the last computed
-    step; depth 0 is direct mode).  A NaN or infinite start point is
-    Undetermined after 0 steps, with final_val |z|.
+    step; depth 0 is direct mode, or a tower model whose magnitude fell back
+    into the double range, which stops the orbit Undetermined).  A NaN or
+    infinite start point is Undetermined after 0 steps, with final_val |z|.
 
     The whole batch is one pool of _classify_pool, which describes the
     engine state and step.

@@ -64,14 +64,10 @@ class Poly:
     def __neg__(self) -> "Poly":
         return Poly(-self.coeffs)
 
-    def __mul__(self, other):
-        if isinstance(other, Poly):
-            if self.is_zero() or other.is_zero():
-                return Poly()
-            return Poly(np.convolve(self.coeffs, other.coeffs))
-        return Poly(self.coeffs * other)
-
-    __rmul__ = __mul__
+    def __mul__(self, other: "Poly") -> "Poly":
+        if self.is_zero() or other.is_zero():
+            return Poly()
+        return Poly(np.convolve(self.coeffs, other.coeffs))
 
     def coeff(self, i: int) -> complex:
         """Coefficient of z**i (zero beyond the stored degree)."""
@@ -83,9 +79,6 @@ class Poly:
 
     def __eq__(self, other):
         return isinstance(other, Poly) and np.array_equal(self.coeffs, other.coeffs)
-
-    def __hash__(self):
-        return hash(tuple(self.coeffs.tolist()))
 
     def __repr__(self):
         return f"Poly({self.coeffs.tolist()})"

@@ -42,8 +42,8 @@ def orbit_walk(monkeypatch):
     states = []
     step_tower = orbits._step_tower
 
-    def spy(f, tc, p, dcap, s, pos, fl):
-        step_tower(f, tc, p, dcap, s, pos, fl)
+    def spy(f, tc, p, s, pos, fl):
+        step_tower(f, tc, p, s, pos, fl)
         keys = STEP_KEYS if s["depth"][0] else [k for k in STEP_KEYS if k != "phase"]
         states.append({**{k: s[k][0] for k in keys}, "cond": fl["cond"][0]})
 
@@ -64,9 +64,9 @@ def step_sizes(monkeypatch):
     sizes = []
     step_tower = orbits._step_tower
 
-    def spy(f, tc, p, dcap, s, pos, fl):
+    def spy(f, tc, p, s, pos, fl):
         sizes.append(s["z"].size)
-        step_tower(f, tc, p, dcap, s, pos, fl)
+        step_tower(f, tc, p, s, pos, fl)
 
     monkeypatch.setattr(orbits, "_step_tower", spy)
     return sizes

@@ -28,6 +28,7 @@ from expdyn import (
     load_function,
 )
 from expdyn import funcs
+from expdyn.cli import BUNDLED
 from expdyn.funcs import (
     CACHE_SIZE,
     _eval_log_parts,
@@ -411,6 +412,24 @@ def test_prefactors_differing_in_a_zero_sign_take_separate_logs(monkeypatch):
     _assert_core_is_evaluator(f, _SIGNED_AXIS, 1)
     for z in _SIGNED_AXIS:
         _assert_core_is_evaluator(f, np.asarray(z), 1)
+
+
+# |z| = 10^0, 10^7, ..., 10^308 and the top of the double range, on 16 rays.
+_HUGE_SWEEP = np.outer([10.0**k for k in range(0, 309, 7)] + [1.7e308], np.exp(2j * np.pi * np.arange(16) / 16)).ravel()
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_evaluation_leaks_no_numpy_warning(name):
+    # The test suite turns a RuntimeWarning into an error.  Overflowing
+    # terms, prefactors and products are the evaluator's to absorb.
+    f = bundled_function(name)
+    for order in (0, 1, 2):
+        eval_log_batch(f, _HUGE_SWEEP, order)
+        for z in _HUGE_SWEEP:
+            eval_log_batch(f, z, order)
+    for level in (1, 2) if f.d >= 3 else ():  # exceptional sets need d >= 3
+        in_E_mask(f, _HUGE_SWEEP, level)
+    classify_batch(f, _HUGE_SWEEP)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from expdyn import (
     log_max_modulus,
 )
 from expdyn import orbits
+from expdyn.cli import BUNDLED
 from expdyn.funcs import _term_consts
 from expdyn.measure import _annulus_points
 from expdyn.orbits import MAX_DEPTH, TAIL_STEPS
@@ -301,13 +302,18 @@ def test_trap_needs_enough_budget(sinz, orbit_walk):
 
 
 def _exit_cases():
-    """(f, p, cases): one start point per exit of the engine, by name.
+    """[(f, p, cases)]: one start point per exit of the engine, by name,
+    grouped by the function and parameters they run on.
 
     f = 60 e^{z^3} - 60 e^{eps z^3}: f(0) = 0 with a trap disk around it,
     f(-60) = -60 exactly (e^{-216000} underflows and e^{eps z^3} rounds to
     1), and a repelling fixed point near x* = 60^{-1/2}.  With cert_steps 7
     a run of certified tower steps from outside the radius certifies at
     depth 7, while one that starts inside is cut by depth > MAX_DEPTH.
+
+    g = e^{1e-300 z}: from 6.95e302, log|g| = 695 promotes the first step
+    to depth 1, and the tower model of the second, exp(e^{4.2}), is back in
+    the double range, where the model has no true point to continue from.
     """
     f = ExpPoly(3, [ExpPolyTerm(Poly([60.0]), 1 + 0j), ExpPolyTerm(Poly([-60.0]), 1e-300 + 0j)])
     p = ClassifyParams(cert_steps=7, max_iter=12)
@@ -320,25 +326,39 @@ def _exit_cases():
         "trap entry": 0.1,
         "dead direction": (400.0 + 1.0j) ** (1.0 / 3.0),
         "depth cut": 7.0,
-        "budget with tail": complex(x_star + 1e-9, 1e-3),
+        "budget with tail": complex(x_star + 1e-9, 1e-8),
+        "budget, last point outside": complex(x_star + 1e-9, 1e-3),
         "budget without tail": complex(x_star + 1e-5, 1e-3),
         "overflowing start": 1e120 * np.exp(0.1j),
         "nan": complex(math.nan, 0.0),
         "inf": complex(0.0, math.inf),
     }
-    return f, p, cases
+    g = ExpPoly(1, [ExpPolyTerm(Poly([1.0]), 1e-300 + 0j)])
+    return [(f, p, cases), (g, ClassifyParams(max_iter=8), {"model collapse": 6.95e302})]
 
 
 def test_batch_composition_does_not_change_results():
-    f, p, cases = _exit_cases()
-    pts = np.array(list(cases.values()), dtype=complex)
-    res = classify_batch(f, pts, p)
-    names = list(cases)
+    groups = _exit_cases()
+    rows = {}
+    for f, p, cases in groups:
+        pts = np.array(list(cases.values()), dtype=complex)
+        res = classify_batch(f, pts, p)
+        rows.update({name: {key: res[key][i].item() for key in RESULT_KEYS if key != "tag"} for i, name in enumerate(cases)})
+
+        alone = [classify_batch(f, [z], p) for z in pts]
+        rng = np.random.default_rng(2)
+        order = rng.permutation(np.tile(np.arange(pts.size), 3))
+        shuffled = classify_batch(f, pts[order], p)
+        for key in RESULT_KEYS:
+            want = np.concatenate([a[key] for a in alone])
+            np.testing.assert_array_equal(res[key], want, err_msg=key)
+            np.testing.assert_array_equal(shuffled[key], want[order], err_msg=key)
 
     def got(name, *keys):
-        return tuple(res[key][names.index(name)].item() for key in keys)
+        return tuple(rows[name][key] for key in keys)
 
     # Each start takes the exit it was chosen for.
+    p = groups[0][1]
     assert got("certified escape", "tag_code", "final_depth") == (1, p.cert_steps)
     # Certified after a run that starts past the first step.
     tag, steps = got("late escape", "tag_code", "steps")
@@ -349,20 +369,17 @@ def test_batch_composition_does_not_change_results():
     tag, depth = got("dead direction", "tag_code", "final_depth")
     assert tag == 0 and 1 <= depth <= MAX_DEPTH
     assert got("depth cut", "tag_code", "final_depth") == (0, MAX_DEPTH + 1)
-    assert got("budget with tail", "tag_code", "steps", "trapped") == (2, p.max_iter, False)
+    assert got("budget with tail", "tag_code", "steps", "trapped", "final_depth") == (2, p.max_iter, False, 0)
+    assert got("budget with tail", "final_val")[0] <= p.escape_radius
+    # Its twelve start points lie inside the radius; its last point does not.
+    assert got("budget, last point outside", "tag_code", "steps", "final_depth") == (0, p.max_iter, 0)
+    assert got("budget, last point outside", "final_val")[0] > p.escape_radius
     assert got("budget without tail", "tag_code", "steps") == (0, p.max_iter)
     depth, steps = got("overflowing start", "final_depth", "steps")
     assert depth >= 1 and steps < p.max_iter
     assert got("nan", "steps") == got("inf", "steps") == (0,)
-
-    alone = [classify_batch(f, [z], p) for z in pts]
-    rng = np.random.default_rng(2)
-    order = rng.permutation(np.tile(np.arange(pts.size), 3))
-    shuffled = classify_batch(f, pts[order], p)
-    for key in RESULT_KEYS:
-        want = np.concatenate([a[key] for a in alone])
-        np.testing.assert_array_equal(res[key], want, err_msg=key)
-        np.testing.assert_array_equal(shuffled[key], want[order], err_msg=key)
+    # The carried phase is the true one here, yet the verdict is given up.
+    assert got("model collapse", "tag_code", "steps", "final_depth") == (0, 2, 0)
 
 
 @pytest.mark.parametrize("capacity", [2, 3])
@@ -371,30 +388,55 @@ def test_pool_refill_does_not_change_results(capacity, step_sizes):
     # different ages share steps, and the late escape and the budget orbits
     # enter at a late refill, so the trap rule, the reported steps and the
     # budget rule each must read the orbit's own age.
-    f, p, cases = _exit_cases()
-    late = ("late escape", "budget with tail", "budget without tail")
-    order = [name for name in cases if name not in late] + list(late)
-    pts = np.array([cases[name] for name in order], dtype=complex)
-    want = classify_batch(f, pts, p)
-    step_sizes.clear()
-    got = {key: np.zeros(pts.size, want[key].dtype) for key in RESULT_KEYS if key != "tag"}
-    reported = np.zeros(pts.size, np.int64)
+    late = ("late escape", "budget with tail", "budget, last point outside", "budget without tail")
+    for f, p, cases in _exit_cases():
+        order = [name for name in cases if name not in late] + [name for name in late if name in cases]
+        pts = np.array([cases[name] for name in order], dtype=complex)
+        want = classify_batch(f, pts, p)
+        step_sizes.clear()
+        got = {key: np.zeros(pts.size, want[key].dtype) for key in RESULT_KEYS if key != "tag"}
+        reported = np.zeros(pts.size, np.int64)
 
-    def sink(i, cols):
-        assert cols.keys() == got.keys()
-        np.add.at(reported, i, 1)
-        for key, a in cols.items():
-            got[key][i] = a
+        def sink(i, cols):
+            assert cols.keys() == got.keys()
+            np.add.at(reported, i, 1)
+            for key, a in cols.items():
+                got[key][i] = a
 
-    edges = [0, 1, 3, 6, pts.size]
-    blocks = [(np.arange(a, b), pts[a:b]) for a, b in zip(edges, edges[1:])]
-    orbits._classify_pool(f, p, blocks, capacity, sink)
-    assert (reported == 1).all()
-    for key, a in got.items():
-        np.testing.assert_array_equal(a, want[key], err_msg=key)
-    assert max(step_sizes) <= capacity
-    # The last orbits entered after the first step and ran their whole budget.
-    assert len(step_sizes) > p.max_iter
+        edges = [e for e in (0, 1, 3, 6) if e < pts.size] + [pts.size]
+        blocks = [(np.arange(a, b), pts[a:b]) for a, b in zip(edges, edges[1:])]
+        orbits._classify_pool(f, p, blocks, capacity, sink)
+        assert (reported == 1).all()
+        for key, a in got.items():
+            np.testing.assert_array_equal(a, want[key], err_msg=key)
+        assert max(step_sizes) <= capacity
+        # The last orbits entered after the first step and ran their whole budget.
+        assert order[-1] not in late or len(step_sizes) > p.max_iter
+
+
+@pytest.mark.parametrize("fn", BUNDLED)
+def test_non_escape_verdicts_end_inside_the_radius(fn):
+    # A NonEscapeObserved verdict reads the orbit's last point: it is a
+    # direct-mode point inside the escape radius, whatever the budget.
+    f = bundled_function(fn)
+    rng = np.random.default_rng(0)
+    pts = rng.uniform(-4, 4, 1000) + 1j * rng.uniform(-4, 4, 1000)
+    for max_iter in (1, 2, 3, 5, 17, 64):
+        p = ClassifyParams(max_iter=max_iter)
+        res = classify_batch(f, pts, p)
+        nonesc = res["tag_code"] == 2
+        assert np.count_nonzero(nonesc) > 0
+        assert (res["final_depth"][nonesc] == 0).all()
+        assert (res["final_val"][nonesc] <= p.escape_radius).all()
+
+
+def test_one_step_budget_ending_outside_is_undetermined(sin3):
+    # From 10+1i the one step lands at |z_1| = e^298, a tower point; from
+    # 3+0.5i at |z_1| ~ 3.2e5, a direct point beyond the radius.  Both
+    # start points lie inside the radius, so the one-step tail holds.
+    res = classify_batch(sin3, [10 + 1j, 3 + 0.5j], ClassifyParams(max_iter=1))
+    assert list(res["tag"]) == [UNDETERMINED, UNDETERMINED]
+    assert list(res["final_depth"]) == [1, 0]
 
 
 # A tracked orbit, its mirror images (an all-direct pool while it is direct)
@@ -418,8 +460,8 @@ def test_step_does_not_depend_on_the_modes_in_its_pool(fn, z0, towers, monkeypat
     step_tower = orbits._step_tower
     records = []
 
-    def spy(f, tc, p, dcap, s, pos, fl):
-        step_tower(f, tc, p, dcap, s, pos, fl)
+    def spy(f, tc, p, s, pos, fl):
+        step_tower(f, tc, p, s, pos, fl)
         keys = ("z", "depth", "val", "phase", "below", "run")
         for i in np.flatnonzero(s["idx"] == 0):
             records[-1].append(b"".join(np.asarray(s[k][i]).tobytes() for k in keys) + fl["cond"][i].tobytes())
@@ -457,9 +499,9 @@ def test_tower_steps_check_the_escape_radius(sin3, radius, monkeypatch):
     seen = []
     step_tower = orbits._step_tower
 
-    def spy(f, tc, p, dcap, s, pos, fl):
+    def spy(f, tc, p, s, pos, fl):
         dep, val = s["depth"][pos], s["val"][pos]
-        step_tower(f, tc, p, dcap, s, pos, fl)
+        step_tower(f, tc, p, s, pos, fl)
         seen.append((dep, val, fl["cond"][pos]))
 
     monkeypatch.setattr(orbits, "_step_tower", spy)

@@ -29,8 +29,8 @@ def _run(f, pts, p, screen_on):
     steps = []
     step_tower = orbits._step_tower
 
-    def spy(f, tc, p, dcap, s, pos, fl):
-        step_tower(f, tc, p, dcap, s, pos, fl)
+    def spy(f, tc, p, s, pos, fl):
+        step_tower(f, tc, p, s, pos, fl)
         cols = [*(s[k] for k in _STATE_KEYS), fl["cond"], np.where(s["depth"] > 0, s["phase"], 0.0)]
         steps.append(b"".join(np.ascontiguousarray(a).tobytes() for a in cols))
 
