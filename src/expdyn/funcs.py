@@ -220,27 +220,28 @@ def _log_parts(rows):
       (exp underflows), so it is skipped.
     Every partial sum that holds the dominant 1 absorbs a signed zero, and
     where S_m is not finite the dominant row's NaN decides the sum, so corr
-    is bitwise the sum over every term, reduced over a stacked term axis.
-    Every output is elementwise: the values at a point do not depend on the
-    other points of the rows.
+    is bitwise the sum over every term, added in term order.  Every output
+    is elementwise: the values at a point do not depend on the other points
+    of the rows, nor on their number (numpy's pairwise sum of a reduction
+    would group the terms of one point differently).
 
     Call it under np.errstate(divide="ignore", invalid="ignore").
     """
     Sm = np.asarray(rows[0])
     for row in rows[1:]:
         Sm = np.where(row.real > np.fmax(Sm.real, _NEG_INF), row, Sm)
-    terms = np.empty((len(rows),) + Sm.shape, complex)
-    for j, row in enumerate(rows):
-        e = terms[j, ...]  # a view, 0-d for 0-d rows
+    corr = None
+    for row in rows:
         D = row - Sm
         one = np.logical_not(D)
-        e[...] = one
+        e = np.array(one, complex)  # 0-d for 0-d rows
         np.exp(D, out=e, where=~(one | ((D.real < _EXP_UNDERFLOW) & np.isfinite(D.imag))))
-    corr = np.add.reduce(terms)
-    del terms, D, e, one  # free the term arrays before the outputs are allocated
-    # A 0-d S_m becomes a numpy scalar, as the stacked formula had it:
-    # scalar and array arithmetic keep different NaNs of two NaN operands.
-    Sm = Sm[()]
+        corr = e if corr is None else corr + e
+    del D, e, one  # free the term arrays before the outputs are allocated
+    # A 0-d S_m and corr become numpy scalars, and the outputs are taken in
+    # scalar arithmetic: scalar and array arithmetic keep different NaNs of
+    # two NaN operands.
+    Sm, corr = Sm[()], corr[()]
     corr_abs = np.abs(corr)
     logmod = Sm.real + np.log(corr_abs)
     zero = ~np.isfinite(Sm.real) | (corr_abs < _ZERO_CORR)

@@ -35,9 +35,11 @@ for the rest of its budget, so it stops there as NonEscapeObserved, with the
 
 One engine, _classify_pool, steps a pool of live orbits of any ages, each
 reading its own age, so the pool admits new start points as orbits finish
-without changing any result.  classify_batch runs its whole batch as one
-pool, and is the only classifier: a single orbit is a batch of one.  The
-renderer runs one bounded pool per worker thread.
+without changing any result.  It holds its direct and its tower orbits in
+two states, one per mode, and steps each on whole columns; an orbit is
+handed from the first to the second once, never back.  classify_batch runs
+its whole batch as one pool, and is the only classifier: a single orbit is
+a batch of one.  The renderer runs one bounded pool per worker thread.
 
 The pairs are the package's one tower arithmetic: _tower_next steps them
 for the orbits and for the iterated maximum modulus M^n(R) alike.
@@ -444,20 +446,26 @@ def trap_at_0(f: ExpPoly, escape_radius: float) -> TrapRegion | None:
 # Classification engine
 
 
-# A step at the positions _ALL steps every orbit of the pool: it reads whole
-# state columns and replaces them, where other positions gather and scatter.
-_ALL, _NO_POS = slice(None), np.zeros(0, np.int64)
-_FLAGS = ("cond", "fixed", "trap", "stop")
-_ONE, _FITS = _const(np.int64(1)), _const(700.0)
+_ONE, _FITS, _NO_BOOL = _const(np.int64(1)), _const(700.0), _const(np.zeros(0, bool))
 
 
-def _put(d, pos, cols):
-    """Write the step's arrays cols into the columns of d at positions pos."""
-    if pos is _ALL:
-        d.update(cols)
-    else:
-        for k, a in cols.items():
-            d[k][pos] = a
+def _take(s, m):
+    """The columns of s at the mask or index array m."""
+    return {k: a[m] for k, a in s.items()}
+
+
+def _join(s, new):
+    """Append the columns of new to those of s, in place, one column at a
+    time to bound the peak memory."""
+    for k in s:
+        s[k] = np.concatenate([s[k], new.pop(k)])
+
+
+def _to_tower(s, m, val, phase):
+    """The tower state of the orbits at the mask m of the direct state s, at
+    depth 1 with the given val and phase."""
+    idx, age, run = (s[k][m] for k in ("idx", "age", "run"))
+    return {"idx": idx, "age": age, "depth": np.ones(val.size, np.int64), "val": val, "phase": phase, "run": run}
 
 
 # The screen of _step_direct: the unit of its rounding bounds (twice the unit
@@ -481,15 +489,17 @@ def _screen(f: ExpPoly, radius: float, dcap: float):
     return _const(_T_LO), _const(dcap - math.log(n) - 2.0 * err), _const(2.0 * (1e-15 + err))
 
 
-def _step_direct(f: ExpPoly, tc: dict, p: ClassifyParams, radius, dcap, screen, trap, s, pos, fl):
-    """Advance the direct-mode orbits at positions pos of the state s by one step.
+def _step_direct(f: ExpPoly, tc: dict, p: ClassifyParams, radius, dcap, screen, trap, s):
+    """Advance the direct state s by one step.
 
     tc is _term_consts(f); radius and dcap are 0-d arrays and screen is
     _screen's (or None); runs under the pool's np.errstate.  Writes the new
-    state into s and the cond, fixed and (where it may be set) trap flags
-    into fl.  A point whose log-domain terms overflow (in practice a start
-    point) instead moves to tower mode at its magnitude (depth 1, val
-    log|z|, phase arg z); then no orbit steps and it returns True.
+    z, val and below into s and returns (fl, starts, promoted): the cond,
+    fixed and (where it may be set) trap flags, and the orbits that leave
+    for tower mode.  Those whose log-domain terms overflow (in practice
+    start points) leave s unstepped: starts is None or their tower state at
+    their magnitude (depth 1, val log|z|, phase arg z).  promoted is None or
+    (m, tower state) of the orbits at the mask m, which the step promoted.
 
     The exact path.  log|f| and the phase come from _log_parts on the rows
     S_j = log Q_j + w_j, w_j = b_j Z^d + P_j(Z).  A zero of the sum steps
@@ -501,7 +511,7 @@ def _step_direct(f: ExpPoly, tc: dict, p: ClassifyParams, radius, dcap, screen, 
     phase elsewhere.  A step is certified (cond) at |Z| >= radius where
     log|f| >= |Z|^alpha and, for d >= 3, Z lies outside the level-1 set.
     The phase of a point that stays in direct mode is never read again, so
-    the state keeps it only for promoted points.
+    the step computes it only for promoted and rebuilt points.
 
     The screen.  A point takes the exact term sum alone, with no log-domain
     sum, when (a) every term fits, (b) |Z| < radius, (c) t_lo < t < t_hi
@@ -528,9 +538,9 @@ def _step_direct(f: ExpPoly, tc: dict, p: ClassifyParams, radius, dcap, screen, 
     exact path on whole columns; otherwise only the rest are gathered for
     it.
     """
-    if pos is not _ALL and pos.size == 0:
-        return False
-    Z = s["z"][pos]
+    if not s["idx"].size:
+        return {"cond": _NO_BOOL, "fixed": _NO_BOOL}, None, None
+    Z = s["z"]
     ws, qs = _term_exponents(f, Z), _prefactor_logs(f, Z, tc)
     # t = max_j log|Q_j e^{w_j}|.  Both e^{w_j} and Q_j e^{w_j} are at most
     # e^{Re w_j + x}, x = max(log|Q_j|, 0).
@@ -539,33 +549,35 @@ def _step_direct(f: ExpPoly, tc: dict, p: ClassifyParams, radius, dcap, screen, 
     if (n_fit := np.count_nonzero(fits)) < Z.size:
         over = ~(t < np.inf)
         if np.count_nonzero(over):  # a NaN or +inf log term
-            io = np.flatnonzero(over) if pos is _ALL else pos[over]
-            _put(s, io, {"depth": 1, "val": np.log(np.abs(Z[over])), "phase": np.angle(Z[over]), "z": 0.0})
-            return True
+            starts = _to_tower(s, over, np.log(np.abs(Z[over])), np.angle(Z[over]))
+            s.update(_take(s, ~over))
+            fl, _, promoted = _step_direct(f, tc, p, radius, dcap, screen, trap, s)
+            return fl, starts, promoted
     # The exact term sum, taken where every term fits: exp is slow on the
     # huge imaginary parts of the others, which take 0 until the exact path
     # gives them their value.
-    fit = _ALL if n_fit == Z.size else np.flatnonzero(fits)
+    every = slice(None)
+    fit = every if n_fit == Z.size else np.flatnonzero(fits)
     zfit = _ZERO_C
     for w, (q, *_) in zip(ws, qs):
         zfit = zfit + (q if q.ndim == 0 else q[fit]) * np.exp(w[fit])
-    if fit is _ALL:
+    if fit is every:
         znew = zfit
     else:
         znew = np.zeros(Z.size, complex)
         znew[fit] = zfit
     absnew, absZ = np.abs(znew), np.abs(Z)
     cond = absZ >= radius
-    rest = _ALL
+    rest = every
     if screen is not None:
         t_lo, t_hi, tau = screen
         easy = fits & ~cond & (t > t_lo) & (t < t_hi) & (absnew > tau * np.exp(t))
         if n_easy := np.count_nonzero(easy):
-            rest = _NO_POS if n_easy == Z.size else np.flatnonzero(~easy)
+            rest = None if n_easy == Z.size else np.flatnonzero(~easy)
         del easy
     del t
     promoted = None
-    if rest is _ALL or rest.size:
+    if rest is not None:
         rows = [(lq if lq.ndim == 0 else lq[rest]) + w[rest] for w, (_, lq, _, _) in zip(ws, qs)]
         del ws, qs, w  # free the term arrays before the sum allocates its own
         lm, zero, Sm, corr = _log_parts(rows)
@@ -578,33 +590,28 @@ def _step_direct(f: ExpPoly, tc: dict, p: ClassifyParams, radius, dcap, screen, 
         ph = _phase(Sm[read], corr[read])
         del Sm, corr
         # A zero point steps to 0.  A promoted one steps to NaN, which is
-        # neither fixed nor in the trap, and its state z is 0.
-        zr = znew[rest]
+        # neither fixed nor in the trap.
+        zr = znew[rest]  # a view of znew where rest is every
         zr[zero], zr[promote] = 0j, np.nan
         if np.count_nonzero(rebuild):
             zr[rebuild] = np.exp(lm[rebuild]) * np.exp(1j * ph[rebuild[read]])
-        if rest is _ALL:
+        if rest is every:
             absnew = np.abs(znew)
         else:
             znew[rest], absnew[rest] = zr, np.abs(zr)
-        # Only the rest can lie beyond the radius: c is cond there, and
-        # rest[c] its True entries' positions in Z.
+        # Only the rest can lie beyond the radius: c is cond there.
         c = cond[rest]
         if np.count_nonzero(c):
-            c[c] = lm[c] >= absZ[c if rest is _ALL else rest[c]] ** p.alpha
+            c[c] = lm[c] >= absZ[rest][c] ** p.alpha
             if f.d >= 3 and np.count_nonzero(c):
-                c[c] = ~in_E_mask(f, Z[c if rest is _ALL else rest[c]], 1)
+                c[c] = ~in_E_mask(f, Z[rest][c], 1)
             cond[rest] = c
         if np.count_nonzero(promote):
-            ip = np.flatnonzero(promote) if rest is _ALL else rest[promote]
-            promoted = (ip if pos is _ALL else pos[ip]), {
-                "z": 0j,
-                "depth": 1,
-                "val": lm[promote],
-                "phase": ph[promote[read]],
-            }
-    below = (s["below"][pos] + _ONE) * (absZ <= radius)
-    flags = {"cond": cond, "fixed": znew == Z}
+            m = np.zeros(Z.size, bool)
+            m[rest] = promote
+            promoted = m, _to_tower(s, m, lm[promote], ph[promote[read]])
+    below = (s["below"] + _ONE) * (absZ <= radius)
+    fl = {"cond": cond, "fixed": znew == Z}
     # An orbit entering the trap stays inside the radius for its remaining
     # max_iter - age points.  Flag it only when that makes the trailing-run
     # rule certain to fire, as it does for all while the oldest (the first) is
@@ -615,13 +622,10 @@ def _step_direct(f: ExpPoly, tc: dict, p: ClassifyParams, radius, dcap, screen, 
         if np.count_nonzero(near):
             last = p.max_iter - min(TAIL_STEPS, p.max_iter)
             if s["age"][0] > last:
-                near &= s["age"][pos] - below <= last
-            flags["trap"] = near & trap.contains(znew)
-    _put(fl, pos, flags)
-    _put(s, pos, {"z": znew, "val": absnew, "below": below})
-    if promoted is not None:
-        _put(s, *promoted)
-    return False
+                near &= s["age"] - below <= last
+            fl["trap"] = near & trap.contains(znew)
+    s.update(z=znew, val=absnew, below=below)
+    return fl, None, promoted
 
 
 def _dominant_growth(tc: dict, dphi):
@@ -641,26 +645,25 @@ def _dominant_growth(tc: dict, dphi):
     return c, beta
 
 
-def _step_tower(f: ExpPoly, tc: dict, p: ClassifyParams, s, pos, fl):
-    """Advance the tower-mode orbits at positions pos of the state s by one step.
+def _step_tower(f: ExpPoly, tc: dict, p: ClassifyParams, s):
+    """Advance the tower state s by one step.
 
     The magnitude grows like the dominant term, log|z'| = c |z|^d with
     c = max_j |b_j| cos(d phi + arg b_j); c <= 0 is a dead direction.  A step
     is certified (cond) when |z| >= escape_radius and the model grows at
     the stretched exponential rate.  tc is _term_consts(f).  Writes the new
-    depth, val and phase into s and the cond and stop flags into fl.  Runs
-    under the pool's np.errstate.
+    depth, val and phase into s and returns the cond and stop flags of its
+    orbits.  Runs under the pool's np.errstate.
 
     Tower mode is terminal.  A model magnitude that canonicalises back to
     depth 0 has no true point to continue from, so it stops the orbit, as
-    a dead direction and a depth beyond MAX_DEPTH do.  A tower orbit's z
-    stays 0 and its below count is not read again.
+    a dead direction and a depth beyond MAX_DEPTH do.
     """
-    if pos is not _ALL and pos.size == 0:
-        return
+    if not s["idx"].size:
+        return {"cond": _NO_BOOL, "stop": _NO_BOOL}
     d, alpha = f.d, p.alpha
-    dep, v = s["depth"][pos], s["val"][pos]
-    dphi = d * s["phase"][pos]
+    dep, v = s["depth"], s["val"]
+    dphi = d * s["phase"]
     c, beta = _dominant_growth(tc, dphi)
     dead = c <= 0
     logc = np.log(np.where(dead, 1.0, c))
@@ -670,13 +673,32 @@ def _step_tower(f: ExpPoly, tc: dict, p: ClassifyParams, s, pos, fl):
     # and log c + (d - alpha) log|z| >= 0 holds there only for alpha < d.
     cond = np.where(dep == 1, (v >= math.log(p.escape_radius)) & (grow >= alpha * v), alpha < d) & ~dead
     nd, nv = _tower_next(dep, v, logc, d)
-    _put(fl, pos, {"cond": cond, "stop": dead | (nd == 0) | (nd > MAX_DEPTH)})
-    _put(s, pos, {"depth": nd, "val": nv, "phase": wrap_phase(dphi + beta)})
+    s.update(depth=nd, val=nv, phase=wrap_phase(dphi + beta))
+    return {"cond": cond, "stop": dead | (nd == 0) | (nd > MAX_DEPTH)}
+
+
+def _advance(f: ExpPoly, tc: dict, p: ClassifyParams, radius, dcap, screen, trap, direct, tower):
+    """Advance both states of a pool by one step; returns them and their
+    flags, (direct, tower, dfl, tfl).  An overflowing start point joins the
+    tower state before its step; a promoted orbit joins it after, with its
+    direct step's cond and no stop flag.  Runs under the pool's np.errstate.
+    """
+    dfl, starts, promoted = _step_direct(f, tc, p, radius, dcap, screen, trap, direct)
+    if starts is not None:
+        _join(tower, starts)
+    tfl = _step_tower(f, tc, p, tower)
+    if promoted is not None:
+        m, new = promoted
+        _join(tfl, {"cond": dfl["cond"][m], "stop": np.zeros(new["idx"].size, bool)})
+        _join(tower, new)
+        direct, dfl = _take(direct, ~m), _take(dfl, ~m)
+    return direct, tower, dfl, tfl
 
 
 # The result columns of classify_batch other than tag: name, dtype, and the
 # per-orbit array it reports when the orbit retires, an engine-state column or
-# the step's "code" (tag code) or "trap" flag.
+# one that _retire is given: the step's "code" (tag code) and "trap" flag, and
+# a direct orbit's depth 0.
 _RESULT_COLUMNS = (
     ("tag_code", np.int8, "code"),
     ("steps", np.int64, "age"),
@@ -687,15 +709,19 @@ _RESULT_COLUMNS = (
 
 
 def _start_state(idx, z):
-    """Engine state of orbits starting at z, with batch indices idx.  Every
-    orbit's first step, a direct one, writes its val and phase."""
-    counts = {k: np.zeros(idx.size, np.int64) for k in ("age", "depth", "run", "below")}
-    return {"idx": idx, "z": z, "val": np.zeros(idx.size), "phase": np.zeros(idx.size), **counts}
+    """Direct state of orbits starting at z, with batch indices idx.  Every
+    orbit's first step writes its val."""
+    counts = {k: np.zeros(idx.size, np.int64) for k in ("age", "run", "below")}
+    return {"idx": idx, "z": z, "val": np.zeros(idx.size), **counts}
 
 
-def _results(src, i):
-    """The result columns of the entries i (an index array) of the per-orbit arrays src."""
-    return {name: src[key][i] for name, _, key in _RESULT_COLUMNS}
+def _retire(s, done, sink, **cols):
+    """Report the orbits at the mask done of the state s to sink, reading
+    the result columns from s and cols, and return the state of the others."""
+    gone = np.flatnonzero(done)
+    src = {**s, **cols}
+    sink(s["idx"][gone], {name: src[key][gone] for name, _, key in _RESULT_COLUMNS})
+    return _take(s, ~done)
 
 
 def _finite_starts(blocks, sink):
@@ -724,24 +750,25 @@ def _classify_pool(f: ExpPoly, p: ClassifyParams, blocks, capacity: int, sink):
     reads the step number reads the orbit's own age, so an orbit's results
     do not depend on when it was admitted or on which orbits share its pool.
 
-    The state holds the live orbits only: index in the batch, age (steps
-    taken), z (the exact point in direct mode, 0 in tower mode), depth (0 in
-    direct mode), val, phase (defined and read in tower mode only), run
-    (consecutive certified steps) and below (consecutive direct steps that
-    start inside the radius).  A step advances the depth-0 orbits by
-    _step_direct and the others by _step_tower; a finished orbit leaves.
-    It finishes on a certified run, a fixed point, trap entry, a dead
+    The live orbits are held in two states, one per mode, each stepped on
+    whole columns.  Both hold the index in the batch, age (steps taken), val
+    and run (consecutive certified steps).  The direct state adds z, with
+    val = |z|, and below (consecutive steps that start inside the radius),
+    and keeps admission order; the tower state adds depth and phase, with
+    |z| = exp^depth(val).  _advance steps both and hands orbits from direct
+    to tower mode, never back; then each state retires its finished orbits.
+    An orbit finishes on a certified run, a fixed point, trap entry, a dead
     direction, a model magnitude back in the double range, depth beyond
     MAX_DEPTH, or max_iter steps.  A fixed point and a budget's tail are
-    judged non-escaping only if the last point is a direct point inside
-    the radius.
+    judged non-escaping only if the last point is a direct point inside the
+    radius.
     A step costs about 35 us however few orbits are live (one bounded sin z
     orbit, 2-core Xeon), so a tail of long orbits pays it each step.  It
-    reads _term_consts(f) once per pool, enters one np.errstate, steps
-    whole columns when all orbits share a mode, gathers for the exact term
-    sum only when some point cannot take it, makes no log-domain sum when
-    every point passes the screen of _step_direct, and skips the growth
-    test, the trap test and the promotion writes where no orbit needs them.
+    reads _term_consts(f) once per pool, enters one np.errstate, skips the
+    step of an empty state, gathers for the exact term sum only when some
+    point cannot take it, makes no log-domain sum when every point passes
+    the screen of _step_direct, and skips the growth test, the trap test
+    and the promotion hand-off where no orbit needs them.
     """
     radius, cert_steps = _const(p.escape_radius), _const(p.cert_steps)
     dcap = min((700.0 - math.log(f.max_abs_b) - 5.0) / f.d, BAIL_LOGMOD)
@@ -750,10 +777,11 @@ def _classify_pool(f: ExpPoly, p: ClassifyParams, blocks, capacity: int, sink):
     tail_len = min(TAIL_STEPS, p.max_iter)
 
     starts = _finite_starts(blocks, sink)
-    pend_i, pend_z = _NO_POS, np.zeros(0, complex)
-    s = _start_state(pend_i, pend_z)
+    pend_i, pend_z = np.zeros(0, np.int64), np.zeros(0, complex)
+    direct = _start_state(pend_i, pend_z)
+    tower = _to_tower(direct, _NO_BOOL, pend_z.real, pend_z.real)
     while True:
-        n = s["idx"].size
+        n = direct["idx"].size + tower["idx"].size
         if starts is not None and 2 * n < capacity:
             new_i, new_z = [], []
             room = capacity - n
@@ -770,48 +798,42 @@ def _classify_pool(f: ExpPoly, p: ClassifyParams, blocks, capacity: int, sink):
                 pend_i, pend_z = pend_i[room:], pend_z[room:]
                 room -= new_i[-1].size
             if new_i:
-                new = _start_state(np.concatenate(new_i), np.concatenate(new_z))
-                for k in s:  # one column at a time, to bound the peak memory
-                    s[k] = np.concatenate([s[k], new.pop(k)])
-                n = s["idx"].size
+                _join(direct, _start_state(np.concatenate(new_i), np.concatenate(new_z)))
+                n = direct["idx"].size + tower["idx"].size
         if n == 0:
             return
 
-        s["age"] = s["age"] + _ONE
+        direct["age"] = direct["age"] + _ONE
+        tower["age"] = tower["age"] + _ONE
         with np.errstate(all="ignore"):
-            # Depth is the mode: depth-0 orbits take a direct step, the rest
-            # a tower step.  A pool of one mode steps whole columns.  The split
-            # is redone when the direct step moves orbits to tower mode.
-            while True:
-                n_tower = np.count_nonzero(s["depth"])
-                direct = _ALL if n_tower == 0 else _NO_POS if n_tower == n else np.flatnonzero(s["depth"] == 0)
-                tower = _ALL if n_tower == n else _NO_POS if n_tower == 0 else np.flatnonzero(s["depth"])
-                fl = {} if n_tower in (0, n) else dict(zip(_FLAGS, np.zeros((len(_FLAGS), n), bool)))
-                if not _step_direct(f, tc, p, radius, dcap, screen, trap, s, direct, fl):
-                    break
-            _step_tower(f, tc, p, s, tower, fl)
+            direct, tower, dfl, tfl = _advance(f, tc, p, radius, dcap, screen, trap, direct, tower)
 
-        # A flag that no step wrote is False for every orbit.  A fixed orbit
-        # finishes at once, and its run is no certificate.
-        s["run"] = (s["run"] + _ONE) * fl["cond"]
-        cert = s["run"] >= cert_steps
-        end = functools.reduce(np.bitwise_or, [fl[k] for k in _FLAGS[1:] if k in fl], cert)
-        # An orbit that reaches max_iter steps without finishing is judged by
-        # the trailing-run rule.  Orbits join at the end of the state and keep
-        # their order, so the first is the oldest.
-        done = end | (s["age"] >= p.max_iter) if s["age"][0] >= p.max_iter else end
-        if np.count_nonzero(done):
-            fixed, trapped = (fl.get(k, np.zeros(n, bool)) for k in ("fixed", "trap"))
-            cert &= ~fixed
-            trapped = trapped & ~fixed & ~cert
-            # A fixed point or a budget's tail is non-escaping only where the
-            # last point is a direct point inside the radius.
-            inside = (s["depth"] == 0) & (s["val"] <= radius)
-            nonesc = trapped | (inside & (fixed | (~end & (s["below"] >= tail_len))))
-            code = np.where(cert, 1, np.where(nonesc, 2, 0)).astype(np.int8)
-            gone, keep = np.flatnonzero(done), np.flatnonzero(~done)
-            sink(s["idx"][gone], _results({**s, "code": code, "trap": trapped}, gone))
-            s = {k: a[keep] for k, a in s.items()}
+        if tower["idx"].size:
+            tower["run"] = (tower["run"] + _ONE) * tfl["cond"]
+            cert = tower["run"] >= cert_steps
+            # The tower state is not in age order: every age is read.
+            done = cert | tfl["stop"] | (tower["age"] >= p.max_iter)
+            if np.count_nonzero(done):
+                tower = _retire(tower, done, sink, code=cert.astype(np.int8), trap=np.zeros(done.size, bool))
+        if direct["idx"].size:
+            direct["run"] = (direct["run"] + _ONE) * dfl["cond"]
+            cert = direct["run"] >= cert_steps
+            # A trap flag that the step did not write is False for every
+            # orbit.  A fixed orbit finishes at once; its run is no certificate.
+            end = functools.reduce(np.bitwise_or, [dfl[k] for k in ("fixed", "trap") if k in dfl], cert)
+            # An orbit that reaches max_iter steps without finishing is judged
+            # by the trailing-run rule; the first orbit is the oldest.
+            done = end | (direct["age"] >= p.max_iter) if direct["age"][0] >= p.max_iter else end
+            if np.count_nonzero(done):
+                fixed = dfl["fixed"]
+                cert &= ~fixed
+                trapped = dfl["trap"] & ~fixed & ~cert if "trap" in dfl else np.zeros(done.size, bool)
+                # A fixed point or a budget's tail is non-escaping only
+                # where the last point lies inside the radius.
+                inside = direct["val"] <= radius
+                nonesc = trapped | (inside & (fixed | (~end & (direct["below"] >= tail_len))))
+                code = np.where(cert, 1, np.where(nonesc, 2, 0)).astype(np.int8)
+                direct = _retire(direct, done, sink, code=code, trap=trapped, depth=np.zeros(done.size, np.int64))
 
 
 def classify_batch(f: ExpPoly, points, p: ClassifyParams | None = None):

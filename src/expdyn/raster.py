@@ -155,8 +155,8 @@ def _quotient(f: ExpPoly, x, y):
     conj z mirrors rows, and -z, used alone only when f has neither of the
     others, mirrors both.  Returns (todo, copies): todo lists
     (row, columns) of the pixels to classify, top row first, and each copy
-    (rows, cols, src_rows, src_cols), applied in order, sets the pixels
-    rows x cols from src_rows x src_cols.
+    (dst, src), applied in order, sets the pixels out[dst] from out[src]
+    of an image out: whole columns, whole rows, or a block of np.ix_.
     """
     group = mirror_group(f)
     px_h, px_w = y.size, x.size
@@ -170,15 +170,15 @@ def _quotient(f: ExpPoly, x, y):
     cols = every_col
     copies = []
     if (-1, True) in group:  # the right columns, from the left ones
-        copies.append((every_row, right, every_row, px_w - 1 - right))
+        copies.append(((slice(None), right), (slice(None), px_w - 1 - right)))
         cols = np.setdiff1d(every_col, right)
     low_cols = cols
     if (1, True) in group:  # then the bottom rows, from the top ones
-        copies.append((low, every_col, px_h - 1 - low, every_col))
+        copies.append((low, px_h - 1 - low))
         low_cols = every_col[:0]
     elif (-1, False) in group:  # the paired columns of the bottom rows
         pairs = np.flatnonzero(paired_cols)
-        copies.append((low, pairs, px_h - 1 - low, px_w - 1 - pairs))
+        copies.append((np.ix_(low, pairs), np.ix_(px_h - 1 - low, px_w - 1 - pairs)))
         low_cols = np.setdiff1d(every_col, pairs)
     todo = [(j, low_cols if is_low[j] else cols) for j in range(px_h)]
     return [(j, c) for j, c in todo if c.size], copies
@@ -237,8 +237,8 @@ def render_classification(
                 fut.result()
     else:
         work()
-    for dst_r, dst_c, src_r, src_c in copies:
-        out[np.ix_(dst_r, dst_c)] = out[np.ix_(src_r, src_c)]
+    for dst, src in copies:
+        out[dst] = out[src]
     return ImageBuffer(out)
 
 

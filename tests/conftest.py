@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from expdyn import ExpPoly, ExpPolyTerm, Poly, bundled_function, classify_batch
@@ -28,6 +29,42 @@ def clear_caches():
     return clear
 
 
+def pool_columns(direct, tower, dfl, tfl):
+    """The two states of a pool and their flags after a step (what
+    orbits._advance returns) as one table of columns, direct orbits first:
+    idx, z (0 in tower mode), depth (0 in direct mode), val, phase (0 in
+    direct mode), below (0 in tower mode), run (as of the step before: the
+    pool updates it after the step) and cond."""
+    nd, nt = direct["idx"].size, tower["idx"].size
+
+    def cat(a, b):
+        return np.concatenate([a, b])
+
+    return {
+        "idx": cat(direct["idx"], tower["idx"]),
+        "z": cat(direct["z"], np.zeros(nt, complex)),
+        "depth": cat(np.zeros(nd, np.int64), tower["depth"]),
+        "val": cat(direct["val"], tower["val"]),
+        "phase": cat(np.zeros(nd), tower["phase"]),
+        "below": cat(direct["below"], np.zeros(nt, np.int64)),
+        "run": cat(direct["run"], tower["run"]),
+        "cond": cat(dfl["cond"], tfl["cond"]),
+    }
+
+
+def spy_on_steps(monkeypatch, observe):
+    """Calls observe(columns), with the pool_columns of the pool, after each
+    engine step, by a spy on orbits._advance, which runs once per step."""
+    advance = orbits._advance
+
+    def spy(*args):
+        out = advance(*args)
+        observe(pool_columns(*out))
+        return out
+
+    monkeypatch.setattr(orbits, "_advance", spy)
+
+
 @pytest.fixture
 def orbit_walk(monkeypatch):
     """walk(f, z0, p=None) -> (result, states): classify_batch on [z0].
@@ -35,19 +72,15 @@ def orbit_walk(monkeypatch):
     result maps each of RESULT_KEYS to the orbit's value, and states
     holds one dict per step taken, with the STEP_KEYS of the state after the
     step (phase only in tower mode, depth > 0) and cond, whether the step
-    was certified.  A spy on
-    orbits._step_tower takes them: the tower step runs once per step, after
-    the direct one, so on its return both have written the new state.
+    was certified.
     """
     states = []
-    step_tower = orbits._step_tower
 
-    def spy(f, tc, p, s, pos, fl):
-        step_tower(f, tc, p, s, pos, fl)
-        keys = STEP_KEYS if s["depth"][0] else [k for k in STEP_KEYS if k != "phase"]
-        states.append({**{k: s[k][0] for k in keys}, "cond": fl["cond"][0]})
+    def observe(cols):
+        keys = STEP_KEYS if cols["depth"][0] else [k for k in STEP_KEYS if k != "phase"]
+        states.append({**{k: cols[k][0] for k in keys}, "cond": cols["cond"][0]})
 
-    monkeypatch.setattr(orbits, "_step_tower", spy)
+    spy_on_steps(monkeypatch, observe)
 
     def walk(f, z0, p=None):
         states.clear()
@@ -59,16 +92,9 @@ def orbit_walk(monkeypatch):
 
 @pytest.fixture
 def step_sizes(monkeypatch):
-    """The number of live orbits at each engine step, in order, taken by a
-    spy on orbits._step_tower, which runs once per step."""
+    """The number of live orbits at each engine step, in order."""
     sizes = []
-    step_tower = orbits._step_tower
-
-    def spy(f, tc, p, s, pos, fl):
-        sizes.append(s["z"].size)
-        step_tower(f, tc, p, s, pos, fl)
-
-    monkeypatch.setattr(orbits, "_step_tower", spy)
+    spy_on_steps(monkeypatch, lambda cols: sizes.append(cols["idx"].size))
     return sizes
 
 
@@ -121,3 +147,10 @@ def three_term():
             for j in range(3)
         ],
     )
+
+
+@pytest.fixture(scope="session")
+def four_term():
+    """sum_{k<4} e^{i^k z^3}: four terms of comparable size near the origin,
+    where a pairwise sum would group them differently from term order."""
+    return ExpPoly(3, [ExpPolyTerm(Poly([1]), 1j**k) for k in range(4)])

@@ -1,4 +1,5 @@
 import cmath
+import functools
 import gc
 import json
 import math
@@ -296,12 +297,14 @@ def _log_sum(rows):
 
 def _log_sum_stacked(rows):
     """The stacked log-sum-exp that _log_sum must reproduce bit for bit:
-    exp of every term difference, the dominant one included."""
+    exp of every term difference, the dominant one included, added in term
+    order (a sum over the stacked axis would group one point's terms
+    pairwise)."""
     S = np.stack(rows)
     with np.errstate(divide="ignore", invalid="ignore"):
         m = np.argmax(np.where(np.isnan(S.real), -np.inf, S.real), axis=0)
         Sm = np.take_along_axis(S, m[None, ...], axis=0)[0]
-        corr = np.exp(S - Sm[None, ...]).sum(axis=0)
+        corr = functools.reduce(np.add, np.exp(S - Sm[None, ...]))
         corr_abs = np.abs(corr)
         logmod = Sm.real + np.log(corr_abs)
         phase = wrap_phase(Sm.imag + np.angle(corr))
@@ -353,8 +356,8 @@ def test_log_sum_matches_stacked_formula(n, shape, data):
 
 @pytest.mark.parametrize("shape", [(), (1,), (3,)])
 def test_log_sum_adds_in_stacked_order(shape):
-    # Four terms of comparable size: adding them in any other order than a
-    # sum over the stacked term axis moves last bits.
+    # Four terms of comparable size: adding them in any other order than
+    # term order moves last bits.
     rng = np.random.default_rng(3)
     for _ in range(200):
         rows = [(-3.0 * rng.random(shape) + 1j * rng.normal(size=shape))[()] for _ in range(4)]
@@ -430,6 +433,22 @@ def test_evaluation_leaks_no_numpy_warning(name):
     for level in (1, 2) if f.d >= 3 else ():  # exceptional sets need d >= 3
         in_E_mask(f, _HUGE_SWEEP, level)
     classify_batch(f, _HUGE_SWEEP)
+
+
+def test_four_term_evaluation_is_elementwise(four_term):
+    # Each point's values are those of its entry in a batch, whether it is
+    # evaluated as a 0-d input or as a batch of one.  numpy's pairwise sum
+    # of a single point's four terms grouped them otherwise.
+    rng = np.random.default_rng(0)
+    pts = rng.normal(scale=0.7, size=1000) + 1j * rng.normal(scale=0.7, size=1000)
+    for order in (0, 1, 2):
+        batch = eval_log_batch(four_term, pts, order)
+        for i, z in enumerate(pts):
+            want = [a[i] for a in batch]
+            zero_d = eval_log_batch(four_term, np.asarray(z), order)
+            single = [a[0] for a in eval_log_batch(four_term, pts[i : i + 1], order)]
+            for got in (zero_d, single):
+                assert [np.asarray(a).tobytes() for a in got] == [a.tobytes() for a in want], (order, z)
 
 
 # ---------------------------------------------------------------------------

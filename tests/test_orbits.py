@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import RESULT_KEYS
+from conftest import RESULT_KEYS, spy_on_steps
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
@@ -314,6 +314,11 @@ def _exit_cases():
     g = e^{1e-300 z}: from 6.95e302, log|g| = 695 promotes the first step
     to depth 1, and the tower model of the second, exp(e^{4.2}), is back in
     the double range, where the model has no true point to continue from.
+
+    sin z from 50+5i: z_2 ~ 6.3e30 is still a direct point, and the step
+    from it is promoted and completes the certified run, so the orbit
+    finishes on its hand-off to tower mode; with a budget of two steps it
+    ends before the promotion.  0.5 enters the petal at once.
     """
     f = ExpPoly(3, [ExpPolyTerm(Poly([60.0]), 1 + 0j), ExpPolyTerm(Poly([-60.0]), 1e-300 + 0j)])
     p = ClassifyParams(cert_steps=7, max_iter=12)
@@ -334,7 +339,13 @@ def _exit_cases():
         "inf": complex(0.0, math.inf),
     }
     g = ExpPoly(1, [ExpPolyTerm(Poly([1.0]), 1e-300 + 0j)])
-    return [(f, p, cases), (g, ClassifyParams(max_iter=8), {"model collapse": 6.95e302})]
+    sinz = bundled_function("sin_z")
+    return [
+        (f, p, cases),
+        (g, ClassifyParams(max_iter=8), {"model collapse": 6.95e302}),
+        (sinz, ClassifyParams(), {"certified on promotion": 50 + 5j, "petal": 0.5}),
+        (sinz, ClassifyParams(max_iter=2), {"budget before promotion": 50 + 5j, "petal, short budget": 0.5}),
+    ]
 
 
 def test_batch_composition_does_not_change_results():
@@ -380,6 +391,23 @@ def test_batch_composition_does_not_change_results():
     assert got("nan", "steps") == got("inf", "steps") == (0,)
     # The carried phase is the true one here, yet the verdict is given up.
     assert got("model collapse", "tag_code", "steps", "final_depth") == (0, 2, 0)
+    # Finished on the hand-off: the model magnitude of its tower state.
+    want = (1, 3, 1, 5.083634290779699e30)
+    assert got("certified on promotion", "tag_code", "steps", "final_depth", "final_val") == want
+    want = (0, 2, 0, 6.251850139307002e30)
+    assert got("budget before promotion", "tag_code", "steps", "final_depth", "final_val") == want
+    assert got("petal", "tag_code", "steps", "trapped") == got("petal, short budget", "tag_code", "steps", "trapped")
+
+
+def test_four_term_orbits_do_not_depend_on_their_batch(four_term):
+    # A direct step gathers the points that need the log-domain sum, and
+    # that gather can hold one point: its four-term sum must add as a batch's.
+    rng = np.random.default_rng(0)
+    pts = rng.normal(scale=0.7, size=300) + 1j * rng.normal(scale=0.7, size=300)
+    res = classify_batch(four_term, pts)
+    alone = [classify_batch(four_term, [z]) for z in pts]
+    for key in RESULT_KEYS[1:]:  # every column but the tag strings, by their bytes
+        assert res[key].tobytes() == np.concatenate([a[key] for a in alone]).tobytes(), key
 
 
 @pytest.mark.parametrize("capacity", [2, 3])
@@ -451,22 +479,19 @@ _MODE_MIX_CASES = [
 
 @pytest.mark.parametrize("fn, z0, towers", _MODE_MIX_CASES, ids=["sin_z-bounded", "sin_z3-escape", "sin_z3-trap"])
 def test_step_does_not_depend_on_the_modes_in_its_pool(fn, z0, towers, monkeypatch):
-    # A pool of one mode steps whole state columns; a mixed pool gathers and
-    # scatters them.  The tracked orbit (batch index 0) must take bitwise the
-    # same steps alone, among direct orbits and next to tower orbits.  Its
-    # run is as of the end of the step before: the pool updates it after the
-    # tower step.
+    # The pool's mix of modes decides which orbits share each of its two
+    # states.  The tracked orbit (batch index 0) must take bitwise the same
+    # steps alone, among direct orbits and next to tower orbits.  Its run is
+    # as of the end of the step before: the pool updates it after the step.
     f = bundled_function(fn)
-    step_tower = orbits._step_tower
     records = []
 
-    def spy(f, tc, p, s, pos, fl):
-        step_tower(f, tc, p, s, pos, fl)
+    def observe(cols):
         keys = ("z", "depth", "val", "phase", "below", "run")
-        for i in np.flatnonzero(s["idx"] == 0):
-            records[-1].append(b"".join(np.asarray(s[k][i]).tobytes() for k in keys) + fl["cond"][i].tobytes())
+        for i in np.flatnonzero(cols["idx"] == 0):
+            records[-1].append(b"".join(np.asarray(cols[k][i]).tobytes() for k in keys) + cols["cond"][i].tobytes())
 
-    monkeypatch.setattr(orbits, "_step_tower", spy)
+    spy_on_steps(monkeypatch, observe)
     pools = {
         "alone": [z0],
         "all direct": [z0, -z0, np.conj(z0)],
@@ -499,10 +524,11 @@ def test_tower_steps_check_the_escape_radius(sin3, radius, monkeypatch):
     seen = []
     step_tower = orbits._step_tower
 
-    def spy(f, tc, p, s, pos, fl):
-        dep, val = s["depth"][pos], s["val"][pos]
-        step_tower(f, tc, p, s, pos, fl)
-        seen.append((dep, val, fl["cond"][pos]))
+    def spy(f, tc, p, s):
+        dep, val = s["depth"], s["val"]
+        fl = step_tower(f, tc, p, s)
+        seen.append((dep, val, fl["cond"]))
+        return fl
 
     monkeypatch.setattr(orbits, "_step_tower", spy)
     # The start points of annulus-scan --r 10 --samples 300.

@@ -12,30 +12,26 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import RESULT_KEYS
+from conftest import RESULT_KEYS, spy_on_steps
 from hypothesis import given, settings, strategies as st
 from test_fingerprints import FUNCS
 
 from expdyn import ClassifyParams, ExpPoly, ExpPolyTerm, Poly, bundled_function, classify_batch
 from expdyn import orbits
 
-# The per-step state compared; run is as of the step before (the pool
-# updates it after the tower step), and the phase counts in tower mode only.
-_STATE_KEYS = ("idx", "z", "depth", "val", "below", "run")
+# The per-step state compared (see conftest.pool_columns).
+_STATE_KEYS = ("idx", "z", "depth", "val", "below", "run", "cond", "phase")
 
 
 def _run(f, pts, p, screen_on):
     """(result columns, per-step states) of classify_batch(f, pts, p) as raw bytes."""
     steps = []
-    step_tower = orbits._step_tower
 
-    def spy(f, tc, p, s, pos, fl):
-        step_tower(f, tc, p, s, pos, fl)
-        cols = [*(s[k] for k in _STATE_KEYS), fl["cond"], np.where(s["depth"] > 0, s["phase"], 0.0)]
-        steps.append(b"".join(np.ascontiguousarray(a).tobytes() for a in cols))
+    def observe(cols):
+        steps.append(b"".join(np.ascontiguousarray(cols[k]).tobytes() for k in _STATE_KEYS))
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(orbits, "_step_tower", spy)
+        spy_on_steps(mp, observe)
         if not screen_on:
             mp.setattr(orbits, "_screen", lambda *args: None)
         res = classify_batch(f, pts, p)
