@@ -171,18 +171,16 @@ def _term_consts(f: ExpPoly) -> dict:
     """Per-term constants of f, cached by the function value.
 
     "q_logs" holds the _q_logs of a constant prefactor, as 0-d arrays, with
-    None for a lift of 0, and None for a non-constant one; "beta" and "abs_b"
-    hold arg b_j and |b_j|.  The logs come from the same ufuncs as a
-    per-point evaluation, so they are bitwise the values it would give.
-    Every array is read-only, as the result is shared.
+    None for a lift of 0, and None for a non-constant one; "b" holds the
+    frequencies b_j.  The logs come from the same ufuncs as a per-point
+    evaluation, so they are bitwise the values it would give.  Every array
+    is read-only, as the result is shared.
     """
     qs = [np.full(1, t.Q.coeffs[0]) if t.Q.degree == 0 else None for t in f.terms]
     logs = [None if q is None else [_const(a[0]) for a in _q_logs(q)] for q in qs]
     return {
         "q_logs": tuple(None if c is None else (*c[:3], c[3] if c[3] > 0 else None) for c in logs),
-        # cmath.phase gives the same values, but raises where they underflow.
-        "beta": _const([math.atan2(t.b.imag, t.b.real) for t in f.terms]),
-        "abs_b": _const([abs(t.b) for t in f.terms]),
+        "b": tuple(_const(t.b) for t in f.terms),
     }
 
 

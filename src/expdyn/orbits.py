@@ -7,10 +7,10 @@ per-point screen cannot prove that log|f| leaves the step unchanged: near a
 zero of f, near the promotion to tower mode, beyond the escape radius, or
 where a term overflows.  Beyond that the magnitude is carried as an
 iterated-exp pair (depth, v) with |z| = exp^depth(v), driven by the dominant
-term's growth max_j |b_j| cos(d phi + arg b_j) * |z|^d; at this scale the
-phase is a deterministic proxy (the argument direction of the dominant
-exponent), since the true phase of f is an astronomically large number mod
-2 pi.  Tower mode is one-way: an orbit never returns to direct mode, and one
+term's growth max_j Re(b_j u^d) * |z|^d, u the direction of z held as a unit
+complex number, never as a wrapped angle; at this scale u is a deterministic
+proxy (the direction of the dominant exponent b_m z^d), since the true phase
+of f is an astronomically large number mod 2 pi.  Tower mode is one-way: an orbit never returns to direct mode, and one
 whose model magnitude falls back into the double range stops there,
 Undetermined, since the model has no true point to continue from.  A start
 point whose log-domain evaluation overflows doubles starts in tower mode at
@@ -68,7 +68,6 @@ from .funcs import (
     _prefactor_logs,
     _term_consts,
     _term_exponents,
-    wrap_phase,
 )
 from .poly import _GaussQ, _exact
 
@@ -461,11 +460,11 @@ def _join(s, new):
         s[k] = np.concatenate([s[k], new.pop(k)])
 
 
-def _to_tower(s, m, val, phase):
+def _to_tower(s, m, val, u):
     """The tower state of the orbits at the mask m of the direct state s, at
-    depth 1 with the given val and phase."""
+    depth 1 with the given val and unit direction u."""
     idx, age, run = (s[k][m] for k in ("idx", "age", "run"))
-    return {"idx": idx, "age": age, "depth": np.ones(val.size, np.int64), "val": val, "phase": phase, "run": run}
+    return {"idx": idx, "age": age, "depth": np.ones(val.size, np.int64), "val": val, "u": u, "run": run}
 
 
 # The screen of _step_direct: the unit of its rounding bounds (twice the unit
@@ -498,20 +497,21 @@ def _step_direct(f: ExpPoly, tc: dict, p: ClassifyParams, radius, dcap, screen, 
     fixed and (where it may be set) trap flags, and the orbits that leave
     for tower mode.  Those whose log-domain terms overflow (in practice
     start points) leave s unstepped: starts is None or their tower state at
-    their magnitude (depth 1, val log|z|, phase arg z).  promoted is None or
+    their magnitude (depth 1, val log|z|, u = z/|z|).  promoted is None or
     (m, tower state) of the orbits at the mask m, which the step promoted.
 
     The exact path.  log|f| and the phase come from _log_parts on the rows
     S_j = log Q_j + w_j, w_j = b_j Z^d + P_j(Z).  A zero of the sum steps
     to 0; a point with log|f| > dcap is promoted to tower mode at depth 1,
-    val log|f|, with the phase; any other point steps to the exact term sum
+    val log|f|, with the direction u = e^{i Im S_m} corr/|corr| of its value,
+    which no wrapped angle enters; any other point steps to the exact term sum
     F = sum_j Q_j e^{w_j} where every term fits in doubles (IEEE products
     and sums commute with negation and conjugation, so sign and mirror
     symmetries of f survive bitwise), and is rebuilt from log|f| and the
     phase elsewhere.  A step is certified (cond) at |Z| >= radius where
     log|f| >= |Z|^alpha and, for d >= 3, Z lies outside the level-1 set.
     The phase of a point that stays in direct mode is never read again, so
-    the step computes it only for promoted and rebuilt points.
+    the step computes it only for rebuilt points.
 
     The screen.  A point takes the exact term sum alone, with no log-domain
     sum, when (a) every term fits, (b) |Z| < radius, (c) t_lo < t < t_hi
@@ -549,7 +549,8 @@ def _step_direct(f: ExpPoly, tc: dict, p: ClassifyParams, radius, dcap, screen, 
     if (n_fit := np.count_nonzero(fits)) < Z.size:
         over = ~(t < np.inf)
         if np.count_nonzero(over):  # a NaN or +inf log term
-            starts = _to_tower(s, over, np.log(np.abs(Z[over])), np.angle(Z[over]))
+            zo = Z[over]
+            starts = _to_tower(s, over, np.log(np.abs(zo)), zo / np.abs(zo))
             s.update(_take(s, ~over))
             fl, _, promoted = _step_direct(f, tc, p, radius, dcap, screen, trap, s)
             return fl, starts, promoted
@@ -585,16 +586,17 @@ def _step_direct(f: ExpPoly, tc: dict, p: ClassifyParams, radius, dcap, screen, 
         lm[zero] = -np.inf
         promote = lm > dcap
         rebuild = ~(promote | zero | fits[rest])
-        # The phase is read only where a point is promoted or rebuilt.
-        read = promote | rebuild
-        ph = _phase(Sm[read], corr[read])
+        ph = _phase(Sm[rebuild], corr[rebuild])
+        if n_promote := np.count_nonzero(promote):
+            cp = corr[promote]
+            u = np.exp(1j * Sm.imag[promote]) * (cp / np.abs(cp))
         del Sm, corr
         # A zero point steps to 0.  A promoted one steps to NaN, which is
         # neither fixed nor in the trap.
         zr = znew[rest]  # a view of znew where rest is every
         zr[zero], zr[promote] = 0j, np.nan
         if np.count_nonzero(rebuild):
-            zr[rebuild] = np.exp(lm[rebuild]) * np.exp(1j * ph[rebuild[read]])
+            zr[rebuild] = np.exp(lm[rebuild]) * np.exp(1j * ph)
         if rest is every:
             absnew = np.abs(znew)
         else:
@@ -606,10 +608,10 @@ def _step_direct(f: ExpPoly, tc: dict, p: ClassifyParams, radius, dcap, screen, 
             if f.d >= 3 and np.count_nonzero(c):
                 c[c] = ~in_E_mask(f, Z[rest][c], 1)
             cond[rest] = c
-        if np.count_nonzero(promote):
+        if n_promote:
             m = np.zeros(Z.size, bool)
             m[rest] = promote
-            promoted = m, _to_tower(s, m, lm[promote], ph[promote[read]])
+            promoted = m, _to_tower(s, m, lm[promote], u)
     below = (s["below"] + _ONE) * (absZ <= radius)
     fl = {"cond": cond, "fixed": znew == Z}
     # An orbit entering the trap stays inside the radius for its remaining
@@ -628,32 +630,33 @@ def _step_direct(f: ExpPoly, tc: dict, p: ClassifyParams, radius, dcap, screen, 
     return fl, None, promoted
 
 
-def _dominant_growth(tc: dict, dphi):
-    """(c, arg b_m) for c = max_j |b_j| cos(dphi + arg b_j), m the first
-    maximising term, with |b_j| and arg b_j from tc, which is _term_consts(f).
+def _dominant_growth(tc: dict, ud):
+    """w = b_m ud for the first term m that maximises c_j = Re(b_j ud), with
+    the frequencies b_j from tc, which is _term_consts(f).
 
     A running maximum over the terms picks the term argmax would: the first
-    of equal maxima.  |b_j| and arg b_j are finite, so a c_j is NaN exactly
-    where dphi is not finite, for every j at once, and there the first term
-    is kept, as argmax keeps it.
+    of equal maxima.  A NaN part of ud makes every c_j NaN, and there the
+    first term is kept, as argmax keeps it.
     """
-    c, beta = tc["abs_b"][0] * np.cos(dphi + tc["beta"][0]), np.full(dphi.shape, tc["beta"][0])
-    for ab, bj in zip(tc["abs_b"][1:], tc["beta"][1:]):
-        cj = ab * np.cos(dphi + bj)
-        take = cj > c
-        c, beta = np.where(take, cj, c), np.where(take, bj, beta)
-    return c, beta
+    w = tc["b"][0] * ud
+    for b in tc["b"][1:]:
+        wj = b * ud
+        w = np.where(wj.real > w.real, wj, w)
+    return w
 
 
 def _step_tower(f: ExpPoly, tc: dict, p: ClassifyParams, s):
     """Advance the tower state s by one step.
 
     The magnitude grows like the dominant term, log|z'| = c |z|^d with
-    c = max_j |b_j| cos(d phi + arg b_j); c <= 0 is a dead direction.  A step
-    is certified (cond) when |z| >= escape_radius and the model grows at
-    the stretched exponential rate.  tc is _term_consts(f).  Writes the new
-    depth, val and phase into s and returns the cond and stop flags of its
-    orbits.  Runs under the pool's np.errstate.
+    c = max_j Re(b_j u^d) for the unit direction u of z, held as a complex
+    number: no angle is wrapped, so c is exactly 0 on a dead axis.  The
+    next direction is that of the dominant exponent, b_m u^d / |b_m u^d|.
+    c <= 0, or NaN, is a dead direction.  A step is certified (cond) when
+    |z| >= escape_radius and the model grows at the stretched exponential
+    rate.  tc is _term_consts(f).  Writes the new depth, val and u into s
+    and returns the cond and stop flags of its orbits.  Runs under the
+    pool's np.errstate.
 
     Tower mode is terminal.  A model magnitude that canonicalises back to
     depth 0 has no true point to continue from, so it stops the orbit, as
@@ -663,36 +666,37 @@ def _step_tower(f: ExpPoly, tc: dict, p: ClassifyParams, s):
         return {"cond": _NO_BOOL, "stop": _NO_BOOL}
     d, alpha = f.d, p.alpha
     dep, v = s["depth"], s["val"]
-    dphi = d * s["phase"]
-    c, beta = _dominant_growth(tc, dphi)
-    dead = c <= 0
-    logc = np.log(np.where(dead, 1.0, c))
+    w = _dominant_growth(tc, _pow_int(s["u"], d))
+    c = w.real
+    live = c > 0
+    logc = np.log(np.where(live, c, 1.0))
     grow = logc + d * v
     # At depth 1, |z| = e^v >= escape_radius and log|z'| = c |z|^d >= |z|^alpha.
     # Deeper states are canonical, v > LIFT, so beyond any double radius,
     # and log c + (d - alpha) log|z| >= 0 holds there only for alpha < d.
-    cond = np.where(dep == 1, (v >= math.log(p.escape_radius)) & (grow >= alpha * v), alpha < d) & ~dead
+    cond = np.where(dep == 1, (v >= math.log(p.escape_radius)) & (grow >= alpha * v), alpha < d) & live
     nd, nv = _tower_next(dep, v, logc, d)
-    s.update(depth=nd, val=nv, phase=wrap_phase(dphi + beta))
-    return {"cond": cond, "stop": dead | (nd == 0) | (nd > MAX_DEPTH)}
+    s.update(depth=nd, val=nv, u=w / np.abs(w))
+    return {"cond": cond, "stop": ~live | (nd == 0) | (nd > MAX_DEPTH)}
 
 
 def _advance(f: ExpPoly, tc: dict, p: ClassifyParams, radius, dcap, screen, trap, direct, tower):
-    """Advance both states of a pool by one step; returns them and their
-    flags, (direct, tower, dfl, tfl).  An overflowing start point joins the
-    tower state before its step; a promoted orbit joins it after, with its
-    direct step's cond and no stop flag.  Runs under the pool's np.errstate.
-    """
+    """Advance both states of a pool by one step, in place; returns their
+    flags and None or the mask moved of the orbits that left the direct
+    state, (dfl, tfl, moved).  An overflowing start point joins the tower
+    state before its step; a promoted orbit joins it after, with its direct
+    step's cond and no stop flag, and the pool's retirement drops it from
+    the direct state.  Runs under the pool's np.errstate."""
     dfl, starts, promoted = _step_direct(f, tc, p, radius, dcap, screen, trap, direct)
     if starts is not None:
         _join(tower, starts)
     tfl = _step_tower(f, tc, p, tower)
+    moved = None
     if promoted is not None:
-        m, new = promoted
-        _join(tfl, {"cond": dfl["cond"][m], "stop": np.zeros(new["idx"].size, bool)})
+        moved, new = promoted
+        _join(tfl, {"cond": dfl["cond"][moved], "stop": np.zeros(new["idx"].size, bool)})
         _join(tower, new)
-        direct, dfl = _take(direct, ~m), _take(dfl, ~m)
-    return direct, tower, dfl, tfl
+    return dfl, tfl, moved
 
 
 # The result columns of classify_batch other than tag: name, dtype, and the
@@ -715,13 +719,14 @@ def _start_state(idx, z):
     return {"idx": idx, "z": z, "val": np.zeros(idx.size), **counts}
 
 
-def _retire(s, done, sink, **cols):
+def _retire(s, done, sink, moved=None, **cols):
     """Report the orbits at the mask done of the state s to sink, reading
-    the result columns from s and cols, and return the state of the others."""
-    gone = np.flatnonzero(done)
-    src = {**s, **cols}
-    sink(s["idx"][gone], {name: src[key][gone] for name, _, key in _RESULT_COLUMNS})
-    return _take(s, ~done)
+    the result columns from s and cols, and return the state of the others,
+    less those at the mask moved, which left for the other state."""
+    if (gone := np.flatnonzero(done)).size:
+        src = {**s, **cols}
+        sink(s["idx"][gone], {name: src[key][gone] for name, _, key in _RESULT_COLUMNS})
+    return _take(s, ~(done if moved is None else done | moved))
 
 
 def _finite_starts(blocks, sink):
@@ -754,9 +759,11 @@ def _classify_pool(f: ExpPoly, p: ClassifyParams, blocks, capacity: int, sink):
     whole columns.  Both hold the index in the batch, age (steps taken), val
     and run (consecutive certified steps).  The direct state adds z, with
     val = |z|, and below (consecutive steps that start inside the radius),
-    and keeps admission order; the tower state adds depth and phase, with
-    |z| = exp^depth(val).  _advance steps both and hands orbits from direct
-    to tower mode, never back; then each state retires its finished orbits.
+    and keeps admission order; the tower state adds depth and u, with
+    |z| = exp^depth(val) and u the unit direction of z.  _advance steps both
+    and hands orbits from direct to tower mode, never back; then each state
+    retires its finished orbits in one compaction, which in the direct
+    state also drops the orbits it handed over.
     An orbit finishes on a certified run, a fixed point, trap entry, a dead
     direction, a model magnitude back in the double range, depth beyond
     MAX_DEPTH, or max_iter steps.  A fixed point and a budget's tail are
@@ -806,7 +813,7 @@ def _classify_pool(f: ExpPoly, p: ClassifyParams, blocks, capacity: int, sink):
         direct["age"] = direct["age"] + _ONE
         tower["age"] = tower["age"] + _ONE
         with np.errstate(all="ignore"):
-            direct, tower, dfl, tfl = _advance(f, tc, p, radius, dcap, screen, trap, direct, tower)
+            dfl, tfl, moved = _advance(f, tc, p, radius, dcap, screen, trap, direct, tower)
 
         if tower["idx"].size:
             tower["run"] = (tower["run"] + _ONE) * tfl["cond"]
@@ -824,7 +831,9 @@ def _classify_pool(f: ExpPoly, p: ClassifyParams, blocks, capacity: int, sink):
             # An orbit that reaches max_iter steps without finishing is judged
             # by the trailing-run rule; the first orbit is the oldest.
             done = end | (direct["age"] >= p.max_iter) if direct["age"][0] >= p.max_iter else end
-            if np.count_nonzero(done):
+            if moved is not None:
+                done = done & ~moved
+            if moved is not None or np.count_nonzero(done):
                 fixed = dfl["fixed"]
                 cert &= ~fixed
                 trapped = dfl["trap"] & ~fixed & ~cert if "trap" in dfl else np.zeros(done.size, bool)
@@ -833,7 +842,7 @@ def _classify_pool(f: ExpPoly, p: ClassifyParams, blocks, capacity: int, sink):
                 inside = direct["val"] <= radius
                 nonesc = trapped | (inside & (fixed | (~end & (direct["below"] >= tail_len))))
                 code = np.where(cert, 1, np.where(nonesc, 2, 0)).astype(np.int8)
-                direct = _retire(direct, done, sink, code=code, trap=trapped, depth=np.zeros(done.size, np.int64))
+                direct = _retire(direct, done, sink, moved, code=code, trap=trapped, depth=np.zeros(done.size, np.int64))
 
 
 def classify_batch(f: ExpPoly, points, p: ClassifyParams | None = None):
@@ -856,8 +865,9 @@ def classify_batch(f: ExpPoly, points, p: ClassifyParams | None = None):
     growth inequality log|f(z)| >= |z|^alpha, and (for d >= 3) that z is
     outside the level-1 set.  A tower step checks |z| >= escape_radius and
     growth, the latter on the dominant-term model log|z'| = c |z|^d, with c
-    taken from the carried phase, which is a proxy and not the argument of
-    the true orbit; it runs no level-1 check.  So a verdict whose run ends
+    taken from the carried direction u, a proxy (the direction of the
+    dominant exponent, b_m z^d) and not the argument of the true orbit; it
+    runs no level-1 check.  So a verdict whose run ends
     in tower mode rests on the direct steps before it plus that model.
     """
     if p is None:

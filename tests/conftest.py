@@ -11,8 +11,8 @@ from expdyn import exceptional, funcs, orbits
 RESULT_KEYS = ("tag", "tag_code", "steps", "trapped", "final_depth", "final_val")
 # The engine state of an orbit after each step: z in direct mode (0 in tower
 # mode), depth (0 in direct mode) and val with |z| = exp^depth(val), and the
-# carried phase, which only tower mode defines and reads.
-STEP_KEYS = ("z", "depth", "val", "phase")
+# carried unit direction u, which only tower mode defines and reads.
+STEP_KEYS = ("z", "depth", "val", "u")
 
 
 @pytest.fixture(autouse=True)
@@ -29,12 +29,16 @@ def clear_caches():
     return clear
 
 
-def pool_columns(direct, tower, dfl, tfl):
-    """The two states of a pool and their flags after a step (what
-    orbits._advance returns) as one table of columns, direct orbits first:
-    idx, z (0 in tower mode), depth (0 in direct mode), val, phase (0 in
-    direct mode), below (0 in tower mode), run (as of the step before: the
-    pool updates it after the step) and cond."""
+def pool_columns(direct, tower, dfl, tfl, moved):
+    """The two states of a pool and their flags after a step (the states
+    that orbits._advance steps in place, and what it returns) as one table
+    of columns, each live orbit once, direct orbits first: idx, z (0 in
+    tower mode), depth (0 in direct mode), val, u (0 in direct mode), below
+    (0 in tower mode), run (as of the step before: the pool updates it after
+    the step) and cond.  The orbits at the mask moved of the direct state
+    are in the tower state, and shown there only."""
+    if moved is not None:
+        direct, dfl = orbits._take(direct, ~moved), orbits._take(dfl, ~moved)
     nd, nt = direct["idx"].size, tower["idx"].size
 
     def cat(a, b):
@@ -45,7 +49,7 @@ def pool_columns(direct, tower, dfl, tfl):
         "z": cat(direct["z"], np.zeros(nt, complex)),
         "depth": cat(np.zeros(nd, np.int64), tower["depth"]),
         "val": cat(direct["val"], tower["val"]),
-        "phase": cat(np.zeros(nd), tower["phase"]),
+        "u": cat(np.zeros(nd, complex), tower["u"]),
         "below": cat(direct["below"], np.zeros(nt, np.int64)),
         "run": cat(direct["run"], tower["run"]),
         "cond": cat(dfl["cond"], tfl["cond"]),
@@ -59,7 +63,7 @@ def spy_on_steps(monkeypatch, observe):
 
     def spy(*args):
         out = advance(*args)
-        observe(pool_columns(*out))
+        observe(pool_columns(*args[-2:], *out))
         return out
 
     monkeypatch.setattr(orbits, "_advance", spy)
@@ -71,13 +75,13 @@ def orbit_walk(monkeypatch):
 
     result maps each of RESULT_KEYS to the orbit's value, and states
     holds one dict per step taken, with the STEP_KEYS of the state after the
-    step (phase only in tower mode, depth > 0) and cond, whether the step
-    was certified.
+    step (u only in tower mode, depth > 0) and cond, whether the step was
+    certified.
     """
     states = []
 
     def observe(cols):
-        keys = STEP_KEYS if cols["depth"][0] else [k for k in STEP_KEYS if k != "phase"]
+        keys = STEP_KEYS if cols["depth"][0] else [k for k in STEP_KEYS if k != "u"]
         states.append({**{k: cols[k][0] for k in keys}, "cond": cols["cond"][0]})
 
     spy_on_steps(monkeypatch, observe)

@@ -7,14 +7,29 @@ special start points, single-point batches with the engine state after
 each step, 0-d evaluations and a 64-px figure grid.  A refactor of either engine that changes no bit keeps
 every hash.  NaN payloads and signed zeros count.
 
+Where a change is meant to move results, run this file as a script, from
+the root of a checkout, to see which ones moved before re-pinning:
+
+    PYTHONPATH=src python tests/test_fingerprints.py --dump OUT.npz [--fn NAME ...]
+    PYTHONPATH=src python tests/test_fingerprints.py --diff A.npz B.npz
+
+--dump writes the classify_batch arrays and start points of every classify
+case of the corpus; --diff prints, per function and case, the number of
+differing entries of each column, bit for bit, the largest relative
+final_val change where tag, steps and final_depth agree, and the starts
+whose tag moved, and exits 1 if any entry differs.
+
 The hashes hold for one numpy build on x86-64 (numpy 2.4); a numpy whose
 libm rounds differently can move last bits, and then the hashes must be
 recomputed from a tree known to be right.
 """
 
+import argparse
 import cmath
+import functools
 import hashlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -90,7 +105,7 @@ def _classify_hash(f, pts, p):
 
 def _walk_hash(walk, f, z0, p):
     """sha256 of the results of one orbit and of its engine state after each
-    step; the phase counts in tower mode only, where it is defined."""
+    step; the direction u counts in tower mode only, where it is defined."""
     h = hashlib.sha256()
     res, states = walk(f, z0, p)
     for k in RESULT_KEYS:
@@ -115,32 +130,43 @@ def _eval_hash(f, pts, order, zero_d=False):
     return h.hexdigest()
 
 
+def classify_cases(name):
+    """{case: (start points, params)} of the classify cases of one function
+    of the corpus.  The single-point batches of classify/single are its
+    points taken one at a time."""
+    pts = _scan_points()
+    cases = {f"classify/{pname}": (pts, p) for pname, p in PARAMS.items()}
+    cases["classify/single"] = (np.concatenate([pts[::97], SPECIALS[:4]]), PARAMS["short"])
+    if name in ("sin_z3", "sin_z2"):
+        cases["render64"] = (Viewport.square(0j, 4.0, 64).all_points().ravel(), PARAMS["default"])
+    return cases
+
+
 def corpus_hashes(name, walk):
     """{case: sha256} for one function of the corpus; walk is the orbit_walk fixture."""
     f = FUNCS[name]()
-    pts = _scan_points()
+    cases = classify_cases(name)
     out = {}
-    for pname, p in PARAMS.items():
-        out[f"classify/{pname}"] = _classify_hash(f, pts, p)
-    singles = np.concatenate([pts[::97], SPECIALS[:4]])
-    h = hashlib.sha256()
-    for z in singles:
-        h.update(_walk_hash(walk, f, z, PARAMS["short"]).encode())
-    out["classify/single"] = h.hexdigest()
+    for case, (pts, p) in cases.items():
+        if case == "classify/single":
+            h = hashlib.sha256()
+            for z in pts:
+                h.update(_walk_hash(walk, f, z, p).encode())
+            out[case] = h.hexdigest()
+        else:
+            out[case] = _classify_hash(f, pts, p)
+    pts, singles = cases["classify/default"][0], cases["classify/single"][0]
     for order in (0, 1, 2):
         out[f"eval{order}"] = _eval_hash(f, pts, order)
         out[f"eval{order}/0d"] = _eval_hash(f, singles, order, zero_d=True)
-    if name in ("sin_z3", "sin_z2"):
-        grid = Viewport.square(0j, 4.0, 64).all_points().ravel()
-        out["render64"] = _classify_hash(f, grid, PARAMS["default"])
     return out
 
 
 GOLDEN = {
     "example_h": {
-        "classify/default": "12f0b5edf5d520f966bbf425d2e1456b5d5d3e41fcbabfd318f5992fcddd2e4d",
-        "classify/short": "49e1f12badf83be39c5de930ef1965f2232b52ba3f635595abe62850c9f958ff",
-        "classify/single": "fee8fb185a8b9f3f25945275ddfd3ed9de8c62c76cfac0393083ab00542dc51f",
+        "classify/default": "2b6d7ac477bf64e2bb620c49bbe76041bd83749ca5d5b6e9a26822a21d687887",
+        "classify/short": "260cdf9938f074d9d7b1224c78e62746615c443924d4649ab1be1d90ed869945",
+        "classify/single": "a5d0f56f0eea523608fc8ded333fe56ffb65380c2f67a559f006fd025e6670f5",
         "eval0": "5388ecbd6b47206c7d66141fba3b12c2e13e41770aad4c2962b18b35e3553326",
         "eval0/0d": "1ce8c7f5e519062d073055d64f6286ca37ca9ae1d59b298b1aa8e971a1dfc0ed",
         "eval1": "596c9e55663fd299a07c752f1962e4e2b7c7da01a83f6f76130b538473b69de5",
@@ -149,9 +175,9 @@ GOLDEN = {
         "eval2/0d": "6e3327063c0732fc39be4b44fc182d158954f887219522501803b06ff69bf18b",
     },
     "sin_z": {
-        "classify/default": "67311dd1b7e537e42c5b5b521e4a70195351d9f25decc3b7f9db46f500974f1a",
-        "classify/short": "2ed5269662cbab2d89b30861feaac633b77a669b7d1645cd9245d55548799b2c",
-        "classify/single": "9d889be4fcff0da59b9ab7a3bb15643b4efe88afc4dfb29fc82b8d29be88f907",
+        "classify/default": "b63039d348bf0b883e6857e6509adedef822704e851a463477a6c281a18db86c",
+        "classify/short": "262c02a6153e3275977ecdee1308ef7ba0436e0e568c056c97f272306a232013",
+        "classify/single": "f59fe6c7c0fbe99d078129bf628285ddff839dd1431cbac2cca6058e00ce76c9",
         "eval0": "7b63ae374791ffca8da18094ec909fa5b39c34006f048537da1a3292ba4a0aa5",
         "eval0/0d": "f8b221161e1d0a5aecc3addf4b1838923676f387fbe1e3ad0a6cc1e84671ee32",
         "eval1": "c8181a72d04ee40a6bf35404f83e121ae8a0d5db11f3277a50e254852a2f3e70",
@@ -160,33 +186,33 @@ GOLDEN = {
         "eval2/0d": "76c048ac954a568ecdd34d7f9ca431ea04bb7bc5627cbaef1948ee7b57336e00",
     },
     "sin_z2": {
-        "classify/default": "5b1f8209b6c1fced0d2a347c1358036871902f32d826fc1b38d1ff582501349d",
-        "classify/short": "d3f417014fd0f99ba538ecf2c55f146bac8faf3417f9250b8dbf7e7c5b1bfb41",
-        "classify/single": "b4a34cc85084d1c9bc6cdf3e3a8b2149cf084ec242e0c0011e37a450f32ea9c2",
+        "classify/default": "ed349ea62095bfd0a17361a9f28345bdd9adc2f9bdabd3a468ddfb7a48381445",
+        "classify/short": "8a796ac4e12e1ec402b74c409837a09fe062964601ef6cdc17eb06754adfd92e",
+        "classify/single": "6dc67e4e8b3dffe22d06c23e2dac7a56542d29b7963c1866a7e68cebc6d7e3bd",
         "eval0": "daaf81fa01635c75d37aac3ecf48f5eb46019f28110b774460c070cacf3e650d",
         "eval0/0d": "2cba4b0143ed47bfe60dade1e033808bd7813628eb85b71ff3f5236dea23c2f7",
         "eval1": "2aaa54c629e929ef5b8704a966fbcb6b6213f181308a5238d827f6903946ebb6",
         "eval1/0d": "06ec09953691b069e64565255a91bc4342645fd06f79391bb9ad9c10f1be0d55",
         "eval2": "bed19fb3dbfcca238852b699bb4f636a1f168c235224c299363a1c95d8fee2de",
         "eval2/0d": "78bffb994e9f48d2e948fce7fa15119239de7a86127f85a3ac71137d44a922e9",
-        "render64": "5ea10f0dcc17779c095450c3871bceaa0726c9fbc5b52761a1fa0604c1182b90",
+        "render64": "4f2000951e5e410555a137514c0c9dc79ba8c274c02959648cf18faca753b1dd",
     },
     "sin_z3": {
-        "classify/default": "446af116d5f7761f60173855871433accdfd478648b08d489603c6cd1f665537",
-        "classify/short": "d12ab4b1d0b4e15e2fbd71b9c0b763125c0c48a8aed5c1c9fda293805f5c0b51",
-        "classify/single": "d9c5ddce22da021000f4b2faee042d2194c496d1fb7f5566caede5c58336d720",
+        "classify/default": "1013b2083b43bd2e2f91b7fb3c397cef4455fa0d68f15c5718e6e5f416c59ee6",
+        "classify/short": "91d3035c15d94961b1cfbf4f9037ed44b8a49571d87853f6e1f6d0b3c58f8a6d",
+        "classify/single": "54baa3e6457acb93cb52e0ddd2140ea3c5faf9761a2387747ce06345ba8a572b",
         "eval0": "4d86c8b7f07165015fca0edf3b399fea6f0793420d7c249d575609e9ac7001c2",
         "eval0/0d": "c4c7c53a9f8e74bb07423287ea14e2d7238dc578784c1a9dfab72732d63430c3",
         "eval1": "afbf80034f882a465d35647fe2e3625c7228593f687af488400c672013bc0f4f",
         "eval1/0d": "7de877386bf065baa6663d8dd0d1cbcfbb0289d6fc77be2bd79176496e3e5dd4",
         "eval2": "77c47e7aec6ff9b9477f46c0567a6e068fa51c40f138f691cde64b69bfc7680e",
         "eval2/0d": "92344da4aea996c4ce88de81f6223f8eff1fc9da5337705cc30a2336d063cc08",
-        "render64": "8090f90d941adda2ea40e9b3c24f32505a8b4e9f0f28484cbde3e7d82b3ef663",
+        "render64": "0db77e9c16d96fad28879d485927c65ed6ca439542d62ab073cb162adbfd293c",
     },
     "three_term": {
-        "classify/default": "c48b6e3b93cc7f8ab7c786bf72ea8f1e239840c97fd269de8d9c5be86343ccb6",
-        "classify/short": "3b7d050e462c4cf4eec038506e531c273acb68f4a5cb1336ee104f78892f1e68",
-        "classify/single": "89ac102d6a63d605131110d73cca6ddf0aa676aab559245e2f2ec45ec2d02fee",
+        "classify/default": "5d43b350cd34a8c324148417ddb5776e049d90501c63772137156b032b20ab8b",
+        "classify/short": "8ce2e5baf02638f729d789b2e87a8f43684d37072cbf97ca1a5f70a7803ce43f",
+        "classify/single": "06cfc908618719ae5e9aee3d0b3e942debedbdeaa81eddbbff305797c1505e16",
         "eval0": "1c53453b4d7a9585e0c48fc65d47f96248b4e49f166cc700bf3700e589071d13",
         "eval0/0d": "77818874cd42bfe88df97688b69f04f59cacc18b8076216c85c79b15b198a1ca",
         "eval1": "4ade9724c28a0aea1fd6144b542a1c207877b406fc456f028d4904b786a7ceb3",
@@ -279,7 +305,7 @@ ORBIT_WALKS = {
     "cosh3 depth 3": (
         lambda: ExpPoly(3, [ExpPolyTerm(Poly([1]), 1 + 0j), ExpPolyTerm(Poly([1]), -1 + 0j)]),
         3.0 + 0.1j,
-        "9275b4c9d662dd91d07ccfa406d9a66df030742b24fff99acc9058ab1c295593",
+        "1116bb668c2a85c776cbabf82d20c60786bd1ec15920caaa15dd54e0f9ca4519",
     ),
 }
 
@@ -288,3 +314,88 @@ ORBIT_WALKS = {
 def test_orbit_walk_fingerprints(case, orbit_walk):
     make, z0, want = ORBIT_WALKS[case]
     assert _walk_hash(orbit_walk, make(), z0, ClassifyParams()) == want
+
+
+# ---------------------------------------------------------------------------
+# Script modes: dump the corpus's classify results and diff two dumps.
+
+# The dumped result columns: every one but the tag strings, which tag_code codes.
+DUMP_COLUMNS = RESULT_KEYS[1:]
+
+
+def dump(path, names):
+    """Write the start points and classify_batch arrays of every classify
+    case of the functions names to the npz file path, under the keys
+    "function|case|column", column "start" for the points."""
+    arrays = {}
+    for name in names:
+        f = FUNCS[name]()
+        for case, (pts, p) in classify_cases(name).items():
+            res = classify_batch(f, pts, p)
+            arrays[f"{name}|{case}|start"] = pts
+            arrays.update({f"{name}|{case}|{k}": res[k] for k in DUMP_COLUMNS})
+    np.savez(path, **arrays)
+
+
+def _bits_differ(a, b):
+    """Per entry, whether two equal-shape arrays differ in any bit."""
+    return (a.view(np.uint8).reshape(a.size, -1) != b.view(np.uint8).reshape(b.size, -1)).any(axis=1)
+
+
+def diff(path_a, path_b):
+    """Print where the dumps path_a and path_b differ, as a markdown table
+    with one row per function and case both hold, then the starts whose tag
+    moved; returns the number of differing entries."""
+    a, b = np.load(path_a), np.load(path_b)
+    cases = sorted({k.rsplit("|", 1)[0] for k in a.files} & {k.rsplit("|", 1)[0] for k in b.files})
+    print("| function | case | " + " | ".join(DUMP_COLUMNS) + " | max rel final_val |")
+    print("|" + " --- |" * (len(DUMP_COLUMNS) + 3))
+    total, moved = 0, []
+    for key in cases:
+        pts = a[f"{key}|start"]
+        if pts.tobytes() != b[f"{key}|start"].tobytes():
+            raise ValueError(f"{key}: the dumps hold different start points")
+        cols = {k: (a[f"{key}|{k}"], b[f"{key}|{k}"]) for k in DUMP_COLUMNS}
+        counts = {k: np.count_nonzero(_bits_differ(x, y)) for k, (x, y) in cols.items()}
+        total += sum(counts.values())
+        # Where tag, steps and depth agree, how far final_val moved.
+        same = ~functools.reduce(np.logical_or, [_bits_differ(*cols[k]) for k in ("tag_code", "steps", "final_depth")])
+        x, y = (v[same] for v in cols["final_val"])
+        with np.errstate(all="ignore"):
+            rel = np.abs(x - y) / np.maximum(np.abs(x), np.abs(y))
+        rel = rel[np.isfinite(rel)]
+        name, case = key.split("|")
+        cells = " | ".join(str(counts[k]) for k in DUMP_COLUMNS)
+        print(f"| {name} | {case} | {cells} | {rel.max() if rel.size else 0.0:.2g} |")
+        x, y = cols["tag_code"]
+        for i in np.flatnonzero(x != y):
+            moved.append(f"{name} {case} at {pts[i]!r}: tag {x[i]} -> {y[i]}")
+    print(*moved, sep="\n")
+    print(f"{total} differing entries")
+    return total
+
+
+def script_main(argv=None):
+    ap = argparse.ArgumentParser(description="Dump the engine corpus's classify results, or diff two dumps.")
+    mode = ap.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--dump", metavar="OUT.npz")
+    mode.add_argument("--diff", nargs=2, metavar=("A.npz", "B.npz"))
+    ap.add_argument("--fn", action="append", choices=sorted(FUNCS), help="dump only these functions")
+    args = ap.parse_args(argv)
+    if args.dump:
+        dump(args.dump, args.fn or sorted(FUNCS))
+        return 0
+    return 1 if diff(*args.diff) else 0
+
+
+def test_diff_of_a_dump_with_itself_is_empty(tmp_path, capsys):
+    path = str(tmp_path / "sin_z.npz")
+    assert script_main(["--dump", path, "--fn", "sin_z"]) == 0
+    assert script_main(["--diff", path, path]) == 0
+    out = capsys.readouterr().out
+    assert "| sin_z | classify/default | 0 | 0 | 0 | 0 | 0 |" in out
+    assert out.endswith("\n0 differing entries\n")
+
+
+if __name__ == "__main__":
+    sys.exit(script_main())

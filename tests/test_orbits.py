@@ -216,32 +216,123 @@ def test_symmetries_bitwise(sin3, sinz):
 
 
 # Frequencies with equal moduli and conjugate or opposite arguments tie in
-# |b_j| cos(dphi + arg b_j) at symmetric dphi.
+# Re(b_j ud) at symmetric directions ud.
 _FREQS = [1 + 0j, -1 + 0j, 1j, -1j, cmath.exp(0.5j), cmath.exp(-0.5j), 2 + 1j, 0.3 - 0.7j]
+# Exact axis directions, signed zeros included, where Re(b_j ud) of opposite
+# or conjugate frequencies tie exactly.
+_AXES = [1 + 0j, -1 + 0j, 1j, -1j, complex(1.0, -0.0), complex(-0.0, 1.0), complex(-1.0, -0.0)]
+
+
+def _direction(angle):
+    """e^{i angle} as numpy forms it; a NaN or infinite angle gives NaN parts."""
+    with np.errstate(invalid="ignore"):
+        return complex(np.exp(1j * np.float64(angle)))
 
 
 @settings(max_examples=200, deadline=None)
 @given(
     freqs=st.lists(st.sampled_from(_FREQS), min_size=1, max_size=4, unique=True),
-    dphi=st.lists(
-        st.sampled_from([0.0, -0.0, math.pi, -math.pi, math.pi / 2, 1.0, math.nan, math.inf, -math.inf])
-        | st.floats(-1e6, 1e6),
+    ud=st.lists(
+        st.sampled_from(_AXES)
+        | st.sampled_from([0.0, math.pi, -math.pi, math.pi / 2, 1.0, math.nan, math.inf, -math.inf]).map(_direction)
+        | st.floats(-1e6, 1e6).map(_direction),
         min_size=1,
         max_size=6,
     ),
 )
-def test_tower_term_selection_matches_argmax(freqs, dphi):
+def test_tower_term_selection_matches_argmax(freqs, ud):
     f = ExpPoly(3, [ExpPolyTerm(Poly([1]), b) for b in freqs])
-    dphi = np.array(dphi)
-    beta = np.array([cmath.phase(b) for b in freqs])
-    abs_b = np.array([abs(b) for b in freqs])
+    ud = np.array(ud)
     with np.errstate(invalid="ignore"):
-        cj = abs_b[:, None] * np.cos(dphi[None, :] + beta[:, None])
-        mj = np.argmax(cj, axis=0)
-        want_c = np.take_along_axis(cj, mj[None, :], axis=0)[0]
-        got_c, got_beta = orbits._dominant_growth(_term_consts(f), dphi)
-    assert got_c.tobytes() == want_c.tobytes()
-    assert got_beta.tobytes() == beta[mj].tobytes()
+        wj = np.array(freqs)[:, None] * ud[None, :]
+        # argmax keeps the first of equal maxima, and the first term where
+        # every Re(b_j ud) is NaN.
+        mj = np.argmax(wj.real, axis=0)
+        got = orbits._dominant_growth(_term_consts(f), ud)
+    assert got.tobytes() == np.take_along_axis(wj, mj[None, :], axis=0)[0].tobytes()
+    assert (mj[np.isnan(ud)] == 0).all()
+
+
+@pytest.mark.parametrize(
+    "fn, starts",
+    [("sin_z3", [1e120, -1e120, 1e155, 1e200, 1e300]), ("sin_z2", [1e155, 1e200, 1e300])],
+)
+def test_real_axis_starts_are_not_certified_escaping(fn, starts):
+    # sin(x^d) is real for real x, so |f(x)| <= 1: the orbit of a real start
+    # stays in [-1, 1] from its first step on and does not escape.  These
+    # starts overflow into tower mode, where their direction is u = +-1 and
+    # c = Re(+-i u^d) is exactly 0, a dead direction; an angle carried in
+    # doubles read c = cos(fl(pi/2)) = 6.1e-17 there and certified escape.
+    res = classify_batch(bundled_function(fn), np.array(starts, dtype=complex))
+    assert not np.any(res["tag"] == ESCAPE_CERTIFIED)
+
+
+@pytest.mark.parametrize("fn", ["sin_z3", "sin_z2"])
+def test_tower_states_of_conjugate_starts_are_conjugate(fn, monkeypatch):
+    # f(conj z) = conj f(z) for sin z^d, and the tower step multiplies and
+    # normalises its direction u in IEEE arithmetic, which commutes with
+    # conjugation: the tower states of z and conj z have bitwise-equal depth
+    # and val and conjugate u, at every step.
+    f = bundled_function(fn)
+    seen = []
+    step_tower = orbits._step_tower
+
+    def spy(f, tc, p, s):
+        seen.append({k: s[k].copy() for k in ("idx", "age", "depth", "val", "u")})
+        return step_tower(f, tc, p, s)
+
+    monkeypatch.setattr(orbits, "_step_tower", spy)
+    rng = np.random.default_rng(1)
+    r = np.repeat([3.0, 10.0, 1e3, 1e50, 1e120, 1e200], 20)
+    pts = r * np.exp(2j * np.pi * rng.random(r.size))
+    runs = []
+    for z in (pts, np.conj(pts)):
+        seen.clear()
+        res = classify_batch(f, z)
+        runs.append((res, [state for state in seen if state["idx"].size]))
+    (res_a, steps_a), (res_b, steps_b) = runs
+    for key in RESULT_KEYS[1:]:
+        assert res_a[key].tobytes() == res_b[key].tobytes(), key
+    assert len(steps_a) == len(steps_b) > 3
+    for a, b in zip(steps_a, steps_b):
+        for key in ("idx", "age", "depth", "val"):
+            assert a[key].tobytes() == b[key].tobytes(), key
+        assert a["u"].tobytes() == np.conj(b["u"]).tobytes()
+    # Both hand-offs are covered: a start whose log terms overflow takes its
+    # first tower step at age 1, a promoted orbit after a direct step.
+    first = {}
+    for state in steps_a:
+        for i, age in zip(state["idx"], state["age"]):
+            first.setdefault(i, age)
+    ages = np.array(list(first.values()))
+    assert (ages == 1).any() and (ages > 1).any()
+
+
+def test_start_whose_modulus_overflows_is_not_certified(sin3, sin2):
+    # |z| of these finite starts overflows doubles, so their tower magnitude
+    # log|z| is inf and no certificate can rest on it.  Their direction
+    # z/|z| is 0, a dead one.
+    for f in (sin3, sin2):
+        res = classify_batch(f, [complex(1.5e308, 1.5e308), complex(-1.5e308, 1e308)])
+        assert list(res["tag"]) == [UNDETERMINED, UNDETERMINED]
+
+
+def test_nan_direction_is_dead(sin3):
+    # A NaN direction gives a NaN c, which must stop the orbit as a dead
+    # direction does, not count as growth: at depth 2 the growth test reads
+    # only alpha < d.
+    nan = complex(math.nan, 0.0)
+    s = {
+        "idx": np.arange(2),
+        "age": np.ones(2, np.int64),
+        "depth": np.array([1, 2]),
+        "val": np.array([300.0, 800.0]),
+        "u": np.array([nan, nan]),
+        "run": np.zeros(2, np.int64),
+    }
+    with np.errstate(invalid="ignore"):
+        fl = orbits._step_tower(sin3, _term_consts(sin3), ClassifyParams(), s)
+    assert fl["stop"].all() and not fl["cond"].any()
 
 
 def test_far_start_is_not_read_as_bounded(sin3):
@@ -487,7 +578,7 @@ def test_step_does_not_depend_on_the_modes_in_its_pool(fn, z0, towers, monkeypat
     records = []
 
     def observe(cols):
-        keys = ("z", "depth", "val", "phase", "below", "run")
+        keys = ("z", "depth", "val", "u", "below", "run")
         for i in np.flatnonzero(cols["idx"] == 0):
             records[-1].append(b"".join(np.asarray(cols[k][i]).tobytes() for k in keys) + cols["cond"][i].tobytes())
 

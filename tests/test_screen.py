@@ -20,7 +20,7 @@ from expdyn import ClassifyParams, ExpPoly, ExpPolyTerm, Poly, bundled_function,
 from expdyn import orbits
 
 # The per-step state compared (see conftest.pool_columns).
-_STATE_KEYS = ("idx", "z", "depth", "val", "below", "run", "cond", "phase")
+_STATE_KEYS = ("idx", "z", "depth", "val", "below", "run", "cond", "u")
 
 
 def _run(f, pts, p, screen_on):
