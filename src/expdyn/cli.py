@@ -12,6 +12,7 @@ exception, a counterexample violation or a failed lemma-verify check.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -112,7 +113,10 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built once per process: parsing keeps no state
+    in it, and `--threads` reads the usable CPUs when it is built."""
     p = _Parser(prog="expdyn", description=__doc__.splitlines()[0])
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="cmd", required=True)

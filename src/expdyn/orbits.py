@@ -27,11 +27,13 @@ the radius, or when the start points of its last TAIL_STEPS steps (all of
 them, for a shorter budget) and its last point lie inside the radius, in
 direct mode.  Where f(0) = 0 holds exactly, trap_at_0 certifies a region R
 with f(R) inside R and R inside D(0, rho), rho below the escape radius: an
-attracting disk when |f'(0)| < 1, or a parabolic petal (Leau-Fatou flower)
-when f'(0) = 1.  An orbit whose new point lies in R stays inside the radius
-for the rest of its budget, so it stops there as NonEscapeObserved, with the
-`trapped` flag, as soon as that makes the tail rule certain to fire.  Its
-`steps` is the entry step; tags are those the full budget gives.
+attracting disk when |f'(0)| < 1, or, when f'(0) = 1, a union of wedges in
+the Leau-Fatou coordinate w = c / z^m: the parabolic petal and wedges that
+reach toward its repelling directions.  An orbit whose new point lies in R
+stays inside the radius for the rest of its budget, so it stops there as
+NonEscapeObserved, with the `trapped` flag, as soon as that makes the tail
+rule certain to fire.  Its `steps` is the entry step; tags are those the
+full budget gives.
 
 One engine, _classify_pool, steps a pool of live orbits of any ages, each
 reading its own age, so the pool admits new start points as orbits finish
@@ -238,6 +240,9 @@ TRAP_ORDER = 12
 _TRAP_RADII = tuple(2.0**-i for i in range(21))
 # Relative outward margin of the floating-point membership test.
 _TRAP_MARGIN = 1e-9
+# The steepest wedge slope: with it every threshold A_k of trap_at_0 stays
+# below 2^800, a double, whatever lead coefficient certifies.
+_MAX_SLOPE = 2.0**26
 # 2^-50 bounds the relative error of float(x) followed by a square root.
 _SQRT_REL = Fraction(1, 2**50)
 
@@ -332,23 +337,37 @@ def _tail_up(f: ExpPoly, K: int, rho: Fraction, hat) -> Fraction | None:
 class TrapRegion:
     """A region R with f(R) inside R and R inside D(0, rho).
 
-    kind "disk": R = D(0, rho).  kind "petal": R = {Re w > A} with
-    w = c / z^m, c = -1/(m a_(m+1)), around a multiplier-1 fixed point 0.
+    kind "disk": R = D(0, rho).  kind "petal": around a multiplier-1 fixed
+    point 0, with w = c / z^m, c = -1/(m a_(m+1)), R is the union of the
+    wedges {Re w + t_k |Im w| > A_k} of members, one (rho_k, t_k, A_k) each,
+    outermost first: the first is the Leau-Fatou petal {Re w > A_0}
+    (t_0 = 0, rho_0 = rho), and each later one reaches further toward the
+    repelling directions, the negative real axis of w.  trap_at_0 proves
+    each wedge invariant and inside D(0, rho_k), so the union is too.
     """
 
     kind: str
     rho: float
     m: int = 0
     c: complex = 0j
-    A: float = 0.0
+    members: tuple = ()
 
     def contains(self, z):
-        """Float membership of a complex array z with an outward margin: True
+        """Float membership of a 1-d complex array z with an outward margin: True
         entries lie in R.  Runs under the caller's np.errstate."""
         if self.kind == "disk":
             return np.abs(z) < self.rho * (1.0 - _TRAP_MARGIN)
+        t, margin, A = self._columns
         w = self.c / _pow_int(z, self.m)
-        return w.real - _TRAP_MARGIN * np.abs(w) > self.A
+        return (w.real + t * np.abs(w.imag) - margin * np.abs(w) > A).any(axis=0)
+
+    @functools.cached_property
+    def _columns(self):
+        """The members' t_k, margins and A_k as columns, one row per member.
+        The float w is within _TRAP_MARGIN |w| of the exact c / z^m, which
+        moves Re w + t |Im w| by at most (1 + t) times that."""
+        t, A = (np.array([[mk[i]] for mk in self.members]) for i in (1, 2))
+        return t, _TRAP_MARGIN * (1.0 + t), A
 
 
 def _taylor(f: ExpPoly, K: int, coef, zero, one):
@@ -371,32 +390,47 @@ def _certify_disk(a, hat, f, rho: Fraction) -> bool:
     return bound + tail < rho
 
 
-def _certify_petal(a, hat, f, m: int, rho: Fraction) -> bool:
-    """|W - w - 1| <= 1/2 on 0 < |z| <= rho, for f = z + a z^(m+1) + T(z).
+def _certify_petal(a, hat, f, m: int, rho: Fraction) -> Fraction | None:
+    """A bound delta >= |W - w - 1| on 0 < |z| <= rho, for
+    f = z + a z^(m+1) + T(z), w = c / z^m and W = w(f(z)); None where the
+    tail is not finite, the lead a vanishes to the precision of its bounds,
+    or U >= 1.
 
     With u = f(z)/z - 1 and eps = T(z) / (a z^(m+1)),
     W - w - 1 = w ((1+u)^-m - 1 + m u) + eps, so |W - w - 1| is at most
     ((1-U)^-m - 1 - m U) / (m |a| r^m) + tau / (|a| r^(m+1)), with
-    tau >= |T| and U = |a| r^m + tau/r >= |u|.  tau(r) is a power series
-    in r with non-negative coefficients from r^(m+2) on, so tau/r^(m+1) and
-    U^2/r^m do not decrease with r, and neither does g(U)/U^2 with U for
-    g(U) = (1-U)^-m - 1 - m U: the bound grows with r, and holding at
-    r = rho covers the whole punctured disk.
+    tau >= |T| and U = |a| r^m + tau/r >= |u|; U < 1 also keeps f free of
+    zeros on the punctured disk, where W is then defined.  tau(r) is a power
+    series in r with non-negative coefficients from r^(m+2) on, so
+    tau/r^(m+1) and U^2/r^m do not decrease with r, and neither does
+    g(U)/U^2 with U for g(U) = (1-U)^-m - 1 - m U: the bound grows with r,
+    and its value at r = rho, returned, covers the whole punctured disk.
     """
     tail = _tail_up(f, TRAP_ORDER, rho, hat)
     if tail is None:
-        return False
+        return None
     lead_lo, lead_hi = _sqrt_bounds(a[m + 1].abs2())
     if not lead_lo:
-        return False
+        return None
     tau = tail + sum(
         _sqrt_bounds(a[k].abs2())[1] * rho**k for k in range(m + 2, TRAP_ORDER + 1) if a[k]
     )
     U = lead_hi * rho**m + tau / rho
     if U >= 1:
-        return False
+        return None
     g = (1 - U) ** -m - 1 - m * U
-    return g / (m * lead_lo * rho**m) + tau / (lead_lo * rho ** (m + 1)) <= Fraction(1, 2)
+    return g / (m * lead_lo * rho**m) + tau / (lead_lo * rho ** (m + 1))
+
+
+def _wedge_slope(delta: Fraction) -> float:
+    """A slope t with delta^2 (1 + t^2) <= 1/4, exactly, for 0 < delta < 1/2:
+    sqrt(1/(4 delta^2) - 1) in doubles, capped at _MAX_SLOPE and stepped
+    down, an ulp at a time, until the exact test holds."""
+    x = 1 / (4 * delta * delta) - 1
+    t = _MAX_SLOPE if x > _MAX_SLOPE**2 else math.sqrt(float(x))
+    while delta * delta * (1 + Fraction(t) ** 2) > Fraction(1, 4):
+        t = math.nextafter(t, 0.0)
+    return t
 
 
 @functools.lru_cache(CACHE_SIZE)
@@ -404,13 +438,26 @@ def trap_at_0(f: ExpPoly, escape_radius: float) -> TrapRegion | None:
     """The certified trap region of f at the fixed point 0, or None.
 
     Defined when f(0) = 0 holds exactly (every P_j(0) = 0 and the Q_j(0) sum
-    to 0).  If |a_1| < 1 it is the disk D(0, rho) with sup |f| < rho there;
-    if a_1 = 1 and a_(m+1) is the next nonzero coefficient, it is the petal
-    set {Re w > A}, w = -1/(m a_(m+1) z^m), A = 1/(m |a_(m+1)| rho^m), with
-    |W - w - 1| <= 1/2 on |z| <= rho for W = w(f(z)): each step then adds at
-    least 1/2 to Re w, so R is invariant, and Re w > A forces |z| < rho.
-    rho is the first radius of a fixed halving sequence below escape_radius
-    that certifies.  The result is cached by the function value and radius.
+    to 0).  If |a_1| < 1 it is the disk D(0, rho) with sup |f| < rho there.
+    If a_1 = 1 and a_(m+1) is the next nonzero coefficient, it is a union of
+    wedges in w = c / z^m, c = -1/(m a_(m+1)), each proved in exact
+    arithmetic from delta_k >= |W - w - 1| on 0 < |z| <= rho_k, W = w(f(z))
+    (_certify_petal):
+    - Invariance.  For phi(w) = Re w + t |Im w| and W = w + 1 + e,
+      phi(W) >= phi(w) + 1 - (|Re e| + t |Im e|) >= phi(w) + 1 -
+      delta_k sqrt(1 + t^2) by Cauchy-Schwarz, which is at least
+      phi(w) + 1/2 for the slope t = t_k, since delta_k^2 (1 + t_k^2) <= 1/4.
+    - Containment.  phi(w) <= |w| sqrt(1 + t^2), so phi(w) > A_k with
+      A_k >= |c| sqrt(1 + t_k^2) / rho_k^m forces |z|^m = |c|/|w| < rho_k^m.
+    So a point of the wedge {phi > A_k} lies in D(0, rho_k), where the
+    bound holds, and its image is in the wedge again.  The first member is
+    the petal {Re w > A_0}, A_0 >= 1/(m |a_(m+1)| rho^m), at the first radius
+    rho of a fixed halving sequence below escape_radius with delta <= 1/2.
+    At each of rho/2 and rho/4 whose delta is below 1/2 a wedge of slope
+    t_k, the largest double with delta_k^2 (1 + t_k^2) <= 1/4, follows: the
+    smaller disk has the smaller delta, and so the wedge reaches further
+    toward the repelling directions.  The result is cached by the function
+    value and radius.
     """
     if any(t.P.coeff(0) != 0 for t in f.terms):
         return None
@@ -435,9 +482,18 @@ def trap_at_0(f: ExpPoly, escape_radius: float) -> TrapRegion | None:
     c = complex(float(-lead.re / den), float(lead.im / den))
     for r in _TRAP_RADII:
         rho = Fraction(r)
-        if r < escape_radius and _certify_petal(a, hat, f, m, rho):
-            A = _up(1 / (m * _sqrt_bounds(lead.abs2())[0] * rho**m))
-            return TrapRegion("petal", r, m, c, A)
+        delta = _certify_petal(a, hat, f, m, rho) if r < escape_radius else None
+        if delta is not None and delta <= Fraction(1, 2):
+            # The exact |c| is at most c_up; _certify_petal refuses lead_lo = 0.
+            c_up = 1 / (m * _sqrt_bounds(lead.abs2())[0])
+            members = [(r, 0.0, _up(c_up / rho**m))]
+            for rk in (r / 2, r / 4):
+                delta = _certify_petal(a, hat, f, m, Fraction(rk))
+                if delta is not None and delta < Fraction(1, 2):
+                    t = _wedge_slope(delta)
+                    A = _up(c_up * _sqrt_bounds(1 + Fraction(t) ** 2)[1] / Fraction(rk) ** m)
+                    members.append((rk, t, A))
+            return TrapRegion("petal", r, m, c, tuple(members))
     return None
 
 

@@ -239,6 +239,19 @@ def test_parser_builds():
     assert build_parser().prog == "expdyn"
 
 
+def test_parser_built_once_and_shares_no_state(monkeypatch):
+    assert build_parser() is build_parser()
+    seen = []
+    monkeypatch.setitem(cli._COMMANDS, "render", lambda args: seen.append(vars(args)) or 0)
+    first = ["render", "--fn", "sin_z", "--out", "a.ppm", "--px", "16", "--alpha", "0.5", "--threads", "1"]
+    second = ["render", "--fn", "sin_z3", "--out", "b.ppm"]
+    assert main(first) == 0 and main(second) == 0
+    assert seen[0]["px"] == 16 and seen[0]["alpha"] == 0.5
+    # The second call reads what a parser of its own reads: every default.
+    assert seen[1] == vars(build_parser.__wrapped__().parse_args(second))
+    assert seen[1]["px"] == 800 and seen[1]["alpha"] != 0.5
+
+
 # ---------------------------------------------------------------------------
 # check
 

@@ -175,8 +175,8 @@ GOLDEN = {
         "eval2/0d": "6e3327063c0732fc39be4b44fc182d158954f887219522501803b06ff69bf18b",
     },
     "sin_z": {
-        "classify/default": "b63039d348bf0b883e6857e6509adedef822704e851a463477a6c281a18db86c",
-        "classify/short": "262c02a6153e3275977ecdee1308ef7ba0436e0e568c056c97f272306a232013",
+        "classify/default": "3cf61c3c1818ee048abf0eed255ce57d32915360744dd44e7cea4a912c2c2afd",
+        "classify/short": "181c418f61ca11e2366a6a0be980594b74c9ffe98e13621765096ab381881ee8",
         "classify/single": "f59fe6c7c0fbe99d078129bf628285ddff839dd1431cbac2cca6058e00ce76c9",
         "eval0": "7b63ae374791ffca8da18094ec909fa5b39c34006f048537da1a3292ba4a0aa5",
         "eval0/0d": "f8b221161e1d0a5aecc3addf4b1838923676f387fbe1e3ad0a6cc1e84671ee32",

@@ -562,7 +562,9 @@ def test_one_step_budget_ending_outside_is_undetermined(sin3):
 # and starts that are tower orbits within one step: 1e120 overflows z^3 and
 # takes the overflow path, +-1e120j promote on their first step.
 _MODE_MIX_CASES = [
-    ("sin_z", 3.125 + 0.0417j, [1e120j, -1e120j]),  # bounded for the whole budget
+    # bounded for the whole budget: w = 3/z^2 starts near -1200, in the
+    # repelling direction that no wedge of the trap reaches
+    ("sin_z", 0.0005 + 0.05j, [1e120j, -1e120j]),
     ("sin_z3", 0.97 + 0.38j, [1e120]),  # direct, then tower, then certified
     ("sin_z3", -1.141540327183785 - 1.836888161303421j, [1e120]),  # enters the trap
 ]

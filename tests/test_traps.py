@@ -23,13 +23,21 @@ BUNDLED = ("sin_z", "sin_z2", "sin_z3", "example_h")
 
 def test_bundled_trap_shapes():
     sinz = trap_at_0(bundled_function("sin_z"), 50.0)
-    # sin z = z - z^3/6 + ...: the two-lobed petal {Re(3/z^2) > 3/rho^2}.
+    # sin z = z - z^3/6 + ...: w = 3/z^2, and the slope-0 member is the
+    # two-lobed petal {Re(3/z^2) > 3/rho^2}.
     assert sinz.kind == "petal" and sinz.m == 2
     assert sinz.c == 3.0
-    assert 3.0 / sinz.rho**2 <= sinz.A <= 3.0 / sinz.rho**2 * (1 + 1e-12)
+    rho0, t0, A0 = sinz.members[0]
+    assert rho0 == sinz.rho and t0 == 0.0
+    assert 3.0 / rho0**2 <= A0 <= 3.0 / rho0**2 * (1 + 1e-12)
+    # Two wedges follow, at rho/2 and rho/4, steeper and further out in w.
+    (r1, t1, A1), (r2, t2, A2) = sinz.members[1:]
+    assert (r1, r2) == (sinz.rho / 2, sinz.rho / 4)
+    assert 6.1 < t1 < 6.2 and 26.1 < t2 < 26.3
+    assert A0 < A1 < A2
     for name in ("sin_z2", "sin_z3", "example_h"):
         trap = trap_at_0(bundled_function(name), 50.0)
-        assert trap.kind == "disk"
+        assert trap == TrapRegion("disk", 0.5)
     for name in BUNDLED:
         assert trap_at_0(bundled_function(name), 50.0).rho < 50.0
 
@@ -89,8 +97,9 @@ def test_trap_refusal_paths(monkeypatch, f, certifier, tries):
         monkeypatch.setattr(orbits, name, spy)
     assert trap_at_0(f, 50.0) is None
     assert calls["_tail_up"] == [None] * tries
-    for name in ("_certify_disk", "_certify_petal"):
-        assert calls[name] == ([False] * tries if name == certifier else [])
+    # A refused disk reads False, a refused petal None.
+    for name, refused in (("_certify_disk", False), ("_certify_petal", None)):
+        assert calls[name] == ([refused] * tries if name == certifier else [])
     pts = np.array([0, 1e-12, 1e-12j, -1e-9, 0.5, -0.3 + 0.2j, 1e-3])
     assert not classify_batch(f, pts, ClassifyParams())["trapped"].any()
 
@@ -116,10 +125,14 @@ def test_petal_refused_while_U_reaches_1(monkeypatch):
     calls = _spy_petal(monkeypatch)
     f = ExpPoly(1, _sinh_terms(2.0**-8, 128.0))
     trap = trap_at_0(f, 50.0)
-    # rho = 1: the tail is infinite; 1/2 ... 1/32: U >= 1; 1/64: the final
-    # inequality fails; 1/128 certifies.
-    assert calls == [(Fraction(1, 2**i), i == 7) for i in range(8)]
+    # rho = 1: the tail is infinite; 1/2 ... 1/32: U >= 1; 1/64: the bound
+    # exceeds 1/2; 1/128 certifies the petal, and 1/256 and 1/512 its wedges.
+    assert [rho for rho, _ in calls] == [Fraction(1, 2**i) for i in range(10)]
+    deltas = [delta for _, delta in calls]
+    assert deltas[:6] == [None] * 6
+    assert deltas[6] > Fraction(1, 2) >= deltas[7] > deltas[8] > deltas[9]
     assert trap.kind == "petal" and trap.m == 2 and trap.rho == 2.0**-7
+    assert [rk for rk, _, _ in trap.members] == [2.0**-7, 2.0**-8, 2.0**-9]
     c = iv.mpc(trap.c.real, trap.c.imag)
 
     def check(lo, hi):
@@ -143,8 +156,18 @@ def test_petal_refused_with_a_vanishing_lead(monkeypatch):
     monkeypatch.setattr(orbits, "_tail_up", spy_tail)
     f = ExpPoly(1, _sinh_terms(2.0**259, 2.0**-260))
     assert trap_at_0(f, 50.0) is None
-    assert [ok for _, ok in calls] == [False] * 21
+    assert [delta for _, delta in calls] == [None] * 21
     assert len(tails) == 21 and None not in tails
+
+
+def test_wedge_slope_is_capped():
+    # z exp(2^-495 z^10) = z + 2^-495 z^11 + ...: delta_k is of order
+    # 2^-495 rho_k^10, and the uncapped slope and threshold,
+    # t_k ~ 1/(2 delta_k) and A_k ~ 2^495 t_k / rho_k^10, overflow the
+    # doubles at rho/4, where trap_at_0 raised OverflowError.
+    trap = trap_at_0(ExpPoly(10, [ExpPolyTerm(Poly([0, 1]), 2.0**-495 + 0j)]), 50.0)
+    assert [t for _, t, _ in trap.members] == [0.0, orbits._MAX_SLOPE, orbits._MAX_SLOPE]
+    assert all(np.isfinite(A) for _, _, A in trap.members)
 
 
 def test_sqrt_bounds_bracket_exactly():
@@ -157,7 +180,7 @@ def test_sqrt_bounds_bracket_exactly():
 
 
 def test_membership_keeps_outward_margin():
-    petal = TrapRegion("petal", 1.0, 2, 3.0 + 0j, 3.0)
+    petal = TrapRegion("petal", 1.0, 2, 3.0 + 0j, ((1.0, 0.0, 3.0),))
     # Re(3/z^2) = 3/x^2 on the real axis: x = 1 is the boundary.
     z = np.array([0.5, -0.5, 1.0, 1.0 - 1e-12, 0.0, 0.5j, 0.3 + 0.3j])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -170,6 +193,32 @@ def test_membership_keeps_outward_margin():
             False,
             False,
         ]
+
+
+def test_wedge_boundaries_on_both_lobes():
+    """Points of the boundary of the sin_z trap, on each member's stretch of
+    it and on both halves of each wedge: 1e-6 inside reads True, on it and
+    1e-6 outside read False, at z and -z alike."""
+    trap = trap_at_0(bundled_function("sin_z"), 50.0)
+    members = trap.members
+
+    def phi(w, t):
+        return w.real + t * abs(w.imag)
+
+    seen = set()
+    for k, (_, t, A) in enumerate(members):
+        for y in np.concatenate([[0.0], np.geomspace(1e-3, 1e4, 71)]):
+            for sign in (1, -1):
+                w = complex(A - t * y, sign * y)
+                # Only the union's boundary: clear of every other member.
+                if any(phi(w, tj) > Aj * (1 - 1e-3) for j, (_, tj, Aj) in enumerate(members) if j != k):
+                    continue
+                seen.add(k)
+                step = 1e-6 * (1 + t) * abs(w)
+                for dw, want in ((step, True), (0.0, False), (-step, False)):
+                    z = np.sqrt(trap.c / (w + dw))
+                    assert trap.contains(np.array([z, -z])).tolist() == [want, want], (k, w, dw)
+    assert seen == set(range(len(members)))
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +263,8 @@ def _cover_circle(check, pieces=64, max_depth=8):
 
 
 @pytest.mark.parametrize("name", BUNDLED)
-def test_trap_certified_by_interval_arithmetic(name):
+def test_trap_certified_by_interval_arithmetic(name, monkeypatch):
+    calls = _spy_petal(monkeypatch)
     f = bundled_function(name)
     trap = trap_at_0(f, 50.0)
     rho = trap.rho
@@ -229,14 +279,36 @@ def test_trap_certified_by_interval_arithmetic(name):
         z = _arc(rho, lo, hi)
         fz = _iv_eval(f, z)
         # |f(z)/z - 1| < 1 keeps f free of zeros on 0 < |z| <= rho, so
-        # h = W - w - 1 is analytic on the disk and peaks on the circle.
+        # h is analytic on the disk and peaks on the circle.
         if not _sup_abs(fz / z - 1) < 1:
             return False
         return _sup_abs(c / fz**m - c / z**m - 1) <= 0.5
 
     assert _cover_circle(check)
-    # {Re(c/z^m) > A}, tested with the float margin, lies inside D(0, rho).
-    assert abs(trap.c) * (1 - 1e-9) / trap.A <= rho**m
+    # So |h| <= 1/2 on |z| <= rho, h = W - w - 1.  On the smaller circles |z| = rho_k the
+    # direct enclosure of h is too wide, so each arc takes the mean-value
+    # form: h at the arc's centre plus the Cauchy bound
+    # |h'| <= (1/2) / (rho - rho_k) times the distance to the centre.
+    deltas = {rk: delta for rk, delta in calls}
+    for k, (rk, t, A) in enumerate(trap.members):
+        delta = deltas[Fraction(rk)]
+        # The slope: delta_k sqrt(1 + t_k^2) <= 1/2, exactly.
+        assert delta * delta * (1 + Fraction(t) ** 2) <= Fraction(1, 4)
+        if k:
+
+            def check_k(lo, hi, rk=rk, delta=delta):
+                mid = iv.mpf((lo + hi) / 2) * (2 * iv.pi)
+                zc = iv.mpc(rk * iv.cos(mid), rk * iv.sin(mid))
+                reach = iv.mpf(rk) * iv.pi * (hi - lo) * 0.5 / (rho - rk)
+                h = c / _iv_eval(f, zc) ** m - c / zc**m - 1
+                return (abs(h) + reach).b <= (iv.mpf(delta.numerator) / delta.denominator).a
+
+            assert _cover_circle(check_k)
+        # The wedge tested with the float margin lies inside D(0, rho_k):
+        # there |w| > A_k / (sqrt(1 + t^2) - margin (1 + t)).
+        t_iv = iv.mpf(t)
+        inner = abs(c) * (iv.sqrt(1 + t_iv**2) - orbits._TRAP_MARGIN * (1 + t_iv)) / iv.mpf(A)
+        assert inner.b <= iv.mpf(rk) ** m
 
 
 # ---------------------------------------------------------------------------
@@ -244,22 +316,39 @@ def test_trap_certified_by_interval_arithmetic(name):
 
 
 def test_trapped_orbits_stay_inside_in_high_precision():
+    """Each trapped start enters some member of the trap at its entry step,
+    in 30-digit arithmetic, and stays in that member, inside the radius, for
+    the rest of the budget.  Before the wedges the first two named starts ran
+    the full budget and the third took twice as long to enter; the fourth
+    enters the innermost wedge alone.  Each member is entered by some start."""
     f = bundled_function("sin_z")
     p = ClassifyParams()
     trap = trap_at_0(f, p.escape_radius)
     rng = np.random.default_rng(2024)
-    pts = 8.0 * (rng.random(400) - 0.5) + 8.0j * (rng.random(400) - 0.5)
+    named = [-3.125 + 0.0417j, -3.125 - 0.0417j, -0.708 - 1.832j, 0.004 + 0.05j]
+    pts = np.concatenate([named, 8.0 * (rng.random(400) - 0.5) + 8.0j * (rng.random(400) - 0.5)])
     res = classify_batch(f, pts, p)
-    idx = np.nonzero(res["trapped"])[0][:64]
-    assert idx.size == 64
+    idx = np.nonzero(res["trapped"])[0][:68]
+    assert idx.size == 68 and list(idx[:4]) == [0, 1, 2, 3]
+    entered = set()
     with mp.workdps(30):
-        c, A = mp.mpc(trap.c), mp.mpf(trap.A)
+        c = mp.mpc(trap.c)
+        members = [(mp.mpf(t), mp.mpf(A)) for _, t, A in trap.members]
+
+        def inside(z, t, A):
+            w = c / z**trap.m
+            return w.real + t * abs(w.imag) > A
+
         for i in idx:
             assert res["tag"][i] == NON_ESCAPE_OBSERVED
             entry = int(res["steps"][i])
             z = mp.mpc(complex(pts[i]))
             for k in range(1, p.max_iter):
                 z = mp.sin(z)
+                if k == entry:
+                    member = next(j for j, (t, A) in enumerate(members) if inside(z, t, A))
+                    entered.add(member)
                 if k >= entry:
                     assert abs(z) < p.escape_radius
-                    assert (c / z**trap.m).real > A
+                    assert inside(z, *members[member])
+    assert entered == set(range(len(members)))
