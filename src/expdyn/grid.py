@@ -78,12 +78,6 @@ class SquareTile:
         """Distance from the origin to the farthest corner."""
         return _max_abs_z(self.center.real, self.center.imag, self.side)
 
-    def grid(self, n: int) -> np.ndarray:
-        """(n+1) x (n+1) closed sample grid over the square."""
-        xs = np.linspace(self.x0, self.x1, n + 1)
-        ys = np.linspace(self.y0, self.y1, n + 1)
-        return xs[None, :] + 1j * ys[:, None]
-
 
 def default_sigma(f: ExpPoly) -> float:
     """Midpoint-safe sigma, half of the open upper limit 1/(4 d max|b|)."""
@@ -288,7 +282,8 @@ DENSITY_COLUMNS = tuple(f.name for f in fields(DensityReport))
 
 
 def _stacked_grids(tiles, n: int) -> np.ndarray:
-    """(k, (n+1)^2) array whose row i is tiles[i].grid(n).ravel(), bitwise."""
+    """(k, (n+1)^2) array whose row i is the closed (n+1) x (n+1) sample grid
+    over tiles[i], one row of constant y after another, x increasing."""
     x0, x1, y0, y1 = (np.array([getattr(t, e) for t in tiles]) for e in ("x0", "x1", "y0", "y1"))
     xs = np.linspace(x0, x1, n + 1, axis=1)
     ys = np.linspace(y0, y1, n + 1, axis=1)

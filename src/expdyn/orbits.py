@@ -23,17 +23,16 @@ tower step checks the radius and the growth of the dominant-term model, and
 no level-1 membership.
 
 Non-escape is reported when an orbit lands exactly on a fixed point inside
-the radius, or when the start points of its last TAIL_STEPS steps (all of
-them, for a shorter budget) and its last point lie inside the radius, in
-direct mode.  Where f(0) = 0 holds exactly, trap_at_0 certifies a region R
-with f(R) inside R and R inside D(0, rho), rho below the escape radius: an
-attracting disk when |f'(0)| < 1, or, when f'(0) = 1, a union of wedges in
-the Leau-Fatou coordinate w = c / z^m: the parabolic petal and wedges that
-reach toward its repelling directions.  An orbit whose new point lies in R
-stays inside the radius for the rest of its budget, so it stops there as
-NonEscapeObserved, with the `trapped` flag, as soon as that makes the tail
-rule certain to fire.  Its `steps` is the entry step; tags are those the
-full budget gives.
+the radius or its new point enters the trap region R, proofs that end it at
+once, or, at the end of the budget, when the start points of its last
+TAIL_STEPS steps (all of them, for a shorter budget) and its last point lie
+inside the radius, in direct mode.  Where f(0) = 0 holds exactly, trap_at_0
+certifies R with f(R) inside R and R inside D(0, rho), rho below the escape
+radius: an attracting disk when |f'(0)| < 1, or, when f'(0) = 1, a union of
+wedges in the Leau-Fatou coordinate w = c / z^m: the parabolic petal and
+wedges that reach toward its repelling directions.  An orbit whose new point
+(the float iterate) lies in R stops there as NonEscapeObserved, with the
+`trapped` flag and `steps` the entry step.
 
 One engine, _classify_pool, steps a pool of live orbits of any ages, each
 reading its own age, so the pool admits new start points as orbits finish
@@ -61,6 +60,7 @@ from .funcs import (
     CACHE_SIZE,
     ExpPoly,
     _ZERO_C,
+    _ZERO_CORR,
     _check_alpha,
     _const,
     _eval_log_parts,
@@ -124,10 +124,12 @@ class ClassifyParams:
 # Tower magnitudes
 #
 # (depth, val) stands for exp^depth(val).  The canonical form has the least
-# depth: no depth > 0 with val <= LIFT, where exp(val) fits in doubles.
-# Canonical pairs compare lexicographically as the magnitudes do while no val
-# exceeds exp(LIFT) ~ 4.4e299; a larger depth-k val can exceed exp of a
-# depth-(k+1) val in (LIFT, 709.8] and reverse that order.
+# depth: no depth > 0 with val <= LIFT, where exp(val) fits in doubles.  An
+# orbit enters tower mode at depth 1 with val = log|z|, canonical only from
+# its first tower step.  Canonical pairs compare lexicographically as the
+# magnitudes do while no val exceeds exp(LIFT) ~ 4.4e299 (a larger depth-k val
+# can exceed exp of a depth-(k+1) val in (LIFT, 709.8]); nothing in the engine
+# compares pairs, only the tests and the ladder of iterate_max_modulus do.
 
 LIFT = 690.0
 
@@ -541,7 +543,7 @@ def _screen(f: ExpPoly, radius: float, dcap: float):
         err = n * _U * (16.0 * (749.0 + W) + 16.0 + 4.0 * n)
     if not err < 1e-3:
         return None
-    return _const(_T_LO), _const(dcap - math.log(n) - 2.0 * err), _const(2.0 * (1e-15 + err))
+    return _const(_T_LO), _const(dcap - math.log(n) - 2.0 * err), _const(2.0 * (_ZERO_CORR + err))
 
 
 def _step_direct(f: ExpPoly, tc: dict, p: ClassifyParams, radius, dcap, screen, trap, s):
@@ -550,10 +552,10 @@ def _step_direct(f: ExpPoly, tc: dict, p: ClassifyParams, radius, dcap, screen, 
     tc is _term_consts(f); radius and dcap are 0-d arrays and screen is
     _screen's (or None); runs under the pool's np.errstate.  Writes the new
     z, val and below into s and returns (fl, starts, promoted): the cond,
-    fixed and (where it may be set) trap flags, and the orbits that leave
-    for tower mode.  Those whose log-domain terms overflow (in practice
-    start points) leave s unstepped: starts is None or their tower state at
-    their magnitude (depth 1, val log|z|, u = z/|z|).  promoted is None or
+    fixed and trap flags of its orbits, and the orbits that leave for tower
+    mode.  Those whose log-domain terms overflow (in practice start points)
+    leave s unstepped: starts is None or their tower state at their
+    magnitude (depth 1, val log|z|, u = z/|z|).  promoted is None or
     (m, tower state) of the orbits at the mask m, which the step promoted.
 
     The exact path.  log|f| and the phase come from _log_parts on the rows
@@ -576,7 +578,9 @@ def _step_direct(f: ExpPoly, tc: dict, p: ClassifyParams, radius, dcap, screen, 
     |Z| < R = radius, A = 749 + W and err = n u (16 A + 16 + 4 n) < 1e-3
     (so u A < 1e-4, where the linear rounding bounds below hold), _screen
     sets t_lo = -600, t_hi = dcap - log n - 2 err and
-    tau = 2 (1e-15 + err).  The exact path steps such a point the same way:
+    tau = 2 (_ZERO_CORR + err), where _log_parts flags a zero of the sum at
+    |corr| < _ZERO_CORR = 1e-15.  The exact path steps such a point the same
+    way:
     - Both paths read the same doubles w_j and Q_j(Z), and every operation
       of either is elementwise, so F is bitwise the sum it would take, and
       by (b) cond is False without reading log|f|.
@@ -589,13 +593,13 @@ def _step_direct(f: ExpPoly, tc: dict, p: ClassifyParams, radius, dcap, screen, 
     - (c): log|f| <= Re S_m + log|corr| <= t + log n + 28 u A + (5 + 2n) u
       < dcap, so the point is not promoted.
     - (d): by (c) tau e^t is a normal double, so |corr| >= tau (1 - 5 u A)
-      - err > 1e-15, and _log_parts does not flag a zero.
+      - err > _ZERO_CORR, and _log_parts does not flag a zero.
     Where no point passes, or the screen is None, every point takes the
     exact path on whole columns; otherwise only the rest are gathered for
     it.
     """
     if not s["idx"].size:
-        return {"cond": _NO_BOOL, "fixed": _NO_BOOL}, None, None
+        return {"cond": _NO_BOOL, "fixed": _NO_BOOL, "trap": _NO_BOOL}, None, None
     Z = s["z"]
     ws, qs = _term_exponents(f, Z), _prefactor_logs(f, Z, tc)
     # t = max_j log|Q_j e^{w_j}|.  Both e^{w_j} and Q_j e^{w_j} are at most
@@ -668,21 +672,14 @@ def _step_direct(f: ExpPoly, tc: dict, p: ClassifyParams, radius, dcap, screen, 
             m = np.zeros(Z.size, bool)
             m[rest] = promote
             promoted = m, _to_tower(s, m, lm[promote], u)
-    below = (s["below"] + _ONE) * (absZ <= radius)
-    fl = {"cond": cond, "fixed": znew == Z}
-    # An orbit entering the trap stays inside the radius for its remaining
-    # max_iter - age points.  Flag it only when that makes the trailing-run
-    # rule certain to fire, as it does for all while the oldest (the first) is
-    # young enough.  The trap lies in D(0, rho), and its membership margin
-    # keeps every float member below rho: only points there are tested.
+    fl = {"cond": cond, "fixed": znew == Z, "trap": np.zeros(Z.size, bool)}
+    # The trap lies in D(0, rho), and its membership margin keeps every float
+    # member below rho: only points there are tested.
     if trap is not None:
         near = absnew < trap.rho
         if np.count_nonzero(near):
-            last = p.max_iter - min(TAIL_STEPS, p.max_iter)
-            if s["age"][0] > last:
-                near &= s["age"] - below <= last
             fl["trap"] = near & trap.contains(znew)
-    s.update(z=znew, val=absnew, below=below)
+    s.update(z=znew, val=absnew, below=(s["below"] + _ONE) * (absZ <= radius))
     return fl, None, promoted
 
 
@@ -757,8 +754,8 @@ def _advance(f: ExpPoly, tc: dict, p: ClassifyParams, radius, dcap, screen, trap
 
 # The result columns of classify_batch other than tag: name, dtype, and the
 # per-orbit array it reports when the orbit retires, an engine-state column or
-# one that _retire is given: the step's "code" (tag code) and "trap" flag, and
-# a direct orbit's depth 0.
+# one that _retire is given, the step's "code" (tag code) and "trap" flag, or
+# 0 where neither has it, as for a direct orbit's depth.
 _RESULT_COLUMNS = (
     ("tag_code", np.int8, "code"),
     ("steps", np.int64, "age"),
@@ -777,11 +774,12 @@ def _start_state(idx, z):
 
 def _retire(s, done, sink, moved=None, **cols):
     """Report the orbits at the mask done of the state s to sink, reading
-    the result columns from s and cols, and return the state of the others,
-    less those at the mask moved, which left for the other state."""
+    the result columns from s and cols, 0 where neither has one, and return
+    the state of the others, less those at the mask moved to the other state."""
     if (gone := np.flatnonzero(done)).size:
         src = {**s, **cols}
-        sink(s["idx"][gone], {name: src[key][gone] for name, _, key in _RESULT_COLUMNS})
+        res = {name: src[key][gone] if key in src else np.zeros(gone.size, dt) for name, dt, key in _RESULT_COLUMNS}
+        sink(s["idx"][gone], res)
     return _take(s, ~(done if moved is None else done | moved))
 
 
@@ -791,9 +789,8 @@ def _finite_starts(blocks, sink):
     for idx, z in blocks:
         idx, z = np.asarray(idx, np.int64), np.asarray(z, complex)
         bad = ~np.isfinite(z)
-        if n := np.count_nonzero(bad):
-            cols = {name: np.abs(z[bad]) if key == "val" else np.zeros(n, dt) for name, dt, key in _RESULT_COLUMNS}
-            sink(idx[bad], cols)
+        if np.count_nonzero(bad):
+            _retire({"idx": idx, "val": np.abs(z)}, bad, sink)
             idx, z = idx[~bad], z[~bad]
         yield idx, z
 
@@ -814,12 +811,12 @@ def _classify_pool(f: ExpPoly, p: ClassifyParams, blocks, capacity: int, sink):
     The live orbits are held in two states, one per mode, each stepped on
     whole columns.  Both hold the index in the batch, age (steps taken), val
     and run (consecutive certified steps).  The direct state adds z, with
-    val = |z|, and below (consecutive steps that start inside the radius),
-    and keeps admission order; the tower state adds depth and u, with
-    |z| = exp^depth(val) and u the unit direction of z.  _advance steps both
-    and hands orbits from direct to tower mode, never back; then each state
-    retires its finished orbits in one compaction, which in the direct
-    state also drops the orbits it handed over.
+    val = |z|, and below (consecutive steps that start inside the radius);
+    the tower state adds depth and u, with |z| = exp^depth(val) and u the
+    unit direction of z.  _advance steps both and hands orbits from direct
+    to tower mode, never back; then each state retires its finished orbits
+    in one compaction, which in the direct state also drops the orbits it
+    handed over.
     An orbit finishes on a certified run, a fixed point, trap entry, a dead
     direction, a model magnitude back in the double range, depth beyond
     MAX_DEPTH, or max_iter steps.  A fixed point and a budget's tail are
@@ -874,31 +871,29 @@ def _classify_pool(f: ExpPoly, p: ClassifyParams, blocks, capacity: int, sink):
         if tower["idx"].size:
             tower["run"] = (tower["run"] + _ONE) * tfl["cond"]
             cert = tower["run"] >= cert_steps
-            # The tower state is not in age order: every age is read.
             done = cert | tfl["stop"] | (tower["age"] >= p.max_iter)
             if np.count_nonzero(done):
-                tower = _retire(tower, done, sink, code=cert.astype(np.int8), trap=np.zeros(done.size, bool))
+                tower = _retire(tower, done, sink, code=cert.astype(np.int8))
         if direct["idx"].size:
             direct["run"] = (direct["run"] + _ONE) * dfl["cond"]
             cert = direct["run"] >= cert_steps
-            # A trap flag that the step did not write is False for every
-            # orbit.  A fixed orbit finishes at once; its run is no certificate.
-            end = functools.reduce(np.bitwise_or, [dfl[k] for k in ("fixed", "trap") if k in dfl], cert)
-            # An orbit that reaches max_iter steps without finishing is judged
-            # by the trailing-run rule; the first orbit is the oldest.
-            done = end | (direct["age"] >= p.max_iter) if direct["age"][0] >= p.max_iter else end
+            # A fixed or trapped orbit finishes at once; a fixed one's run is
+            # no certificate.  One that reaches max_iter steps without
+            # finishing is judged by the trailing-run rule.
+            fixed = dfl["fixed"]
+            end = cert | fixed | dfl["trap"]
+            done = end | (direct["age"] >= p.max_iter)
             if moved is not None:
                 done = done & ~moved
             if moved is not None or np.count_nonzero(done):
-                fixed = dfl["fixed"]
                 cert &= ~fixed
-                trapped = dfl["trap"] & ~fixed & ~cert if "trap" in dfl else np.zeros(done.size, bool)
+                trapped = dfl["trap"] & ~fixed & ~cert
                 # A fixed point or a budget's tail is non-escaping only
                 # where the last point lies inside the radius.
                 inside = direct["val"] <= radius
                 nonesc = trapped | (inside & (fixed | (~end & (direct["below"] >= tail_len))))
                 code = np.where(cert, 1, np.where(nonesc, 2, 0)).astype(np.int8)
-                direct = _retire(direct, done, sink, moved, code=code, trap=trapped, depth=np.zeros(done.size, np.int64))
+                direct = _retire(direct, done, sink, moved, code=code, trap=trapped)
 
 
 def classify_batch(f: ExpPoly, points, p: ClassifyParams | None = None):
@@ -917,14 +912,15 @@ def classify_batch(f: ExpPoly, points, p: ClassifyParams | None = None):
     engine state and step.
 
     What EscapeCertified proves: cert_steps consecutive certified steps, of
-    two kinds.  A direct step checks the true z: |z| >= escape_radius, the
-    growth inequality log|f(z)| >= |z|^alpha, and (for d >= 3) that z is
-    outside the level-1 set.  A tower step checks |z| >= escape_radius and
-    growth, the latter on the dominant-term model log|z'| = c |z|^d, with c
-    taken from the carried direction u, a proxy (the direction of the
-    dominant exponent, b_m z^d) and not the argument of the true orbit; it
-    runs no level-1 check.  So a verdict whose run ends
-    in tower mode rests on the direct steps before it plus that model.
+    two kinds.  A direct step checks the float iterate z (only the start
+    point is exact): |z| >= escape_radius, the growth inequality
+    log|f(z)| >= |z|^alpha, and (for d >= 3) that z is outside the level-1
+    set.  A tower step checks |z| >= escape_radius and growth, the latter on
+    the dominant-term model log|z'| = c |z|^d, with c taken from the carried
+    direction u, a proxy (the direction of the dominant exponent, b_m z^d)
+    and not the argument of the true orbit; it runs no level-1 check.  So a
+    verdict whose run ends in tower mode rests on the direct steps before it
+    plus that model.
     """
     if p is None:
         p = ClassifyParams()

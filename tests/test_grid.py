@@ -40,7 +40,6 @@ def test_square_tile_geometry():
     assert t.max_abs_z() == pytest.approx(math.hypot(4.0, 5.0))
     assert _in_cell(t, 3 + 4j)
     assert _in_cell(t, 2 + 3j) and not _in_cell(t, 4 + 5j)  # half-open
-    assert t.grid(8).shape == (9, 9)
 
 
 def test_origin_tile_distances():
@@ -269,13 +268,20 @@ def test_e2_budget_enters_bound(cosh3):
     assert budget.e2_contrib == 1.0
 
 
+def _reference_grid(tile, n):
+    """The closed (n+1) x (n+1) sample grid over one square, raveled by rows of constant y."""
+    xs = np.linspace(tile.x0, tile.x1, n + 1)
+    ys = np.linspace(tile.y0, tile.y1, n + 1)
+    return (xs[None, :] + 1j * ys[:, None]).ravel()
+
+
 def _reference_extrema(f, tile):
     """(min, max, slack) of log|f'| from one square's own grids, as the density chain reads them."""
-    lm1, _, zero1 = eval_log_batch(f, tile.grid(32).ravel(), order=1)
+    lm1, _, zero1 = eval_log_batch(f, _reference_grid(tile, 32), order=1)
     if zero1.any():
         return -math.inf, float(np.max(lm1[~zero1], initial=-math.inf)), math.inf
     mn = float(lm1.min())
-    lm2, _, zero2 = eval_log_batch(f, tile.grid(8).ravel(), order=2)
+    lm2, _, zero2 = eval_log_batch(f, _reference_grid(tile, 8), order=2)
     max2 = float(np.where(zero2, -np.inf, lm2).max())
     return mn, float(lm1.max()), max2 + math.log(tile.side / 32.0 * math.sqrt(2.0) / 2.0) - mn
 

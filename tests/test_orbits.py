@@ -357,39 +357,39 @@ def test_non_finite_start_is_undetermined(sinz, sin3, cosh3, orbit_walk):
     assert (res["tag"], res["steps"], states) == (UNDETERMINED, 0, [])
 
 
-def test_trap_exit_only_when_tail_rule_must_fire(sinz):
-    # Reference: iterate sin in plain numpy for the whole budget and apply
-    # the trailing-run rule.  Every trapped orbit must meet it.
+def test_trapped_orbit_stays_in_trap_disk(sinz):
+    # Reference: iterate sin in plain numpy.  The trap of sin z lies in
+    # D(0, 1), and it proves that an orbit never leaves it, so from the
+    # reported entry step on every point is in that disk, whatever the budget.
     rng = np.random.default_rng(11)
     pts = np.concatenate(
         [40.0 + 20.0 * rng.random(100) + 0.01j * rng.standard_normal(100), rng.random(100) + 0.5j * rng.random(100)]
     )
     for max_iter in (8, 12, TAIL_STEPS, TAIL_STEPS + 1, 40):
         p = ClassifyParams(max_iter=max_iter)
+        assert orbits.trap_at_0(sinz, p.escape_radius).rho == 1.0
         res = classify_batch(sinz, pts, p)
         for z0, trapped, tag, steps in zip(pts, res["trapped"], res["tag"], res["steps"]):
             if not trapped:
                 continue
             assert tag == NON_ESCAPE_OBSERVED and steps <= max_iter
-            orbit = [z0]
-            for _ in range(max_iter - 1):
-                orbit.append(np.sin(orbit[-1]))
-            run = 0
-            for z in orbit:
-                run = run + 1 if abs(z) <= p.escape_radius else 0
-            assert run >= min(TAIL_STEPS, max_iter)
+            z = z0
+            for k in range(1, max_iter + 1):
+                z = np.sin(z)
+                assert k < steps or abs(z) < 1.0
         assert res["trapped"].any()
 
 
-def test_trap_needs_enough_budget(sinz, orbit_walk):
-    # sin(50.5) ~ 0.24 lies in the petal at step 1, but with 8 steps only
-    # seven points are inside the radius: the tail rule cannot fire.
+def test_trap_entry_ends_orbit_at_any_budget(sinz, orbit_walk):
+    # sin(50.5) ~ 0.24 lies in the petal at step 1.  The trap proves
+    # non-escape, so the orbit stops there even with 8 steps, too few for
+    # the trailing-run rule, as it does with the full budget.
     res, states = orbit_walk(sinz, 50.5, ClassifyParams(max_iter=8))
-    assert res["tag"] == UNDETERMINED and res["steps"] == 8 == len(states)
+    assert res["tag"] == NON_ESCAPE_OBSERVED and res["trapped"]
+    assert res["steps"] == 1 == len(states)
     res, states = orbit_walk(sinz, 50.5)
-    assert res["tag"] == NON_ESCAPE_OBSERVED
-    assert res["steps"] < 512
-    assert len(states) == res["steps"]
+    assert res["tag"] == NON_ESCAPE_OBSERVED and res["trapped"]
+    assert res["steps"] == 1 == len(states)
 
 
 def _exit_cases():
@@ -505,8 +505,8 @@ def test_four_term_orbits_do_not_depend_on_their_batch(four_term):
 def test_pool_refill_does_not_change_results(capacity, step_sizes):
     # The exit cases fed in staggered blocks through a small pool: orbits of
     # different ages share steps, and the late escape and the budget orbits
-    # enter at a late refill, so the trap rule, the reported steps and the
-    # budget rule each must read the orbit's own age.
+    # enter at a late refill, so the reported steps and the budget rule each
+    # must read the orbit's own age.
     late = ("late escape", "budget with tail", "budget, last point outside", "budget without tail")
     for f, p, cases in _exit_cases():
         order = [name for name in cases if name not in late] + [name for name in late if name in cases]
@@ -531,6 +531,44 @@ def test_pool_refill_does_not_change_results(capacity, step_sizes):
         assert max(step_sizes) <= capacity
         # The last orbits entered after the first step and ran their whole budget.
         assert order[-1] not in late or len(step_sizes) > p.max_iter
+
+
+def test_no_exit_rule_reads_the_pool_order(monkeypatch):
+    # A spy reverses every column of the direct state before each step.  An
+    # exit rule that read the order of the state, such as "the first orbit is
+    # the oldest", would then judge some orbits differently.
+    rng = np.random.default_rng(3)
+    pts = rng.uniform(-3, 3, 300) + 1j * rng.uniform(-3, 3, 300)
+    blocks = [(np.arange(a, min(a + 7, pts.size)), pts[a : a + 7]) for a in range(0, pts.size, 7)]
+
+    def run(f, p):
+        got = {name: np.zeros(pts.size, dt) for name, dt, _ in orbits._RESULT_COLUMNS}
+
+        def sink(i, cols):
+            for key, a in cols.items():
+                got[key][i] = a
+
+        orbits._classify_pool(f, p, blocks, 16, sink)
+        return got
+
+    advance = orbits._advance
+
+    def reversing(*args):
+        direct = args[-2]
+        for key in direct:
+            direct[key] = direct[key][::-1].copy()
+        return advance(*args)
+
+    for fn in ("sin_z", "sin_z3"):
+        f = bundled_function(fn)
+        for max_iter in (5, 20, 64):
+            p = ClassifyParams(max_iter=max_iter)
+            monkeypatch.setattr(orbits, "_advance", advance)
+            want = run(f, p)
+            monkeypatch.setattr(orbits, "_advance", reversing)
+            got = run(f, p)
+            for key, a in got.items():
+                assert a.tobytes() == want[key].tobytes(), (fn, max_iter, key)
 
 
 @pytest.mark.parametrize("fn", BUNDLED)
