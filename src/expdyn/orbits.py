@@ -323,8 +323,10 @@ def _poly_at(coeffs, r: Fraction) -> Fraction:
     return acc
 
 
-def _tail_up(f: ExpPoly, K: int, rho: Fraction, hat) -> Fraction | None:
-    """Upper bound for sum_{k > K} |a_k| rho^k from the majorant F."""
+def _tail_up(f: ExpPoly, rho: Fraction, hat) -> Fraction | None:
+    """Upper bound for sum_{k > K} |a_k| rho^k from the majorant F, where
+    K = len(hat) - 1 is the order of the series hat, TRAP_ORDER at both
+    callers."""
     total = Fraction(0)
     for t in f.terms:
         e, q = _term_series(t, f.d, f.d, _abs_up, Fraction(0))
@@ -385,7 +387,7 @@ def _taylor(f: ExpPoly, K: int, coef, zero, one):
 
 def _certify_disk(a, hat, f, rho: Fraction) -> bool:
     """sup_{|z| <= rho} |f| < rho."""
-    tail = _tail_up(f, TRAP_ORDER, rho, hat)
+    tail = _tail_up(f, rho, hat)
     if tail is None:
         return False
     bound = sum(_sqrt_bounds(ak.abs2())[1] * rho**k for k, ak in enumerate(a) if ak)
@@ -408,7 +410,7 @@ def _certify_petal(a, hat, f, m: int, rho: Fraction) -> Fraction | None:
     g(U)/U^2 with U for g(U) = (1-U)^-m - 1 - m U: the bound grows with r,
     and its value at r = rho, returned, covers the whole punctured disk.
     """
-    tail = _tail_up(f, TRAP_ORDER, rho, hat)
+    tail = _tail_up(f, rho, hat)
     if tail is None:
         return None
     lead_lo, lead_hi = _sqrt_bounds(a[m + 1].abs2())
@@ -594,51 +596,44 @@ def _step_direct(f: ExpPoly, tc: dict, p: ClassifyParams, radius, dcap, screen, 
       < dcap, so the point is not promoted.
     - (d): by (c) tau e^t is a normal double, so |corr| >= tau (1 - 5 u A)
       - err > _ZERO_CORR, and _log_parts does not flag a zero.
-    Where no point passes, or the screen is None, every point takes the
-    exact path on whole columns; otherwise only the rest are gathered for
-    it.
+    Each stage selects its points once.  The exact term sum runs on whole
+    columns, masked to the points where every term fits; the log-domain sum
+    runs on rest, the index array of the points the screen does not pass (of
+    every point without a screen).  A step skips the log-domain sum where
+    rest is empty, the phase where no point is rebuilt, and the growth,
+    level-1 and trap tests and the promotion hand-off where no point needs
+    them.  An empty state steps through on empty arrays.
     """
-    if not s["idx"].size:
-        return {"cond": _NO_BOOL, "fixed": _NO_BOOL, "trap": _NO_BOOL}, None, None
     Z = s["z"]
     ws, qs = _term_exponents(f, Z), _prefactor_logs(f, Z, tc)
     # t = max_j log|Q_j e^{w_j}|.  Both e^{w_j} and Q_j e^{w_j} are at most
     # e^{Re w_j + x}, x = max(log|Q_j|, 0).
     t = functools.reduce(np.maximum, [w.real + lqa for w, (_, _, lqa, _) in zip(ws, qs)])
     fits = functools.reduce(np.maximum, [w.real if x is None else w.real + x for w, (*_, x) in zip(ws, qs)]) <= _FITS
-    if (n_fit := np.count_nonzero(fits)) < Z.size:
-        over = ~(t < np.inf)
-        if np.count_nonzero(over):  # a NaN or +inf log term
-            zo = Z[over]
-            starts = _to_tower(s, over, np.log(np.abs(zo)), zo / np.abs(zo))
-            s.update(_take(s, ~over))
-            fl, _, promoted = _step_direct(f, tc, p, radius, dcap, screen, trap, s)
-            return fl, starts, promoted
+    over = ~(t < np.inf)
+    if np.count_nonzero(over):  # a NaN or +inf log term
+        zo = Z[over]
+        starts = _to_tower(s, over, np.log(np.abs(zo)), zo / np.abs(zo))
+        s.update(_take(s, ~over))
+        fl, _, promoted = _step_direct(f, tc, p, radius, dcap, screen, trap, s)
+        return fl, starts, promoted
     # The exact term sum, taken where every term fits: exp is slow on the
-    # huge imaginary parts of the others, which take 0 until the exact path
-    # gives them their value.
-    every = slice(None)
-    fit = every if n_fit == Z.size else np.flatnonzero(fits)
-    zfit = _ZERO_C
+    # huge imaginary parts of the others, which hold q * 0 until the exact
+    # path gives them their value (the screen requires fits, so they are all
+    # in rest).
+    znew = _ZERO_C
     for w, (q, *_) in zip(ws, qs):
-        zfit = zfit + (q if q.ndim == 0 else q[fit]) * np.exp(w[fit])
-    if fit is every:
-        znew = zfit
-    else:
-        znew = np.zeros(Z.size, complex)
-        znew[fit] = zfit
+        znew = znew + q * np.exp(w, out=np.zeros(Z.size, complex), where=fits)
     absnew, absZ = np.abs(znew), np.abs(Z)
     cond = absZ >= radius
-    rest = every
-    if screen is not None:
+    if screen is None:
+        rest = np.arange(Z.size)
+    else:
         t_lo, t_hi, tau = screen
-        easy = fits & ~cond & (t > t_lo) & (t < t_hi) & (absnew > tau * np.exp(t))
-        if n_easy := np.count_nonzero(easy):
-            rest = None if n_easy == Z.size else np.flatnonzero(~easy)
-        del easy
+        rest = np.flatnonzero(~(fits & ~cond & (t > t_lo) & (t < t_hi) & (absnew > tau * np.exp(t))))
     del t
     promoted = None
-    if rest is not None:
+    if rest.size:
         rows = [(lq if lq.ndim == 0 else lq[rest]) + w[rest] for w, (_, lq, _, _) in zip(ws, qs)]
         del ws, qs, w  # free the term arrays before the sum allocates its own
         lm, zero, Sm, corr = _log_parts(rows)
@@ -646,21 +641,17 @@ def _step_direct(f: ExpPoly, tc: dict, p: ClassifyParams, radius, dcap, screen, 
         lm[zero] = -np.inf
         promote = lm > dcap
         rebuild = ~(promote | zero | fits[rest])
-        ph = _phase(Sm[rebuild], corr[rebuild])
+        # A zero point steps to 0.  A promoted one steps to NaN, which is
+        # neither fixed nor in the trap.
+        zr = znew[rest]
+        zr[zero], zr[promote] = 0j, np.nan
+        if np.count_nonzero(rebuild):
+            zr[rebuild] = np.exp(lm[rebuild]) * np.exp(1j * _phase(Sm[rebuild], corr[rebuild]))
         if n_promote := np.count_nonzero(promote):
             cp = corr[promote]
             u = np.exp(1j * Sm.imag[promote]) * (cp / np.abs(cp))
         del Sm, corr
-        # A zero point steps to 0.  A promoted one steps to NaN, which is
-        # neither fixed nor in the trap.
-        zr = znew[rest]  # a view of znew where rest is every
-        zr[zero], zr[promote] = 0j, np.nan
-        if np.count_nonzero(rebuild):
-            zr[rebuild] = np.exp(lm[rebuild]) * np.exp(1j * ph)
-        if rest is every:
-            absnew = np.abs(znew)
-        else:
-            znew[rest], absnew[rest] = zr, np.abs(zr)
+        znew[rest], absnew[rest] = zr, np.abs(zr)
         # Only the rest can lie beyond the radius: c is cond there.
         c = cond[rest]
         if np.count_nonzero(c):
@@ -822,13 +813,12 @@ def _classify_pool(f: ExpPoly, p: ClassifyParams, blocks, capacity: int, sink):
     MAX_DEPTH, or max_iter steps.  A fixed point and a budget's tail are
     judged non-escaping only if the last point is a direct point inside the
     radius.
-    A step costs about 35 us however few orbits are live (one bounded sin z
+    A step costs about 34 us however few orbits are live (one bounded sin z
     orbit, 2-core Xeon), so a tail of long orbits pays it each step.  It
     reads _term_consts(f) once per pool, enters one np.errstate, skips the
-    step of an empty state, gathers for the exact term sum only when some
-    point cannot take it, makes no log-domain sum when every point passes
-    the screen of _step_direct, and skips the growth test, the trap test
-    and the promotion hand-off where no orbit needs them.
+    step of an empty tower state, and skips the log-domain sum, the phase,
+    the growth test, the trap test and the promotion hand-off where no
+    orbit needs them.
     """
     radius, cert_steps = _const(p.escape_radius), _const(p.cert_steps)
     dcap = min((700.0 - math.log(f.max_abs_b) - 5.0) / f.d, BAIL_LOGMOD)
@@ -874,26 +864,25 @@ def _classify_pool(f: ExpPoly, p: ClassifyParams, blocks, capacity: int, sink):
             done = cert | tfl["stop"] | (tower["age"] >= p.max_iter)
             if np.count_nonzero(done):
                 tower = _retire(tower, done, sink, code=cert.astype(np.int8))
-        if direct["idx"].size:
-            direct["run"] = (direct["run"] + _ONE) * dfl["cond"]
-            cert = direct["run"] >= cert_steps
-            # A fixed or trapped orbit finishes at once; a fixed one's run is
-            # no certificate.  One that reaches max_iter steps without
-            # finishing is judged by the trailing-run rule.
-            fixed = dfl["fixed"]
-            end = cert | fixed | dfl["trap"]
-            done = end | (direct["age"] >= p.max_iter)
-            if moved is not None:
-                done = done & ~moved
-            if moved is not None or np.count_nonzero(done):
-                cert &= ~fixed
-                trapped = dfl["trap"] & ~fixed & ~cert
-                # A fixed point or a budget's tail is non-escaping only
-                # where the last point lies inside the radius.
-                inside = direct["val"] <= radius
-                nonesc = trapped | (inside & (fixed | (~end & (direct["below"] >= tail_len))))
-                code = np.where(cert, 1, np.where(nonesc, 2, 0)).astype(np.int8)
-                direct = _retire(direct, done, sink, moved, code=code, trap=trapped)
+        direct["run"] = (direct["run"] + _ONE) * dfl["cond"]
+        cert = direct["run"] >= cert_steps
+        # A fixed or trapped orbit finishes at once; a fixed one's run is
+        # no certificate.  One that reaches max_iter steps without
+        # finishing is judged by the trailing-run rule.
+        fixed = dfl["fixed"]
+        end = cert | fixed | dfl["trap"]
+        done = end | (direct["age"] >= p.max_iter)
+        if moved is not None:
+            done = done & ~moved
+        if moved is not None or np.count_nonzero(done):
+            cert &= ~fixed
+            trapped = dfl["trap"] & ~fixed & ~cert
+            # A fixed point or a budget's tail is non-escaping only
+            # where the last point lies inside the radius.
+            inside = direct["val"] <= radius
+            nonesc = trapped | (inside & (fixed | (~end & (direct["below"] >= tail_len))))
+            code = np.where(cert, 1, np.where(nonesc, 2, 0)).astype(np.int8)
+            direct = _retire(direct, done, sink, moved, code=code, trap=trapped)
 
 
 def classify_batch(f: ExpPoly, points, p: ClassifyParams | None = None):

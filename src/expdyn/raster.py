@@ -125,19 +125,14 @@ class ImageBuffer:
         return isinstance(other, ImageBuffer) and np.array_equal(self.pixels, other.pixels)
 
 
-def _escape_shade(steps: np.ndarray) -> np.ndarray:
-    """Blue-graded escape colors: earlier escape renders brighter."""
-    c = np.clip(255 - 8 * steps, 40, 255).astype(np.uint8)
-    out = np.empty(steps.shape + (3,), dtype=np.uint8)
-    out[..., 0] = c
-    out[..., 1] = c
-    out[..., 2] = 255
-    return out
-
-
 def _colorize(codes: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    """Pixel colors from tag codes (1 escape, 2 non-escape, 0 undetermined)."""
-    rgb = _escape_shade(steps)
+    """Pixel colors from tag codes (1 escape, 2 non-escape, 0 undetermined).
+    Escape colors are blue-graded: earlier escape renders brighter."""
+    c = np.clip(255 - 8 * steps, 40, 255).astype(np.uint8)
+    rgb = np.empty(steps.shape + (3,), dtype=np.uint8)
+    rgb[..., 0] = c
+    rgb[..., 1] = c
+    rgb[..., 2] = 255
     rgb[codes == 2] = DEFAULT_PALETTE["NonEscapeObserved"]
     rgb[codes == 0] = DEFAULT_PALETTE["Undetermined"]
     return rgb

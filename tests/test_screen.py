@@ -97,6 +97,26 @@ def test_screen_at_the_promotion_cap():
     _assert_screen_is_exact(f, xs * (1 - 1j), p)
 
 
+def test_screen_at_the_fit_limit(monkeypatch):
+    # f = 1e-6 e^z + e^-z: the term e^z leaves the exact term sum at Re z = 700,
+    # and log|f| ~ Re z - 13.8 reaches the promotion cap 690 near Re z = 704.
+    # Starts through both, with starts in the left half plane and near 0, put
+    # easy, fitting, rebuilt and promoted points in one pool.
+    f = ExpPoly(1, [ExpPolyTerm(Poly([1e-6]), 1 + 0j), ExpPolyTerm(Poly([1]), -1 + 0j)])
+    x = np.concatenate([np.linspace(695.0, 712.0, 69), [1e-3, 0.5, 3.0, -2.0]])
+    pts = np.concatenate([x + 0.5j, x - 0.25j, -x + 0.1j])
+    rebuilt = []
+    phase = orbits._phase
+
+    def spy(Sm, corr):
+        rebuilt.append(Sm.size)
+        return phase(Sm, corr)
+
+    monkeypatch.setattr(orbits, "_phase", spy)
+    _assert_screen_is_exact(f, pts, ClassifyParams(escape_radius=1000.0, max_iter=8))
+    assert sum(rebuilt) > 0
+
+
 @pytest.mark.parametrize("fn", ["three_term", "example_h"])
 def test_screen_with_non_constant_prefactors(fn):
     f = FUNCS[fn]()
