@@ -62,12 +62,6 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError("alpha must be positive and finite")
 
 
-def wrap_phase(p):
-    """Reduce an angle (scalar or array) to (-pi, pi]; a scalar gives a 0-d array."""
-    w = np.remainder(p, _TWO_PI_0D)
-    return np.asarray(w - _TWO_PI_0D * (w > _PI_0D))
-
-
 @dataclass(frozen=True)
 class ExpPolyTerm:
     """One summand Q(z) exp(b z^d + P(z))."""
@@ -205,15 +199,24 @@ _NEG_INF = _const(-np.inf)
 _ZERO_CORR = _const(1e-15)
 
 
+def _dominant(rows):
+    """Elementwise, the first of the complex rows with the largest real part,
+    a NaN real part counting as -inf; where every real part is NaN, the first
+    row."""
+    top = np.asarray(rows[0])
+    for row in rows[1:]:
+        top = np.where(row.real > np.fmax(top.real, _NEG_INF), row, top)
+    return top
+
+
 def _log_parts(rows):
     """(logmod, zero_mask, S_m, corr) of sum_j exp(S_j) for a list of complex
     log rows; its phase is _phase(S_m, corr), taken where it is read.
 
-    The dominant row S_m, the first with the largest real part (a NaN real
-    part counts as -inf), is factored out, so the others enter only through
-    the differences D_j = S_j - S_m, with non-positive real part, in
-    corr = sum_j exp(D_j).  Only the terms that can move corr are
-    exponentiated:
+    The dominant row S_m = _dominant(rows), whose rule decides ties and NaN,
+    is factored out, so the others enter only through the differences
+    D_j = S_j - S_m, with non-positive real part, in corr = sum_j exp(D_j).
+    Only the terms that can move corr are exponentiated:
     - a zero D_j (a row equal to a finite S_m: the dominant row, or a tie)
       adds exactly 1, up to the sign of a zero;
     - a row with Re D_j < -746 and a finite Im D_j adds a signed zero
@@ -227,9 +230,7 @@ def _log_parts(rows):
 
     Call it under np.errstate(divide="ignore", invalid="ignore").
     """
-    Sm = np.asarray(rows[0])
-    for row in rows[1:]:
-        Sm = np.where(row.real > np.fmax(Sm.real, _NEG_INF), row, Sm)
+    Sm = _dominant(rows)
     corr = None
     for row in rows:
         D = row - Sm
@@ -249,8 +250,10 @@ def _log_parts(rows):
 
 
 def _phase(Sm, corr):
-    """The phase, in (-pi, pi], of the sum that _log_parts returned as S_m, corr."""
-    return wrap_phase(Sm.imag + np.arctan2(corr.imag, corr.real))
+    """The phase, in (-pi, pi], of the sum that _log_parts returned as S_m,
+    corr; 0-d operands give a 0-d array."""
+    w = np.remainder(Sm.imag + np.arctan2(corr.imag, corr.real), _TWO_PI_0D)
+    return np.asarray(w - _TWO_PI_0D * (w > _PI_0D))
 
 
 def _eval_log_parts(f: ExpPoly, Z, order: int = 0):

@@ -63,6 +63,7 @@ from .funcs import (
     _ZERO_CORR,
     _check_alpha,
     _const,
+    _dominant,
     _eval_log_parts,
     _log_parts,
     _phase,
@@ -348,6 +349,9 @@ class TrapRegion:
     (t_0 = 0, rho_0 = rho), and each later one reaches further toward the
     repelling directions, the negative real axis of w.  trap_at_0 proves
     each wedge invariant and inside D(0, rho_k), so the union is too.
+
+    Every float member z, a True entry of contains, has |z| < rho in
+    floats: the engine tests trap entry by contains alone.
     """
 
     kind: str
@@ -600,9 +604,10 @@ def _step_direct(f: ExpPoly, tc: dict, p: ClassifyParams, radius, dcap, screen, 
     columns, masked to the points where every term fits; the log-domain sum
     runs on rest, the index array of the points the screen does not pass (of
     every point without a screen).  A step skips the log-domain sum where
-    rest is empty, the phase where no point is rebuilt, and the growth,
-    level-1 and trap tests and the promotion hand-off where no point needs
-    them.  An empty state steps through on empty arrays.
+    rest is empty, the phase where no point is rebuilt, and the growth and
+    level-1 tests and the promotion hand-off where no point needs them.  The
+    trap flag is one trap.contains call on every new point.  An empty state
+    steps through on empty arrays.
     """
     Z = s["z"]
     ws, qs = _term_exponents(f, Z), _prefactor_logs(f, Z, tc)
@@ -663,30 +668,10 @@ def _step_direct(f: ExpPoly, tc: dict, p: ClassifyParams, radius, dcap, screen, 
             m = np.zeros(Z.size, bool)
             m[rest] = promote
             promoted = m, _to_tower(s, m, lm[promote], u)
-    fl = {"cond": cond, "fixed": znew == Z, "trap": np.zeros(Z.size, bool)}
-    # The trap lies in D(0, rho), and its membership margin keeps every float
-    # member below rho: only points there are tested.
-    if trap is not None:
-        near = absnew < trap.rho
-        if np.count_nonzero(near):
-            fl["trap"] = near & trap.contains(znew)
+    fl = {"cond": cond, "fixed": znew == Z}
+    fl["trap"] = np.zeros(Z.size, bool) if trap is None else trap.contains(znew)
     s.update(z=znew, val=absnew, below=(s["below"] + _ONE) * (absZ <= radius))
     return fl, None, promoted
-
-
-def _dominant_growth(tc: dict, ud):
-    """w = b_m ud for the first term m that maximises c_j = Re(b_j ud), with
-    the frequencies b_j from tc, which is _term_consts(f).
-
-    A running maximum over the terms picks the term argmax would: the first
-    of equal maxima.  A NaN part of ud makes every c_j NaN, and there the
-    first term is kept, as argmax keeps it.
-    """
-    w = tc["b"][0] * ud
-    for b in tc["b"][1:]:
-        wj = b * ud
-        w = np.where(wj.real > w.real, wj, w)
-    return w
 
 
 def _step_tower(f: ExpPoly, tc: dict, p: ClassifyParams, s):
@@ -695,7 +680,8 @@ def _step_tower(f: ExpPoly, tc: dict, p: ClassifyParams, s):
     The magnitude grows like the dominant term, log|z'| = c |z|^d with
     c = max_j Re(b_j u^d) for the unit direction u of z, held as a complex
     number: no angle is wrapped, so c is exactly 0 on a dead axis.  The
-    next direction is that of the dominant exponent, b_m u^d / |b_m u^d|.
+    next direction is that of the dominant exponent, b_m u^d / |b_m u^d|,
+    with b_m u^d = _dominant of the rows b_j u^d, whose rule decides ties.
     c <= 0, or NaN, is a dead direction.  A step is certified (cond) when
     |z| >= escape_radius and the model grows at the stretched exponential
     rate.  tc is _term_consts(f).  Writes the new depth, val and u into s
@@ -710,7 +696,8 @@ def _step_tower(f: ExpPoly, tc: dict, p: ClassifyParams, s):
         return {"cond": _NO_BOOL, "stop": _NO_BOOL}
     d, alpha = f.d, p.alpha
     dep, v = s["depth"], s["val"]
-    w = _dominant_growth(tc, _pow_int(s["u"], d))
+    ud = _pow_int(s["u"], d)
+    w = _dominant([b * ud for b in tc["b"]])
     c = w.real
     live = c > 0
     logc = np.log(np.where(live, c, 1.0))
@@ -813,12 +800,12 @@ def _classify_pool(f: ExpPoly, p: ClassifyParams, blocks, capacity: int, sink):
     MAX_DEPTH, or max_iter steps.  A fixed point and a budget's tail are
     judged non-escaping only if the last point is a direct point inside the
     radius.
-    A step costs about 34 us however few orbits are live (one bounded sin z
-    orbit, 2-core Xeon), so a tail of long orbits pays it each step.  It
-    reads _term_consts(f) once per pool, enters one np.errstate, skips the
-    step of an empty tower state, and skips the log-domain sum, the phase,
-    the growth test, the trap test and the promotion hand-off where no
-    orbit needs them.
+    A step costs about 37 us however few orbits are live (one bounded sin z
+    orbit, 2-core Xeon, best of 30 runs of 512 steps), so a tail of long
+    orbits pays it each step.  It reads _term_consts(f) once per pool,
+    enters one np.errstate, skips the step of an empty tower state, and
+    skips the log-domain sum, the phase, the growth test and the promotion
+    hand-off where no orbit needs them.
     """
     radius, cert_steps = _const(p.escape_radius), _const(p.cert_steps)
     dcap = min((700.0 - math.log(f.max_abs_b) - 5.0) / f.d, BAIL_LOGMOD)

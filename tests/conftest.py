@@ -15,14 +15,18 @@ RESULT_KEYS = ("tag", "tag_code", "steps", "trapped", "final_depth", "final_val"
 STEP_KEYS = ("z", "depth", "val", "u")
 
 
+# The caches of quantities derived from a function's coefficients.
+CACHES = (funcs._term_consts, funcs._deriv_prefactors, exceptional._pair_polys, orbits.trap_at_0)
+
+
 @pytest.fixture(autouse=True)
 def clear_caches():
-    """Clears the caches of quantities derived from a function's coefficients
-    before each test, so a test that spies on a derivation sees it whatever
-    ran earlier; the test may call the returned function to clear them again."""
+    """Clears CACHES before each test, so a test that spies on a derivation
+    sees it whatever ran earlier; the test may call the returned function to
+    clear them again."""
 
     def clear():
-        for cached in (funcs._term_consts, funcs._deriv_prefactors, exceptional._pair_polys, orbits.trap_at_0):
+        for cached in CACHES:
             cached.cache_clear()
 
     clear()

@@ -6,6 +6,7 @@ import pkgutil
 from pathlib import Path
 
 import pytest
+from conftest import CACHES
 
 import expdyn
 from expdyn import cli
@@ -108,3 +109,47 @@ def test_every_export_has_a_reader(tracing):
             if isinstance(node, ast.ImportFrom):
                 read.update(a.name for a in node.names)
     assert sorted(exported - read) == sorted(TEST_ONLY_EXPORTS)
+
+
+def test_every_helper_has_a_reader():
+    # A module-level function or class that expdyn does not export is read by
+    # library code outside its own body and outside __init__.py: a Name load,
+    # an attribute or an import.  Otherwise it is dead code, or kept alive by
+    # its own tests alone.
+    src = Path(expdyn.__file__).parent
+    exported = set(dir(expdyn))
+    helpers, read = set(), set()
+    for path in src.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for top in ast.parse(path.read_text()).body:
+            owner = None
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                owner = (path.name, top.name)
+                if top.name not in exported:
+                    helpers.add(owner)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    names = [node.id]
+                elif isinstance(node, ast.Attribute):
+                    names = [node.attr]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [a.name for a in node.names]
+                else:
+                    continue
+                read.update((name, owner) for name in names)
+    unread = [h for h in helpers if not any(name == h[1] and owner != h for name, owner in read)]
+    assert sorted(unread) == []
+
+
+def test_cache_list_is_complete():
+    # conftest clears CACHES before each test; a cache missing from it makes a
+    # test that spies on a derivation depend on which tests ran before it.
+    # build_parser caches the argument parser, not a derived quantity.
+    found = {
+        obj
+        for name in MODULES
+        for obj in vars(importlib.import_module(f"expdyn.{name}")).values()
+        if hasattr(obj, "cache_clear") and obj is not cli.build_parser
+    }
+    assert found == set(CACHES)

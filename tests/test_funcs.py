@@ -38,7 +38,6 @@ from expdyn.funcs import (
     _phase,
     _term_exponents,
     mirror_group,
-    wrap_phase,
 )
 
 
@@ -307,7 +306,8 @@ def _log_sum_stacked(rows):
         corr = functools.reduce(np.add, np.exp(S - Sm[None, ...]))
         corr_abs = np.abs(corr)
         logmod = Sm.real + np.log(corr_abs)
-        phase = wrap_phase(Sm.imag + np.angle(corr))
+        phase = np.remainder(Sm.imag + np.angle(corr), 2 * np.pi)
+        phase = np.asarray(phase - 2 * np.pi * (phase > np.pi))
     zero = ~np.isfinite(Sm.real) | (corr_abs < 1e-15)
     return logmod, phase, zero
 

@@ -22,7 +22,7 @@ from expdyn import (
 )
 from expdyn import orbits
 from expdyn.cli import BUNDLED
-from expdyn.funcs import _term_consts
+from expdyn.funcs import _dominant, _term_consts
 from expdyn.measure import _annulus_points
 from expdyn.orbits import MAX_DEPTH, TAIL_STEPS
 
@@ -248,7 +248,8 @@ def test_tower_term_selection_matches_argmax(freqs, ud):
         # argmax keeps the first of equal maxima, and the first term where
         # every Re(b_j ud) is NaN.
         mj = np.argmax(wj.real, axis=0)
-        got = orbits._dominant_growth(_term_consts(f), ud)
+        # The rows of the tower step's selection, b_j u^d.
+        got = _dominant([b * ud for b in _term_consts(f)["b"]])
     assert got.tobytes() == np.take_along_axis(wj, mj[None, :], axis=0)[0].tobytes()
     assert (mj[np.isnan(ud)] == 0).all()
 

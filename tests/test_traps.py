@@ -195,6 +195,35 @@ def test_membership_keeps_outward_margin():
         ]
 
 
+def _contract_traps():
+    """The traps whose float members test_members_lie_below_rho sweeps: the
+    bundled ones, a small petal, a slope-capped one and a hand-made petal
+    whose threshold A = |c| / rho^m lies on its circle."""
+    traps = [trap_at_0(bundled_function(name), 50.0) for name in BUNDLED]
+    traps.append(trap_at_0(ExpPoly(1, _sinh_terms(2.0**-8, 128.0)), 50.0))
+    traps.append(trap_at_0(ExpPoly(10, [ExpPolyTerm(Poly([0, 1]), 2.0**-495 + 0j)]), 50.0))
+    traps.append(TrapRegion("petal", 1.0, 2, 3.0 + 0j, ((1.0, 0.0, 3.0),)))
+    return traps
+
+
+@pytest.mark.parametrize("trap", _contract_traps(), ids=[*BUNDLED, "sinh_petal", "slope_capped", "hand_petal"])
+def test_members_lie_below_rho(trap):
+    # The contract the engine's trap flag rests on: every float member z has
+    # |z| < rho, also on and just outside the circles |z| = rho_k, one ulp
+    # off in either direction, and at zero, subnormal, NaN and infinite z.
+    radii = {rho for rho, *_ in trap.members} | {trap.rho}
+    scales = [1.0] + [1.0 + s * eps for eps in (1e-16, 1e-12, 1e-9, 1e-6) for s in (1, -1)]
+    ring = np.exp(2j * np.pi * np.arange(4096) / 4096)
+    z = np.concatenate([r * k * ring for r in radii for k in scales])
+    z = np.concatenate([z, np.nextafter(z.real, np.inf) + 1j * z.imag, np.nextafter(z.real, -np.inf) + 1j * z.imag])
+    special = [0.0, 5e-324, 1e-300, 1e-300j, np.nan, np.inf, -np.inf, complex(np.nan, 1.0)]
+    z = np.concatenate([z, np.array(special, complex)])
+    with np.errstate(all="ignore"):
+        inside = trap.contains(z)
+        assert inside.any()
+        assert (inside <= (np.abs(z) < trap.rho)).all()
+
+
 def test_wedge_boundaries_on_both_lobes():
     """Points of the boundary of the sin_z trap, on each member's stretch of
     it and on both halves of each wedge: 1e-6 inside reads True, on it and
