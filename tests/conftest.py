@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from expdyn import ExpPoly, ExpPolyTerm, Poly, bundled_function, classify_batch
-from expdyn import exceptional, funcs, orbits
+from expdyn import exceptional, funcs, orbits, traps
 
 # The result arrays of classify_batch.
 RESULT_KEYS = ("tag", "tag_code", "steps", "trapped", "final_depth", "final_val")
@@ -16,7 +16,7 @@ STEP_KEYS = ("z", "depth", "val", "u")
 
 
 # The caches of quantities derived from a function's coefficients.
-CACHES = (funcs._term_consts, funcs._deriv_prefactors, exceptional._pair_polys, orbits.trap_at_0)
+CACHES = (funcs._term_consts, funcs._deriv_prefactors, exceptional._pair_polys, traps.trap_at_0)
 
 
 @pytest.fixture(autouse=True)

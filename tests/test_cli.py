@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from expdyn import __version__, bundled_function, cli, function_to_dict
 from expdyn.cli import LEMMA_CHECKS, build_parser, main
-from expdyn.orbits import trap_at_0
+from expdyn.traps import trap_at_0
 
 
 def run(capsys, *argv):

@@ -153,3 +153,31 @@ def test_cache_list_is_complete():
         if hasattr(obj, "cache_clear") and obj is not cli.build_parser
     }
     assert found == set(CACHES)
+
+
+def _imported_from(name, sibling):
+    """The names module expdyn.<name> imports from expdyn.<sibling>, with
+    "<module>" for an import of the module itself."""
+    tree = ast.parse(Path(importlib.import_module(f"expdyn.{name}").__file__).read_text())
+    got = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").removeprefix("expdyn").removeprefix(".")
+            got += [a.name for a in node.names if module == sibling]
+            got += ["<module>" for a in node.names if module == "" and a.name == sibling]
+        elif isinstance(node, ast.Import):
+            got += ["<module>" for a in node.names if a.name == f"expdyn.{sibling}"]
+    return got
+
+
+def test_the_engine_reads_traps_through_trap_at_0():
+    # The engine's view of a trap is one call, trap_at_0, and one method,
+    # TrapRegion.contains: expdyn.traps binds no object defined in
+    # expdyn.orbits, and expdyn.orbits binds one object of expdyn.traps.
+    from expdyn import orbits, traps
+
+    def defined_in(module, owner):
+        return [n for n, obj in vars(module).items() if getattr(obj, "__module__", None) == owner.__name__]
+
+    assert defined_in(traps, orbits) == [] and _imported_from("traps", "orbits") == []
+    assert defined_in(orbits, traps) == ["trap_at_0"] and _imported_from("orbits", "traps") == ["trap_at_0"]

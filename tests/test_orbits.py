@@ -20,7 +20,7 @@ from expdyn import (
     iterate_max_modulus,
     log_max_modulus,
 )
-from expdyn import orbits
+from expdyn import orbits, traps
 from expdyn.cli import BUNDLED
 from expdyn.funcs import _dominant, _term_consts
 from expdyn.measure import _annulus_points
@@ -368,7 +368,7 @@ def test_trapped_orbit_stays_in_trap_disk(sinz):
     )
     for max_iter in (8, 12, TAIL_STEPS, TAIL_STEPS + 1, 40):
         p = ClassifyParams(max_iter=max_iter)
-        assert orbits.trap_at_0(sinz, p.escape_radius).rho == 1.0
+        assert traps.trap_at_0(sinz, p.escape_radius).rho == 1.0
         res = classify_batch(sinz, pts, p)
         for z0, trapped, tag, steps in zip(pts, res["trapped"], res["tag"], res["steps"]):
             if not trapped:
@@ -570,6 +570,33 @@ def test_no_exit_rule_reads_the_pool_order(monkeypatch):
             got = run(f, p)
             for key, a in got.items():
                 assert a.tobytes() == want[key].tobytes(), (fn, max_iter, key)
+
+
+def test_direct_state_carries_its_modulus(monkeypatch):
+    # The direct step reads |z| from val, so val is |z| bit for bit in the
+    # state handed into every step, from an orbit's admission on: orbits of
+    # staggered ages share the pool, and the overflowing start points leave
+    # the state inside a step.
+    rng = np.random.default_rng(5)
+    pts = np.concatenate([rng.uniform(-3, 3, 200) + 1j * rng.uniform(-3, 3, 200), [1e155, -1e155j, 40 + 1j, 10 + 1j]])
+    rng.shuffle(pts)
+    blocks = [(np.arange(a, min(a + 7, pts.size)), pts[a : a + 7]) for a in range(0, pts.size, 7)]
+    advance = orbits._advance
+    checked = []
+
+    def spy(*args):
+        direct = args[-2]
+        assert direct["val"].tobytes() == np.abs(direct["z"]).tobytes()
+        checked.append(direct["idx"].size)
+        return advance(*args)
+
+    monkeypatch.setattr(orbits, "_advance", spy)
+    for fn in ("sin_z", "sin_z3"):
+        f = bundled_function(fn)
+        for max_iter in (5, 64):
+            checked.clear()
+            orbits._classify_pool(f, ClassifyParams(max_iter=max_iter), blocks, 16, lambda i, cols: None)
+            assert sum(checked) >= pts.size
 
 
 @pytest.mark.parametrize("fn", BUNDLED)

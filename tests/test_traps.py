@@ -15,8 +15,8 @@ from expdyn import (
     bundled_function,
     classify_batch,
 )
-from expdyn import orbits
-from expdyn.orbits import TrapRegion, trap_at_0
+from expdyn import traps
+from expdyn.traps import TrapRegion, trap_at_0
 
 BUNDLED = ("sin_z", "sin_z2", "sin_z3", "example_h")
 
@@ -90,11 +90,11 @@ def _sinh_terms(q, b):
 def test_trap_refusal_paths(monkeypatch, f, certifier, tries):
     calls = {name: [] for name in ("_tail_up", "_certify_disk", "_certify_petal")}
     for name, log in calls.items():
-        def spy(*args, _fn=getattr(orbits, name), _log=log):
+        def spy(*args, _fn=getattr(traps, name), _log=log):
             _log.append(_fn(*args))
             return _log[-1]
 
-        monkeypatch.setattr(orbits, name, spy)
+        monkeypatch.setattr(traps, name, spy)
     assert trap_at_0(f, 50.0) is None
     assert calls["_tail_up"] == [None] * tries
     # A refused disk reads False, a refused petal None.
@@ -113,11 +113,11 @@ def test_trap_refusal_paths(monkeypatch, f, certifier, tries):
 def _spy_petal(monkeypatch):
     calls = []
 
-    def spy(a, hat, f, m, rho, _fn=orbits._certify_petal):
+    def spy(a, hat, f, m, rho, _fn=traps._certify_petal):
         calls.append((rho, _fn(a, hat, f, m, rho)))
         return calls[-1][1]
 
-    monkeypatch.setattr(orbits, "_certify_petal", spy)
+    monkeypatch.setattr(traps, "_certify_petal", spy)
     return calls
 
 
@@ -149,11 +149,11 @@ def test_petal_refused_with_a_vanishing_lead(monkeypatch):
     calls = _spy_petal(monkeypatch)
     tails = []
 
-    def spy_tail(*args, _fn=orbits._tail_up):
+    def spy_tail(*args, _fn=traps._tail_up):
         tails.append(_fn(*args))
         return tails[-1]
 
-    monkeypatch.setattr(orbits, "_tail_up", spy_tail)
+    monkeypatch.setattr(traps, "_tail_up", spy_tail)
     f = ExpPoly(1, _sinh_terms(2.0**259, 2.0**-260))
     assert trap_at_0(f, 50.0) is None
     assert [delta for _, delta in calls] == [None] * 21
@@ -166,7 +166,7 @@ def test_wedge_slope_is_capped():
     # t_k ~ 1/(2 delta_k) and A_k ~ 2^495 t_k / rho_k^10, overflow the
     # doubles at rho/4, where trap_at_0 raised OverflowError.
     trap = trap_at_0(ExpPoly(10, [ExpPolyTerm(Poly([0, 1]), 2.0**-495 + 0j)]), 50.0)
-    assert [t for _, t, _ in trap.members] == [0.0, orbits._MAX_SLOPE, orbits._MAX_SLOPE]
+    assert [t for _, t, _ in trap.members] == [0.0, traps._MAX_SLOPE, traps._MAX_SLOPE]
     assert all(np.isfinite(A) for _, _, A in trap.members)
 
 
@@ -175,7 +175,7 @@ def test_sqrt_bounds_bracket_exactly():
     two = Fraction(2)
     xs = [two**k * u for k in range(-1100, 1101, 5) for u in (1, Fraction(5, 3), 1 - two**-60)]
     for x in xs + [two**1000 + 1, two**-1000 * (1 + two**-60)]:
-        lo, hi = orbits._sqrt_bounds(x)
+        lo, hi = traps._sqrt_bounds(x)
         assert 0 <= lo and lo * lo <= x <= hi * hi
 
 
@@ -199,11 +199,11 @@ def _contract_traps():
     """The traps whose float members test_members_lie_below_rho sweeps: the
     bundled ones, a small petal, a slope-capped one and a hand-made petal
     whose threshold A = |c| / rho^m lies on its circle."""
-    traps = [trap_at_0(bundled_function(name), 50.0) for name in BUNDLED]
-    traps.append(trap_at_0(ExpPoly(1, _sinh_terms(2.0**-8, 128.0)), 50.0))
-    traps.append(trap_at_0(ExpPoly(10, [ExpPolyTerm(Poly([0, 1]), 2.0**-495 + 0j)]), 50.0))
-    traps.append(TrapRegion("petal", 1.0, 2, 3.0 + 0j, ((1.0, 0.0, 3.0),)))
-    return traps
+    regions = [trap_at_0(bundled_function(name), 50.0) for name in BUNDLED]
+    regions.append(trap_at_0(ExpPoly(1, _sinh_terms(2.0**-8, 128.0)), 50.0))
+    regions.append(trap_at_0(ExpPoly(10, [ExpPolyTerm(Poly([0, 1]), 2.0**-495 + 0j)]), 50.0))
+    regions.append(TrapRegion("petal", 1.0, 2, 3.0 + 0j, ((1.0, 0.0, 3.0),)))
+    return regions
 
 
 @pytest.mark.parametrize("trap", _contract_traps(), ids=[*BUNDLED, "sinh_petal", "slope_capped", "hand_petal"])
@@ -336,7 +336,7 @@ def test_trap_certified_by_interval_arithmetic(name, monkeypatch):
         # The wedge tested with the float margin lies inside D(0, rho_k):
         # there |w| > A_k / (sqrt(1 + t^2) - margin (1 + t)).
         t_iv = iv.mpf(t)
-        inner = abs(c) * (iv.sqrt(1 + t_iv**2) - orbits._TRAP_MARGIN * (1 + t_iv)) / iv.mpf(A)
+        inner = abs(c) * (iv.sqrt(1 + t_iv**2) - traps._TRAP_MARGIN * (1 + t_iv)) / iv.mpf(A)
         assert inner.b <= iv.mpf(rk) ** m
 
 
